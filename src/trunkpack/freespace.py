@@ -43,7 +43,6 @@ from trunkpack.geometry import (
     _polytope_from_rows,
     axis_aligned_box,
     convex_hull,
-    fm_feasible,
     intersect_halfspaces,
     minkowski_sum_convex,
     polytopes_touch,
@@ -193,16 +192,16 @@ def load_trunk(path: str, fmt: str, seed_point: Optional[Sequence] = None):
 
 def halfspaces_bounded(halfspaces: Sequence[Halfspace]) -> bool:
     """True when the intersection of the halfspaces has no recession ray,
-    i.e. it is bounded (possibly empty)."""
-    rows = [((h.a, h.b, h.c), 0) for h in halfspaces]
-    for axis in range(3):
-        for sign in (1, -1):
-            ray = [0, 0, 0]
-            ray[axis] = -sign
-            # exists x: Ax <= 0 and sign*x_axis >= 1?
-            if fm_feasible(rows + [(tuple(ray), -1)], 3):
-                return False
-    return True
+    i.e. it is bounded (possibly empty).
+
+    The recession cone {x : n_i . x <= 0} is {0} exactly when the normals
+    positively span space, i.e. when the origin lies strictly inside their
+    convex hull; flat (or too few) normals leave a ray."""
+    try:
+        hull = convex_hull([h.normal for h in halfspaces])
+    except DegenerateInput:
+        return False
+    return hull.strictly_contains(Point3(0, 0, 0))
 
 
 def _point_on_triangle(p: Point3, tri: Triangle3) -> bool:

@@ -57,9 +57,6 @@ class LinearProgram:
     row_labels: List[str] = field(default_factory=list)
     var_labels: List[str] = field(default_factory=list)
 
-    def key_bytes(self) -> bytes:
-        return (self.A.tobytes() + self.b.tobytes() + self.objective.tobytes())
-
 
 @dataclass
 class LpOutcome:

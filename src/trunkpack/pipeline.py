@@ -19,10 +19,11 @@ A stage is skipped when every one of its output files already exists, so a
 run is resumable: deleting any suffix of the artifacts and re-running
 recomputes only the missing stages.  Region files are canonical JSON and
 byte-identical across runs and worker counts.  Stages one to three fan the
-(box, orientation) pairs out over a process pool; the enumeration stage
-splits root subtrees across threads that share the incumbent.
+(box, orientation) pairs out over a process pool; the enumeration stage is
+one sequential search.
 
-Exit codes: 0 success, 10 unreadable input file, 11 malformed trunk model,
+Exit codes: 0 success, 10 unreadable input file, 11 malformed trunk model
+(or one whose regions the describe stage cannot sample exactly),
 12 no feasible placement for any (box, orientation) pair, 13 timed out
 before finding any packing (an empty packing.json is still written).
 """
@@ -248,22 +249,6 @@ def _load_catalog_checked(config: RunConfig) -> list:
                             f"cannot read catalog {config.catalog_path}: {exc}")
 
 
-def _read_region_file(path: Path):
-    """Parse a cached region file; None for an empty-region marker."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return region_from_dict(obj)
-    except FileNotFoundError:
-        raise PipelineError(EXIT_UNREADABLE,
-                            f"missing stage input {path} (run the earlier "
-                            "stages first)")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            GeometryError) as exc:
-        raise PipelineError(EXIT_UNREADABLE,
-                            f"cannot read region file {path}: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # per-region worker tasks (module level so a process pool can import them)
 
@@ -475,9 +460,13 @@ def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
         raw_dict = _read_region_json(paths.raw(box.id, orient))
         tasks.append((raw_dict, config.mc_samples,
                       region_seed(config.rng_seed, box.id, orient)))
+    try:
+        results = _run_tasks(_describe_task, tasks, config.workers)
+    except GeometryError as exc:
+        raise PipelineError(EXIT_MALFORMED,
+                            f"cannot describe the feasible regions: {exc}")
     rows = []
-    for box_id, orient, text, row in _run_tasks(_describe_task, tasks,
-                                                config.workers):
+    for box_id, orient, text, row in results:
         paths.feasible(box_id, orient).write_text(text, encoding="utf-8")
         if row is not None:
             rows.append(row)
@@ -536,7 +525,11 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
                      combos) -> int:
     regions = {}
     for (box, orient), path in zip(combos, _pick_region_files(paths, combos)):
-        region = _read_region_file(path)
+        try:
+            region = region_from_dict(_read_region_json(path))
+        except (KeyError, ValueError, GeometryError) as exc:
+            raise PipelineError(EXIT_UNREADABLE,
+                                f"cannot read region file {path}: {exc}")
         if region is not None:
             regions[(box.id, orient)] = region
 
@@ -548,8 +541,7 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
         _write_packing(paths.packing, payload)
         return EXIT_EMPTY
 
-    search_config = SearchConfig(time_limit_s=config.time_limit_s,
-                                 root_parallelism=config.workers)
+    search_config = SearchConfig(time_limit_s=config.time_limit_s)
     result = enumerate_patterns(regions, catalog, config=search_config)
     payload = result.as_dict()
     payload["validation"] = validate_packing(result.placements, regions)
@@ -683,8 +675,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None, metavar="S",
                    help="search time limit in seconds (default: none)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for region stages and search "
-                        "(default 1)")
+                   help="parallel workers for the freespace, describe and "
+                        "simplify stages (default 1)")
     p.add_argument("--out", default="out", metavar="DIR",
                    help="output directory (default ./out)")
     p.add_argument("--stages", type=_parse_csv_list, default=STAGES,

@@ -12,9 +12,10 @@ certifies an intersection-free packing or exposes a conflict to branch on:
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
 
-Intersection-free nodes are recorded when strictly better than the
-incumbent and then extended by one more placement with a key no smaller
-than the last one.  An exact integer upper bound (placed volume plus all
+The search is one sequential depth-first pass over an explicit stack.
+Intersection-free nodes replace the incumbent when their volume is larger,
+or equal with a smaller node identity, and are then extended by one more
+placement with a key no smaller than the last one.  An exact integer upper bound (placed volume plus all
 still-addable box volumes) prunes hopeless subtrees; pruning never changes
 the final result, only the node count.
 
@@ -24,10 +25,8 @@ neither recorded nor branched on, but its extensions are still explored.
 
 from __future__ import annotations
 
-import threading
 import time
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,21 +56,19 @@ class Candidate:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search knobs.  ``order`` is reserved for alternative strategies; only
-    depth-first exists."""
+    """Search knobs.  ``root_parallelism`` is kept for callers that still
+    pass it; the search is sequential, so only 1 is accepted."""
 
     time_limit_s: Optional[float] = None
-    order: str = "depth-first"
     prune_enabled: bool = True
     root_parallelism: int = 1
 
     def __post_init__(self):
         if self.time_limit_s is not None and self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if self.order != "depth-first":
-            raise ValueError(f"unknown search order {self.order!r}")
-        if self.root_parallelism < 1:
-            raise ValueError("root_parallelism must be >= 1")
+        if self.root_parallelism != 1:
+            raise ValueError("root_parallelism must be 1: the search is "
+                             "sequential")
 
 
 @dataclass
@@ -86,17 +83,6 @@ class SearchStats:
     pruned: int = 0
     wall_time_s: float = 0.0
     timed_out: bool = False
-
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes += other.nodes
-        self.lp_calls += other.lp_calls
-        self.lp_failures += other.lp_failures
-        self.bb_branches += other.bb_branches
-        self.bo_branches += other.bo_branches
-        self.arity_violations += other.arity_violations
-        self.improvements += other.improvements
-        self.pruned += other.pruned
-        self.timed_out = self.timed_out or other.timed_out
 
     def as_dict(self) -> dict:
         return {
@@ -142,34 +128,6 @@ class PackingResult:
             "stats": self.stats.as_dict(),
             "timed_out": self.timed_out,
         }
-
-
-class _Incumbent:
-    """Best packing so far, shared across worker threads.  Ties on volume
-    are broken by the discrete node identity so that the final result does
-    not depend on exploration order."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.volume = 0
-        self.node_key = None
-        self.placements: List[Placement] = []
-
-    def record(self, volume: int, node_key: tuple,
-               placements: List[Placement]) -> bool:
-        with self._lock:
-            if volume > self.volume or (volume == self.volume
-                                        and self.node_key is not None
-                                        and node_key < self.node_key):
-                improved = volume > self.volume
-                self.volume = volume
-                self.node_key = node_key
-                self.placements = placements
-                return improved
-            return False
-
-    def snapshot(self) -> int:
-        return self.volume
 
 
 def candidate_list(regions: Dict[tuple, object], catalog: Sequence) -> List[Candidate]:
@@ -313,34 +271,45 @@ def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
     return out
 
 
-def _explore(frames: List[PartialPattern], candidates: Sequence[Candidate],
-             regions: Dict[tuple, object], max_counts: Dict[str, int],
-             suffix: List[dict], best: _Incumbent, stats: SearchStats,
-             deadline: Optional[float], prune: bool) -> None:
-    stack = list(frames)
+def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
+                       config: Optional[SearchConfig] = None) -> PackingResult:
+    """Exhaustive depth-first search for the best packing over the regions.
+
+    ``regions`` maps (box id, orientation) to a feasible region; pairs with
+    no region are unplaceable.  ``catalog`` supplies volumes and per-type
+    count limits.  ``config`` defaults to ``SearchConfig()``.
+
+    The incumbent is replaced by a larger volume, or by an equal volume
+    whose discrete node identity (indices, bb, bo) is smaller, so the result
+    is the least such node of maximum volume.
+    """
+    config = config or SearchConfig()
+    started = time.monotonic()
+    candidates = candidate_list(regions, catalog)
+    max_counts = {box.id: box.max_count for box in catalog}
+    suffix = _suffix_types(candidates)
+    stats = SearchStats()
+    deadline = (started + config.time_limit_s) if config.time_limit_s else None
+    best_volume = 0
+    best_key = None
+    best_placements: List[Placement] = []
+    stack = [PartialPattern((k,), (), (), k) for k in range(len(candidates))]
+
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             stats.timed_out = True
-            return
+            break
         node = stack.pop()
         stats.nodes += 1
         placed = [candidates[k] for k in node.indices]
-        volume = sum(c.box.volume_mm3() for c in placed)
 
-        if prune:
-            used: Dict[str, int] = {}
-            for c in placed:
-                used[c.box.id] = used.get(c.box.id, 0) + 1
-            bound = volume
-            for tid, vol in suffix[node.floor].items():
-                bound += (max_counts[tid] - used.get(tid, 0)) * vol
-            # strictly below the incumbent: the subtree can neither improve
-            # nor tie, so skipping it cannot change the (tie-broken) result
-            if bound < best.snapshot():
-                stats.pruned += 1
-                continue
+        # strictly below the incumbent: the subtree can neither improve nor
+        # tie, so skipping it cannot change the (tie-broken) result
+        if config.prune_enabled and upper_bound(
+                placed, catalog, suffix[node.floor]) < best_volume:
+            stats.pruned += 1
+            continue
 
-        lp_failed = False
         try:
             lp = build_lp([(c.box, c.orientation) for c in placed], regions,
                           node.bb, node.bo)
@@ -349,12 +318,11 @@ def _explore(frames: List[PartialPattern], candidates: Sequence[Candidate],
         except NumericalFailure:
             stats.lp_failures += 1
             outcome = None
-            lp_failed = True
 
         if outcome is not None and not outcome.feasible:
             continue
 
-        if not lp_failed:
+        if outcome is not None:
             centers = outcome.assignment[:3 * len(placed)].reshape(-1, 3)
             skip_bb = {(min(i, j), max(i, j)) for (i, j, _, _) in node.bb}
             skip_bo = {(i, oid) for (i, oid, _) in node.bo}
@@ -374,14 +342,21 @@ def _explore(frames: List[PartialPattern], candidates: Sequence[Candidate],
                 stack.extend(reversed(children))
                 continue
             # intersection-free: record, then extend
+            volume = sum(c.box.volume_mm3() for c in placed)
             node_key = (node.indices, node.bb, node.bo)
-            placements = [
-                Placement(c.box, c.orientation, tuple(map(float, centers[i])))
-                for i, c in enumerate(placed)]
-            if best.record(volume, node_key, placements):
-                stats.improvements += 1
+            if volume > best_volume or (volume == best_volume
+                                        and best_key is not None
+                                        and node_key < best_key):
+                if volume > best_volume:
+                    stats.improvements += 1
+                best_volume = volume
+                best_key = node_key
+                best_placements = [
+                    Placement(c.box, c.orientation,
+                              tuple(map(float, centers[i])))
+                    for i, c in enumerate(placed)]
 
-        used = {}
+        used: Dict[str, int] = {}
         for c in placed:
             used[c.box.id] = used.get(c.box.id, 0) + 1
         children = []
@@ -393,57 +368,8 @@ def _explore(frames: List[PartialPattern], candidates: Sequence[Candidate],
                                            node.bo, k))
         stack.extend(reversed(children))
 
-
-def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
-                       config: Optional[SearchConfig] = None,
-                       time_limit_s: Optional[float] = None,
-                       prune: bool = True, workers: int = 1) -> PackingResult:
-    """Exhaustive search for the best packing over the given regions.
-
-    ``regions`` maps (box id, orientation) to a feasible region; pairs with
-    no region are unplaceable.  ``catalog`` supplies volumes and per-type
-    count limits.  A ``config`` takes precedence over the keyword knobs.
-    More than one worker explores root subtrees in parallel threads sharing
-    the incumbent; results are identical to a sequential run whenever the
-    search completes without a timeout.
-    """
-    if config is not None:
-        time_limit_s = config.time_limit_s
-        prune = config.prune_enabled
-        workers = config.root_parallelism
-    started = time.monotonic()
-    candidates = candidate_list(regions, catalog)
-    max_counts = {box.id: box.max_count for box in catalog}
-    suffix = _suffix_types(candidates)
-    best = _Incumbent()
-    stats = SearchStats()
-    deadline = (started + time_limit_s) if time_limit_s else None
-    roots = [PartialPattern((k,), (), (), k) for k in range(len(candidates))]
-
-    if workers <= 1 or len(roots) <= 1:
-        _explore(roots, candidates, regions, max_counts, suffix, best, stats,
-                 deadline, prune)
-    else:
-        buckets: List[List[PartialPattern]] = [
-            [] for _ in range(min(workers, len(roots)))]
-        for idx, root in enumerate(roots):
-            buckets[idx % len(buckets)].append(root)
-        per_worker = [SearchStats() for _ in buckets]
-        threads = []
-        for bucket, wstats in zip(buckets, per_worker):
-            t = threading.Thread(
-                target=_explore,
-                args=(bucket, candidates, regions, max_counts, suffix, best,
-                      wstats, deadline, prune))
-            threads.append(t)
-            t.start()
-        for t in threads:
-            t.join()
-        for wstats in per_worker:
-            stats.merge(wstats)
-
     stats.wall_time_s = time.monotonic() - started
-    return PackingResult(best.placements, best.volume, stats,
+    return PackingResult(best_placements, best_volume, stats,
                          timed_out=stats.timed_out)
 
 

@@ -30,7 +30,7 @@ from trunkpack.geometry import (DegenerateInput, Halfspace, axis_aligned_box,
                                 convex_hull, minkowski_sum_convex, support)
 from trunkpack.lp import maximize_direction
 from trunkpack.pipeline import format_simplify_report, simplify_report_csv
-from trunkpack.search import enumerate_patterns, validate_packing
+from trunkpack.search import SearchConfig, enumerate_patterns, validate_packing
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
                                 drop_facets, facet_count, merge_obstacles)
 
@@ -454,8 +454,9 @@ def _pack_result(name: str, prune: bool):
     key = (name, prune)
     if key not in _PACK_RESULTS:
         _, _, box, _ = _pack_params(name)
-        _PACK_RESULTS[key] = enumerate_patterns(_pack_regions(name), [box],
-                                                prune=prune)
+        _PACK_RESULTS[key] = enumerate_patterns(
+            _pack_regions(name), [box],
+            config=SearchConfig(prune_enabled=prune))
     return _PACK_RESULTS[key]
 
 
@@ -561,7 +562,8 @@ def test_criterion_09_branch_arity(monkeypatch):
     ]
     for trunk, box in churn:
         regions = _region_map(trunk, box, samples=2000, seed=5)
-        result = enumerate_patterns(regions, [box], prune=False)
+        result = enumerate_patterns(regions, [box],
+                                    config=SearchConfig(prune_enabled=False))
         assert result.stats.arity_violations == 0
         total_nodes += result.stats.nodes
 

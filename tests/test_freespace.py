@@ -52,6 +52,7 @@ from trunkpack.geometry import (
     _affine_rank,
     _degenerate_from_points,
     axis_aligned_box,
+    fm_feasible,
     minkowski_sum_convex,
     support,
     volume,
@@ -389,6 +390,34 @@ def test_halfspaces_bounded():
     cube = box_polytope((0, 0, 0), (1, 1, 1))
     assert halfspaces_bounded(cube.halfspaces)
     assert not halfspaces_bounded(cube.halfspaces[:-1])
+
+
+def test_halfspaces_bounded_matches_fourier_motzkin():
+    # reference: the recession cone {Ax <= 0} is {0} exactly when no ray
+    # x with x_axis = +-1 satisfies it, decided by exact elimination
+    def fm_bounded(hs):
+        rows = [((h.a, h.b, h.c), 0) for h in hs]
+        for axis in range(3):
+            for sign in (1, -1):
+                ray = [0, 0, 0]
+                ray[axis] = -sign
+                if fm_feasible(rows + [(tuple(ray), -1)], 3):
+                    return False
+        return True
+
+    rng = random.Random(20100817)
+    verdicts = set()
+    for _ in range(400):
+        m = rng.randint(1, 9)
+        hs = []
+        while len(hs) < m:
+            n = [rng.randint(-3, 3) for _ in range(3)]
+            if any(n):
+                hs.append(Halfspace(n, rng.randint(-5, 5)))
+        expected = fm_bounded(hs)
+        assert halfspaces_bounded(hs) == expected, hs
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

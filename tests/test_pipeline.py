@@ -215,6 +215,39 @@ def test_exit_code_malformed_trunk(tmp_path):
                          out_dir=str(tmp_path / "o2"))) == EXIT_MALFORMED
 
 
+def test_exit_code_unbounded_region_file(tmp_path, capsys):
+    # valid JSON, but the stored hull is a single halfspace: decoding it
+    # fails the boundedness check, which is an unreadable region file
+    regions = tmp_path / "out" / "regions"
+    regions.mkdir(parents=True)
+    write_json(regions / "simplified_T_xyz.json",
+               {"box": "T", "orientation": "xyz", "fattened": False,
+                "hull": {"halfspaces": [{"n": [1, 0, 0], "d": 10}]},
+                "obstacles": []})
+    rc = main(["--catalog", make_box_t_catalog(tmp_path),
+               "--orientations", "xyz", "--stages", "enumerate",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert "unbounded" in err and "Traceback" not in err
+
+
+def test_exit_code_curved_hull_lattice_overflow(tmp_path, capsys):
+    # an eroded curved hull has rational vertices too fine for the int64
+    # sampling lattice; describe reports it as exit 11, not a traceback
+    trunk = os.path.join(os.path.dirname(__file__), "data",
+                         "curved_hull_trunk.json")
+    catalog = write_json(tmp_path / "catalog.json",
+                         [{"id": "E", "dims_mm": [381, 229, 203],
+                           "max_count": 4}])
+    rc = main(["--trunk", trunk, "--trunk-format", "convex-json",
+               "--catalog", catalog, "--orientations", "xyz",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflow int64" in err
+
+
 def test_exit_code_empty_free_space(tmp_path):
     trunk = write_json(tmp_path / "tiny.json", convex_cube_obj(50))
     out = tmp_path / "out"

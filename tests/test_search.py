@@ -119,8 +119,10 @@ def test_prune_toggle_preserves_results():
     pillar = regions[("K", "zyx")].obstacles[0]
     regions[("L", "zyx")] = region(hull, [pillar], "L")
     catalog = [big, small]
-    with_prune = enumerate_patterns(regions, catalog, prune=True)
-    without = enumerate_patterns(regions, catalog, prune=False)
+    with_prune = enumerate_patterns(regions, catalog,
+                                    config=SearchConfig(prune_enabled=True))
+    without = enumerate_patterns(regions, catalog,
+                                 config=SearchConfig(prune_enabled=False))
     assert with_prune.volume_mm3 == 2 * 8000 + 2 * 1000
     assert with_prune.volume_mm3 == without.volume_mm3
     assert [p.as_dict() for p in with_prune.placements] \
@@ -139,19 +141,10 @@ def test_search_is_deterministic():
     assert a == b
 
 
-def test_workers_match_sequential_result():
-    box, regions = _pillar_instance()
-    seq = enumerate_patterns(regions, [box], workers=1)
-    par = enumerate_patterns(regions, [box], workers=3)
-    assert not seq.timed_out and not par.timed_out
-    assert par.volume_mm3 == seq.volume_mm3
-    assert [p.as_dict() for p in par.placements] \
-        == [p.as_dict() for p in seq.placements]
-
-
 def test_timeout_flag_and_empty_result():
     box, regions = _pillar_instance()
-    result = enumerate_patterns(regions, [box], time_limit_s=1e-9)
+    result = enumerate_patterns(regions, [box],
+                                config=SearchConfig(time_limit_s=1e-9))
     assert result.timed_out
     assert result.stats.timed_out
     assert result.placements == []
@@ -242,13 +235,15 @@ def test_search_config_validation_and_use():
     SearchConfig()
     with pytest.raises(ValueError):
         SearchConfig(time_limit_s=0)
-    with pytest.raises(ValueError):
-        SearchConfig(order="breadth-first")
+    # the search is sequential: root_parallelism accepts only 1
+    SearchConfig(root_parallelism=1)
     with pytest.raises(ValueError):
         SearchConfig(root_parallelism=0)
+    with pytest.raises(ValueError, match="sequential"):
+        SearchConfig(root_parallelism=2)
     box, regions = _pillar_instance()
     res = enumerate_patterns(regions, [box],
-                             config=SearchConfig(root_parallelism=2))
+                             config=SearchConfig(prune_enabled=False))
     assert res.volume_mm3 == 2 * 8000
     assert res.stats.wall_time_s > 0
 
