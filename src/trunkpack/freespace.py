@@ -9,8 +9,8 @@ computed as an eroded convex hull minus a list of convex obstacles:
   a mesh) contributes one obstacle: its Minkowski sum with the centered box.
 
 A center is feasible when it lies in the hull and is not strictly inside any
-obstacle.  All polytopes are exact; the Monte Carlo volume estimate and its
-reporting are the only float quantities.
+obstacle.  All polytopes are exact; the Monte Carlo volume estimate
+(``estimate_volume``) and its reporting are the only float quantities.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
 hull halfspace pushed outward by at least 1 mm).  Within the true hull the
@@ -25,7 +25,6 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +39,14 @@ from trunkpack.geometry import (
     Triangle3,
     _affine_rank,
     _degenerate_from_points,
+    _lcm,
+    _plane_eval,
+    _plane_ints,
     _polytope_from_rows,
     axis_aligned_box,
     convex_hull,
+    cross3,
+    dot3,
     intersect_halfspaces,
     minkowski_sum_convex,
     polytopes_touch,
@@ -84,38 +88,34 @@ class ConvexTrunk:
     cavities: List[ConvexPolytope] = field(default_factory=list)
 
 
-def _parse_number(v) -> Fraction:
-    return to_fraction(v)
-
-
 def _json_loads_exact(text: str):
     # floats in trunk files are read with decimal semantics
-    return json.loads(text, parse_float=lambda s: Fraction(s) if "/" in s
-                      else to_fraction(s))
+    return json.loads(text, parse_float=to_fraction)
+
+
+def _mesh_trunk(triangles: Sequence[Triangle3], seed: Sequence) -> MeshTrunk:
+    """Drop degenerate triangles, then build and validate the trunk."""
+    kept = [tri for tri in triangles if not tri.is_degenerate()]
+    trunk = MeshTrunk(kept, Point3(*[to_fraction(c) for c in seed]),
+                      len(triangles) - len(kept))
+    _validate_mesh(trunk)
+    return trunk
 
 
 def parse_mesh_json(obj: dict, seed_override: Optional[Sequence] = None) -> MeshTrunk:
     if "triangles" not in obj:
         raise TrunkFormatError("mesh JSON needs a 'triangles' array")
     tris = []
-    dropped = 0
     for raw in obj["triangles"]:
         if len(raw) != 3:
             raise TrunkFormatError("each triangle needs exactly 3 vertices")
-        pts = [Point3(*[_parse_number(c) for c in v]) for v in raw]
-        tri = Triangle3(*pts)
-        if tri.is_degenerate():
-            dropped += 1
-            continue
-        tris.append(tri)
-    seed_raw = seed_override if seed_override is not None else obj.get("seed")
-    if seed_raw is None:
+        tris.append(Triangle3(*[Point3(*[to_fraction(c) for c in v])
+                                for v in raw]))
+    seed = seed_override if seed_override is not None else obj.get("seed")
+    if seed is None:
         raise TrunkFormatError("mesh trunk needs a seed point (file key 'seed' "
                                "or --seed-point)")
-    seed = Point3(*[_parse_number(c) for c in seed_raw])
-    trunk = MeshTrunk(tris, seed, dropped)
-    _validate_mesh(trunk)
-    return trunk
+    return _mesh_trunk(tris, seed)
 
 
 def parse_stl_text(text: str, seed_point: Sequence) -> MeshTrunk:
@@ -125,7 +125,6 @@ def parse_stl_text(text: str, seed_point: Sequence) -> MeshTrunk:
                                "with 'solid')")
     verts = []
     tris = []
-    dropped = 0
     for line in text.splitlines():
         parts = line.split()
         if not parts:
@@ -137,20 +136,13 @@ def parse_stl_text(text: str, seed_point: Sequence) -> MeshTrunk:
         elif parts[0] == "endfacet":
             if len(verts) != 3:
                 raise TrunkFormatError("facet without exactly 3 vertices")
-            tri = Triangle3(*verts)
-            if tri.is_degenerate():
-                dropped += 1
-            else:
-                tris.append(tri)
+            tris.append(Triangle3(*verts))
             verts = []
     if verts:
         raise TrunkFormatError("dangling vertices after last endfacet")
     if seed_point is None:
         raise TrunkFormatError("STL trunks need --seed-point")
-    seed = Point3(*[to_fraction(c) for c in seed_point])
-    trunk = MeshTrunk(tris, seed, dropped)
-    _validate_mesh(trunk)
-    return trunk
+    return _mesh_trunk(tris, seed_point)
 
 
 def parse_convex_json(obj: dict) -> ConvexTrunk:
@@ -165,7 +157,7 @@ def parse_convex_json(obj: dict) -> ConvexTrunk:
         raise DegenerateTrunk("shell is empty or not full-dimensional")
     cavities = []
     for i, cav in enumerate(obj.get("cavities", [])):
-        pts = [Point3(*[_parse_number(c) for c in v]) for v in cav["vertices"]]
+        pts = [Point3(*[to_fraction(c) for c in v]) for v in cav["vertices"]]
         for p in pts:
             if not shell.contains(p):
                 raise TrunkFormatError(f"cavity {i} vertex outside the shell")
@@ -206,7 +198,7 @@ def halfspaces_bounded(halfspaces: Sequence[Halfspace]) -> bool:
 
 def _point_on_triangle(p: Point3, tri: Triangle3) -> bool:
     pl = _tri_plane(tri)
-    if _eval_plane(pl, p) != 0:
+    if _plane_eval(pl, p._h) != 0:
         return False
     return _coplanar_point_in_triangle(p, tri)
 
@@ -380,15 +372,9 @@ def describe_region(raw: RawRegion, samples: int = DEFAULT_MC_SAMPLES,
                 "discard filter would drop an obstacle that meets the hull"
             continue
         kept.append(clipped)
-    pts = sample_lattice_points(raw.hull.bbox(), samples, seed)
-    feasible = classify_feasible(pts, raw.hull, kept)
-    hits = int(feasible.sum())
-    if hits == 0:
+    vol, stderr = estimate_volume(raw.hull, kept, samples, seed)
+    if vol == 0.0:
         return None
-    bbox_vol = float(_bbox_volume(raw.hull.bbox()))
-    p = hits / samples
-    vol = bbox_vol * p
-    stderr = bbox_vol * (p * (1.0 - p) / samples) ** 0.5
     return FeasibleRegion(raw.box_id, raw.orientation, raw.hull, kept,
                           vol, stderr, samples, seed, raw.fattened)
 
@@ -456,12 +442,11 @@ class LatticePoints:
         return LatticePoints(num, self.dens)
 
 
-def sample_lattice_points(bbox, n: int, seed: int,
-                          grid: int = _LATTICE) -> LatticePoints:
-    """n random points on a (2*grid)^3 lattice inside the box, exact."""
+def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
+    """n random points on a (2*_LATTICE)^3 lattice inside the box, exact."""
     (lo, hi) = bbox
     rng = np.random.default_rng(seed)
-    r = rng.integers(0, grid, size=(n, 3), dtype=np.int64)
+    r = rng.integers(0, _LATTICE, size=(n, 3), dtype=np.int64)
     num = np.empty((n, 3), dtype=np.int64)
     dens = []
     for axis in range(3):
@@ -472,17 +457,13 @@ def sample_lattice_points(bbox, n: int, seed: int,
         d = _lcm(lo_a.denominator, span.denominator)
         a_int = int(lo_a * d)
         b_int = int(span * d)
-        # x = (A*2*grid + (2r+1)*B) / (D*2*grid)
-        bound = abs(a_int) * 2 * grid + (2 * grid + 1) * abs(b_int)
+        # x = (A*2*_LATTICE + (2r+1)*B) / (D*2*_LATTICE)
+        bound = abs(a_int) * 2 * _LATTICE + (2 * _LATTICE + 1) * abs(b_int)
         if bound >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-        num[:, axis] = a_int * 2 * grid + (2 * r[:, axis] + 1) * b_int
-        dens.append(d * 2 * grid)
+        num[:, axis] = a_int * 2 * _LATTICE + (2 * r[:, axis] + 1) * b_int
+        dens.append(d * 2 * _LATTICE)
     return LatticePoints(num, tuple(dens))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _bbox_volume(bbox) -> Fraction:
@@ -530,6 +511,18 @@ def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
     return feasible
 
 
+def estimate_volume(hull: ConvexPolytope, obstacles: Sequence[ConvexPolytope],
+                    samples: int, seed: int) -> Tuple[float, float]:
+    """Monte Carlo free volume of hull minus obstacles, with its standard
+    error: the hull's bounding-box volume times the share of ``samples``
+    seeded lattice points in the box that are feasible."""
+    pts = sample_lattice_points(hull.bbox(), samples, seed)
+    hits = int(classify_feasible(pts, hull, obstacles).sum())
+    bbox_vol = float(_bbox_volume(hull.bbox()))
+    p = hits / samples
+    return bbox_vol * p, bbox_vol * (p * (1.0 - p) / samples) ** 0.5
+
+
 # ---------------------------------------------------------------------------
 # soundness checks (do sampled placements really stay inside the trunk?)
 
@@ -546,41 +539,24 @@ def soundness_check_convex(trunk: ConvexTrunk, centers: LatticePoints,
                            box: BoxType, orientation: str) -> dict:
     """For each center: all 8 box corners inside the shell and no corner
     strictly inside any cavity.  Exact."""
-    n = len(centers)
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones(len(centers), dtype=bool)
     for off in _corner_offsets(box, orientation):
-        corners = centers.translated(off)
-        for h in trunk.shell.halfspaces:
-            ok &= halfspace_signs(h, corners) <= 0
-        for cav in trunk.cavities:
-            inside = np.ones(n, dtype=bool)
-            for h in cav.halfspaces:
-                inside &= halfspace_signs(h, corners) < 0
-                if not inside.any():
-                    break
-            ok &= ~inside
-    return {"checked": n, "violations": int((~ok).sum())}
+        ok &= classify_feasible(centers.translated(off), trunk.shell,
+                                trunk.cavities)
+    return {"checked": len(centers), "violations": int((~ok).sum())}
 
 
 # --- mesh parity ----------------------------------------------------------
 
 def _tri_plane(tri: Triangle3):
-    from trunkpack.geometry import _plane_ints
     pl = _plane_ints(tri.a._h, tri.b._h, tri.c._h)
     if pl is None:
         raise GeometryError("degenerate triangle")
     return pl
 
 
-def _eval_plane(pl, p: Point3) -> int:
-    a, b, c, d = pl
-    hx, hy, hz, w = p._h
-    return a * hx + b * hy + c * hz - d * w
-
-
 def _coplanar_point_in_triangle(p: Point3, tri: Triangle3) -> bool:
     """p known to lie on the triangle's plane; closed containment test."""
-    from trunkpack.geometry import cross3, dot3
     n = cross3(tri.b - tri.a, tri.c - tri.a)
     for (u, v) in ((tri.a, tri.b), (tri.b, tri.c), (tri.c, tri.a)):
         edge_n = cross3(v - u, n)
@@ -632,12 +608,12 @@ def point_in_mesh(p: Point3, trunk: MeshTrunk, _anchor: Optional[Point3] = None,
     crossings = 0
     for tri in trunk.triangles:
         pl = _tri_plane(tri)
-        ep = _eval_plane(pl, p)
+        ep = _plane_eval(pl, p._h)
         if ep == 0:
             if _coplanar_point_in_triangle(p, tri):
                 return True
             continue  # endpoint on plane but off the triangle: no crossing
-        ea = _eval_plane(pl, anchor)
+        ea = _plane_eval(pl, anchor._h)
         if ea == 0:
             # anchor on the plane: no crossing unless the anchor itself sits
             # on the triangle, which a valid anchor never does
@@ -669,8 +645,8 @@ def _fresh_anchor(trunk: MeshTrunk, depth: int) -> Point3:
         clean = True
         for tri in trunk.triangles:
             pl = _tri_plane(tri)
-            ec = _eval_plane(pl, cand)
-            es = _eval_plane(pl, trunk.seed)
+            ec = _plane_eval(pl, cand._h)
+            es = _plane_eval(pl, trunk.seed._h)
             if ec == 0:
                 clean = False  # insist on anchors off every plane
                 break
@@ -687,12 +663,11 @@ def _fresh_anchor(trunk: MeshTrunk, depth: int) -> Point3:
 
 
 def soundness_check_mesh(trunk: MeshTrunk, centers: LatticePoints,
-                         box: BoxType, orientation: str,
-                         chunk: int = 20000) -> dict:
+                         box: BoxType, orientation: str) -> dict:
     """For each center: all 8 box corners inside the mesh by exact crossing
     parity from the seed.  Vectorized float screening with exact fallback."""
     planes = [_tri_plane(tri) for tri in trunk.triangles]
-    seed_side = [_eval_plane(pl, trunk.seed) for pl in planes]
+    seed_side = [_plane_eval(pl, trunk.seed._h) for pl in planes]
     if any(s == 0 for s in seed_side):
         raise TrunkFormatError("seed lies on a triangle plane; pick another seed")
     tri_pts = trunk.triangles

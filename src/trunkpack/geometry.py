@@ -747,8 +747,6 @@ def _reduce_row(coeffs, rhs):
     for c in coeffs:
         g = gcd(g, abs(c))
     g = gcd(g, abs(rhs))
-    if g == 0:
-        return None
     return tuple(c // g for c in coeffs), rhs // g
 
 

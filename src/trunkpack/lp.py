@@ -71,13 +71,6 @@ class LpOutcome:
         return 0.0 if abs(self.value) < SLACK_ZERO else self.value
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise LpError("zero row in LP construction")
-    return v / n
-
-
 def build_lp(placements: Sequence, regions: dict,
              bb_constraints: Sequence[Tuple[int, int, int, int]] = (),
              bo_constraints: Sequence[Tuple[int, str, int]] = ()) -> LinearProgram:

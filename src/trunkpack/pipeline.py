@@ -20,9 +20,11 @@ run is resumable: deleting any suffix of the artifacts and re-running
 recomputes only the missing stages.  Region files are canonical JSON and
 byte-identical across runs and worker counts.  Stages one to three fan the
 (box, orientation) pairs out over a process pool; the enumeration stage is
-one sequential search.
+one sequential search.  Every stage decodes its region files with
+``_read_region``, inside the pool tasks where there are any.
 
-Exit codes: 0 success, 10 unreadable input file, 11 malformed trunk model
+Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
+region file that is missing or does not decode), 11 malformed trunk model
 (or one whose regions the describe stage cannot sample exactly),
 12 no feasible placement for any (box, orientation) pair, 13 timed out
 before finding any packing (an empty packing.json is still written).
@@ -43,10 +45,10 @@ from .catalog import (BoxType, ORIENTATIONS, default_catalog,
                       distinct_orientations, half_extents, load_catalog)
 from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         DegenerateTrunk, MeshTrunk, TrunkFormatError,
-                        classify_feasible, describe_region, load_trunk,
+                        describe_region, estimate_volume, load_trunk,
                         raw_feasible_region, region_from_dict, region_json,
                         region_report_csv, region_report_rows, region_seed,
-                        format_region_report, sample_lattice_points)
+                        format_region_report)
 from .geometry import GeometryError, convex_hull
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
                        MergeParams, drop_facets, facet_count,
@@ -69,8 +71,12 @@ class PipelineError(Exception):
     """Run failure carrying the process exit code."""
 
     def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
+        # both in args, so the error survives the trip back from a pool worker
+        super().__init__(exit_code, message)
         self.exit_code = exit_code
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +275,10 @@ def _freespace_task(args):
 
 
 def _describe_task(args):
-    """(raw dict, samples, seed) -> (box, orient, file text, report row)."""
-    raw_dict, samples, seed = args
-    box_id, orientation = raw_dict["box"], raw_dict["orientation"]
-    raw = region_from_dict(raw_dict)
+    """(box, orient, raw file, samples, seed) ->
+    (box, orient, file text, report row)."""
+    box_id, orientation, path, samples, seed = args
+    raw = _read_region(path)
     region = None
     if raw is not None:
         region = describe_region(raw, samples=samples, seed=seed)
@@ -282,11 +288,10 @@ def _describe_task(args):
 
 
 def _simplify_task(args):
-    """(feasible dict, merge params tuple, drop bound) ->
+    """(box, orient, feasible file, merge params, drop bound) ->
     (box, orient, file text, merge log, drop log, report row)."""
-    region_dict, rel_pct, abs_mm3, merge_seed, drop_mm = args
-    box_id, orientation = region_dict["box"], region_dict["orientation"]
-    region = region_from_dict(region_dict)
+    box_id, orientation, path, rel_pct, abs_mm3, merge_seed, drop_mm = args
+    region = _read_region(path)
     if region is None:
         return box_id, orientation, region_json(None, box_id, orientation), \
             [], [], None
@@ -296,15 +301,10 @@ def _simplify_task(args):
     final, drop_entries = drop_facets(merged, max_growth_mm=drop_mm)
 
     # Refresh the stored volume estimate from the same sample set the
-    # describe stage used, so before/after numbers are paired.
-    pts = sample_lattice_points(region.hull.bbox(), region.samples,
-                                region.seed)
-    mask = classify_feasible(pts, final.hull, final.obstacles)
-    lo, hi = region.hull.bbox()
-    bbox_vol = float((hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]))
-    p = int(mask.sum()) / region.samples
-    vol_after = bbox_vol * p
-    stderr = bbox_vol * (p * (1.0 - p) / region.samples) ** 0.5
+    # describe stage used (simplification keeps the hull), so before/after
+    # numbers are paired.
+    vol_after, stderr = estimate_volume(final.hull, final.obstacles,
+                                        region.samples, region.seed)
     final = dataclasses.replace(final, volume_mm3=vol_after,
                                 volume_stderr_mm3=stderr)
 
@@ -346,6 +346,12 @@ def _run_tasks(task_fn, task_args, workers: int, trunk=None):
 # simplification report
 
 
+def _simplify_averages(rows: Sequence[dict]) -> Tuple[float, float]:
+    """Mean volume and facet retention in percent over non-empty rows."""
+    return (sum(r["volume_ratio_pct"] for r in rows) / len(rows),
+            sum(r["facet_ratio_pct"] for r in rows) / len(rows))
+
+
 def format_simplify_report(rows: Sequence[dict]) -> str:
     """Per-region volume and facet retention after simplification, with an
     average row; percentages to one decimal."""
@@ -359,9 +365,7 @@ def format_simplify_report(rows: Sequence[dict]) -> str:
             f"{r['facets_before']:>6} -> {r['facets_after']:<4} "
             f"{r['merges']:>6} {r['drops']:>6}")
     if rows:
-        n = len(rows)
-        avg_vol = sum(r["volume_ratio_pct"] for r in rows) / n
-        avg_fac = sum(r["facet_ratio_pct"] for r in rows) / n
+        avg_vol, avg_fac = _simplify_averages(rows)
         lines.append("-" * len(header))
         lines.append(f"{'avg':<4} {'':<7} {avg_vol:>9.1f} {avg_fac:>9.1f}")
     return "\n".join(lines) + "\n"
@@ -376,9 +380,7 @@ def simplify_report_csv(rows: Sequence[dict]) -> str:
                    f"{r['facets_before']},{r['facets_after']},"
                    f"{r['merges']},{r['drops']}")
     if rows:
-        n = len(rows)
-        avg_vol = sum(r["volume_ratio_pct"] for r in rows) / n
-        avg_fac = sum(r["facet_ratio_pct"] for r in rows) / n
+        avg_vol, avg_fac = _simplify_averages(rows)
         out.append(f"average,,{avg_vol:.1f},{avg_fac:.1f},,,,")
     return "\n".join(out) + "\n"
 
@@ -455,11 +457,9 @@ def _stage_freespace(config: RunConfig, paths: RunPaths, combos) -> None:
 
 
 def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
-    tasks = []
-    for box, orient in combos:
-        raw_dict = _read_region_json(paths.raw(box.id, orient))
-        tasks.append((raw_dict, config.mc_samples,
-                      region_seed(config.rng_seed, box.id, orient)))
+    tasks = [(box.id, orient, paths.raw(box.id, orient), config.mc_samples,
+              region_seed(config.rng_seed, box.id, orient))
+             for box, orient in combos]
     try:
         results = _run_tasks(_describe_task, tasks, config.workers)
     except GeometryError as exc:
@@ -477,12 +477,11 @@ def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
 
 
 def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
-    tasks = []
-    for box, orient in combos:
-        region_dict = _read_region_json(paths.feasible(box.id, orient))
-        tasks.append((region_dict, config.merge_rel_pct, config.merge_abs_mm3,
-                      region_seed(config.rng_seed, box.id, orient),
-                      config.drop_growth_mm))
+    tasks = [(box.id, orient, paths.feasible(box.id, orient),
+              config.merge_rel_pct, config.merge_abs_mm3,
+              region_seed(config.rng_seed, box.id, orient),
+              config.drop_growth_mm)
+             for box, orient in combos]
     rows = []
     results = _run_tasks(_simplify_task, tasks, config.workers)
     for box_id, orient, text, merge_entries, drop_entries, row in results:
@@ -497,17 +496,31 @@ def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
                                          encoding="utf-8")
 
 
+def _read_region(path: Path):
+    """Decode a region file: a RawRegion, a FeasibleRegion, or None for an
+    empty marker.  Any failure is exit 10 (unreadable input)."""
+    try:
+        return region_from_dict(_read_region_json(path))
+    except (KeyError, TypeError, ValueError, GeometryError) as exc:
+        raise PipelineError(EXIT_UNREADABLE,
+                            f"cannot read region file {path}: {exc}")
+
+
 def _read_region_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise PipelineError(EXIT_UNREADABLE,
                             f"missing stage input {path} (run the earlier "
                             "stages first)")
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise PipelineError(EXIT_UNREADABLE,
+                            f"cannot read region file {path}: not an object")
+    return obj
 
 
 def _pick_region_files(paths: RunPaths, combos) -> list:
@@ -525,11 +538,7 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
                      combos) -> int:
     regions = {}
     for (box, orient), path in zip(combos, _pick_region_files(paths, combos)):
-        try:
-            region = region_from_dict(_read_region_json(path))
-        except (KeyError, ValueError, GeometryError) as exc:
-            raise PipelineError(EXIT_UNREADABLE,
-                                f"cannot read region file {path}: {exc}")
+        region = _read_region(path)
         if region is not None:
             regions[(box.id, orient)] = region
 
@@ -578,11 +587,10 @@ def _enumerate_cached(paths: RunPaths) -> bool:
 
 
 def _all_feasible_empty(paths: RunPaths, combos) -> bool:
-    for box, orient in combos:
-        obj = _read_region_json(paths.feasible(box.id, orient))
-        if not obj.get("empty"):
-            return False
-    return True
+    # reads the empty marker only: decoding a region to learn that it is
+    # not empty would rebuild every obstacle polytope
+    return all(_read_region_json(paths.feasible(box.id, orient)).get("empty")
+               for box, orient in combos)
 
 
 # ---------------------------------------------------------------------------
@@ -655,29 +663,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-point", type=_parse_seed_point, default=None,
                    metavar="X,Y,Z",
                    help="interior point of the trunk (required for STL)")
-    p.add_argument("--catalog", default=None,
+    p.add_argument("--catalog", dest="catalog_path", default=None,
+                   metavar="CATALOG",
                    help="JSON box catalog (default: built-in boxes A-F)")
     p.add_argument("--orientations", type=_parse_csv_list, default=None,
                    metavar="LIST",
                    help="comma-separated subset of " + ",".join(ORIENTATIONS))
-    p.add_argument("--merge-rel", type=float, default=DEFAULT_REL_PCT,
-                   metavar="PCT",
+    p.add_argument("--merge-rel", dest="merge_rel_pct", type=float,
+                   default=DEFAULT_REL_PCT, metavar="PCT",
                    help="relative merge growth bound in percent "
                         f"(default {DEFAULT_REL_PCT:g})")
-    p.add_argument("--merge-abs", type=float, default=DEFAULT_ABS_MM3,
-                   metavar="MM3",
+    p.add_argument("--merge-abs", dest="merge_abs_mm3", type=float,
+                   default=DEFAULT_ABS_MM3, metavar="MM3",
                    help="absolute merge growth bound in mm^3 "
                         f"(default {DEFAULT_ABS_MM3:g})")
-    p.add_argument("--drop-growth", type=float, default=DEFAULT_DROP_MM,
-                   metavar="MM",
+    p.add_argument("--drop-growth", dest="drop_growth_mm", type=float,
+                   default=DEFAULT_DROP_MM, metavar="MM",
                    help="facet drop growth bound in mm "
                         f"(default {DEFAULT_DROP_MM:g})")
-    p.add_argument("--time-limit", type=float, default=None, metavar="S",
+    p.add_argument("--time-limit", dest="time_limit_s", type=float,
+                   default=None, metavar="S",
                    help="search time limit in seconds (default: none)")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers for the freespace, describe and "
                         "simplify stages (default 1)")
-    p.add_argument("--out", default="out", metavar="DIR",
+    p.add_argument("--out", dest="out_dir", default="out", metavar="DIR",
                    help="output directory (default ./out)")
     p.add_argument("--stages", type=_parse_csv_list, default=STAGES,
                    metavar="LIST",
@@ -694,23 +704,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        trunk=args.trunk,
-        trunk_format=args.trunk_format,
-        seed_point=args.seed_point,
-        catalog_path=args.catalog,
-        orientations=args.orientations,
-        merge_rel_pct=args.merge_rel,
-        merge_abs_mm3=args.merge_abs,
-        drop_growth_mm=args.drop_growth,
-        time_limit_s=args.time_limit,
-        workers=args.workers,
-        out_dir=args.out,
-        stages=tuple(args.stages),
-        export_obj=args.export_obj,
-        rng_seed=args.rng_seed,
-        mc_samples=args.mc_samples,
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -150,7 +150,7 @@ def candidate_list(regions: Dict[tuple, object], catalog: Sequence) -> List[Cand
 
 def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
                          regions: Dict[tuple, object],
-                         skip_bb=(), skip_bo=(), tol: float = _DEPTH_TOL):
+                         skip_bb=(), skip_bo=()):
     """Find box-box overlaps and centers strictly inside obstacles.
 
     Returns (bb_conflicts, bo_conflicts), sorted by decreasing measure with
@@ -174,7 +174,7 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
             for k in range(3):
                 overlap = ((extents[i][k] + extents[j][k]) / 2.0
                            - abs(centers[i][k] - centers[j][k]))
-                if overlap <= tol:
+                if overlap <= _DEPTH_TOL:
                     volume = 0.0
                     break
                 volume *= overlap
@@ -193,9 +193,9 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
                 dist = (float(h.d) - (h.a * centers[i][0] + h.b * centers[i][1]
                                       + h.c * centers[i][2])) / norm
                 depth = dist if depth is None else min(depth, dist)
-                if depth <= tol:
+                if depth <= _DEPTH_TOL:
                     break
-            if depth is not None and depth > tol:
+            if depth is not None and depth > _DEPTH_TOL:
                 bo.append((depth, i, obstacle))
     bo.sort(key=lambda t: (-t[0], t[1], t[2].id or ""))
     return bb, bo
@@ -441,8 +441,7 @@ def _check_float(placements: Sequence[Placement], regions: Dict[tuple, object],
 
 
 def validate_packing(placements: Sequence[Placement],
-                     regions: Dict[tuple, object],
-                     tol_mm: float = FLOAT_TOL_MM) -> dict:
+                     regions: Dict[tuple, object]) -> dict:
     """Independent check of a packing against the regions it was built from.
 
     First the centers are snapped to the 1/2048 mm grid and every condition
@@ -450,12 +449,12 @@ def validate_packing(placements: Sequence[Placement],
     separation) is verified in exact arithmetic.  If the snapped centers
     fail — LP vertices need not be grid rationals — the raw floating-point
     centers are checked against the same conditions with a documented
-    tolerance of ``tol_mm`` (default 1e-6 mm).
+    tolerance of ``FLOAT_TOL_MM`` (1e-6 mm).
     """
     snapped = [tuple(_snap(v) for v in p.center_mm) for p in placements]
     exact_problems = _check_exact(placements, regions, snapped)
     if not exact_problems:
         return {"valid": True, "mode": "exact", "violations": []}
-    float_problems = _check_float(placements, regions, tol_mm)
+    float_problems = _check_float(placements, regions, FLOAT_TOL_MM)
     return {"valid": not float_problems, "mode": "float",
             "violations": float_problems}

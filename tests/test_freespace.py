@@ -13,11 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trunkpack.catalog import FULL_CATALOG, BoxType, oriented_extents
+from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
+                               oriented_extents)
 from trunkpack.freespace import (
     ConvexTrunk,
     DegenerateTrunk,
     FeasibleRegion,
+    LatticePoints,
     MeshTrunk,
     RawRegion,
     TrunkFormatError,
@@ -288,6 +290,50 @@ def test_mesh_soundness_no_violations_on_cube():
     stats = soundness_check_mesh(trunk, feas, BOX_B, "xyz")
     assert stats["checked"] == int(mask.sum()) > 0
     assert stats["violations"] == 0
+
+
+def l_prism_mesh():
+    """20-triangle prism over the L-shaped polygon (0,0) (600,0) (600,300)
+    (300,300) (300,600) (0,600), 300 mm tall: the square x, y > 300 is
+    cut away."""
+    poly = [(0, 0), (600, 0), (600, 300), (300, 300), (300, 600), (0, 600)]
+    lo = [Point3(x, y, 0) for x, y in poly]
+    hi = [Point3(x, y, 300) for x, y in poly]
+    tris = []
+    for a, b, c in ((0, 1, 2), (0, 2, 3), (0, 3, 5), (3, 4, 5)):
+        tris += [Triangle3(lo[a], lo[b], lo[c]), Triangle3(hi[a], hi[b], hi[c])]
+    for i in range(6):
+        j = (i + 1) % 6
+        tris += [Triangle3(lo[i], lo[j], hi[j]), Triangle3(lo[i], hi[j], hi[i])]
+    return MeshTrunk(tris, Point3(100, 100, 100))
+
+
+@pytest.mark.parametrize("sampler", ["lattice", "grid"])
+def test_mesh_soundness_matches_point_in_mesh_on_l_prism(sampler):
+    # centers from the hull's bounding box, so corners land in the cut-away
+    # square and outside the walls; on the 50 mm grid they also land exactly
+    # on triangle planes and edges, which takes the exact fallback
+    trunk = l_prism_mesh()
+    box = BoxType("S", (100, 100, 100), 1)
+    if sampler == "lattice":
+        centers = sample_lattice_points(((0, 0, 0), (600, 600, 300)), 300,
+                                        seed=5)
+    else:
+        rng = np.random.default_rng(5)
+        num = rng.integers(0, 13, size=(300, 3), dtype=np.int64) * 50
+        num[:, 2] //= 2
+        centers = LatticePoints(num, (1, 1, 1))
+    hx, hy, hz = half_extents(box, "xyz")
+    ok = np.ones(len(centers), dtype=bool)
+    for off in [(sx * hx, sy * hy, sz * hz) for sx in (-1, 1)
+                for sy in (-1, 1) for sz in (-1, 1)]:
+        corners = centers.translated(off)
+        ok &= [point_in_mesh(corners.point(i), trunk)
+               for i in range(len(corners))]
+    stats = soundness_check_mesh(trunk, centers, box, "xyz")
+    assert 0 < stats["violations"] == int((~ok).sum()) < len(centers)
+    if sampler == "grid":
+        assert stats["exact_fallbacks"] > 0
 
 
 def test_convex_soundness_flags_missing_obstacle():

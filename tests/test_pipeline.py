@@ -215,21 +215,58 @@ def test_exit_code_malformed_trunk(tmp_path):
                          out_dir=str(tmp_path / "o2"))) == EXIT_MALFORMED
 
 
-def test_exit_code_unbounded_region_file(tmp_path, capsys):
+_UNBOUNDED_REGION = {"box": "T", "fattened": False,
+                     "hull": {"halfspaces": [{"n": [1, 0, 0], "d": 10}]},
+                     "obstacles": [], "volume_mm3": 1.0, "samples": 10,
+                     "seed": 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stage,prefix", [("describe", "raw"),
+                                          ("simplify", "feasible"),
+                                          ("enumerate", "simplified")])
+@pytest.mark.parametrize("content,message", [
     # valid JSON, but the stored hull is a single halfspace: decoding it
-    # fails the boundedness check, which is an unreadable region file
+    # fails the boundedness check
+    (_UNBOUNDED_REGION, "unbounded"),
+    ([], "not an object"),
+], ids=["unbounded", "list"])
+def test_exit_code_unbounded_region_file(tmp_path, capsys, stage, prefix,
+                                         workers, content, message):
+    # an undecodable region file is an unreadable input in every stage that
+    # reads one.  Two orientations give the pool two tasks, so with two
+    # workers the error comes back from a worker process.
     regions = tmp_path / "out" / "regions"
     regions.mkdir(parents=True)
-    write_json(regions / "simplified_T_xyz.json",
-               {"box": "T", "orientation": "xyz", "fattened": False,
-                "hull": {"halfspaces": [{"n": [1, 0, 0], "d": 10}]},
-                "obstacles": []})
+    for orient in ("xyz", "yxz"):
+        obj = (dict(content, orientation=orient) if isinstance(content, dict)
+               else content)
+        write_json(regions / f"{prefix}_T_{orient}.json", obj)
     rc = main(["--catalog", make_box_t_catalog(tmp_path),
-               "--orientations", "xyz", "--stages", "enumerate",
-               "--out", str(tmp_path / "out")])
+               "--orientations", "xyz,yxz", "--stages", stage,
+               "--workers", str(workers), "--out", str(tmp_path / "out")])
     assert rc == EXIT_UNREADABLE
     err = capsys.readouterr().err
-    assert "unbounded" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+def test_enumerate_only_over_empty_regions(tmp_path):
+    # every region file is an empty marker: exit 12 with an empty, valid
+    # packing file
+    regions = tmp_path / "out" / "regions"
+    regions.mkdir(parents=True)
+    for orient in ("xyz", "yxz"):
+        write_json(regions / f"simplified_T_{orient}.json",
+                   {"box": "T", "orientation": orient, "empty": True})
+    rc = main(["--catalog", make_box_t_catalog(tmp_path),
+               "--orientations", "xyz,yxz", "--stages", "enumerate",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_EMPTY
+    payload = load_packing(tmp_path / "out")
+    assert payload["placements"] == [] and payload["volume_mm3"] == 0
+    assert payload["validation"] == {"valid": True, "mode": "exact",
+                                     "violations": []}
 
 
 def test_exit_code_curved_hull_lattice_overflow(tmp_path, capsys):
