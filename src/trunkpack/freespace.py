@@ -10,7 +10,12 @@ computed as an eroded convex hull minus a list of convex obstacles:
 
 A center is feasible when it lies in the hull and is not strictly inside any
 obstacle.  All polytopes are exact; the Monte Carlo volume estimate
-(``estimate_volume``) and its reporting are the only float quantities.
+(``estimate_volume``) and its reporting are the only float quantities.  The
+estimate classifies exact lattice points (``classify_feasible``): an integer
+sort-and-sweep over the points' coordinates culls each obstacle to the points
+strictly inside its bounding box, then every halfspace sign is certified (a
+float screen, re-evaluated exactly near zero).  A flat obstacle has no
+interior and forbids nothing.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
 hull halfspace pushed outward by at least 1 mm).  Within the true hull the
@@ -22,6 +27,7 @@ full-dimensional instead of collapsing them to flat slivers.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -401,12 +407,14 @@ class LatticePoints:
     """Random sample points stored exactly.
 
     Coordinates on axis k are num[:, k] / dens[k] with positive integer
-    denominators; a float view is kept for vectorized screening.  All
-    classifications are certified: float comparisons are trusted only
-    outside a conservative error bound and re-done exactly inside it.
+    denominators; a float view is kept for vectorized screening, with
+    ``max_abs``, the largest float coordinate magnitude, as the screen's
+    magnitude bound.  All classifications are certified: float comparisons
+    are trusted only outside a conservative error bound and re-done exactly
+    inside it.
     """
 
-    __slots__ = ("num", "dens", "coords")
+    __slots__ = ("num", "dens", "coords", "max_abs")
 
     def __init__(self, num, dens):
         if num.dtype != np.int64:
@@ -414,6 +422,8 @@ class LatticePoints:
         self.num = num
         self.dens = dens
         self.coords = num / np.array([float(d) for d in dens])
+        self.max_abs = max(-float(self.coords.min(initial=0.0)),
+                           float(self.coords.max(initial=0.0)))
 
     def __len__(self) -> int:
         return self.num.shape[0]
@@ -474,40 +484,102 @@ def _bbox_volume(bbox) -> Fraction:
     return v
 
 
-def halfspace_signs(h: Halfspace, pts: LatticePoints) -> np.ndarray:
-    """Certified sign of (normal . p - offset) per point: -1, 0, +1."""
-    coef = np.array([h.a / pts.dens[0], h.b / pts.dens[1], h.c / pts.dens[2]],
-                    dtype=np.float64)
-    vals = pts.num @ coef - float(h.d)
-    max_abs = float(np.max(np.abs(pts.coords), initial=0.0))
-    bound = (abs(h.a) + abs(h.b) + abs(h.c)) * max(max_abs, 1.0) + abs(h.d)
+def halfspace_signs(h: Halfspace, pts: LatticePoints,
+                    idx: Optional[np.ndarray] = None) -> np.ndarray:
+    """Certified sign of (normal . p - offset) per point: -1, 0, +1.  With
+    ``idx``, only for the points at those indices, in that order."""
+    rows = slice(None) if idx is None else idx
+    vals = pts.num[rows, 0] * (h.a / pts.dens[0])
+    vals += pts.num[rows, 1] * (h.b / pts.dens[1])
+    vals += pts.num[rows, 2] * (h.c / pts.dens[2])
+    vals -= float(h.d)
+    bound = (abs(h.a) + abs(h.b) + abs(h.c)) * max(pts.max_abs, 1.0) + abs(h.d)
     tau = bound * _CERT
-    signs = np.zeros(len(pts), dtype=np.int8)
+    signs = np.zeros(len(vals), dtype=np.int8)
     signs[vals > tau] = 1
     signs[vals < -tau] = -1
-    for idx in np.nonzero(np.abs(vals) <= tau)[0]:
-        x, y, z = pts.exact(int(idx))
+    for j in np.nonzero(np.abs(vals) <= tau)[0]:
+        x, y, z = pts.exact(int(j if idx is None else idx[j]))
         v = h.a * x + h.b * y + h.c * z - h.d
-        signs[idx] = 0 if v == 0 else (1 if v > 0 else -1)
+        signs[j] = 0 if v == 0 else (1 if v > 0 else -1)
     return signs
+
+
+class _AxisSweep:
+    """Sort-and-sweep broad phase over a subset of lattice points: per axis,
+    the subset's indices ordered by numerator, and the sorted numerators."""
+
+    def __init__(self, num: np.ndarray, subset: np.ndarray):
+        self.num = num
+        self.order = []
+        self.keys = []
+        for k in range(3):
+            col = num[subset, k]
+            perm = np.argsort(col)
+            self.order.append(subset[perm])
+            self.keys.append(col[perm])
+            del col, perm  # before the next axis allocates its own
+
+    def in_box(self, bbox, dens) -> np.ndarray:
+        """Indices of the subset's points strictly inside the exact box
+        (lo, hi).  For an integer numerator, lo_k < num_k/den_k < hi_k is
+        exactly floor(lo_k*den_k) < num_k < ceil(hi_k*den_k), so the test
+        needs no float.  Binary search on the axis with the fewest points in
+        range, then a filter on the other two."""
+        lo, hi = bbox
+        limits = []
+        for k in range(3):
+            # thresholds clamped to the points' range, so they fit int64
+            keys = self.keys[k]
+            first, last = int(keys[0]), int(keys[-1])
+            below = max(math.floor(lo[k] * dens[k]), first - 1)
+            above = min(math.ceil(hi[k] * dens[k]), last + 1)
+            if below >= above - 1:
+                return self.order[k][:0]
+            limits.append((below, above))
+        spans = [(np.searchsorted(self.keys[k], limits[k][0], side="right"),
+                  np.searchsorted(self.keys[k], limits[k][1], side="left"))
+                 for k in range(3)]
+        axis = min(range(3), key=lambda k: spans[k][1] - spans[k][0])
+        cand = self.order[axis][spans[axis][0]:spans[axis][1]]
+        for k in range(3):
+            if k != axis and cand.size:
+                v = self.num[cand, k]
+                cand = cand[(v > limits[k][0]) & (v < limits[k][1])]
+        return cand
 
 
 def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
                       obstacles: Sequence[ConvexPolytope]) -> np.ndarray:
     """Feasibility mask: inside the closed hull and not strictly inside any
-    obstacle."""
-    feasible = np.ones(len(pts), dtype=bool)
+    obstacle.
+
+    Each hull halfspace is tested only on the points still inside the hull.
+    An obstacle is tested only on the still-feasible points strictly inside
+    its bounding box, found by an exact integer sort-and-sweep over the
+    lattice numerators, and each of its halfspaces only on the points
+    strictly inside the ones before.  Every sign is certified
+    (``halfspace_signs``).  A flat (degenerate) obstacle has no interior and
+    forbids nothing."""
+    inside = np.arange(len(pts), dtype=np.int32)
     for h in hull.halfspaces:
-        feasible &= halfspace_signs(h, pts) <= 0
-        if not feasible.any():
-            return feasible
-    for obs in obstacles:
-        inside = np.ones(len(pts), dtype=bool)
+        inside = inside[halfspace_signs(h, pts, inside) <= 0]
+        if inside.size == 0:
+            break
+    feasible = np.zeros(len(pts), dtype=bool)
+    feasible[inside] = True
+    solid = [obs for obs in obstacles if not obs.degenerate]
+    if inside.size == 0 or not solid:
+        return feasible
+    sweep = _AxisSweep(pts.num, inside)
+    for obs in solid:
+        cand = sweep.in_box(obs.bbox(), pts.dens)
+        cand = cand[feasible[cand]]
         for h in obs.halfspaces:
-            inside &= halfspace_signs(h, pts) < 0
-            if not inside.any():
+            if cand.size == 0:
                 break
-        feasible &= ~inside
+            cand = cand[halfspace_signs(h, pts, cand) < 0]
+        feasible[cand] = False
     return feasible
 
 
@@ -518,9 +590,16 @@ def estimate_volume(hull: ConvexPolytope, obstacles: Sequence[ConvexPolytope],
     seeded lattice points in the box that are feasible."""
     pts = sample_lattice_points(hull.bbox(), samples, seed)
     hits = int(classify_feasible(pts, hull, obstacles).sum())
-    bbox_vol = float(_bbox_volume(hull.bbox()))
+    return _hit_volume(_bbox_volume(hull.bbox()), hits, samples)
+
+
+def _hit_volume(bbox_volume: Fraction, hits: int,
+                samples: int) -> Tuple[float, float]:
+    """Volume and standard error estimated from ``hits`` of ``samples``
+    uniform points in a box of volume ``bbox_volume``."""
+    vol = float(bbox_volume)
     p = hits / samples
-    return bbox_vol * p, bbox_vol * (p * (1.0 - p) / samples) ** 0.5
+    return vol * p, vol * (p * (1.0 - p) / samples) ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trunkpack.freespace import enlarged_hull, sample_lattice_points, classify_feasible
+from trunkpack.freespace import (_bbox_volume, _hit_volume, classify_feasible,
+                                 enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
                                 cross3, intersect_halfspaces, to_fraction,
                                 _polytope_from_rows)
@@ -289,12 +290,11 @@ def shared_sample_volumes(before, after, samples: Optional[int] = None,
     if samples is None or seed is None:
         raise ValueError("sample count and seed are required when the region "
                          "carries no sampling metadata")
-    lo, hi = before.hull.bbox()
-    pts = sample_lattice_points((lo, hi), samples, seed)
+    bbox = before.hull.bbox()
+    pts = sample_lattice_points(bbox, samples, seed)
     mask_before = classify_feasible(pts, before.hull, before.obstacles)
     mask_after = classify_feasible(pts, after.hull, after.obstacles)
-    bbox_volume = ((hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]))
-    return pts, mask_before, mask_after, bbox_volume
+    return pts, mask_before, mask_after, _bbox_volume(bbox)
 
 
 def facet_count(region) -> int:
@@ -309,8 +309,8 @@ def simplification_report(before, after, samples: Optional[int] = None,
     _, mask_b, mask_a, bbox_vol = shared_sample_volumes(before, after,
                                                         samples, seed)
     n = len(mask_b)
-    vol_b = float(bbox_vol) * (int(mask_b.sum()) / n)
-    vol_a = float(bbox_vol) * (int(mask_a.sum()) / n)
+    vol_b, _ = _hit_volume(bbox_vol, int(mask_b.sum()), n)
+    vol_a, _ = _hit_volume(bbox_vol, int(mask_a.sum()), n)
     fc_b = facet_count(before)
     fc_a = facet_count(after)
     return {

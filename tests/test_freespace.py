@@ -29,6 +29,7 @@ from trunkpack.freespace import (
     enlarged_hull,
     erode_hull,
     format_region_report,
+    halfspace_signs,
     halfspaces_bounded,
     inverted_box,
     load_trunk,
@@ -54,6 +55,7 @@ from trunkpack.geometry import (
     _affine_rank,
     _degenerate_from_points,
     axis_aligned_box,
+    convex_hull,
     fm_feasible,
     minkowski_sum_convex,
     support,
@@ -480,6 +482,7 @@ def test_lattice_points_inside_bbox_and_exact():
         assert -3 < y < 5
         assert 0 < z < F(1, 4)
         assert abs(float(x) - pts.coords[idx, 0]) < 1e-9
+    assert pts.max_abs == float(np.max(np.abs(pts.coords)))
 
 
 def test_lattice_sampling_deterministic():
@@ -501,6 +504,125 @@ def test_classify_matches_pure_fraction_predicate():
         expect = all(h.contains(p) for h in hull.halfspaces) and not all(
             h.strictly_inside(p) for h in obstacle.halfspaces)
         assert bool(mask[idx]) == expect
+
+
+def _brute_force_mask(pts, hull, obstacles):
+    return np.array([hull.contains(p)
+                     and not any(o.strictly_contains(p) for o in obstacles)
+                     for p in map(pts.point, range(len(pts)))])
+
+
+def test_classify_culled_matches_brute_force_predicate():
+    # dyadic lattice: points exactly on obstacle facets and bounding-box
+    # faces, and one or three steps of 2^-40 off them, inside the float
+    # screen's exact-recheck band
+    den = 1 << 40
+    hull = box_polytope((0, 0, 0), (12, 12, 12))
+    obstacles = [
+        # intruding into the hull, oblique facets
+        convex_hull([Point3(8, 8, 8), Point3(15, 9, 9), Point3(9, 15, 9),
+                     Point3(9, 9, 15)]),
+        # overlapping each other
+        box_polytope((2, 2, 2), (6, 6, 6)),
+        box_polytope((4, 3, 4), (8, 7, 7)),
+        # touching the hull only at its boundary
+        box_polytope((12, 3, 3), (15, 6, 6)),
+        # wholly outside the hull and the lattice range
+        box_polytope((20, 20, 20), (25, 25, 25)),
+        # reaching far past the lattice range on both sides
+        box_polytope((-10 ** 9, 9, 1), (3, 10 ** 9, 2)),
+        # flat, oblique
+        _degenerate_from_points([Point3(1, 1, 2), Point3(11, 1, 12),
+                                 Point3(1, 11, 12)], 2),
+    ]
+    rng = random.Random(4)
+    base = [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15,
+            F(9, 2), F(17, 2)]
+    values = [b + F(s, den) for b in base for s in (-3, -1, 0, 1, 3)]
+    points = [[rng.choice(values) for _ in range(3)] for _ in range(1500)]
+    for poly in [hull] + obstacles[:4]:
+        for (pa, pb, pc) in poly._triangles:
+            for k in range(8):
+                # on the facet, or (the last two) on its plane beyond it
+                if k < 6:
+                    wa = F(rng.randint(0, 8), 8)
+                    wb = (1 - wa) * F(rng.randint(0, 8), 8)
+                else:
+                    wa, wb = F(rng.randint(-4, 12), 8), F(rng.randint(-4, 12), 8)
+                q = [wa * a + wb * b + (1 - wa - wb) * c
+                     for a, b, c in zip(pa, pb, pc)]
+                points.append(q)
+                q = list(q)
+                q[rng.randrange(3)] += F(rng.choice((-3, -1, 1, 3)), den)
+                points.append(q)
+    # the hull-feasible extremes on x and y, strictly inside the box that
+    # reaches past the lattice range
+    points += [(0, 10, F(3, 2)), (2, 12, F(3, 2))]
+    num = np.array([[int(c * den) for c in p] for p in points], dtype=np.int64)
+    pts = LatticePoints(num, (den, den, den))
+    expect = _brute_force_mask(pts, hull, obstacles)
+    assert expect.any() and not expect.all()
+    assert (classify_feasible(pts, hull, obstacles) == expect).all()
+
+
+def test_flat_obstacle_forbids_nothing():
+    hull = box_polytope((0, 0, 0), (10, 10, 10))
+    flat = _degenerate_from_points([Point3(0, 0, 0), Point3(10, 0, 10),
+                                    Point3(0, 10, 10)], 2)
+    pts = sample_lattice_points(hull.bbox(), 1000, seed=8)
+    assert classify_feasible(pts, hull, [flat]).all()
+    assert not any(flat.strictly_contains(pts.point(i)) for i in range(10))
+
+
+def _count_obstacle_evaluations(monkeypatch, pts, hull, obstacles):
+    """classify_feasible's mask and the number of (point, obstacle
+    halfspace) sign evaluations it made."""
+    hull_rows = {id(h) for h in hull.halfspaces}
+    count = [0]
+
+    def counting(h, pts, idx=None):
+        signs = halfspace_signs(h, pts, idx)
+        if id(h) not in hull_rows:
+            count[0] += len(signs)
+        return signs
+
+    monkeypatch.setattr("trunkpack.freespace.halfspace_signs", counting)
+    mask = classify_feasible(pts, hull, obstacles)
+    monkeypatch.undo()
+    return mask, count[0]
+
+
+def test_classify_skips_obstacles_touching_only_the_boundary(monkeypatch):
+    region = compute_feasible_region(cube_mesh(1000), BOX_B, "xyz",
+                                     samples=2000, seed=2)
+    assert region.obstacles
+    pts = sample_lattice_points(region.hull.bbox(), 4000, seed=21)
+    mask, evaluations = _count_obstacle_evaluations(
+        monkeypatch, pts, region.hull, region.obstacles)
+    assert mask.all()
+    assert evaluations == 0
+
+
+def test_classify_tests_cavity_only_on_its_bbox_candidates(monkeypatch):
+    trunk = parse_convex_json(shell_json(
+        (0, 0, 0), (400, 400, 400),
+        cavities=[[(150, 150, 0), (250, 150, 0), (150, 250, 0), (250, 250, 0),
+                   (150, 150, 400), (250, 150, 400), (150, 250, 400),
+                   (250, 250, 400)]]))
+    small = BoxType("S", (100, 100, 100), 1)
+    region = compute_feasible_region(trunk, small, "xyz", samples=2000, seed=4)
+    [cavity] = region.obstacles
+    pts = sample_lattice_points(region.hull.bbox(), 4000, seed=31)
+    lo, hi = cavity.bbox()
+    candidates = sum(
+        region.hull.contains(pts.point(i))
+        and all(lo[k] < x < hi[k] for k, x in enumerate(pts.exact(i)))
+        for i in range(len(pts)))
+    mask, evaluations = _count_obstacle_evaluations(
+        monkeypatch, pts, region.hull, region.obstacles)
+    assert (mask == _brute_force_mask(pts, region.hull, [cavity])).all()
+    assert 0 < candidates < len(pts)
+    assert candidates <= evaluations <= candidates * len(cavity.halfspaces)
 
 
 def test_region_seed_is_stable_and_distinct():
