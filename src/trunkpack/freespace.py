@@ -43,7 +43,6 @@ from trunkpack.geometry import (
     Halfspace,
     Point3,
     Triangle3,
-    _affine_rank,
     _degenerate_from_points,
     _lcm,
     _plane_eval,
@@ -306,8 +305,7 @@ def _fatten_hull(flat: ConvexPolytope, id: Optional[str] = None) -> ConvexPolyto
 
 
 def _triangle_polytope(tri: Triangle3, id: str) -> ConvexPolytope:
-    pts = list(tri.vertices())
-    return _degenerate_from_points(pts, _affine_rank(pts), id=id)
+    return _degenerate_from_points(list(tri.vertices()), id=id)
 
 
 def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[RawRegion]:

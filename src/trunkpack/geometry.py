@@ -153,35 +153,29 @@ class Halfspace:
     def __init__(self, normal: Sequence[Rational], offset: Rational):
         na, nb, nc = (to_fraction(v) for v in normal)
         nd = to_fraction(offset)
-        if na == 0 and nb == 0 and nc == 0:
-            raise GeometryError("halfspace normal must be nonzero")
         w = _lcm(
             _lcm(na.denominator, nb.denominator),
             _lcm(nc.denominator, nd.denominator),
         )
-        ia = na.numerator * (w // na.denominator)
-        ib = nb.numerator * (w // nb.denominator)
-        ic = nc.numerator * (w // nc.denominator)
-        idd = nd.numerator * (w // nd.denominator)
-        g = _gcd4(ia, ib, ic, idd)
-        self.a = ia // g
-        self.b = ib // g
-        self.c = ic // g
-        self.d = idd // g
+        self._assign(na.numerator * (w // na.denominator),
+                     nb.numerator * (w // nb.denominator),
+                     nc.numerator * (w // nc.denominator),
+                     nd.numerator * (w // nd.denominator))
 
     @classmethod
     def _from_ints(cls, a: int, b: int, c: int, d: int) -> "Halfspace":
         obj = object.__new__(cls)
-        g = _gcd4(a, b, c, d)
-        if g == 0:
-            raise GeometryError("halfspace normal must be nonzero")
-        obj.a = a // g
-        obj.b = b // g
-        obj.c = c // g
-        obj.d = d // g
-        if obj.a == 0 and obj.b == 0 and obj.c == 0:
-            raise GeometryError("halfspace normal must be nonzero")
+        obj._assign(a, b, c, d)
         return obj
+
+    def _assign(self, a: int, b: int, c: int, d: int) -> None:
+        if a == 0 and b == 0 and c == 0:
+            raise GeometryError("halfspace normal must be nonzero")
+        g = _gcd4(a, b, c, d)
+        self.a = a // g
+        self.b = b // g
+        self.c = c // g
+        self.d = d // g
 
     @property
     def normal(self) -> tuple:
@@ -365,66 +359,32 @@ def _plane_eval(plane, H):
     return a * hx + b * hy + c * hz - d * w
 
 
-def _rank3_normals(planes) -> bool:
-    """True when the plane normals span all of 3-space."""
-    norms = [(p[0], p[1], p[2]) for p in planes]
-    n1 = norms[0]
-    n2 = None
-    for cand in norms[1:]:
-        cx = n1[1] * cand[2] - n1[2] * cand[1]
-        cy = n1[2] * cand[0] - n1[0] * cand[2]
-        cz = n1[0] * cand[1] - n1[1] * cand[0]
-        if cx or cy or cz:
-            n2 = cand
-            cross = (cx, cy, cz)
+def _affine_basis(H) -> list:
+    """Indices of affinely independent points among the homogeneous integer
+    points ``H``: the first point, then each next point off the affine span
+    of those already chosen, up to four.  Its length is the dimension of
+    the points' affine hull plus one (empty for no points)."""
+    if not H:
+        return []
+    basis = [0]
+    x0, y0, z0, w0 = H[0]
+    for k in range(1, len(H)):
+        x, y, z, w = H[k]
+        v = (x * w0 - x0 * w, y * w0 - y0 * w, z * w0 - z0 * w)
+        if len(basis) == 1:
+            if v != (0, 0, 0):
+                basis.append(k)
+                u = v
+        elif len(basis) == 2:
+            n = (u[1] * v[2] - u[2] * v[1],
+                 u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+            if n != (0, 0, 0):
+                basis.append(k)
+        elif n[0] * v[0] + n[1] * v[1] + n[2] * v[2]:
+            basis.append(k)
             break
-    if n2 is None:
-        return False
-    for cand in norms:
-        if cross[0] * cand[0] + cross[1] * cand[1] + cross[2] * cand[2]:
-            return True
-    return False
-
-
-def _affine_rank(points: Sequence[Point3]) -> int:
-    """Dimension of the affine hull of the points (0 for a single point)."""
-    if not points:
-        raise GeometryError("rank of empty point set")
-    p0 = points[0]._h
-    u1 = None
-    for p in points[1:]:
-        ph = p._h
-        v = (ph[0] * p0[3] - p0[0] * ph[3],
-             ph[1] * p0[3] - p0[1] * ph[3],
-             ph[2] * p0[3] - p0[2] * ph[3])
-        if v != (0, 0, 0):
-            u1 = v
-            break
-    if u1 is None:
-        return 0
-    u2 = None
-    for p in points[1:]:
-        ph = p._h
-        v = (ph[0] * p0[3] - p0[0] * ph[3],
-             ph[1] * p0[3] - p0[1] * ph[3],
-             ph[2] * p0[3] - p0[2] * ph[3])
-        cx = u1[1] * v[2] - u1[2] * v[1]
-        cy = u1[2] * v[0] - u1[0] * v[2]
-        cz = u1[0] * v[1] - u1[1] * v[0]
-        if cx or cy or cz:
-            u2 = v
-            n = (cx, cy, cz)
-            break
-    if u2 is None:
-        return 1
-    for p in points[1:]:
-        ph = p._h
-        v = (ph[0] * p0[3] - p0[0] * ph[3],
-             ph[1] * p0[3] - p0[1] * ph[3],
-             ph[2] * p0[3] - p0[2] * ph[3])
-        if n[0] * v[0] + n[1] * v[1] + n[2] * v[2]:
-            return 3
-    return 2
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -454,30 +414,12 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
         if k not in seen:
             seen.add(k)
             pts.append(p)
-    if len(pts) < 4:
-        raise DegenerateInput("need at least 4 distinct points for a 3D hull")
-
     H = [p._h for p in pts]
     n = len(pts)
-
-    i0, i1 = 0, 1
-    i2 = None
-    for k in range(2, n):
-        if _plane_ints(H[i0], H[i1], H[k]) is not None:
-            i2 = k
-            break
-    if i2 is None:
-        raise DegenerateInput("all points are collinear")
-    base = _plane_ints(H[i0], H[i1], H[i2])
-    i3 = None
-    for k in range(2, n):
-        if k == i2:
-            continue
-        if _plane_eval(base, H[k]) != 0:
-            i3 = k
-            break
-    if i3 is None:
+    basis = _affine_basis(H)
+    if len(basis) < 4:
         raise DegenerateInput("all points are coplanar")
+    i0, i1, i2, i3 = basis
 
     # strictly interior reference point: average of the initial simplex
     ref = Point3(
@@ -537,8 +479,8 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
             point_planes.setdefault(idx, set()).add(pl)
 
     halfspaces = [Halfspace._from_ints(*pl) for pl in sorted(plane_groups)]
-    extremes = [idx for idx, pls in point_planes.items()
-                if len(pls) >= 3 and _rank3_normals(list(pls))]
+    # a point on three distinct facet planes of a convex polytope is a vertex
+    extremes = [idx for idx, pls in point_planes.items() if len(pls) >= 3]
     vertices = sorted((pts[i] for i in extremes),
                       key=lambda p: (p.x, p.y, p.z))
     triangles = [(pts[a], pts[b], pts[c]) for (a, b, c, _pl) in facets]
@@ -667,37 +609,22 @@ def _hull2d_extremes(pairs):
     return list(dict.fromkeys(lower[:-1] + upper[:-1]))
 
 
-def _degenerate_from_points(points, rank, id=None) -> ConvexPolytope:
-    """Flat polytope (point, segment, or polygon) holding its extreme points."""
-    if rank == 0:
-        verts = [points[0]]
-    elif rank == 1:
-        p0 = points[0]
-        direction = None
-        for p in points[1:]:
-            v = p - p0
-            if v != Point3(0, 0, 0):
-                direction = v
-                break
+def _degenerate_from_points(points, id=None) -> ConvexPolytope:
+    """Flat polytope (point, segment, or polygon) holding the extreme points
+    of a point set that is not full-dimensional."""
+    basis = _affine_basis([p._h for p in points])
+    p0 = points[0]
+    if len(basis) == 1:
+        verts = [p0]
+    elif len(basis) == 2:
+        direction = points[basis[1]] - p0
         params = [(dot3(direction, p - p0), p) for p in points]
         params.sort(key=lambda t: t[0])
         verts = [params[0][1]]
         if params[-1][1] != params[0][1]:
             verts.append(params[-1][1])
     else:
-        p0 = points[0]
-        u1 = None
-        normal = None
-        for p in points[1:]:
-            v = p - p0
-            if v != Point3(0, 0, 0):
-                if u1 is None:
-                    u1 = v
-                else:
-                    c = cross3(u1, v)
-                    if c != Point3(0, 0, 0):
-                        normal = c
-                        break
+        normal = cross3(points[basis[1]] - p0, points[basis[2]] - p0)
         drop = max(range(3), key=lambda i: abs(normal.astuple()[i]))
         keep = [i for i in range(3) if i != drop]
         pairs = [(p.astuple()[keep[0]], p.astuple()[keep[1]]) for p in points]
@@ -718,10 +645,9 @@ def _polytope_from_rows(halfspaces, id=None):
         return None
     points = [Point3(Fraction(X, W), Fraction(Y, W), Fraction(Z, W))
               for (X, Y, Z, W) in cands]
-    rank = _affine_rank(points)
-    if rank == 3:
+    if len(_affine_basis(list(cands))) == 4:
         return convex_hull(points, id=id)
-    return _degenerate_from_points(points, rank, id=id)
+    return _degenerate_from_points(points, id=id)
 
 
 def intersect_halfspaces(halfspaces: Iterable[Halfspace],
@@ -738,8 +664,42 @@ def intersect_halfspaces(halfspaces: Iterable[Halfspace],
     return _polytope_from_rows(combined, id=id)
 
 
+def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
+    """True when the closed polytopes share at least one point.
+
+    Bounding boxes, vertex containment and separating facet planes settle
+    most pairs; the rest are decided exactly by vertex enumeration of the
+    combined halfspace system.
+    """
+    if p.degenerate or q.degenerate:
+        raise GeometryError("touch test needs full-dimensional polytopes")
+    (plo, phi) = p.bbox()
+    (qlo, qhi) = q.bbox()
+    for axis in range(3):
+        if phi[axis] < qlo[axis] or qhi[axis] < plo[axis]:
+            return False
+    for v in p.vertices:
+        if all(h.contains(v) for h in q.halfspaces):
+            return True
+    for v in q.vertices:
+        if all(h.contains(v) for h in p.halfspaces):
+            return True
+    # a facet plane of one body strictly separating the other proves disjoint
+    for h in p.halfspaces:
+        if all(not h.contains(v) for v in q.vertices):
+            return False
+    for h in q.halfspaces:
+        if all(not h.contains(v) for v in p.vertices):
+            return False
+    # the combined system is bounded, so it is feasible exactly when it has
+    # a vertex
+    return _polytope_from_rows(p.halfspaces + q.halfspaces) is not None
+
+
 # ---------------------------------------------------------------------------
-# exact feasibility of linear inequality systems (Fourier-Motzkin)
+# exact feasibility of linear inequality systems (Fourier-Motzkin): the
+# independent reference the tests check the vertex-enumeration kernel and
+# the float simplex against; library code does not call it
 
 
 def _reduce_row(coeffs, rhs):
@@ -756,7 +716,8 @@ def fm_feasible(rows, nvars: int) -> bool:
     ``rows`` is an iterable of (coeffs, rhs) with integer or Fraction
     entries.  Eliminates variables one at a time (Fourier-Motzkin), choosing
     at each step the variable with the fewest pairings.  Intended for small
-    systems (a handful of variables).
+    systems (a handful of variables).  Kept as a reference that shares no
+    code with vertex enumeration or the simplex.
     """
     work = set()
     for coeffs, rhs in rows:
@@ -817,30 +778,3 @@ def fm_feasible(rows, nvars: int) -> bool:
         work = {(cs, r) for cs, r in tight.items()}
         live.pop(vi)
     return True
-
-
-def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
-    """True when the closed polytopes share at least one point."""
-    if p.degenerate or q.degenerate:
-        raise GeometryError("touch test needs full-dimensional polytopes")
-    (plo, phi) = p.bbox()
-    (qlo, qhi) = q.bbox()
-    for axis in range(3):
-        if phi[axis] < qlo[axis] or qhi[axis] < plo[axis]:
-            return False
-    for v in p.vertices:
-        if all(h.contains(v) for h in q.halfspaces):
-            return True
-    for v in q.vertices:
-        if all(h.contains(v) for h in p.halfspaces):
-            return True
-    # a facet plane of one body strictly separating the other proves disjoint
-    for h in p.halfspaces:
-        if all(not h.contains(v) for v in q.vertices):
-            return False
-    for h in q.halfspaces:
-        if all(not h.contains(v) for v in p.vertices):
-            return False
-    rows = [((h.a, h.b, h.c), h.d) for h in p.halfspaces]
-    rows += [((h.a, h.b, h.c), h.d) for h in q.halfspaces]
-    return fm_feasible(rows, 3)

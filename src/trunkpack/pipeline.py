@@ -321,7 +321,7 @@ def _simplify_task(args):
         "facets_after": fc_after,
         "facet_ratio_pct": 100.0 * fc_after / fc_before if fc_before else 0.0,
         "merges": len(merge_entries),
-        "drops": len(drop_entries),
+        "drops": sum(e["status"] == "dropped" for e in drop_entries),
     }
     return box_id, orientation, region_json(final), merge_entries, \
         drop_entries, row

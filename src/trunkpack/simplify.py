@@ -33,8 +33,8 @@ import numpy as np
 from trunkpack.freespace import (_bbox_volume, _hit_volume, classify_feasible,
                                  enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
-                                cross3, intersect_halfspaces, to_fraction,
-                                _polytope_from_rows)
+                                cross3, intersect_halfspaces, polytopes_touch,
+                                to_fraction, _polytope_from_rows)
 from trunkpack.lp import NumericalFailure, maximize_direction
 
 DEFAULT_REL_PCT = 10.0
@@ -91,8 +91,6 @@ def merge_obstacles(region, params: MergeParams):
     before merging is tracked approximately (inclusion-exclusion on the
     recorded pair only) and flagged ``base_approximate``.
     """
-    from trunkpack.geometry import polytopes_touch
-
     rel = to_fraction(params.rel_bound_pct)
     abs_bound = to_fraction(params.abs_bound_mm3)
     rng = random.Random(params.rng_seed)

@@ -1,0 +1,24 @@
+"""The walkthrough demos the README documents run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+
+
+def test_every_demo_is_found():
+    assert {"01", "02", "03", "04"} <= {d.name[:2] for d in DEMOS}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the files a demo writes under pytest's directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

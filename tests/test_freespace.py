@@ -52,7 +52,6 @@ from trunkpack.geometry import (
     Halfspace,
     Point3,
     Triangle3,
-    _affine_rank,
     _degenerate_from_points,
     axis_aligned_box,
     convex_hull,
@@ -106,7 +105,7 @@ def test_inverted_box_extents_and_symmetry():
 
 def test_minkowski_triangle_box_support():
     tri = _degenerate_from_points(
-        [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)], 2)
+        [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)])
     box = box_polytope((-1, -1, -1), (1, 1, 1))
     s = minkowski_sum_convex(box, tri)
     assert support(s, (1, 0, 0)) == 2
@@ -123,7 +122,7 @@ def test_erode_box_by_box_interval_arithmetic():
 
 def test_erode_by_point_is_identity():
     outer = box_polytope((0, 0, 0), (7, 5, 3))
-    point = _degenerate_from_points([Point3(0, 0, 0)], 0)
+    point = _degenerate_from_points([Point3(0, 0, 0)])
     eroded = erode_hull(outer, point)
     assert {h.key() for h in eroded.halfspaces} == \
            {h.key() for h in outer.halfspaces}
@@ -533,7 +532,7 @@ def test_classify_culled_matches_brute_force_predicate():
         box_polytope((-10 ** 9, 9, 1), (3, 10 ** 9, 2)),
         # flat, oblique
         _degenerate_from_points([Point3(1, 1, 2), Point3(11, 1, 12),
-                                 Point3(1, 11, 12)], 2),
+                                 Point3(1, 11, 12)]),
     ]
     rng = random.Random(4)
     base = [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15,
@@ -568,7 +567,7 @@ def test_classify_culled_matches_brute_force_predicate():
 def test_flat_obstacle_forbids_nothing():
     hull = box_polytope((0, 0, 0), (10, 10, 10))
     flat = _degenerate_from_points([Point3(0, 0, 0), Point3(10, 0, 10),
-                                    Point3(0, 10, 10)], 2)
+                                    Point3(0, 10, 10)])
     pts = sample_lattice_points(hull.bbox(), 1000, seed=8)
     assert classify_feasible(pts, hull, [flat]).all()
     assert not any(flat.strictly_contains(pts.point(i)) for i in range(10))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from trunkpack import geometry
 from trunkpack.geometry import (
     ConvexPolytope,
     DegenerateInput,
@@ -18,6 +19,7 @@ from trunkpack.geometry import (
     Halfspace,
     Point3,
     ZeroDirection,
+    _polytope_from_rows,
     axis_aligned_box,
     convex_hull,
     fm_feasible,
@@ -152,6 +154,96 @@ def test_hull_insertion_order_invariance():
 def test_hull_coplanar_input_raises():
     with pytest.raises(DegenerateInput):
         convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0)])
+
+
+def _brute_force_vertices(pts):
+    """Vertices of the hull of integer points, from first principles: the
+    points on three or more supporting planes whose normals span 3-space.
+    A supporting plane passes through three non-collinear points and has
+    every point on one side."""
+    pts = sorted(set(pts))
+
+    def sub(p, q):
+        return tuple(a - b for a, b in zip(p, q))
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    normals = set()
+    n_pts = len(pts)
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            for k in range(j + 1, n_pts):
+                nrm = cross(sub(pts[j], pts[i]), sub(pts[k], pts[i]))
+                if nrm == (0, 0, 0):
+                    continue
+                sides = {(dot(nrm, sub(p, pts[i])) > 0)
+                         - (dot(nrm, sub(p, pts[i])) < 0) for p in pts}
+                if sides <= {0, 1}:
+                    nrm = tuple(-c for c in nrm)
+                elif not sides <= {0, -1}:
+                    continue
+                normals.add((nrm, dot(nrm, pts[i])))
+    verts = []
+    for p in pts:
+        on = [nrm for (nrm, d) in normals if dot(nrm, p) == d]
+        if any(dot(cross(a, b), c) for a in on for b in on for c in on):
+            verts.append(Point3(*p))
+    return verts
+
+
+def _random_cloud(rng):
+    """Integer points on and in a small box: most of its corners, points on
+    its edges and faces (collinear and coplanar boundary points), interior
+    points, and repeats."""
+    hi = [rng.randint(2, 6) for _ in range(3)]
+    pts = []
+    for _ in range(rng.randint(4, 14)):
+        p = [rng.randint(0, h) for h in hi]
+        for axis in rng.sample(range(3), rng.randint(0, 3)):
+            p[axis] = rng.choice((0, hi[axis]))
+        pts.append(tuple(p))
+    pts += [(x, y, z) for x in (0, hi[0]) for y in (0, hi[1])
+            for z in (0, hi[2]) if rng.random() < 0.6]
+    pts += rng.sample(pts, 3)
+    return pts
+
+
+def test_hull_vertices_match_brute_force():
+    rng = random.Random(31)
+    # non-vertex points by the number of hull facets they lie on: 0 for
+    # interior points, 1 in a facet, 2 in an edge
+    on_facets = set()
+    for _ in range(40):
+        pts = _random_cloud(rng)
+        hull = convex_hull(pts)
+        expect = _brute_force_vertices(pts)
+        assert hull.vertices == sorted(expect, key=lambda p: (p.x, p.y, p.z))
+        for p in {Point3(*p) for p in pts} - set(hull.vertices):
+            on_facets.add(sum(h.value(p) == 0 for h in hull.halfspaces))
+    assert on_facets == {0, 1, 2}
+
+
+@pytest.mark.parametrize("rows, expect", [
+    # the unit cube cut by x + y + z <= 0: its corner at the origin
+    ([((1, 1, 1), 0)], [(0, 0, 0)]),
+    # cut by x + y >= 2: the edge x = y = 1
+    ([((-1, -1, 0), -2)], [(1, 1, 0), (1, 1, 1)]),
+    # squeezed onto the plane x + y + z = 1: a triangle
+    ([((1, 1, 1), 1), ((-1, -1, -1), -1)], [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    # squeezed onto x = z: a rectangle
+    ([((1, 0, -1), 0), ((-1, 0, 1), 0)],
+     [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]),
+])
+def test_flat_intersections_are_points_segments_polygons(rows, expect):
+    hs = [Halfspace(n, d) for n, d in rows] + unit_cube().halfspaces
+    flat = _polytope_from_rows(hs)
+    assert flat.degenerate and flat.halfspaces == [] and volume(flat) == 0
+    assert flat.vertices == [Point3(*v) for v in expect]
 
 
 def test_hull_fractional_coordinates_exact():
@@ -379,6 +471,82 @@ def test_touch_oblique_kiss():
     b = convex_hull([(2, 2, 2), (F(2, 3), F(2, 3), F(2, 3)), (2, 2, 0),
                      (0, 2, 2)])
     assert polytopes_touch(a, b)
+
+
+def _tetra_pair(rng, gap):
+    """Two tetrahedra, each spanned by a top and a bottom edge at right
+    angles.  The top edge of the first (along x at z = 1) and the bottom
+    edge of the second (along y at z = 1 + gap) pass each other: they cross
+    at gap 0, overlap below it and are disjoint above it, and in every case
+    no vertex of either lies in the other and no facet plane of either
+    separates them.  An integer shear makes their bounding boxes overlap."""
+    big, m = rng.randint(4, 9), rng.randint(2, 6)
+    p = [(-big, 0, 1), (big, 0, 1), (0, -big, -m), (0, big, -m)]
+    q = [(0, -big, 1 + gap), (0, big, 1 + gap),
+         (-big, 0, 1 + gap + m), (big, 0, 1 + gap + m)]
+    perm = rng.sample(range(3), 3)
+    signs = [rng.choice((-1, 1)) for _ in range(3)]
+    shift = [rng.randint(-20, 20) for _ in range(3)]
+    tilt = [rng.choice((-2, -1, 1, 2)) for _ in range(2)]
+
+    def place(pts):
+        sheared = [(x, y, z + tilt[0] * x + tilt[1] * y) for x, y, z in pts]
+        return convex_hull([tuple(signs[a] * v[perm[a]] + shift[a]
+                                  for a in range(3)) for v in sheared])
+
+    return place(p), place(q)
+
+
+def _random_touch_pairs(rng):
+    pairs = []
+    for gap in (-1, 0, 0, 1, F(1, 3), 2):
+        for _ in range(6):
+            pairs.append(_tetra_pair(rng, gap))
+    for _ in range(40):
+        # random small bodies, overlapping, disjoint or apart
+        p = convex_hull([(rng.randint(0, 6), rng.randint(0, 6),
+                          rng.randint(0, 6)) for _ in range(8)]
+                        + [(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6)])
+        t = [rng.randint(-5, 5) for _ in range(3)]
+        q = convex_hull([(rng.randint(0, 5) + t[0], rng.randint(0, 5) + t[1],
+                          rng.randint(0, 5) + t[2]) for _ in range(6)]
+                        + [(t[0], t[1], t[2]), (t[0] + 1, t[1], t[2]),
+                           (t[0], t[1] + 1, t[2]), (t[0], t[1], t[2] + 1)])
+        pairs.append((p, q))
+    for _ in range(15):
+        # boxes sharing a face, an edge or a vertex
+        lo = [rng.randint(-3, 3) for _ in range(3)]
+        hi = [a + rng.randint(1, 4) for a in lo]
+        a = axis_aligned_box(lo, hi)
+        axes = rng.sample(range(3), rng.randint(1, 3))
+        lo2 = [rng.randint(lo[k], hi[k] - 1) for k in range(3)]
+        for k in axes:
+            lo2[k] = hi[k]
+        hi2 = [c + rng.randint(1, 4) for c in lo2]
+        pairs.append((a, axis_aligned_box(lo2, hi2)))
+    return pairs
+
+
+def test_touch_matches_fourier_motzkin(monkeypatch):
+    outcomes = []
+
+    def counted(halfspaces, id=None):
+        poly = _polytope_from_rows(halfspaces, id=id)
+        outcomes.append(poly is not None)
+        return poly
+
+    monkeypatch.setattr(geometry, "_polytope_from_rows", counted)
+    verdicts = []
+    for p, q in _random_touch_pairs(random.Random(57)):
+        rows = [((h.a, h.b, h.c), h.d) for h in p.halfspaces + q.halfspaces]
+        got = polytopes_touch(p, q)
+        assert got == fm_feasible(rows, 3)
+        assert got == polytopes_touch(q, p)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    # the last resort, vertex enumeration of the combined system, decided
+    # every tetrahedron pair (18 each way, in both orders)
+    assert outcomes.count(True) >= 36 and outcomes.count(False) >= 36
 
 
 def test_fm_feasible_direct():

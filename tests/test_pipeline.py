@@ -17,11 +17,13 @@ import shutil
 
 import pytest
 
+from trunkpack import simplify
 from trunkpack.catalog import ORIENTATIONS
 from trunkpack.pipeline import (EXIT_EMPTY, EXIT_MALFORMED, EXIT_OK,
                                 EXIT_TIMEOUT, EXIT_UNREADABLE, RunConfig,
                                 RunPaths, STAGES, detect_trunk_format,
                                 export_packing_obj, main, run)
+from trunkpack.lp import NumericalFailure
 from trunkpack.simplify import read_log
 
 TEST_BOX_VOLUME_MM3 = 458 * 483 * 610
@@ -126,6 +128,35 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
     assert abs(payload["volume_dm3"] - 134.94054) < 1e-6
     assert payload["validation"]["valid"]
     assert not payload["timed_out"]
+
+
+def test_simplify_report_counts_only_dropped_facets(tmp_path, monkeypatch):
+    real = simplify.maximize_direction
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalFailure("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simplify, "maximize_direction", fail_once)
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    out = tmp_path / "out"
+    rc = run(RunConfig(trunk=trunk, catalog_path=make_box_t_catalog(tmp_path),
+                       out_dir=str(out), mc_samples=500,
+                       orientations=("xyz",), workers=1))
+    assert rc == EXIT_OK
+
+    paths = RunPaths(out)
+    statuses = [e["status"] for e in read_log(paths.drop_log("T", "xyz"))]
+    assert statuses.count("lp_failure") == 1
+    assert statuses.count("dropped") > 0
+    row = paths.simplify_report_csv.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["T", "xyz"]
+    assert int(row[-1]) == statuses.count("dropped")
+    txt = paths.simplify_report_txt.read_text().splitlines()[2].split()
+    assert int(txt[-1]) == statuses.count("dropped")
 
 
 def test_enumerate_only_reproduces_full_run(tmp_path):
