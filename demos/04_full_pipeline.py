@@ -6,7 +6,8 @@ obstacles and drop facets under logged bounds), enumerate (exhaustive
 search, packing.json).  Every stage persists its outputs, so reruns are
 incremental: this demo runs the whole pipeline on a triangle-mesh cube
 trunk, shows the artifacts, then deletes the packing and reruns only the
-final stage from the cached region files.
+final stage from the cached region files.  It works in a temporary
+directory that is removed at the end.
 
 Run:  python3 demos/04_full_pipeline.py
 """
@@ -37,8 +38,7 @@ def run_cli(argv):
     return code
 
 
-def main():
-    workdir = Path(tempfile.mkdtemp(prefix="trunkpack_demo_"))
+def demo(workdir):
     trunk_path = workdir / "trunk.json"
     catalog_path = workdir / "catalog.json"
     out_dir = workdir / "out"
@@ -83,6 +83,11 @@ def main():
     after = comparable(json.loads((out_dir / "packing.json").read_text()))
     print(f"rerun of the enumerate stage reproduced the packing "
           f"(up to wall-clock timing): {before == after}")
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="trunkpack_demo_") as workdir:
+        demo(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -245,8 +245,10 @@ class ConvexPolytope:
     full-dimensional, and they support only vertex-based queries.
     """
 
+    # _unit_rows: the float rows trunkpack.lp derives from ``halfspaces``,
+    # cached here (filled on first use) like _volume and _bbox
     __slots__ = ("halfspaces", "vertices", "id", "degenerate", "_triangles",
-                 "_volume", "_bbox")
+                 "_volume", "_bbox", "_unit_rows")
 
     def __init__(self, halfspaces, vertices, triangles=None, degenerate=False,
                  id: Optional[str] = None):
@@ -257,6 +259,7 @@ class ConvexPolytope:
         self.id = id
         self._volume = None
         self._bbox = None
+        self._unit_rows = None
 
     def volume(self) -> Fraction:
         """Exact volume, from the divergence theorem over the boundary

@@ -9,10 +9,17 @@ many millimetres of clearance in every separating constraint.  The slack is
 capped (DELTA_MM) to keep the LP bounded and non-negative so that a feasible
 outcome always corresponds to a genuinely non-overlapping placement.
 
+Each polytope's unit-norm float rows are computed once and cached on the
+polytope, so a search node only copies them into its LP.
+
 The solver is a dense two-phase simplex with Bland's rule: tiny problems,
-deterministic behaviour, no external dependency.  Rows are normalized to
-unit coefficient norm; a residual check after solving guards against silent
-numerical drift (NumericalFailure, never misreported as infeasible).
+deterministic behaviour, no external dependency.  Each pivot works on whole
+arrays (entering column, ratio test with ties to the lowest basis index, and
+elimination on the rows with a nonzero pivot-column entry only), with the
+same pivot sequence and the same floats as a row-by-row loop.  Rows are
+normalized to unit coefficient norm; a residual check after solving guards
+against silent numerical drift (NumericalFailure, never misreported as
+infeasible).
 """
 
 from __future__ import annotations
@@ -71,6 +78,21 @@ class LpOutcome:
         return 0.0 if abs(self.value) < SLACK_ZERO else self.value
 
 
+def _unit_rows(poly) -> Tuple[np.ndarray, np.ndarray]:
+    """(normals, offsets) of the polytope's halfspaces as float arrays, each
+    row divided by its normal's Euclidean norm; computed once per polytope
+    and cached on it."""
+    if poly._unit_rows is None:
+        normals = np.array([[h.a, h.b, h.c] for h in poly.halfspaces],
+                           dtype=float)
+        norms = [float(np.linalg.norm(n)) for n in normals]
+        poly._unit_rows = (
+            normals / np.array(norms)[:, None],
+            np.array([h.d / norm for h, norm in zip(poly.halfspaces, norms)],
+                     dtype=float))
+    return poly._unit_rows
+
+
 def build_lp(placements: Sequence, regions: dict,
              bb_constraints: Sequence[Tuple[int, int, int, int]] = (),
              bo_constraints: Sequence[Tuple[int, str, int]] = ()) -> LinearProgram:
@@ -89,9 +111,6 @@ def build_lp(placements: Sequence, regions: dict,
     n_boxes = len(placements)
     nv = 3 * n_boxes + 1
     s = 3 * n_boxes
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    labels: List[str] = []
 
     region_of = []
     extents = []
@@ -102,15 +121,20 @@ def build_lp(placements: Sequence, regions: dict,
         region_of.append(regions[key])
         extents.append(oriented_extents(box.dims_mm, orientation))
 
-    for i, region in enumerate(region_of):
-        for h_idx, h in enumerate(region.hull.halfspaces):
-            n = np.array([h.a, h.b, h.c], dtype=float)
-            norm = float(np.linalg.norm(n))
-            row = np.zeros(nv)
-            row[3 * i:3 * i + 3] = n / norm
-            rows.append(row)
-            rhs.append(h.d / norm)
-            labels.append(f"hull:{i}:{h_idx}")
+    hulls = [_unit_rows(region.hull) for region in region_of]
+    m = (sum(len(d) for _, d in hulls) + len(bb_constraints)
+         + len(bo_constraints) + 2)
+    A = np.zeros((m, nv))
+    b = np.empty(m)
+    labels: List[str] = []
+
+    r = 0
+    for i, (normals, offsets) in enumerate(hulls):
+        k = len(offsets)
+        A[r:r + k, 3 * i:3 * i + 3] = normals
+        b[r:r + k] = offsets
+        labels.extend(f"hull:{i}:{h_idx}" for h_idx in range(k))
+        r += k
 
     seen_bb = set()
     for (i, j, axis, order) in bb_constraints:
@@ -123,14 +147,12 @@ def build_lp(placements: Sequence, regions: dict,
         if pair in seen_bb:
             raise InvalidConstraintReference(f"duplicate box-box pair {pair}")
         seen_bb.add(pair)
-        gap = (extents[lo][axis] + extents[hi][axis]) / 2.0
-        row = np.zeros(nv)
-        row[3 * lo + axis] = 1.0
-        row[3 * hi + axis] = -1.0
-        row[s] = 1.0
-        rows.append(row)
-        rhs.append(-gap)
+        A[r, 3 * lo + axis] = 1.0
+        A[r, 3 * hi + axis] = -1.0
+        A[r, s] = 1.0
+        b[r] = -(extents[lo][axis] + extents[hi][axis]) / 2.0
         labels.append(f"bb:{lo}<{hi}:{'xyz'[axis]}")
+        r += 1
 
     seen_bo = set()
     for (i, obstacle_id, facet_idx) in bo_constraints:
@@ -149,32 +171,23 @@ def build_lp(placements: Sequence, regions: dict,
             raise InvalidConstraintReference(
                 f"duplicate box-obstacle pair {(i, obstacle_id)}")
         seen_bo.add((i, obstacle_id))
-        h = obstacle.halfspaces[facet_idx]
-        n = np.array([h.a, h.b, h.c], dtype=float)
-        norm = float(np.linalg.norm(n))
-        row = np.zeros(nv)
-        row[3 * i:3 * i + 3] = -n / norm
-        row[s] = 1.0
-        rows.append(row)
-        rhs.append(-h.d / norm)
+        normals, offsets = _unit_rows(obstacle)
+        A[r, 3 * i:3 * i + 3] = -normals[facet_idx]
+        A[r, s] = 1.0
+        b[r] = -offsets[facet_idx]
         labels.append(f"bo:{i}:{obstacle_id}:{facet_idx}")
+        r += 1
 
-    cap = np.zeros(nv)
-    cap[s] = 1.0
-    rows.append(cap)
-    rhs.append(DELTA_MM)
-    labels.append("slack-cap")
-    nonneg = np.zeros(nv)
-    nonneg[s] = -1.0
-    rows.append(nonneg)
-    rhs.append(0.0)
-    labels.append("slack-nonneg")
+    A[r, s] = 1.0
+    b[r] = DELTA_MM
+    A[r + 1, s] = -1.0
+    b[r + 1] = 0.0
+    labels += ["slack-cap", "slack-nonneg"]
 
     objective = np.zeros(nv)
     objective[s] = 1.0
     var_labels = [f"c{i}.{a}" for i in range(n_boxes) for a in "xyz"] + ["s"]
-    return LinearProgram(nv, np.array(rows), np.array(rhs), objective,
-                         labels, var_labels)
+    return LinearProgram(nv, A, b, objective, labels, var_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -190,56 +203,55 @@ def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
     # columns: n structural | m slack (+1 unflipped, -1 flipped) | artificials
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art_rows = np.nonzero(flip)[0]
+    art_rows = flip.nonzero()[0]
     n_art = len(art_rows)
-    art = np.zeros((m, n_art))
-    for k, r in enumerate(art_rows):
-        art[r, k] = 1.0
-    T = np.hstack([A, slack, art])
-    ncols = T.shape[1]
-    basis = np.empty(m, dtype=int)
-    for r in range(m):
-        if flip[r]:
-            basis[r] = n + m + int(np.nonzero(art_rows == r)[0][0])
-        else:
-            basis[r] = n + r
-    x_b = b.astype(float).copy()
+    ncols = n + m + n_art
+    T = np.zeros((m, ncols))
+    T[:, :n] = A
+    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
+    basis = n + np.arange(m)
+    basis[art_rows] = n + m + np.arange(n_art)
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    x_b = b.astype(float)
 
     def pivot(r, col):
         piv = T[r, col]
         T[r] /= piv
         x_b[r] /= piv
-        for rr in range(m):
-            if rr != r and abs(T[rr, col]) > 0:
-                f = T[rr, col]
-                T[rr] -= f * T[r]
-                x_b[rr] -= f * x_b[r]
+        # eliminate col from the other rows; rows with a zero entry stay as
+        # they are (bit for bit, signed zeros included)
+        rows = T[:, col].nonzero()[0]
+        rows = rows[rows != r]
+        f = T[rows, col]
+        T[rows] -= f[:, None] * T[r]
+        x_b[rows] -= f * x_b[r]
+        nonbasic[basis[r]] = True
+        nonbasic[col] = False
         basis[r] = col
 
     def run_phase(cost: np.ndarray, allow_cols: int):
+        cost_allowed = cost[:allow_cols]
+        T_allowed = T[:, :allow_cols]
+        nonbasic_allowed = nonbasic[:allow_cols]
         for _ in range(_MAX_ITER):
-            y = cost[basis]
-            reduced = cost[:allow_cols] - y @ T[:, :allow_cols]
-            entering = -1
-            for j in range(allow_cols):
-                if reduced[j] > _PIVOT_EPS and j not in basis_set():
-                    entering = j
-                    break
-            if entering < 0:
+            reduced = cost_allowed - cost[basis] @ T_allowed
+            # Bland: the lowest-index improving nonbasic column enters ...
+            eligible = (reduced > _PIVOT_EPS) & nonbasic_allowed
+            entering = eligible.argmax()
+            if not eligible[entering]:
                 return "optimal"
-            ratios = []
-            for r in range(m):
-                if T[r, entering] > _PIVOT_EPS:
-                    ratios.append((x_b[r] / T[r, entering], basis[r], r))
-            if not ratios:
+            column = T[:, entering]
+            rows = (column > _PIVOT_EPS).nonzero()[0]
+            if not rows.size:
                 return "unbounded"
-            ratios.sort(key=lambda t: (t[0], t[1]))
-            pivot(ratios[0][2], entering)
+            # ... and the smallest ratio leaves, ties to the lowest basis index
+            ratios = x_b[rows] / column[rows]
+            ties = rows[ratios == ratios[ratios.argmin()]]
+            r = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
+            pivot(r, entering)
         return "stalled"
-
-    def basis_set():
-        return set(basis.tolist())
 
     if n_art:
         cost1 = np.zeros(ncols)
@@ -252,13 +264,10 @@ def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         # force remaining artificials out of the basis
         for r in range(m):
             if basis[r] >= n + m:
-                done = False
-                for j in range(n + m):
-                    if abs(T[r, j]) > _PIVOT_EPS:
-                        pivot(r, j)
-                        done = True
-                        break
-                if not done:
+                nonzero = (np.abs(T[r, :n + m]) > _PIVOT_EPS).nonzero()[0]
+                if nonzero.size:
+                    pivot(r, int(nonzero[0]))
+                else:
                     x_b[r] = 0.0  # redundant row; harmless to keep
 
     cost2 = np.zeros(ncols)
@@ -269,9 +278,8 @@ def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     if status == "unbounded":
         return ("unbounded", None)
     x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = x_b[r]
+    structural = basis < n
+    x[basis[structural]] = x_b[structural]
     return ("optimal", x)
 
 

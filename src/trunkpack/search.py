@@ -5,9 +5,13 @@ canonical order (descending box volume, then type id, then orientation
 rank), so every multiset is explored exactly once.  Each search node carries
 the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
-constraints (which obstacle facet a center must stay outside of).  The node
-LP maximizes the shared separation slack; a feasible assignment either
-certifies an intersection-free packing or exposes a conflict to branch on:
+constraints (which obstacle facet a center must stay outside of).  A node's
+box-box order constraints are decided first, exactly and without an LP
+(``order_chains_feasible``); a node they rule out is skipped like one with an
+infeasible LP, together with its subtree, whose nodes keep the constraints.
+Otherwise the node LP maximizes the shared separation slack; a feasible
+assignment either certifies an intersection-free packing or exposes a
+conflict to branch on:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
@@ -25,6 +29,7 @@ neither recorded nor branched on, but its extensions are still explored.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +78,10 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Search counters.  ``lp_calls`` counts the node LPs actually built and
+    solved: nodes pruned by the bound or ruled out by their order chains
+    make none."""
+
     nodes: int = 0
     lp_calls: int = 0
     lp_failures: int = 0
@@ -189,7 +198,7 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
                 continue
             depth = None
             for h in obstacle.halfspaces:
-                norm = float(np.sqrt(h.a * h.a + h.b * h.b + h.c * h.c))
+                norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
                 dist = (float(h.d) - (h.a * centers[i][0] + h.b * centers[i][1]
                                       + h.c * centers[i][2])) / norm
                 depth = dist if depth is None else min(depth, dist)
@@ -242,6 +251,64 @@ def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
             for f in range(len(obstacle.halfspaces))]
         return children, "bo"
     return [], None
+
+
+def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
+                          bb_constraints: Sequence[Tuple[int, int, int, int]]
+                          ) -> bool:
+    """Decide the box-box order constraints alone, exactly.
+
+    ``placements`` and ``bb_constraints`` are as for ``lp.build_lp``.  Every
+    constraint is a difference constraint ``c_lo + gap <= c_hi`` on one axis
+    (gap: the half-extent sum), so one longest-path pass per axis gives each
+    center's earliest position, starting from the lower corner of its
+    region hull's bounding box (Cormen et al., Introduction to Algorithms,
+    24.4).  Returns False when some earliest position lies strictly beyond
+    the box's upper bound, or when the constraints on an axis form a cycle
+    (every gap is positive).  Then the pattern LP, which adds the hull rows,
+    the slack and the obstacle rows to these constraints, is infeasible too,
+    and so is every extension of the node.  An exact fit (no overrun) is
+    left to the LP.
+    """
+    bounds = []
+    extents = []
+    for box, orientation in placements:
+        bounds.append(regions[(box.id, orientation)].hull.bbox())
+        extents.append(oriented_extents(box.dims_mm, orientation))
+    n = len(placements)
+    for axis in range(3):
+        succ = [[] for _ in range(n)]
+        indegree = [0] * n
+        for (i, j, a, order) in bb_constraints:
+            if a == axis:
+                first, second = (i, j) if order == 1 else (j, i)
+                succ[first].append(second)
+                indegree[second] += 1
+        if not any(indegree):
+            continue
+        # doubled coordinates (integer gaps), each an exact num/den, den > 0
+        earliest = [(2 * low[axis].numerator, low[axis].denominator)
+                    for low, _ in bounds]
+        ready = [k for k in range(n) if indegree[k] == 0]
+        reached = 0
+        while ready:
+            u = ready.pop()
+            reached += 1
+            num, den = earliest[u]
+            upper = bounds[u][1][axis]
+            if num * upper.denominator > 2 * upper.numerator * den:
+                return False
+            for v in succ[u]:
+                start = num + (extents[u][axis] + extents[v][axis]) * den
+                v_num, v_den = earliest[v]
+                if start * v_den > v_num * den:
+                    earliest[v] = (start, den)
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        if reached < n:
+            return False
+    return True
 
 
 def upper_bound(placed: Sequence[Candidate], catalog: Sequence,
@@ -310,9 +377,14 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             stats.pruned += 1
             continue
 
+        placements = [(c.box, c.orientation) for c in placed]
+        # a node its order chains rule out is skipped like an infeasible LP
+        if node.bb and not order_chains_feasible(placements, regions,
+                                                 node.bb):
+            continue
+
         try:
-            lp = build_lp([(c.box, c.orientation) for c in placed], regions,
-                          node.bb, node.bo)
+            lp = build_lp(placements, regions, node.bb, node.bo)
             stats.lp_calls += 1
             outcome = solve(lp)
         except NumericalFailure:
@@ -416,14 +488,14 @@ def _check_float(placements: Sequence[Placement], regions: Dict[tuple, object],
         region = regions[(p.box.id, p.orientation)]
         c = p.center_mm
         for h in region.hull.halfspaces:
-            norm = float(np.sqrt(h.a * h.a + h.b * h.b + h.c * h.c))
+            norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
             if (h.a * c[0] + h.b * c[1] + h.c * c[2] - h.d) / norm > tol:
                 problems.append(f"placement {i} outside hull by more than {tol}")
                 break
         for obstacle in region.obstacles:
             inside = True
             for h in obstacle.halfspaces:
-                norm = float(np.sqrt(h.a * h.a + h.b * h.b + h.c * h.c))
+                norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
                 if (h.a * c[0] + h.b * c[1] + h.c * c[2] - h.d) / norm >= -tol:
                     inside = False
                     break

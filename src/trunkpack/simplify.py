@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,8 +233,8 @@ def drop_facets(region, max_growth_mm=DEFAULT_DROP_MM):
                 if candidate.key() in failed_keys:
                     continue
                 remaining = rows[:idx] + rows[idx + 1:]
-                norm = float(np.sqrt(candidate.a ** 2 + candidate.b ** 2
-                                     + candidate.c ** 2))
+                norm = math.sqrt(candidate.a ** 2 + candidate.b ** 2
+                                 + candidate.c ** 2)
                 try:
                     out = maximize_direction(
                         [candidate.a / norm, candidate.b / norm,
@@ -254,7 +255,7 @@ def drop_facets(region, max_growth_mm=DEFAULT_DROP_MM):
                     numerator, norm_sq = exact
                     if not _growth_within(numerator, norm_sq, bound):
                         continue
-                    growth_mm = float(numerator) / float(np.sqrt(norm_sq))
+                    growth_mm = float(numerator) / math.sqrt(norm_sq)
                     growth_exact = {"num": str(numerator), "norm_sq": norm_sq}
                 else:
                     growth_mm = 0.0

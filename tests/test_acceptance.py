@@ -553,7 +553,7 @@ def test_criterion_09_branch_arity(monkeypatch):
 
     monkeypatch.setattr(search_mod, "branch", checked_branch)
 
-    total_nodes = 0
+    results = []
     # Two cavity-free cubes sized so many equal boxes collide repeatedly
     # (box-box churn), plus one L-trunk rerun for box-obstacle branching.
     churn = [
@@ -565,16 +565,22 @@ def test_criterion_09_branch_arity(monkeypatch):
         result = enumerate_patterns(regions, [box],
                                     config=SearchConfig(prune_enabled=False))
         assert result.stats.arity_violations == 0
-        total_nodes += result.stats.nodes
+        results.append(result)
 
     shell, cavity_lo, box, expected = _pack_params("double_stack")
     result = enumerate_patterns(_pack_regions("double_stack"), [box])
     assert result.stats.arity_violations == 0
     assert len(result.placements) == expected
-    total_nodes += result.stats.nodes
+    results.append(result)
 
     assert seen["bb"] > 0 and seen["bo"] > 0
-    assert total_nodes >= 10000
+    assert sum(r.stats.nodes for r in results) >= 10000
+    # the exact search: J 5 * 88^3, K 3 * 95*87*80, L 4 * 381*229*203
+    assert [(r.stats.nodes, r.stats.bb_branches, r.stats.bo_branches,
+             r.volume_mm3) for r in results] == [
+        (15278, 2461, 0, 3407360),
+        (5889, 921, 0, 1983600),
+        (872, 46, 96, 70846188)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("trunkpack_demo_*"))

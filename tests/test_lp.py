@@ -14,16 +14,20 @@ Expected values stated up front:
   infeasible, exact Fourier-Motzkin elimination must agree.
 """
 
+import collections
 import fractions
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from trunkpack.catalog import default_catalog
-from trunkpack.freespace import (compute_feasible_region, parse_convex_json,
-                                 raw_feasible_region, describe_region)
-from trunkpack.geometry import Halfspace, axis_aligned_box, fm_feasible
+from trunkpack.catalog import BoxType, default_catalog
+from trunkpack.freespace import (RawRegion, compute_feasible_region,
+                                 describe_region, parse_convex_json,
+                                 raw_feasible_region)
+from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
+                                fm_feasible)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
                           LinearProgram, LpOutcome, NumericalFailure,
                           UnknownRegion, build_lp, maximize_direction, solve,
@@ -262,3 +266,78 @@ def test_degenerate_ties_do_not_cycle():
     rhs = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0]
     out = solve(_lp(rows, rhs, [1.0, 1.0]))
     assert out.feasible and out.value == pytest.approx(2.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# bit-identical solver outcomes over seeded build_lp / maximize_direction LPs
+
+# SHA-256 over the (feasible, assignment bytes, value) of every LP below, as
+# the row-by-row Bland simplex computes them.  The pivot sequence and every
+# floating-point operation of the solver must reproduce it exactly.
+_REFERENCE_OUTCOME_DIGEST = (
+    "f1e20bb35463658c74a749d42cd0ae7ed173f75c4096dd4b43755abcb4033b56")
+
+
+def _sphere_hull(rng, points, radius, id):
+    pts = set()
+    while len(pts) < points:
+        v = rng.normal(size=3)
+        v = v / np.linalg.norm(v) * radius
+        pts.add(tuple(int(round(t)) for t in v))
+    return convex_hull(sorted(pts), id=id)
+
+
+def _hash_outcome(digest, solve_call):
+    try:
+        out = solve_call()
+    except NumericalFailure:
+        digest.update(b"numerical-failure")
+        return "failure"
+    digest.update(b"F" if out.feasible else b"I")
+    if out.feasible:
+        digest.update(out.assignment.tobytes())
+        digest.update(np.float64(out.value).tobytes())
+    return "feasible" if out.feasible else "infeasible"
+
+
+def test_solver_outcomes_match_reference_digest():
+    rng = np.random.default_rng(20261018)
+    hulls = [axis_aligned_box((0, 0, 0), (400, 300, 250), id="box"),
+             axis_aligned_box((F(1, 2), -40, 7), (F(521, 2), 180, 230),
+                              id="halves"),
+             _sphere_hull(rng, 10, 260, "sphere10"),
+             _sphere_hull(rng, 30, 300, "sphere30")]
+    obstacles = [axis_aligned_box((100, 50, 40), (180, 140, 120), id="o0"),
+                 axis_aligned_box((-60, -30, -20), (40, 60, 30), id="o1")]
+    digest = hashlib.sha256()
+    seen = collections.Counter()
+    for trial in range(300):
+        n_boxes = int(rng.integers(2, 6))
+        hull = hulls[trial % len(hulls)]
+        placements, regions = [], {}
+        for k in range(n_boxes):
+            box = BoxType(f"B{k}", tuple(int(v) for v in
+                                         rng.integers(30, 200, size=3)), 1)
+            placements.append((box, "xyz"))
+            regions[(box.id, "xyz")] = RawRegion(box.id, "xyz", hull,
+                                                 list(obstacles))
+        pairs = [(i, j) for i in range(n_boxes) for j in range(i + 1, n_boxes)]
+        rng.shuffle(pairs)
+        bb = [(i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
+              for (i, j) in pairs[:int(rng.integers(0, len(pairs) + 1))]]
+        bo = [(i, obstacles[int(rng.integers(2))].id, int(rng.integers(6)))
+              for i in range(n_boxes) if rng.random() < 0.3]
+        bo = list({(i, o): (i, o, f) for (i, o, f) in bo}.values())
+        lp = build_lp(placements, regions, bb, bo)
+        seen[_hash_outcome(digest, lambda: solve(lp))] += 1
+    for trial in range(200):
+        hull = hulls[trial % len(hulls)]
+        direction = rng.normal(size=3).tolist()
+        extra = [(rng.integers(-5, 6, size=3).tolist(),
+                  float(rng.integers(-300, 300)))
+                 for _ in range(int(rng.integers(0, 4)))]
+        extra = [(c, r) for (c, r) in extra if any(c)]
+        seen[_hash_outcome(digest, lambda: maximize_direction(
+            direction, hull.halfspaces, extra))] += 1
+    assert seen["feasible"] >= 300 and seen["infeasible"] >= 80
+    assert digest.hexdigest() == _REFERENCE_OUTCOME_DIGEST

@@ -12,6 +12,12 @@ Oracles:
   empty.
 * pruning with the exact placed+addable volume bound never changes the
   result, only the node count.
+* box-box order constraints alone are difference constraints: on box hulls
+  their exact verdict (Fourier-Motzkin on each axis) is the order-chain
+  test's, and the node LP agrees with it whenever a chain overruns by more
+  than 1e-3 mm; an exact fit (overrun 0) is feasible with slack 0.
+* norms of halfspaces with coefficients near 2^40 (sums of squares past
+  int64) are computed without overflow.
 """
 
 import dataclasses
@@ -22,11 +28,15 @@ import pytest
 
 from trunkpack.catalog import BoxType, default_catalog
 from trunkpack.freespace import RawRegion, parse_convex_json, raw_feasible_region
-from trunkpack.geometry import axis_aligned_box
+from trunkpack.geometry import (Halfspace, axis_aligned_box, fm_feasible,
+                                intersect_halfspaces)
+from trunkpack.lp import NumericalFailure, build_lp, solve
 from trunkpack.search import (Candidate, PackingResult, PartialPattern,
                               Placement, SearchConfig, branch, candidate_list,
                               detect_intersections, enumerate_patterns,
-                              upper_bound, validate_packing)
+                              order_chains_feasible, upper_bound,
+                              validate_packing)
+from trunkpack.simplify import drop_facets
 
 F = Fraction
 
@@ -275,3 +285,151 @@ def test_validate_packing_rejects_bad_placements():
                 Placement(box, "zyx", (35.0000000001, 15.0, 15.0))]
     out = validate_packing(touching, regions)
     assert out["valid"]  # snaps to the 1/2048 grid and passes exactly
+
+
+# ---------------------------------------------------------------------------
+# order chains: box-box order constraints decided without an LP
+
+
+def _axis_rows(placements, regions, bb, axis, slack_mm=0, bounded=True):
+    """The order constraints on one axis plus the hull-box bounds of every
+    center (upper bounds raised by ``slack_mm``), as exact rows."""
+    n = len(placements)
+    rows = []
+    for (i, j, a, order) in bb:
+        if a == axis:
+            lo, hi = (i, j) if order == 1 else (j, i)
+            coeffs = [0] * n
+            coeffs[lo], coeffs[hi] = 1, -1
+            gap = F(placements[lo][0].dims_mm[axis]
+                    + placements[hi][0].dims_mm[axis], 2)
+            rows.append((coeffs, -gap))
+    for k, (box, orientation) in enumerate(placements):
+        low, high = regions[(box.id, orientation)].hull.bbox()
+        unit = [int(t == k) for t in range(n)]
+        if bounded:
+            rows.append((unit, high[axis] + slack_mm))
+            rows.append(([-u for u in unit], -low[axis]))
+    return rows
+
+
+def _chain_instance(rng, trial):
+    """2-5 box types (orientation xyz), each in its own axis-aligned hull
+    with 1/8 mm corners, and a random set of order constraints; every fourth
+    set gets a three-box cycle, and every third a near fit: the first
+    constrained pair's later box is given exactly the room it needs, or
+    1e-4 mm less."""
+    n = int(rng.integers(2, 6))
+    placements, regions = [], {}
+    for k in range(n):
+        box = BoxType(f"B{k}", tuple(int(v) for v in
+                                     rng.integers(10, 120, size=3)), 1)
+        lo = [F(int(v), 8) for v in rng.integers(0, 800, size=3)]
+        hi = [a + F(int(v), 8) for a, v in zip(lo, rng.integers(1, 2400,
+                                                                size=3))]
+        placements.append((box, "xyz"))
+        regions[(box.id, "xyz")] = [lo, hi]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    bb = {(i, j): (i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
+          for (i, j) in pairs[:int(rng.integers(1, len(pairs) + 1))]}
+    if trial % 4 == 0 and n >= 3:
+        a, b, c = sorted(rng.choice(n, size=3, replace=False).tolist())
+        axis = int(rng.integers(3))
+        bb[(a, b)] = (a, b, axis, 1)
+        bb[(b, c)] = (b, c, axis, 1)
+        bb[(a, c)] = (a, c, axis, -1)
+    bb = list(bb.values())
+    if trial % 3 == 0:
+        i, j, axis, order = bb[0]
+        first, later = (i, j) if order == 1 else (j, i)
+        gap = F(placements[first][0].dims_mm[axis]
+                + placements[later][0].dims_mm[axis], 2)
+        room = regions[(f"B{first}", "xyz")][0][axis] + gap
+        room -= F(1, 10000) * int(rng.integers(2))
+        later_lo, later_hi = regions[(f"B{later}", "xyz")]
+        later_hi[axis] = max(room, later_lo[axis] + F(1, 8))
+    for key, (lo, hi) in regions.items():
+        regions[key] = region(axis_aligned_box(lo, hi, id="hull"), [],
+                              key[0], "xyz")
+    return placements, regions, bb
+
+
+def test_order_chains_match_exact_elimination_and_the_lp():
+    rng = np.random.default_rng(20261018)
+    seen = {"cycle": 0, "overrun": 0, "near_fit": 0, "feasible": 0}
+    for trial in range(400):
+        placements, regions, bb = _chain_instance(rng, trial)
+        n = len(placements)
+        chains = order_chains_feasible(placements, regions, bb)
+        exact = all(fm_feasible(_axis_rows(placements, regions, bb, axis), n)
+                    for axis in range(3))
+        assert chains == exact, (trial, bb)
+        cycle = not all(fm_feasible(_axis_rows(placements, regions, bb, axis,
+                                               bounded=False), n)
+                        for axis in range(3))
+        overrun = not all(fm_feasible(_axis_rows(placements, regions, bb,
+                                                 axis, F(1, 1000)), n)
+                          for axis in range(3))
+        try:
+            out = solve(build_lp(placements, regions, bb))
+        except NumericalFailure:
+            out = None
+        if overrun:
+            # more than 1e-3 mm over: the LP agrees with the chain test
+            assert not chains and out is not None and not out.feasible
+        elif not chains:
+            seen["near_fit"] += 1
+        else:
+            # on box hulls without obstacles the chains are the whole LP
+            assert out is not None and out.feasible, (trial, bb)
+        seen["cycle"] += cycle
+        seen["overrun"] += overrun and not cycle
+        seen["feasible"] += chains
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exact_fit_chain_is_left_to_the_lp():
+    box, regions = exact_fit_regions()
+    two = [(box, "zyx")] * 2
+    assert order_chains_feasible(two, regions, [(0, 1, 0, 1)])
+    out = solve(build_lp(two, regions, [(0, 1, 0, 1)]))
+    assert out.feasible and out.slack == 0.0
+    # a third box in the same chain overruns by a whole box length
+    three = [(box, "zyx")] * 3
+    assert not order_chains_feasible(three, regions,
+                                     [(0, 1, 0, 1), (1, 2, 0, 1)])
+    assert not solve(build_lp(three, regions,
+                              [(0, 1, 0, 1), (1, 2, 0, 1)])).feasible
+
+
+def test_norms_of_huge_coefficients_do_not_overflow():
+    # facets whose squared normal length passes int64, cutting one corner of
+    # the hull and one of the obstacle
+    big = 2 ** 40
+    hull = intersect_halfspaces(
+        [Halfspace((big, big + 1, 0), big * 1900)],
+        axis_aligned_box((0, 0, 0), (1000, 1000, 1000)), id="hull")
+    obstacle = intersect_halfspaces(
+        [Halfspace((big + 1, big, 0), (big + 1) * 590 + big * 600)],
+        axis_aligned_box((400, 400, 400), (600, 600, 600)), id="o0")
+    assert any(abs(h.a) >= big for h in hull.halfspaces)
+    assert any(abs(h.a) >= big for h in obstacle.halfspaces)
+    box = cube_type()
+    regions = {("K", "zyx"): region(hull, [obstacle], "K")}
+
+    _, bo = detect_intersections([Candidate(box, "zyx")],
+                                 np.array([[500.0, 500.0, 500.0]]), regions)
+    assert [(i, o.id) for (_, i, o) in bo] == [(0, "o0")]
+    assert bo[0][0] == pytest.approx(100.0)
+
+    out = validate_packing([Placement(box, "zyx", (500.0, 500.0, 500.0))],
+                           regions)
+    assert out == {"valid": False, "mode": "float",
+                   "violations": ["placement 0 inside obstacle o0"]}
+
+    _, log = drop_facets(regions[("K", "zyx")], max_growth_mm=20)
+    dropped = [e for e in log if e["status"] == "dropped"]
+    assert [e["facet"]["n"][:2] for e in dropped] == [[big + 1, big]]
+    # the corner it cut off reaches 10 * 2^40 / |n| (about 7.07 mm) past it
+    assert dropped[0]["growth_mm"] == pytest.approx(10 / 2 ** 0.5, rel=1e-6)
