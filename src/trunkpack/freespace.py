@@ -44,7 +44,6 @@ from trunkpack.geometry import (
     Point3,
     Triangle3,
     _degenerate_from_points,
-    _lcm,
     _plane_eval,
     _plane_ints,
     _polytope_from_rows,
@@ -462,7 +461,7 @@ def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
         span = to_fraction(hi[axis]) - lo_a
         if span < 0:
             raise GeometryError("empty bounding box")
-        d = _lcm(lo_a.denominator, span.denominator)
+        d = math.lcm(lo_a.denominator, span.denominator)
         a_int = int(lo_a * d)
         b_int = int(span * d)
         # x = (A*2*_LATTICE + (2r+1)*B) / (D*2*_LATTICE)

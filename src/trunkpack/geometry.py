@@ -17,7 +17,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, float, str, Fraction]
@@ -60,10 +60,6 @@ def to_fraction(value: Rational) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _gcd4(a: int, b: int, c: int, d: int) -> int:
     return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
 
@@ -77,7 +73,7 @@ class Point3:
         self.x = to_fraction(x)
         self.y = to_fraction(y)
         self.z = to_fraction(z)
-        w = _lcm(_lcm(self.x.denominator, self.y.denominator), self.z.denominator)
+        w = lcm(self.x.denominator, self.y.denominator, self.z.denominator)
         self._h = (
             self.x.numerator * (w // self.x.denominator),
             self.y.numerator * (w // self.y.denominator),
@@ -153,10 +149,7 @@ class Halfspace:
     def __init__(self, normal: Sequence[Rational], offset: Rational):
         na, nb, nc = (to_fraction(v) for v in normal)
         nd = to_fraction(offset)
-        w = _lcm(
-            _lcm(na.denominator, nb.denominator),
-            _lcm(nc.denominator, nd.denominator),
-        )
+        w = lcm(na.denominator, nb.denominator, nc.denominator, nd.denominator)
         self._assign(na.numerator * (w // na.denominator),
                      nb.numerator * (w // nb.denominator),
                      nc.numerator * (w // nc.denominator),
@@ -246,9 +239,9 @@ class ConvexPolytope:
     """
 
     # _unit_rows: the float rows trunkpack.lp derives from ``halfspaces``,
-    # cached here (filled on first use) like _volume and _bbox
+    # cached here (filled on first use) like _volume, _bbox and _ibox
     __slots__ = ("halfspaces", "vertices", "id", "degenerate", "_triangles",
-                 "_volume", "_bbox", "_unit_rows")
+                 "_volume", "_bbox", "_ibox", "_unit_rows")
 
     def __init__(self, halfspaces, vertices, triangles=None, degenerate=False,
                  id: Optional[str] = None):
@@ -259,6 +252,7 @@ class ConvexPolytope:
         self.id = id
         self._volume = None
         self._bbox = None
+        self._ibox = None
         self._unit_rows = None
 
     def volume(self) -> Fraction:
@@ -302,11 +296,27 @@ class ConvexPolytope:
     def bbox(self) -> tuple:
         """((minx, miny, minz), (maxx, maxy, maxz)) as Fractions."""
         if self._bbox is None:
-            xs = [v.x for v in self.vertices]
-            ys = [v.y for v in self.vertices]
-            zs = [v.z for v in self.vertices]
-            self._bbox = ((min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs)))
+            lo, hi, w = self.int_bbox()
+            self._bbox = (tuple(Fraction(n, w) for n in lo),
+                          tuple(Fraction(n, w) for n in hi))
         return self._bbox
+
+    def int_bbox(self) -> tuple:
+        """The bounding box as integers over one common denominator:
+        ((minx, miny, minz), (maxx, maxy, maxz), w) with w > 0 the least
+        common denominator of the six corner coordinates."""
+        if self._ibox is None:
+            H = [v._h for v in self.vertices]
+            w = lcm(*(h[3] for h in H))
+            xs = [h[0] * (w // h[3]) for h in H]
+            ys = [h[1] * (w // h[3]) for h in H]
+            zs = [h[2] * (w // h[3]) for h in H]
+            lo = (min(xs), min(ys), min(zs))
+            hi = (max(xs), max(ys), max(zs))
+            g = gcd(w, *lo, *hi)
+            self._ibox = (tuple(n // g for n in lo), tuple(n // g for n in hi),
+                          w // g)
+        return self._ibox
 
     def extent(self, axis: int) -> Fraction:
         lo, hi = self.bbox()
@@ -413,9 +423,8 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     seen = set()
     for raw in points:
         p = _as_point(raw)
-        k = (p.x, p.y, p.z)
-        if k not in seen:
-            seen.add(k)
+        if p._h not in seen:
+            seen.add(p._h)
             pts.append(p)
     H = [p._h for p in pts]
     n = len(pts)
@@ -670,16 +679,17 @@ def intersect_halfspaces(halfspaces: Iterable[Halfspace],
 def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
     """True when the closed polytopes share at least one point.
 
-    Bounding boxes, vertex containment and separating facet planes settle
+    Integer bounding boxes (compared by cross-multiplying their common
+    denominators), vertex containment and separating facet planes settle
     most pairs; the rest are decided exactly by vertex enumeration of the
     combined halfspace system.
     """
     if p.degenerate or q.degenerate:
         raise GeometryError("touch test needs full-dimensional polytopes")
-    (plo, phi) = p.bbox()
-    (qlo, qhi) = q.bbox()
+    plo, phi, pw = p.int_bbox()
+    qlo, qhi, qw = q.int_bbox()
     for axis in range(3):
-        if phi[axis] < qlo[axis] or qhi[axis] < plo[axis]:
+        if phi[axis] * qw < qlo[axis] * pw or qhi[axis] * pw < plo[axis] * qw:
             return False
     for v in p.vertices:
         if all(h.contains(v) for h in q.halfspaces):
@@ -726,10 +736,7 @@ def fm_feasible(rows, nvars: int) -> bool:
     for coeffs, rhs in rows:
         cs = [to_fraction(c) for c in coeffs]
         r = to_fraction(rhs)
-        den = 1
-        for c in cs:
-            den = _lcm(den, c.denominator)
-        den = _lcm(den, r.denominator)
+        den = lcm(r.denominator, *(c.denominator for c in cs))
         ics = tuple(int(c * den) for c in cs)
         ir = int(r * den)
         if all(c == 0 for c in ics):

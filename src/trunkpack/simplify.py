@@ -8,7 +8,10 @@ found afterwards is still valid in the original region):
 
 * ``merge_obstacles`` replaces touching obstacle pairs by their convex hull
   when the hull's volume overshoot stays under an absolute (mm^3) or
-  relative (percent) budget and the facet count strictly decreases.
+  relative (percent) budget and the facet count strictly decreases.  Each
+  touch verdict is decided once: pairs that survive a sweep keep theirs,
+  and a merged hull inherits every contact of its two members.  The pair
+  overlap volume is computed only when the budget test needs it.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -81,6 +84,14 @@ def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fract
     return inter.volume()
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a non-negative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def merge_obstacles(region, params: MergeParams):
     """Greedy randomized merging of touching obstacle pairs.
 
@@ -91,36 +102,76 @@ def merge_obstacles(region, params: MergeParams):
     pairs are ever considered.  The union volume of chains that overlapped
     before merging is tracked approximately (inclusion-exclusion on the
     recorded pair only) and flagged ``base_approximate``.
+
+    Each touch verdict is decided once.  A pair of obstacles that both
+    survive a sweep keeps its verdict; a merged hull contains its two
+    members, so it touches whatever either member touched and every hull
+    built over such an obstacle.  Only the remaining pairs are tested.  The
+    pair overlap, needed only for the exact base volume, is computed only
+    for a hull that passes the budget at overlap zero: a larger overlap
+    raises the growth and lowers the base, so such a hull would fail at
+    any overlap.
     """
     rel = to_fraction(params.rel_bound_pct)
     abs_bound = to_fraction(params.abs_bound_mm3)
     rng = random.Random(params.rng_seed)
-    state = [MergedObstacle(o, o.volume(), (o.id or f"o{i}",))
+
+    def within_budget(growth: Fraction, base: Fraction) -> bool:
+        return growth <= abs_bound or growth * 100 <= rel * base
+
+    # Every obstacle keeps one slot number for its life: the originals take
+    # 0..n-1 and each merged hull the next unused one, so ``live`` (slot ->
+    # obstacle, in insertion order) is always in slot order, the order the
+    # pair list is built in.  touching[s] is the bitmask of the live slots
+    # whose obstacle touches the one in slot s.
+    live = {}
+    touching: List[int] = []
+    fresh = [(MergedObstacle(o, o.volume(), (o.id or f"o{i}",)), 0)
              for i, o in enumerate(region.obstacles)]
     log: List[dict] = []
     next_id = 0
     while True:
-        pairs = [(i, j)
-                 for i in range(len(state))
-                 for j in range(i + 1, len(state))
-                 if polytopes_touch(state[i].polytope, state[j].polytope)]
+        new_from = len(touching)
+        for obstacle, known in fresh:
+            slot = len(touching)
+            live[slot] = obstacle
+            touching.append(known)
+            for s in _bits(known & ((1 << new_from) - 1)):
+                touching[s] |= 1 << slot
+        alive = sum(1 << s for s in live)
+        for slot in range(new_from, len(touching)):
+            # decided: known to touch, or a fresh slot up to this one (whose
+            # pair with this slot was tested when that slot came up)
+            decided = touching[slot] | ((2 << slot) - (1 << new_from))
+            unknown = alive & ~decided
+            for s in _bits(unknown):
+                lo, hi = (s, slot) if s < slot else (slot, s)
+                if polytopes_touch(live[lo].polytope, live[hi].polytope):
+                    touching[slot] |= 1 << s
+                    touching[s] |= 1 << slot
+        pairs = [(i, j) for i in live
+                 for j in _bits(touching[i] >> (i + 1) << (i + 1))]
         rng.shuffle(pairs)
         consumed = set()
-        fresh: List[MergedObstacle] = []
+        merged = []
         for (i, j) in pairs:
             if i in consumed or j in consumed:
                 continue
-            first, second = state[i], state[j]
+            first, second = live[i], live[j]
             hull = convex_hull(
                 list(first.polytope.vertices) + list(second.polytope.vertices),
                 id=f"m{next_id}")
             if len(hull.halfspaces) >= (len(first.polytope.halfspaces)
                                         + len(second.polytope.halfspaces)):
                 continue
-            overlap = _pairwise_intersection_volume(first.polytope, second.polytope)
-            base = first.base_volume_mm3 + second.base_volume_mm3 - overlap
+            bases = first.base_volume_mm3 + second.base_volume_mm3
+            if not within_budget(hull.volume() - bases, bases):
+                continue
+            overlap = _pairwise_intersection_volume(first.polytope,
+                                                    second.polytope)
+            base = bases - overlap
             growth = hull.volume() - base
-            if not (growth <= abs_bound or growth * 100 <= rel * base):
+            if not within_budget(growth, base):
                 continue
             approximate = (first.base_approximate or second.base_approximate
                            or (overlap > 0 and (len(first.member_ids) > 1
@@ -142,13 +193,30 @@ def merge_obstacles(region, params: MergeParams):
                 "facets_after": len(hull.halfspaces),
                 "base_approximate": approximate,
             })
-            fresh.append(MergedObstacle(hull, base, members, approximate))
+            merged.append((i, j, MergedObstacle(hull, base, members,
+                                                approximate)))
             consumed.update((i, j))
             next_id += 1
-        if not fresh:
+        if not merged:
             break
-        state = [s for k, s in enumerate(state) if k not in consumed] + fresh
-    obstacles = [s.polytope for s in state]
+        # merged k takes slot len(touching) + k and inherits the contacts of
+        # its members, with each consumed neighbour replaced by its heir
+        dead = 0
+        heir = {}
+        for k, (i, j, _) in enumerate(merged):
+            dead |= (1 << i) | (1 << j)
+            heir[i] = heir[j] = len(touching) + k
+        fresh = []
+        for i, j, obstacle in merged:
+            reach = touching[i] | touching[j]
+            known = reach & ~dead
+            for s in _bits(reach & dead):
+                known |= 1 << heir[s]
+            fresh.append((obstacle, known & ~(1 << heir[i])))
+            del live[i], live[j]
+        for s in live:
+            touching[s] &= ~dead
+    obstacles = [m.polytope for m in live.values()]
     return dataclasses.replace(region, obstacles=obstacles), log
 
 
@@ -336,7 +404,8 @@ def contractiveness_violations(before, after, samples: Optional[int] = None,
 
 
 def write_log(path: str, entries: Sequence[dict]) -> None:
-    """Append-style JSONL dump of merge/drop log entries."""
+    """Write merge/drop log entries as JSONL, one sorted-key object per
+    line, replacing any existing file."""
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -473,6 +473,34 @@ def test_touch_oblique_kiss():
     assert polytopes_touch(a, b)
 
 
+def test_integer_bbox_matches_fraction_bbox():
+    # thirds, halves and sevenths: the common denominator is 42
+    bodies = [axis_aligned_box((F(1, 3), F(-1, 2), F(2, 7)),
+                               (F(1, 2), F(1, 7), 1)),
+              convex_hull([(F(1, 3), 0, 0), (0, F(1, 2), 0), (0, 0, F(1, 7)),
+                           (F(-1, 7), F(-1, 3), F(-1, 2))]),
+              axis_aligned_box((0, 0, 0), (F(1, 3), F(2, 3), 1))]
+    for body in bodies:
+        lo, hi, w = body.int_bbox()
+        assert w > 0
+        assert body.bbox() == (tuple(F(n, w) for n in lo),
+                               tuple(F(n, w) for n in hi))
+    assert bodies[0].int_bbox() == ((14, -21, 12), (21, 6, 42), 42)
+    assert bodies[1].int_bbox() == ((-6, -14, -21), (14, 21, 6), 42)
+    assert bodies[2].int_bbox() == ((0, 0, 0), (1, 2, 3), 3)
+
+
+def test_touch_on_integer_boxes_with_mixed_denominators():
+    left = axis_aligned_box((0, 0, 0), (F(1, 3), F(1, 2), 1))
+    # meets ``left`` exactly at x = 1/3 (boxes over 6 and 21)
+    flush = axis_aligned_box((F(1, 3), 0, 0), (F(5, 7), 1, F(1, 2)))
+    assert polytopes_touch(left, flush) and polytopes_touch(flush, left)
+    # x <= 2/7 against x >= 1/3: 1/21 apart, rejected on the boxes alone
+    short = axis_aligned_box((0, 0, 0), (F(2, 7), F(1, 2), 1))
+    assert not polytopes_touch(short, flush)
+    assert not polytopes_touch(flush, short)
+
+
 def _tetra_pair(rng, gap):
     """Two tetrahedra, each spanned by a top and a bottom edge at right
     angles.  The top edge of the first (along x at z = 1) and the bottom

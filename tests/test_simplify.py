@@ -16,22 +16,30 @@ Oracles stated up front (all volumes exact):
   here) cost growth 0 and are always dropped.
 * a hand-added non-tight halfspace has facet area 0, is visited first, and
   is dropped at growth <= 0 for any budget.
+* the merge loop that tested every pair in every sweep and computed every
+  candidate's overlap volume, kept verbatim below, gives the same log and
+  the same obstacles as ``merge_obstacles`` on seeded obstacle sets.
 """
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
+from typing import List
 
 import numpy as np
 import pytest
 
 from trunkpack.freespace import RawRegion, classify_feasible, sample_lattice_points
+from trunkpack import simplify
 from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
-                                convex_hull)
-from trunkpack.simplify import (MergeParams, contractiveness_violations,
-                                drop_facets, facet_count, merge_obstacles,
-                                read_log, shared_sample_volumes,
-                                simplification_report, write_log)
+                                convex_hull, polytopes_touch, to_fraction)
+from trunkpack.simplify import (MergedObstacle, MergeParams,
+                                _pairwise_intersection_volume,
+                                contractiveness_violations, drop_facets,
+                                facet_count, merge_obstacles, read_log,
+                                shared_sample_volumes, simplification_report,
+                                write_log)
 
 F = Fraction
 
@@ -154,6 +162,219 @@ def test_merge_budget_validation():
         MergeParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         MergeParams(0.0, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# merging against the loop that decides everything afresh in every sweep
+
+
+def oracle_merge_obstacles(region, params: MergeParams):
+    """Greedy randomized merging of touching obstacle pairs.
+
+    Returns ``(region_with_merged_obstacles, log_entries)``.  Sweeps visit
+    all currently-touching pairs in seeded random order, merging any pair
+    whose hull passes both the volume-growth budget and a strict facet-count
+    decrease; sweeps repeat until none merges.  Only geometrically touching
+    pairs are ever considered.  The union volume of chains that overlapped
+    before merging is tracked approximately (inclusion-exclusion on the
+    recorded pair only) and flagged ``base_approximate``.
+    """
+    rel = to_fraction(params.rel_bound_pct)
+    abs_bound = to_fraction(params.abs_bound_mm3)
+    rng = random.Random(params.rng_seed)
+    state = [MergedObstacle(o, o.volume(), (o.id or f"o{i}",))
+             for i, o in enumerate(region.obstacles)]
+    log: List[dict] = []
+    next_id = 0
+    while True:
+        pairs = [(i, j)
+                 for i in range(len(state))
+                 for j in range(i + 1, len(state))
+                 if polytopes_touch(state[i].polytope, state[j].polytope)]
+        rng.shuffle(pairs)
+        consumed = set()
+        fresh: List[MergedObstacle] = []
+        for (i, j) in pairs:
+            if i in consumed or j in consumed:
+                continue
+            first, second = state[i], state[j]
+            hull = convex_hull(
+                list(first.polytope.vertices) + list(second.polytope.vertices),
+                id=f"m{next_id}")
+            if len(hull.halfspaces) >= (len(first.polytope.halfspaces)
+                                        + len(second.polytope.halfspaces)):
+                continue
+            overlap = _pairwise_intersection_volume(first.polytope, second.polytope)
+            base = first.base_volume_mm3 + second.base_volume_mm3 - overlap
+            growth = hull.volume() - base
+            if not (growth <= abs_bound or growth * 100 <= rel * base):
+                continue
+            approximate = (first.base_approximate or second.base_approximate
+                           or (overlap > 0 and (len(first.member_ids) > 1
+                                                or len(second.member_ids) > 1)))
+            members = tuple(sorted(first.member_ids + second.member_ids))
+            log.append({
+                "id": hull.id,
+                "merged": sorted([first.polytope.id or first.member_ids[0],
+                                  second.polytope.id or second.member_ids[0]]),
+                "members": list(members),
+                "base_mm3": float(base),
+                "base_exact": str(base),
+                "hull_mm3": float(hull.volume()),
+                "hull_exact": str(hull.volume()),
+                "growth_mm3": float(growth),
+                "growth_exact": str(growth),
+                "facets_before": len(first.polytope.halfspaces)
+                                 + len(second.polytope.halfspaces),
+                "facets_after": len(hull.halfspaces),
+                "base_approximate": approximate,
+            })
+            fresh.append(MergedObstacle(hull, base, members, approximate))
+            consumed.update((i, j))
+            next_id += 1
+        if not fresh:
+            break
+        state = [s for k, s in enumerate(state) if k not in consumed] + fresh
+    obstacles = [s.polytope for s in state]
+    return dataclasses.replace(region, obstacles=obstacles), log
+
+
+# (rel %, abs mm^3): zero budgets, abs only, rel only, both, unlimited
+ORACLE_BUDGETS = [(0.0, 0.0), (0.0, 1.0), (25.0, 0.0), (10.0, 0.5),
+                  (50.0, 2.0), (1e9, 1e9)]
+
+
+def _oracle_case(seed):
+    """A seeded obstacle set on a grid of thirds, halves or integers: boxes
+    each flush against an earlier one at a face, an edge or a vertex,
+    overlapping it or apart from it, a pair of tetrahedra whose bounding
+    boxes overlap while the bodies do not touch, and a box that touches
+    only the hull of two others."""
+    rng = random.Random(seed)
+    unit = (F(1, 3), F(1, 2), F(1))[seed % 3]
+    grid = []
+    for _ in range(rng.randint(7, 10)):
+        size = [rng.randint(1, 3) for _ in range(3)]
+        if not grid:
+            lo = [0, 0, 0]
+        else:
+            lo0, hi0 = rng.choice(grid)
+            lo = [rng.randint(lo0[a], hi0[a] - 1) for a in range(3)]
+            kind = rng.choice(("face", "edge", "vertex", "overlap", "apart"))
+            axes = rng.sample(range(3), {"face": 1, "edge": 2, "vertex": 3,
+                                         "overlap": 0, "apart": 1}[kind])
+            for a in axes:
+                lo[a] = hi0[a] + (kind == "apart")
+        grid.append((lo, [lo[a] + size[a] for a in range(3)]))
+    obstacles = [box([c * unit for c in lo], [c * unit for c in hi], f"o{k}")
+                 for k, (lo, hi) in enumerate(grid)]
+    shift = [rng.randint(-4, 4) for _ in range(3)]
+
+    def at(p):
+        return tuple((c + t) * unit for c, t in zip(p, shift))
+
+    obstacles.append(convex_hull([at(p) for p in ((0, 0, 0), (2, 0, 0),
+                                                  (0, 2, 0), (0, 0, 2))],
+                                 id=f"o{len(obstacles)}"))
+    obstacles.append(convex_hull([at(p) for p in ((2, 2, 2), (1, 2, 2),
+                                                  (2, 1, 2), (2, 2, 1))],
+                                 id=f"o{len(obstacles)}"))
+    # an edge-touching L and a box that touches neither of its boxes but
+    # meets their hull on its diagonal facet x - y = 2 at (3, 1)
+    shift = [rng.randint(-4, 4) for _ in range(3)]
+    for lo, hi in (((0, 0, 0), (2, 2, 2)), ((2, 2, 0), (4, 4, 2)),
+                   ((3, -2, 0), (5, 1, 2))):
+        obstacles.append(box(at(lo), at(hi), f"o{len(obstacles)}"))
+    rel, abs_mm3 = ORACLE_BUDGETS[seed % len(ORACLE_BUDGETS)]
+    hull = axis_aligned_box((-60, -60, -60), (60, 60, 60), id="hull")
+    return region(hull, obstacles), MergeParams(rel, abs_mm3, rng_seed=seed)
+
+
+def _shapes(obstacles):
+    return [(o.id, [h.key() for h in o.halfspaces], [v._h for v in o.vertices])
+            for o in obstacles]
+
+
+def _counting(monkeypatch, namespace, counts, prefix):
+    """Wrap the touch test and the overlap volume seen by ``namespace``."""
+    for name, fn in (("polytopes_touch", polytopes_touch),
+                     ("_pairwise_intersection_volume",
+                      _pairwise_intersection_volume)):
+        def counted(*args, _fn=fn, _key=prefix + name):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _fn(*args)
+        if isinstance(namespace, dict):
+            monkeypatch.setitem(namespace, name, counted)
+        else:
+            monkeypatch.setattr(namespace, name, counted)
+
+
+def test_merge_matches_the_oracle_loop(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, simplify, counts, "new.")
+    _counting(monkeypatch, globals(), counts, "oracle.")
+    merges = 0
+    for seed in range(36):
+        r, params = _oracle_case(seed)
+        expect_region, expect_log = oracle_merge_obstacles(r, params)
+        got_region, got_log = merge_obstacles(r, params)
+        assert got_log == expect_log, seed
+        assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles), seed
+        merges += len(got_log)
+    assert merges > 36
+    # inherited verdicts and the zero-overlap rejection both ran
+    assert counts["new.polytopes_touch"] < counts["oracle.polytopes_touch"]
+    assert (counts["new._pairwise_intersection_volume"]
+            < counts["oracle._pairwise_intersection_volume"])
+
+
+def test_chain_of_three_sweeps_matches_the_oracle():
+    # eight flush cubes in a row merge into one at zero growth; each sweep
+    # merges an obstacle at most once, so that takes at least three sweeps
+    obstacles = [box((i * F(1, 3), 0, 0), ((i + 1) * F(1, 3), F(1, 2), 1),
+                     f"o{i}") for i in range(8)]
+    r = region(hull10(), obstacles)
+    for seed in range(3):
+        params = MergeParams(0.0, 0.0, rng_seed=seed)
+        expect_region, expect_log = oracle_merge_obstacles(r, params)
+        got_region, got_log = merge_obstacles(r, params)
+        assert len(got_region.obstacles) == 1 and len(got_log) == 7
+        assert got_log == expect_log
+        assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles)
+
+
+@pytest.mark.parametrize("rel, abs_mm3", [
+    (0.0, 1.0),    # growth 1 at overlap 0 equals the absolute bound
+    (50.0, 0.5),   # past the absolute bound; 100 * 1 == 50 * 2 exactly
+])
+def test_zero_overlap_rejection_spares_budget_boundaries(monkeypatch, rel,
+                                                         abs_mm3):
+    obstacles = [box((0, 0, 0), (1, 1, 1), "o0"),
+                 box((1, 1, 0), (2, 2, 1), "o1")]
+    params = MergeParams(rel, abs_mm3, rng_seed=2)
+    counts = {}
+    _counting(monkeypatch, simplify, counts, "new.")
+    got_region, got_log = merge_obstacles(region(hull10(), obstacles), params)
+    # the overlap was computed: the pair was not rejected at overlap 0
+    assert counts["new._pairwise_intersection_volume"] == 1
+    expect_region, expect_log = oracle_merge_obstacles(
+        region(hull10(), obstacles), params)
+    assert len(got_log) == 1 and got_log == expect_log
+    assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles)
+
+
+def test_overlap_can_still_reject_after_passing_at_zero(monkeypatch):
+    # [0,2]^2 x [0,1] and [1,3]^2 x [0,1]: bases sum 8 = hull volume, so the
+    # growth is 0 at overlap 0; the true overlap 1 makes base 7, growth 1
+    obstacles = [box((0, 0, 0), (2, 2, 1), "o0"),
+                 box((1, 1, 0), (3, 3, 1), "o1")]
+    params = MergeParams(10.0, 0.5, rng_seed=1)
+    counts = {}
+    _counting(monkeypatch, simplify, counts, "new.")
+    _, got_log = merge_obstacles(region(hull10(), obstacles), params)
+    _, expect_log = oracle_merge_obstacles(region(hull10(), obstacles), params)
+    assert counts["new._pairwise_intersection_volume"] == 1
+    assert got_log == expect_log == []
 
 
 # ---------------------------------------------------------------------------
