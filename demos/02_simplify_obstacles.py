@@ -19,7 +19,7 @@ Run:  python3 demos/02_simplify_obstacles.py
 from trunkpack.freespace import FeasibleRegion
 from trunkpack.geometry import axis_aligned_box, convex_hull
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
-                                drop_facets, facet_count, merge_obstacles)
+                                drop_facets, merge_obstacles)
 
 
 def chamfered_cube(lo, edge, cut, id):
@@ -52,7 +52,7 @@ def build_region():
 def main():
     region = build_region()
     print(f"before: {len(region.obstacles)} obstacles, "
-          f"{facet_count(region)} facets total")
+          f"{region.facet_count()} facets total")
 
     merged, merge_log = merge_obstacles(
         region, MergeParams(rel_bound_pct=25.0, abs_bound_mm3=50000.0,
@@ -71,7 +71,7 @@ def main():
               f"growth {e['growth_mm']:.2f} mm (bound {e['bound_mm']:.0f})")
 
     print(f"\nafter: {len(final.obstacles)} obstacles, "
-          f"{facet_count(final)} facets total")
+          f"{final.facet_count()} facets total")
 
     check = contractiveness_violations(region, final)
     print(f"soundness: {check['violations']} of {check['checked']} sampled "

@@ -100,8 +100,7 @@ def _json_loads_exact(text: str):
 def _mesh_trunk(triangles: Sequence[Triangle3], seed: Sequence) -> MeshTrunk:
     """Drop degenerate triangles, then build and validate the trunk."""
     kept = [tri for tri in triangles if not tri.is_degenerate()]
-    trunk = MeshTrunk(kept, Point3(*[to_fraction(c) for c in seed]),
-                      len(triangles) - len(kept))
+    trunk = MeshTrunk(kept, Point3(*seed), len(triangles) - len(kept))
     _validate_mesh(trunk)
     return trunk
 
@@ -113,8 +112,7 @@ def parse_mesh_json(obj: dict, seed_override: Optional[Sequence] = None) -> Mesh
     for raw in obj["triangles"]:
         if len(raw) != 3:
             raise TrunkFormatError("each triangle needs exactly 3 vertices")
-        tris.append(Triangle3(*[Point3(*[to_fraction(c) for c in v])
-                                for v in raw]))
+        tris.append(Triangle3(*[Point3(*v) for v in raw]))
     seed = seed_override if seed_override is not None else obj.get("seed")
     if seed is None:
         raise TrunkFormatError("mesh trunk needs a seed point (file key 'seed' "
@@ -136,7 +134,7 @@ def parse_stl_text(text: str, seed_point: Sequence) -> MeshTrunk:
         if parts[0] == "vertex":
             if len(parts) != 4:
                 raise TrunkFormatError(f"bad vertex line: {line.strip()!r}")
-            verts.append(Point3(*[to_fraction(p) for p in parts[1:4]]))
+            verts.append(Point3(*parts[1:4]))
         elif parts[0] == "endfacet":
             if len(verts) != 3:
                 raise TrunkFormatError("facet without exactly 3 vertices")
@@ -161,7 +159,7 @@ def parse_convex_json(obj: dict) -> ConvexTrunk:
         raise DegenerateTrunk("shell is empty or not full-dimensional")
     cavities = []
     for i, cav in enumerate(obj.get("cavities", [])):
-        pts = [Point3(*[to_fraction(c) for c in v]) for v in cav["vertices"]]
+        pts = [Point3(*v) for v in cav["vertices"]]
         for p in pts:
             if not shell.contains(p):
                 raise TrunkFormatError(f"cavity {i} vertex outside the shell")
@@ -219,8 +217,15 @@ def _validate_mesh(trunk: MeshTrunk) -> None:
 # regions
 
 
+class _FacetCount:
+    """The facet count both region kinds report."""
+
+    def facet_count(self) -> int:
+        return len(self.hull.halfspaces) + sum(len(o.halfspaces) for o in self.obstacles)
+
+
 @dataclass
-class RawRegion:
+class RawRegion(_FacetCount):
     """Stage-1 product: eroded hull plus unclipped Minkowski obstacles."""
 
     box_id: str
@@ -231,7 +236,7 @@ class RawRegion:
 
 
 @dataclass
-class FeasibleRegion:
+class FeasibleRegion(_FacetCount):
     """A box's feasible center set: hull minus obstacle interiors."""
 
     box_id: str
@@ -243,9 +248,6 @@ class FeasibleRegion:
     samples: int
     seed: int
     fattened: bool = False
-
-    def facet_count(self) -> int:
-        return len(self.hull.halfspaces) + sum(len(o.halfspaces) for o in self.obstacles)
 
     def volume_dm3(self) -> float:
         return self.volume_mm3 / 1e6
@@ -517,20 +519,21 @@ class _AxisSweep:
             self.keys.append(col[perm])
             del col, perm  # before the next axis allocates its own
 
-    def in_box(self, bbox, dens) -> np.ndarray:
-        """Indices of the subset's points strictly inside the exact box
-        (lo, hi).  For an integer numerator, lo_k < num_k/den_k < hi_k is
-        exactly floor(lo_k*den_k) < num_k < ceil(hi_k*den_k), so the test
-        needs no float.  Binary search on the axis with the fewest points in
-        range, then a filter on the other two."""
-        lo, hi = bbox
+    def in_box(self, int_bbox, dens) -> np.ndarray:
+        """Indices of the subset's points strictly inside the integer box
+        (lo, hi, w) of ``ConvexPolytope.int_bbox()``.  For an integer
+        numerator, lo_k/w < num_k/den_k < hi_k/w is exactly
+        floor(lo_k*den_k/w) < num_k < ceil(hi_k*den_k/w): integer floor
+        divisions, no float and no Fraction.  Binary search on the axis with
+        the fewest points in range, then a filter on the other two."""
+        lo, hi, w = int_bbox
         limits = []
         for k in range(3):
             # thresholds clamped to the points' range, so they fit int64
             keys = self.keys[k]
             first, last = int(keys[0]), int(keys[-1])
-            below = max(math.floor(lo[k] * dens[k]), first - 1)
-            above = min(math.ceil(hi[k] * dens[k]), last + 1)
+            below = max(lo[k] * dens[k] // w, first - 1)
+            above = min(-(-hi[k] * dens[k] // w), last + 1)
             if below >= above - 1:
                 return self.order[k][:0]
             limits.append((below, above))
@@ -570,7 +573,7 @@ def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
         return feasible
     sweep = _AxisSweep(pts.num, inside)
     for obs in solid:
-        cand = sweep.in_box(obs.bbox(), pts.dens)
+        cand = sweep.in_box(obs.int_bbox(), pts.dens)
         cand = cand[feasible[cand]]
         for h in obs.halfspaces:
             if cand.size == 0:

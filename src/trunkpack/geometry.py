@@ -1,15 +1,16 @@
 """Exact rational convex geometry in three dimensions.
 
-Points, halfspaces and convex polytopes are stored with exact rational
-coordinates (``fractions.Fraction``), so every predicate in this module is
-decided exactly: a point is on a plane, strictly inside, or strictly outside,
-never "within epsilon".  Floating point is deliberately absent here; callers
-that want floats convert at the boundary.
+Points, halfspaces and convex polytopes are exact, so every predicate in
+this module is decided exactly: a point is on a plane, strictly inside, or
+strictly outside, never "within epsilon".  Floating point is deliberately
+absent here; callers that want floats convert at the boundary.
 
-Internally most tests run on integers.  A point caches a homogeneous integer
-quadruple ``(x, y, z, w)`` with ``w > 0``, and a halfspace stores integer
-coefficients ``a*x + b*y + c*z <= d`` reduced to gcd 1, so the hot predicates
-(sidedness, containment, orientation) are plain integer arithmetic.
+Everything is stored as integers.  A point is a homogeneous integer quadruple
+``(x, y, z, w)`` with ``w > 0`` and gcd 1, and a halfspace stores integer
+coefficients ``a*x + b*y + c*z <= d`` reduced to gcd 1, so the predicates,
+hulls and vertex enumeration are plain integer arithmetic.  ``Fraction``
+appears only at the edges: parsing, coordinate reads, ``bbox()``, volumes
+and support values.
 """
 
 from __future__ import annotations
@@ -64,39 +65,64 @@ def _gcd4(a: int, b: int, c: int, d: int) -> int:
     return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
 
 
-class Point3:
-    """A point (or displacement) with exact rational coordinates."""
+def _scaled_ints(values: Sequence[Rational]) -> tuple:
+    """Rationals as integers over their least common denominator w > 0:
+    (list of numerators, w)."""
+    fs = [to_fraction(v) for v in values]
+    w = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (w // f.denominator) for f in fs], w
 
-    __slots__ = ("x", "y", "z", "_h")
+
+class Point3:
+    """A point (or displacement) with exact rational coordinates, stored as
+    the homogeneous integer quadruple ``_h = (x, y, z, w)``: the point is
+    (x/w, y/w, z/w), with w > 0 and gcd(x, y, z, w) = 1, so equal points
+    have equal quadruples."""
+
+    __slots__ = ("_h",)
 
     def __init__(self, x: Rational, y: Rational, z: Rational):
-        self.x = to_fraction(x)
-        self.y = to_fraction(y)
-        self.z = to_fraction(z)
-        w = lcm(self.x.denominator, self.y.denominator, self.z.denominator)
-        self._h = (
-            self.x.numerator * (w // self.x.denominator),
-            self.y.numerator * (w // self.y.denominator),
-            self.z.numerator * (w // self.z.denominator),
-            w,
-        )
+        (hx, hy, hz), w = _scaled_ints((x, y, z))
+        self._h = (hx, hy, hz, w)  # gcd 1: each coordinate is reduced
+
+    @classmethod
+    def _from_h(cls, x: int, y: int, z: int, w: int) -> "Point3":
+        """The point (x/w, y/w, z/w) from integers with w != 0."""
+        if w < 0:
+            x, y, z, w = -x, -y, -z, -w
+        g = _gcd4(x, y, z, w)
+        obj = object.__new__(cls)
+        obj._h = (x // g, y // g, z // g, w // g)
+        return obj
+
+    # read-only Fraction coordinates
+    x = property(lambda self: Fraction(self._h[0], self._h[3]))
+    y = property(lambda self: Fraction(self._h[1], self._h[3]))
+    z = property(lambda self: Fraction(self._h[2], self._h[3]))
 
     def __add__(self, other: "Point3") -> "Point3":
-        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
+        ax, ay, az, aw = self._h
+        bx, by, bz, bw = other._h
+        return Point3._from_h(ax * bw + bx * aw, ay * bw + by * aw,
+                              az * bw + bz * aw, aw * bw)
 
     def __sub__(self, other: "Point3") -> "Point3":
-        return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
+        ax, ay, az, aw = self._h
+        bx, by, bz, bw = other._h
+        return Point3._from_h(ax * bw - bx * aw, ay * bw - by * aw,
+                              az * bw - bz * aw, aw * bw)
 
     def __neg__(self) -> "Point3":
-        return Point3(-self.x, -self.y, -self.z)
+        x, y, z, w = self._h
+        return Point3._from_h(-x, -y, -z, w)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point3):
             return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
+        return self._h == other._h
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y, self.z))
+        return hash(self._h)
 
     def astuple(self) -> tuple:
         return (self.x, self.y, self.z)
@@ -109,15 +135,16 @@ class Point3:
 
 
 def dot3(u: Point3, v: Point3) -> Fraction:
-    return u.x * v.x + u.y * v.y + u.z * v.z
+    ux, uy, uz, uw = u._h
+    vx, vy, vz, vw = v._h
+    return Fraction(ux * vx + uy * vy + uz * vz, uw * vw)
 
 
 def cross3(u: Point3, v: Point3) -> Point3:
-    return Point3(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
-    )
+    ux, uy, uz, uw = u._h
+    vx, vy, vz, vw = v._h
+    return Point3._from_h(uy * vz - uz * vy, uz * vx - ux * vz,
+                          ux * vy - uy * vx, uw * vw)
 
 
 @dataclass(frozen=True)
@@ -129,8 +156,7 @@ class Triangle3:
     c: Point3
 
     def is_degenerate(self) -> bool:
-        n = cross3(self.b - self.a, self.c - self.a)
-        return n.x == 0 and n.y == 0 and n.z == 0
+        return _plane_ints(self.a._h, self.b._h, self.c._h) is None
 
     def vertices(self) -> tuple:
         return (self.a, self.b, self.c)
@@ -147,13 +173,7 @@ class Halfspace:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, normal: Sequence[Rational], offset: Rational):
-        na, nb, nc = (to_fraction(v) for v in normal)
-        nd = to_fraction(offset)
-        w = lcm(na.denominator, nb.denominator, nc.denominator, nd.denominator)
-        self._assign(na.numerator * (w // na.denominator),
-                     nb.numerator * (w // nb.denominator),
-                     nc.numerator * (w // nc.denominator),
-                     nd.numerator * (w // nd.denominator))
+        self._assign(*_scaled_ints((*normal, offset))[0])
 
     @classmethod
     def _from_ints(cls, a: int, b: int, c: int, d: int) -> "Halfspace":
@@ -173,10 +193,6 @@ class Halfspace:
     @property
     def normal(self) -> tuple:
         return (self.a, self.b, self.c)
-
-    @property
-    def offset(self) -> int:
-        return self.d
 
     def key(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
@@ -198,11 +214,6 @@ class Halfspace:
         """Translate the boundary plane: {x : normal . x <= offset + delta},
         where normal/offset are the stored canonical integers."""
         return Halfspace((self.a, self.b, self.c), Fraction(self.d) + to_fraction(delta))
-
-    def primitive(self) -> tuple:
-        """(unit-content normal, offset as a Fraction) for parallel grouping."""
-        g = gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
-        return ((self.a // g, self.b // g, self.c // g), Fraction(self.d, g))
 
     def as_dict(self) -> dict:
         return {"n": [self.a, self.b, self.c], "d": self.d}
@@ -239,9 +250,9 @@ class ConvexPolytope:
     """
 
     # _unit_rows: the float rows trunkpack.lp derives from ``halfspaces``,
-    # cached here (filled on first use) like _volume, _bbox and _ibox
+    # cached here (filled on first use) like _volume and _ibox
     __slots__ = ("halfspaces", "vertices", "id", "degenerate", "_triangles",
-                 "_volume", "_bbox", "_ibox", "_unit_rows")
+                 "_volume", "_ibox", "_unit_rows")
 
     def __init__(self, halfspaces, vertices, triangles=None, degenerate=False,
                  id: Optional[str] = None):
@@ -251,7 +262,6 @@ class ConvexPolytope:
         self.degenerate = degenerate
         self.id = id
         self._volume = None
-        self._bbox = None
         self._ibox = None
         self._unit_rows = None
 
@@ -278,10 +288,12 @@ class ConvexPolytope:
 
     def support(self, direction: Sequence[Rational]) -> Fraction:
         """max of direction . v over the polytope (exact)."""
-        dx, dy, dz = (to_fraction(v) for v in direction)
+        (dx, dy, dz), dw = _scaled_ints(direction)
         if dx == 0 and dy == 0 and dz == 0:
             raise ZeroDirection("support direction must be nonzero")
-        return max(dx * v.x + dy * v.y + dz * v.z for v in self.vertices)
+        coords, w = _int_coords(self.vertices)
+        return Fraction(max(dx * x + dy * y + dz * z for (x, y, z) in coords),
+                        w * dw)
 
     def contains(self, p: Point3) -> bool:
         if self.degenerate:
@@ -294,25 +306,20 @@ class ConvexPolytope:
         return all(h.strictly_inside(p) for h in self.halfspaces)
 
     def bbox(self) -> tuple:
-        """((minx, miny, minz), (maxx, maxy, maxz)) as Fractions."""
-        if self._bbox is None:
-            lo, hi, w = self.int_bbox()
-            self._bbox = (tuple(Fraction(n, w) for n in lo),
-                          tuple(Fraction(n, w) for n in hi))
-        return self._bbox
+        """((minx, miny, minz), (maxx, maxy, maxz)) as Fractions: the view
+        of ``int_bbox()`` for callers outside the exact kernel."""
+        lo, hi, w = self.int_bbox()
+        return (tuple(Fraction(n, w) for n in lo),
+                tuple(Fraction(n, w) for n in hi))
 
     def int_bbox(self) -> tuple:
         """The bounding box as integers over one common denominator:
         ((minx, miny, minz), (maxx, maxy, maxz), w) with w > 0 the least
         common denominator of the six corner coordinates."""
         if self._ibox is None:
-            H = [v._h for v in self.vertices]
-            w = lcm(*(h[3] for h in H))
-            xs = [h[0] * (w // h[3]) for h in H]
-            ys = [h[1] * (w // h[3]) for h in H]
-            zs = [h[2] * (w // h[3]) for h in H]
-            lo = (min(xs), min(ys), min(zs))
-            hi = (max(xs), max(ys), max(zs))
+            coords, w = _int_coords(self.vertices)
+            lo = tuple(map(min, zip(*coords)))
+            hi = tuple(map(max, zip(*coords)))
             g = gcd(w, *lo, *hi)
             self._ibox = (tuple(n // g for n in lo), tuple(n // g for n in hi),
                           w // g)
@@ -364,6 +371,23 @@ def _plane_ints(P, Q, R):
     d = ax * px + ay * py + az * pz
     g = _gcd4(a, b, c, d)
     return (a // g, b // g, c // g, d // g)
+
+
+def _int_coords(points) -> tuple:
+    """The points' (x, y, z) as integers over their least common
+    denominator w: (list of integer triples, w).  One positive scale for
+    all points keeps their order and orientation."""
+    H = [p._h for p in points]
+    w = lcm(*(h[3] for h in H))
+    return [(x * (w // pw), y * (w // pw), z * (w // pw))
+            for (x, y, z, pw) in H], w
+
+
+def _sorted_points(points) -> list:
+    """The points in (x, y, z) order, compared as integers."""
+    pts = list(points)
+    keys = _int_coords(pts)[0]
+    return [pts[i] for i in sorted(range(len(pts)), key=keys.__getitem__)]
 
 
 def _plane_eval(plane, H):
@@ -419,13 +443,7 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     when the halfspace list is assembled.  Raises DegenerateInput when all
     points are coplanar.
     """
-    pts = []
-    seen = set()
-    for raw in points:
-        p = _as_point(raw)
-        if p._h not in seen:
-            seen.add(p._h)
-            pts.append(p)
+    pts = list(dict.fromkeys(_as_point(raw) for raw in points))
     H = [p._h for p in pts]
     n = len(pts)
     basis = _affine_basis(H)
@@ -434,11 +452,8 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     i0, i1, i2, i3 = basis
 
     # strictly interior reference point: average of the initial simplex
-    ref = Point3(
-        (pts[i0].x + pts[i1].x + pts[i2].x + pts[i3].x) / 4,
-        (pts[i0].y + pts[i1].y + pts[i2].y + pts[i3].y) / 4,
-        (pts[i0].z + pts[i1].z + pts[i2].z + pts[i3].z) / 4,
-    )._h
+    rx, ry, rz, rw = (pts[i0] + pts[i1] + pts[i2] + pts[i3])._h
+    ref = (rx, ry, rz, 4 * rw)
 
     def oriented(a, b, c):
         pl = _plane_ints(H[a], H[b], H[c])
@@ -493,8 +508,7 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     halfspaces = [Halfspace._from_ints(*pl) for pl in sorted(plane_groups)]
     # a point on three distinct facet planes of a convex polytope is a vertex
     extremes = [idx for idx, pls in point_planes.items() if len(pls) >= 3]
-    vertices = sorted((pts[i] for i in extremes),
-                      key=lambda p: (p.x, p.y, p.z))
+    vertices = _sorted_points(pts[i] for i in extremes)
     triangles = [(pts[a], pts[b], pts[c]) for (a, b, c, _pl) in facets]
 
     for hs in halfspaces:
@@ -508,17 +522,11 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
 
 def axis_aligned_box(min_corner, max_corner, id: Optional[str] = None) -> ConvexPolytope:
     """Axis-aligned box from opposite corners (exclusive of flat boxes)."""
-    lo = _as_point(min_corner)
-    hi = _as_point(max_corner)
-    if not (lo.x < hi.x and lo.y < hi.y and lo.z < hi.z):
+    lo, hi = _as_point(min_corner), _as_point(max_corner)
+    if not all(a < b for a, b in zip(lo, hi)):
         raise DegenerateInput("axis_aligned_box needs strictly positive extents")
-    corners = [
-        Point3(x, y, z)
-        for x in (lo.x, hi.x)
-        for y in (lo.y, hi.y)
-        for z in (lo.z, hi.z)
-    ]
-    return convex_hull(corners, id=id)
+    return convex_hull([(x, y, z) for x in (lo.x, hi.x) for y in (lo.y, hi.y)
+                        for z in (lo.z, hi.z)], id=id)
 
 
 def minkowski_sum_convex(p: ConvexPolytope, q: ConvexPolytope,
@@ -552,23 +560,23 @@ def _dedupe_dominated(halfspaces):
     keep only the tightest one."""
     best = {}
     for h in halfspaces:
-        norm, off = h.primitive()
+        # h is g * (unit-content normal) . x <= d: its offset there is d/g
+        g = gcd(h.a, h.b, h.c)
+        norm = (h.a // g, h.b // g, h.c // g)
         cur = best.get(norm)
-        if cur is None or off < cur[0]:
-            best[norm] = (off, h)
-    return [h for (_off, h) in sorted(best.values(), key=lambda t: t[1].key())]
+        if cur is None or h.d * cur[0] < cur[1].d * g:
+            best[norm] = (g, h)
+    return [h for (_g, h) in sorted(best.values(), key=lambda t: t[1].key())]
 
 
-def _vertex_candidates(rows):
-    """All feasible intersection points of plane triples, as reduced
-    homogeneous integer quadruples with positive w."""
+def _vertex_candidates(rows) -> list:
+    """All distinct feasible intersection points of plane triples."""
     cands = {}
     m = len(rows)
     for i in range(m):
         ai, bi, ci, di = rows[i]
         for j in range(i + 1, m):
             aj, bj, cj, dj = rows[j]
-            # cofactors reused across k
             for k in range(j + 1, m):
                 ak, bk, ck, dk = rows[k]
                 mbc = bj * ck - cj * bk
@@ -585,18 +593,13 @@ def _vertex_candidates(rows):
                 Y = ai * mdc - di * mac + ci * mad
                 Z = ai * mbd - bi * mad + di * mab
                 if det < 0:
-                    X, Y, Z, det2 = -X, -Y, -Z, -det
-                else:
-                    det2 = det
-                ok = True
+                    X, Y, Z, det = -X, -Y, -Z, -det
                 for (a, b, c, d) in rows:
-                    if a * X + b * Y + c * Z > d * det2:
-                        ok = False
+                    if a * X + b * Y + c * Z > d * det:
                         break
-                if ok:
-                    g = _gcd4(X, Y, Z, det2)
-                    cands[(X // g, Y // g, Z // g, det2 // g)] = True
-    return cands
+                else:
+                    cands[Point3._from_h(X, Y, Z, det)] = True
+    return list(cands)
 
 
 def _hull2d_extremes(pairs):
@@ -624,25 +627,22 @@ def _hull2d_extremes(pairs):
 def _degenerate_from_points(points, id=None) -> ConvexPolytope:
     """Flat polytope (point, segment, or polygon) holding the extreme points
     of a point set that is not full-dimensional."""
-    basis = _affine_basis([p._h for p in points])
-    p0 = points[0]
+    H = [p._h for p in points]
+    basis = _affine_basis(H)
     if len(basis) == 1:
-        verts = [p0]
+        verts = [points[0]]
     elif len(basis) == 2:
-        direction = points[basis[1]] - p0
-        params = [(dot3(direction, p - p0), p) for p in points]
-        params.sort(key=lambda t: t[0])
-        verts = [params[0][1]]
-        if params[-1][1] != params[0][1]:
-            verts.append(params[-1][1])
+        # along a line, (x, y, z) order is the order of the line parameter
+        ordered = _sorted_points(points)
+        verts = [ordered[0], ordered[-1]]
     else:
-        normal = cross3(points[basis[1]] - p0, points[basis[2]] - p0)
-        drop = max(range(3), key=lambda i: abs(normal.astuple()[i]))
+        # project along the axis where the plane's normal is largest
+        normal = _plane_ints(H[basis[0]], H[basis[1]], H[basis[2]])
+        drop = max(range(3), key=lambda i: abs(normal[i]))
         keep = [i for i in range(3) if i != drop]
-        pairs = [(p.astuple()[keep[0]], p.astuple()[keep[1]]) for p in points]
-        idx = _hull2d_extremes(pairs)
-        verts = [points[i] for i in idx]
-    verts = sorted(set(verts), key=lambda p: (p.x, p.y, p.z))
+        pairs = [(c[keep[0]], c[keep[1]]) for c in _int_coords(points)[0]]
+        verts = [points[i] for i in _hull2d_extremes(pairs)]
+    verts = _sorted_points(dict.fromkeys(verts))
     return ConvexPolytope([], verts, triangles=[], degenerate=True, id=id)
 
 
@@ -652,12 +652,10 @@ def _polytope_from_rows(halfspaces, id=None):
     boundedness."""
     hs = _dedupe_dominated(halfspaces)
     rows = [h.key() for h in hs]
-    cands = _vertex_candidates(rows)
-    if not cands:
+    points = _vertex_candidates(rows)
+    if not points:
         return None
-    points = [Point3(Fraction(X, W), Fraction(Y, W), Fraction(Z, W))
-              for (X, Y, Z, W) in cands]
-    if len(_affine_basis(list(cands))) == 4:
+    if len(_affine_basis([p._h for p in points])) == 4:
         return convex_hull(points, id=id)
     return _degenerate_from_points(points, id=id)
 
@@ -734,11 +732,7 @@ def fm_feasible(rows, nvars: int) -> bool:
     """
     work = set()
     for coeffs, rhs in rows:
-        cs = [to_fraction(c) for c in coeffs]
-        r = to_fraction(rhs)
-        den = lcm(r.denominator, *(c.denominator for c in cs))
-        ics = tuple(int(c * den) for c in cs)
-        ir = int(r * den)
+        (*ics, ir), _ = _scaled_ints((*coeffs, rhs))
         if all(c == 0 for c in ics):
             if ir < 0:
                 return False

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,8 +52,7 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         format_region_report)
 from .geometry import GeometryError, convex_hull
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
-                       MergeParams, drop_facets, facet_count,
-                       merge_obstacles, write_log)
+                       MergeParams, drop_facets, merge_obstacles, write_log)
 from .search import (PackingResult, SearchConfig, SearchStats,
                      enumerate_patterns, validate_packing)
 
@@ -108,6 +108,12 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
+        for name in ("merge_rel_pct", "merge_abs_mm3", "drop_growth_mm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
+            raise ValueError(f"time_limit_s must be positive, got {self.time_limit_s}")
         if self.trunk_format not in _TRUNK_FORMATS + ("auto",):
             raise ValueError(f"unknown trunk format {self.trunk_format!r}")
         stages = tuple(self.stages)
@@ -308,8 +314,8 @@ def _simplify_task(args):
     final = dataclasses.replace(final, volume_mm3=vol_after,
                                 volume_stderr_mm3=stderr)
 
-    fc_before = facet_count(region)
-    fc_after = facet_count(final)
+    fc_before = region.facet_count()
+    fc_after = final.facet_count()
     vol_before = region.volume_mm3
     row = {
         "box": box_id,

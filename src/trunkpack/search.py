@@ -69,7 +69,7 @@ class SearchConfig:
     root_parallelism: int = 1
 
     def __post_init__(self):
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
             raise ValueError("time_limit_s must be positive")
         if self.root_parallelism != 1:
             raise ValueError("root_parallelism must be 1: the search is "
@@ -273,7 +273,7 @@ def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
     bounds = []
     extents = []
     for box, orientation in placements:
-        bounds.append(regions[(box.id, orientation)].hull.bbox())
+        bounds.append(regions[(box.id, orientation)].hull.int_bbox())
         extents.append(oriented_extents(box.dims_mm, orientation))
     n = len(placements)
     for axis in range(3):
@@ -287,16 +287,15 @@ def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
         if not any(indegree):
             continue
         # doubled coordinates (integer gaps), each an exact num/den, den > 0
-        earliest = [(2 * low[axis].numerator, low[axis].denominator)
-                    for low, _ in bounds]
+        earliest = [(2 * lo[axis], w) for lo, _, w in bounds]
         ready = [k for k in range(n) if indegree[k] == 0]
         reached = 0
         while ready:
             u = ready.pop()
             reached += 1
             num, den = earliest[u]
-            upper = bounds[u][1][axis]
-            if num * upper.denominator > 2 * upper.numerator * den:
+            _, hi, w = bounds[u]
+            if num * w > 2 * hi[axis] * den:
                 return False
             for v in succ[u]:
                 start = num + (extents[u][axis] + extents[v][axis]) * den

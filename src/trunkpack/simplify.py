@@ -364,11 +364,6 @@ def shared_sample_volumes(before, after, samples: Optional[int] = None,
     return pts, mask_before, mask_after, _bbox_volume(bbox)
 
 
-def facet_count(region) -> int:
-    return (len(region.hull.halfspaces)
-            + sum(len(o.halfspaces) for o in region.obstacles))
-
-
 def simplification_report(before, after, samples: Optional[int] = None,
                           seed: Optional[int] = None) -> dict:
     """Volume and facet-count ratios of a simplified region against the
@@ -378,8 +373,8 @@ def simplification_report(before, after, samples: Optional[int] = None,
     n = len(mask_b)
     vol_b, _ = _hit_volume(bbox_vol, int(mask_b.sum()), n)
     vol_a, _ = _hit_volume(bbox_vol, int(mask_a.sum()), n)
-    fc_b = facet_count(before)
-    fc_a = facet_count(after)
+    fc_b = before.facet_count()
+    fc_a = after.facet_count()
     return {
         "box": before.box_id,
         "orientation": before.orientation,

@@ -32,7 +32,7 @@ from trunkpack.lp import maximize_direction
 from trunkpack.pipeline import format_simplify_report, simplify_report_csv
 from trunkpack.search import SearchConfig, enumerate_patterns, validate_packing
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
-                                drop_facets, facet_count, merge_obstacles)
+                                drop_facets, merge_obstacles)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -309,7 +309,7 @@ def test_criterion_04_simplification_never_frees_forbidden_space():
         assert check["checked"] == _SIMPLIFY_SAMPLES
         assert check["violations"] == 0
         if merge_log or drop_log:
-            assert facet_count(final) < facet_count(region)
+            assert final.facet_count() < region.facet_count()
         merges += len(merge_log)
         drops += len([e for e in drop_log if e["status"] == "dropped"])
     assert merges >= 3

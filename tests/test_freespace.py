@@ -7,6 +7,7 @@ is checked against hand-placed inside/outside/on-surface points.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from trunkpack.freespace import (
     MeshTrunk,
     RawRegion,
     TrunkFormatError,
+    _AxisSweep,
     classify_feasible,
     compute_feasible_region,
     describe_region,
@@ -562,6 +564,41 @@ def test_classify_culled_matches_brute_force_predicate():
     expect = _brute_force_mask(pts, hull, obstacles)
     assert expect.any() and not expect.all()
     assert (classify_feasible(pts, hull, obstacles) == expect).all()
+
+
+def test_sweep_in_box_matches_fraction_comparison():
+    # box corners with denominators that do not divide the lattice's, so the
+    # integer floor and ceil thresholds fall strictly between lattice points
+    rng = random.Random(12)
+    dens = (10, 7, 12)
+    boxes = []
+    for _ in range(25):
+        lo = [F(rng.randint(-40, 30), rng.choice((1, 3, 7, 11))) for _ in range(3)]
+        hi = [a + F(rng.randint(1, 40), rng.choice((1, 2, 9, 13))) for a in lo]
+        boxes.append(axis_aligned_box(lo, hi).int_bbox())
+    rows = [[rng.randint(-500, 500) for _ in range(3)] for _ in range(400)]
+    for (lo, hi, w) in boxes:
+        # the lattice points next to each face, on both sides, with the
+        # other coordinates inside the box's range
+        span = [(math.floor(F(lo[k] * dens[k], w)),
+                 math.ceil(F(hi[k] * dens[k], w))) for k in range(3)]
+        for k in range(3):
+            for edge in span[k]:
+                for step in (-1, 0, 1):
+                    row = [rng.randint(a, b) for (a, b) in span]
+                    row[k] = edge + step
+                    rows.append(row)
+    num = np.array(rows, dtype=np.int64)
+    subset = np.array(sorted(rng.sample(range(len(rows)), 3 * len(rows) // 4)))
+    sweep = _AxisSweep(num, subset)
+    found = 0
+    for (lo, hi, w) in boxes:
+        expect = [i for i in subset
+                  if all(F(lo[k], w) < F(int(num[i, k]), dens[k]) < F(hi[k], w)
+                         for k in range(3))]
+        assert sorted(sweep.in_box((lo, hi, w), dens).tolist()) == expect
+        found += len(expect)
+    assert found
 
 
 def test_flat_obstacle_forbids_nothing():

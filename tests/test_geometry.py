@@ -6,6 +6,7 @@ identity (support additivity under Minkowski sums, hull invariance under
 interior points).  Everything is exact, so comparisons use == on Fractions.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from trunkpack.geometry import (
     _polytope_from_rows,
     axis_aligned_box,
     convex_hull,
+    cross3,
     fm_feasible,
     intersect_halfspaces,
     minkowski_sum_convex,
@@ -419,6 +421,23 @@ def test_intersect_redundant_halfspaces_removed():
     assert len(poly.halfspaces) == 6
 
 
+def test_parallel_rows_keep_the_tightest_whatever_their_scale():
+    # 2x <= 1 and 3x <= 2 are tighter than x <= 1 though their offsets are
+    # not smaller, and 4x <= 3 is looser than 2x <= 1 with a larger scale
+    cube = unit_cube().halfspaces
+    for extra, tight_x in [([Halfspace((2, 0, 0), 1)], F(1, 2)),
+                           ([Halfspace((3, 0, 0), 2)], F(2, 3)),
+                           ([Halfspace((2, 0, 0), 1), Halfspace((4, 0, 0), 3)],
+                            F(1, 2)),
+                           ([Halfspace((4, 0, 0), 3), Halfspace((2, 0, 0), 1)],
+                            F(1, 2))]:
+        for rows in (cube + extra, extra + cube):
+            poly = _polytope_from_rows(rows)
+            assert volume(poly) == tight_x
+            assert len(poly.halfspaces) == 6
+            assert max(v.x for v in poly.vertices) == tight_x
+
+
 def test_intersect_membership_consistency():
     rng = random.Random(4242)
     region = intersect_halfspaces(
@@ -593,3 +612,145 @@ def test_point_cache_matches_fractions():
     assert F(hx, w) == F(3, 4)
     assert F(hy, w) == F(-2, 5)
     assert F(hz, w) == 7
+
+
+# ---------------------------------------------------------------------------
+# the integer point: checked against Fraction arithmetic
+
+
+def _seeded_rationals(rng, n):
+    """n rationals with mixed denominators, negatives and zeros."""
+    dens = (1, 1, 2, 3, 4, 7, 10, 12, 35, 1024)
+    return [F(rng.randint(-60, 60), rng.choice(dens)) for _ in range(n)]
+
+
+def _canonical(p):
+    x, y, z, w = p._h
+    return w > 0 and math.gcd(x, y, z, w) == 1
+
+
+def test_integer_point_agrees_with_fractions():
+    rng = random.Random(8)
+    values = _seeded_rationals(rng, 240)
+    assert F(0) in values and any(v < 0 for v in values)
+    assert len({v.denominator for v in values}) >= 6
+    pts = [Point3(*values[i:i + 3]) for i in range(0, len(values), 3)]
+    others = rng.sample(pts, len(pts))
+    for p, q in zip(pts, others):
+        assert _canonical(p)
+        assert all(isinstance(c, Fraction) for c in p.astuple())
+        x, y, z, w = p._h
+        for k in (1, 2, 6, 35, -1, -12):
+            same = Point3._from_h(k * x, k * y, k * z, k * w)
+            assert same == p and hash(same) == hash(p) and same._h == p._h
+        rebuilt = Point3(str(p.x), p.y, float(p.z) if p.z.denominator == 1
+                         else p.z)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        for got, expect in [
+                (p + q, [a + b for a, b in zip(p, q)]),
+                (p - q, [a - b for a, b in zip(p, q)]),
+                (-p, [-a for a in p])]:
+            assert _canonical(got)
+            assert list(got) == expect
+        assert (p == q) == (p.astuple() == q.astuple())
+    assert len(set(pts + [Point3(*p) for p in pts])) == len(set(pts))
+
+
+def test_integer_vertex_order_matches_fraction_order():
+    rng = random.Random(9)
+    values = _seeded_rationals(rng, 300)
+    pts = [Point3(*values[i:i + 3]) for i in range(0, len(values), 3)]
+    pts += rng.sample(pts, 20)      # repeats
+    # ties on x and on (x, y)
+    pts += [Point3(pts[0].x, v, w) for v, w in zip(values[:8], values[8:16])]
+    pts += [Point3(pts[1].x, pts[1].y, v) for v in values[16:24]]
+    rng.shuffle(pts)
+    expect = sorted(pts, key=lambda p: (p.x, p.y, p.z))
+    assert [p.astuple() for p in geometry._sorted_points(pts)] == \
+        [p.astuple() for p in expect]
+
+
+def _fraction_flat_extremes(points):
+    """Reference for _degenerate_from_points on Fraction coordinates: the
+    two ends of a collinear set along its direction, or the corners of a
+    coplanar set by a monotone chain on its projection."""
+    coords = sorted({p.astuple() for p in points})
+
+    def sub(a, b):
+        return tuple(s - t for s, t in zip(a, b))
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    if len(coords) == 1:
+        return coords
+    p0 = coords[0]
+    d = sub(coords[1], p0)
+    normal = next((n for n in (cross(d, sub(c, p0)) for c in coords)
+                   if any(n)), None)
+    if normal is None:
+        along = sorted(coords, key=lambda c: sum(s * t for s, t in
+                                                 zip(sub(c, p0), d)))
+        return sorted({along[0], along[-1]})
+    drop = max(range(3), key=lambda i: abs(normal[i]))
+    keep = [i for i in range(3) if i != drop]
+    flat = sorted(coords, key=lambda c: (c[keep[0]], c[keep[1]]))
+
+    def turn(o, a, b):
+        return ((a[keep[0]] - o[keep[0]]) * (b[keep[1]] - o[keep[1]])
+                - (a[keep[1]] - o[keep[1]]) * (b[keep[0]] - o[keep[0]]))
+
+    chain = []
+    for seq in (flat, flat[::-1]):
+        part = []
+        for c in seq:
+            while len(part) >= 2 and turn(part[-2], part[-1], c) <= 0:
+                part.pop()
+            part.append(c)
+        chain += part[:-1]
+    return sorted(set(chain))
+
+
+def test_degenerate_extremes_match_fraction_reference():
+    rng = random.Random(10)
+    values = _seeded_rationals(rng, 400)
+    take = iter(values * 4).__next__
+
+    def rand_point():
+        return Point3(take(), take(), take())
+
+    def nonzero_vector():
+        v = rand_point()
+        return v if v != Point3(0, 0, 0) else Point3(1, take(), 0)
+
+    axis = [Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1)]
+    kinds = set()
+    for trial in range(60):
+        p0 = rand_point()
+        u = axis[trial % 3] if trial % 4 == 0 else nonzero_vector()
+        if trial % 2 == 0:
+            # collinear: points p0 + t*u, with repeats and interior points
+            ts = [take() for _ in range(rng.randint(2, 8))]
+            pts = [p0 + Point3(*(t * c for c in u)) for t in ts]
+        else:
+            v = axis[(trial + 1) % 3] if trial % 4 == 1 else nonzero_vector()
+            if cross3(u, v) == Point3(0, 0, 0):
+                v = next(a for a in axis if cross3(u, a) != Point3(0, 0, 0))
+            # coplanar: a grid (edge and interior points) plus random points
+            n = rng.randint(1, 3)
+            pts = [p0 + Point3(*(F(s, n) * a + F(t, n) * b
+                                 for a, b in zip(u, v)))
+                   for s in range(n + 1) for t in range(n + 1)]
+            for _ in range(rng.randint(0, 6)):
+                s, t = take(), take()
+                pts.append(p0 + Point3(*(s * a + t * b for a, b in zip(u, v))))
+        pts += rng.sample(pts, min(3, len(pts)))
+        rng.shuffle(pts)
+        assert len(geometry._affine_basis([p._h for p in pts])) < 4
+        flat = geometry._degenerate_from_points(pts)
+        assert flat.degenerate
+        got = [v.astuple() for v in flat.vertices]
+        assert got == _fraction_flat_extremes(pts)
+        kinds.add(min(len(got), 3))
+    assert kinds == {2, 3}

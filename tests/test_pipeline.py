@@ -11,6 +11,7 @@ Oracles fixed up front:
 * A 50 mm cube cannot hold box T in any orientation: every region is empty.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -89,6 +90,20 @@ def artifact_map(out_dir):
     return found
 
 
+def artifact_digest(out_dir):
+    """SHA-256 over the sorted (path, bytes) of every region file, log and
+    report, plus packing.json without its wall time."""
+    found = artifact_map(out_dir)
+    found["packing.json"] = json.dumps(load_packing(out_dir),
+                                       sort_keys=True).encode()
+    digest = hashlib.sha256()
+    for rel in sorted(found):
+        data = found[rel]
+        digest.update(f"{rel.replace(os.sep, '/')}\0{len(data)}\0".encode()
+                      + data)
+    return digest.hexdigest()
+
+
 def test_full_pipeline_mesh_cube_one_box(tmp_path):
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
     out = tmp_path / "out"
@@ -128,6 +143,11 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
     assert abs(payload["volume_dm3"] - 134.94054) < 1e-6
     assert payload["validation"]["valid"]
     assert not payload["timed_out"]
+
+    # every region file, log and report byte for byte (paths included), as
+    # written before points were stored as integer quadruples only
+    assert artifact_digest(out) == \
+        "ad9a97f736747df7b2b9f1c0dddddb0c249382b5d2ce41213d393a6c5d3bb453"
 
 
 def test_simplify_report_counts_only_dropped_facets(tmp_path, monkeypatch):
@@ -384,7 +404,7 @@ def test_cli_flags_drive_a_full_run(tmp_path):
                              "simplified_T_xyz.json", "simplified_T_zyx.json"]
 
 
-def test_cli_rejects_bad_usage(tmp_path):
+def test_cli_rejects_bad_usage(tmp_path, capsys):
     trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
     assert main(["--trunk", trunk, "--stages", "freespace,enumerate",
                  "--out", str(tmp_path / "o")]) == 2
@@ -392,6 +412,19 @@ def test_cli_rejects_bad_usage(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["--trunk", trunk, "--workers", "0",
                  "--out", str(tmp_path / "o")]) == 2
+    # bad numeric flag values are refused before any stage runs
+    catalog = make_box_t_catalog(tmp_path)
+    capsys.readouterr()
+    for flag, value in [("--time-limit", "0"), ("--time-limit", "-5"),
+                        ("--time-limit", "nan"), ("--merge-rel", "-1"),
+                        ("--merge-abs", "-1"), ("--drop-growth", "-1"),
+                        ("--merge-rel", "nan"), ("--merge-abs", "inf"),
+                        ("--drop-growth", "nan"), ("--drop-growth", "inf")]:
+        out = tmp_path / "bad"
+        assert main(["--trunk", trunk, "--catalog", catalog, flag, value,
+                     "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (out / "regions").exists()
 
 
 def test_runconfig_validation():
@@ -409,6 +442,15 @@ def test_runconfig_validation():
         RunConfig(trunk_format="step")
     with pytest.raises(ValueError):
         RunConfig(mc_samples=0)
+    for name in ("merge_rel_pct", "merge_abs_mm3", "drop_growth_mm"):
+        for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                RunConfig(**{name: bad})
+        assert getattr(RunConfig(**{name: 0.0}), name) == 0.0
+    for bad in (0.0, -5.0, float("nan")):
+        with pytest.raises(ValueError):
+            RunConfig(time_limit_s=bad)
+    assert RunConfig(time_limit_s=0.5).time_limit_s == 0.5
     assert RunConfig(stages=("describe", "simplify")).stages == \
         ("describe", "simplify")
     assert RunConfig().stages == STAGES

@@ -37,7 +37,7 @@ from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
 from trunkpack.simplify import (MergedObstacle, MergeParams,
                                 _pairwise_intersection_volume,
                                 contractiveness_violations, drop_facets,
-                                facet_count, merge_obstacles, read_log,
+                                merge_obstacles, read_log,
                                 shared_sample_volumes, simplification_report,
                                 write_log)
 
@@ -76,7 +76,7 @@ def test_flush_cubes_merge_at_zero_budget():
     assert entry["growth_exact"] == "0"
     assert entry["facets_before"] == 12 and entry["facets_after"] == 6
     assert entry["base_approximate"] is False
-    assert facet_count(out) < facet_count(r)
+    assert out.facet_count() < r.facet_count()
 
 
 def test_non_touching_pair_never_merged():
@@ -424,7 +424,7 @@ def test_redundant_halfspace_drops_first_at_any_budget():
     assert entry["growth_mm"] == -2.0
     assert out.obstacles[0].volume() == 1
     assert len(out.obstacles[0].halfspaces) == 6
-    assert facet_count(out) == facet_count(r) - 1
+    assert out.facet_count() == r.facet_count() - 1
 
 
 def test_interior_obstacle_keeps_all_facets_at_small_budget():
