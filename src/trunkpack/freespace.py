@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trunkpack.catalog import BoxType, half_extents, oriented_extents
+from trunkpack.catalog import BoxType, half_extents
 from trunkpack.geometry import (
     ConvexPolytope,
     DegenerateInput,
@@ -837,15 +837,24 @@ def _polytope_to_dict(p: ConvexPolytope) -> dict:
     return {"halfspaces": [h.as_dict() for h in p.halfspaces]}
 
 
-def _polytope_from_halfspaces(obj: dict, id: Optional[str] = None) -> ConvexPolytope:
+def _polytope_from_halfspaces(obj: dict, id: str,
+                              memo: dict) -> ConvexPolytope:
     """Rebuild a stored polytope.  Stored halfspace lists are complete (they
-    were emitted from bounded polytopes), so no extra bounding is needed."""
+    were emitted from bounded polytopes), so no extra bounding is needed.
+
+    ``memo`` maps canonical row lists to polytopes already rebuilt: a
+    repeated list becomes a copy of the earlier polytope under ``id``, since
+    its boundedness and its vertices depend on the rows only."""
     rows = [Halfspace(h["n"], h["d"]) for h in obj["halfspaces"]]
+    key = tuple(h.key() for h in rows)
+    if key in memo:
+        return memo[key].with_id(id)
     if not halfspaces_bounded(rows):
         raise GeometryError(f"stored polytope {id!r} is unbounded")
     poly = _polytope_from_rows(rows, id=id)
     if poly is None or poly.degenerate:
         raise GeometryError(f"stored polytope {id!r} is empty or flat")
+    memo[key] = poly
     return poly
 
 
@@ -870,12 +879,18 @@ def empty_region_dict(box_id: str, orientation: str) -> dict:
 
 
 def region_from_dict(obj: dict):
-    """Rebuild a RawRegion or FeasibleRegion (None for an empty marker)."""
+    """Rebuild a RawRegion or FeasibleRegion (None for an empty marker).
+
+    Each distinct stored obstacle is decoded, bounds-checked and enumerated
+    once per call; a repeat becomes its own polytope ``o<i>`` sharing the
+    first one's lists, so a bad obstacle is still reported at its first
+    index."""
     if obj.get("empty"):
         return None
+    memo = {}
     hull = _polytope_from_halfspaces(
-        obj["hull"], id=f"{obj['box']}:{obj['orientation']}:hull")
-    obstacles = [_polytope_from_halfspaces(o, id=f"o{i}")
+        obj["hull"], f"{obj['box']}:{obj['orientation']}:hull", memo)
+    obstacles = [_polytope_from_halfspaces(o, f"o{i}", memo)
                  for i, o in enumerate(obj["obstacles"])]
     if "volume_mm3" in obj:
         return FeasibleRegion(obj["box"], obj["orientation"], hull, obstacles,

@@ -67,7 +67,9 @@ def _gcd4(a: int, b: int, c: int, d: int) -> int:
 
 def _scaled_ints(values: Sequence[Rational]) -> tuple:
     """Rationals as integers over their least common denominator w > 0:
-    (list of numerators, w)."""
+    (list of numerators, w).  Plain ints pass through with w = 1."""
+    if all(type(v) is int for v in values):  # not bool, which must raise
+        return list(values), 1
     fs = [to_fraction(v) for v in values]
     w = lcm(*(f.denominator for f in fs))
     return [f.numerator * (w // f.denominator) for f in fs], w
@@ -265,25 +267,36 @@ class ConvexPolytope:
         self._ibox = None
         self._unit_rows = None
 
+    def with_id(self, id: Optional[str]) -> "ConvexPolytope":
+        """The same polytope under another id: it shares this one's lists
+        and cached values, which neither copy may modify."""
+        obj = object.__new__(ConvexPolytope)
+        for name in ConvexPolytope.__slots__:
+            setattr(obj, name, getattr(self, name))
+        obj.id = id
+        return obj
+
     def volume(self) -> Fraction:
         """Exact volume, from the divergence theorem over the boundary
-        triangulation.  Zero for degenerate polytopes."""
+        triangulation: the triangles' integer determinants summed over one
+        common denominator.  Zero for degenerate polytopes."""
         if self._volume is None:
             if self.degenerate:
                 self._volume = Fraction(0)
             else:
-                total = 0
+                dets = []
+                dens = []
                 for (pa, pb, pc) in self._triangles:
                     ax, ay, az, aw = pa._h
                     bx, by, bz, bw = pb._h
                     cx, cy, cz, cw = pc._h
-                    det = (
-                        ax * (by * cz - bz * cy)
-                        - ay * (bx * cz - bz * cx)
-                        + az * (bx * cy - by * cx)
-                    )
-                    total += Fraction(det, aw * bw * cw)
-                self._volume = total / 6
+                    dets.append(ax * (by * cz - bz * cy)
+                                - ay * (bx * cz - bz * cx)
+                                + az * (bx * cy - by * cx))
+                    dens.append(aw * bw * cw)
+                w = lcm(*dens)
+                total = sum(det * (w // den) for det, den in zip(dets, dens))
+                self._volume = Fraction(total, 6 * w)
         return self._volume
 
     def support(self, direction: Sequence[Rational]) -> Fraction:

@@ -36,6 +36,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         format_region_report)
 from .geometry import GeometryError, convex_hull
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
-                       MergeParams, drop_facets, merge_obstacles, write_log)
+                       MergeParams, drop_facets, format_log, merge_obstacles)
 from .search import (PackingResult, SearchConfig, SearchStats,
                      enumerate_patterns, validate_packing)
 
@@ -191,6 +192,21 @@ class RunPaths:
     def ensure_dirs(self) -> None:
         for d in (self.root, self.regions, self.logs, self.reports):
             d.mkdir(parents=True, exist_ok=True)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write an artifact through a temporary file in the same directory and
+    ``os.replace``, so a run that fails while writing leaves the old file
+    or none at ``path``, never a partial one for a later run to take as
+    cached."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def stage_outputs(stage: str, paths: RunPaths,
@@ -437,7 +453,7 @@ def export_packing_obj(path, placements, trunk=None) -> None:
         for quad in quads:
             lines.append("f " + " ".join(str(base + q) for q in quad))
         offset += 8
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +475,7 @@ def _stage_freespace(config: RunConfig, paths: RunPaths, combos) -> None:
         raise PipelineError(EXIT_MALFORMED,
                             f"malformed trunk {config.trunk}: {exc}")
     for box_id, orient, text in results:
-        paths.raw(box_id, orient).write_text(text, encoding="utf-8")
+        _write_atomic(paths.raw(box_id, orient), text)
 
 
 def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
@@ -473,13 +489,12 @@ def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
                             f"cannot describe the feasible regions: {exc}")
     rows = []
     for box_id, orient, text, row in results:
-        paths.feasible(box_id, orient).write_text(text, encoding="utf-8")
+        _write_atomic(paths.feasible(box_id, orient), text)
         if row is not None:
             rows.append(row)
-    paths.region_report_txt.write_text(
-        format_region_report(rows, ORIENTATIONS), encoding="utf-8")
-    paths.region_report_csv.write_text(region_report_csv(rows),
-                                       encoding="utf-8")
+    _write_atomic(paths.region_report_txt,
+                  format_region_report(rows, ORIENTATIONS))
+    _write_atomic(paths.region_report_csv, region_report_csv(rows))
 
 
 def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
@@ -491,15 +506,14 @@ def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
     rows = []
     results = _run_tasks(_simplify_task, tasks, config.workers)
     for box_id, orient, text, merge_entries, drop_entries, row in results:
-        paths.simplified(box_id, orient).write_text(text, encoding="utf-8")
-        write_log(paths.merge_log(box_id, orient), merge_entries)
-        write_log(paths.drop_log(box_id, orient), drop_entries)
+        _write_atomic(paths.simplified(box_id, orient), text)
+        _write_atomic(paths.merge_log(box_id, orient),
+                      format_log(merge_entries))
+        _write_atomic(paths.drop_log(box_id, orient), format_log(drop_entries))
         if row is not None:
             rows.append(row)
-    paths.simplify_report_txt.write_text(format_simplify_report(rows),
-                                         encoding="utf-8")
-    paths.simplify_report_csv.write_text(simplify_report_csv(rows),
-                                         encoding="utf-8")
+    _write_atomic(paths.simplify_report_txt, format_simplify_report(rows))
+    _write_atomic(paths.simplify_report_csv, simplify_report_csv(rows))
 
 
 def _read_region(path: Path):
@@ -560,7 +574,6 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
     result = enumerate_patterns(regions, catalog, config=search_config)
     payload = result.as_dict()
     payload["validation"] = validate_packing(result.placements, regions)
-    _write_packing(paths.packing, payload)
     if config.export_obj:
         trunk = None
         if config.trunk is not None:
@@ -569,14 +582,15 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
             except PipelineError:
                 trunk = None
         export_packing_obj(config.export_obj, result.placements, trunk)
+    # written last: a packing file marks the stage done for later runs
+    _write_packing(paths.packing, payload)
     if result.timed_out and not result.placements:
         return EXIT_TIMEOUT
     return EXIT_OK
 
 
 def _write_packing(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _enumerate_cached(paths: RunPaths) -> bool:

@@ -11,7 +11,10 @@ found afterwards is still valid in the original region):
   relative (percent) budget and the facet count strictly decreases.  Each
   touch verdict is decided once: pairs that survive a sweep keep theirs,
   and a merged hull inherits every contact of its two members.  The pair
-  overlap volume is computed only when the budget test needs it.
+  overlap volume is computed only when the budget test needs it.  Touch
+  verdicts, candidate hulls and overlap volumes are kept per distinct
+  obstacle shape for the length of the call, so repeated obstacles share
+  one exact answer to each question.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -111,6 +114,17 @@ def merge_obstacles(region, params: MergeParams):
     for a hull that passes the budget at overlap zero: a larger overlap
     raises the growth and lowers the base, so such a hull would fail at
     any overlap.
+
+    Each exact question is also decided once per distinct shape.  An
+    obstacle's content is its vertex list (sorted, so canonical, in every
+    hull and row-built polytope), interned to a number when it enters the
+    live set; touch verdicts and overlap volumes are kept per
+    unordered content pair, and candidate hulls (with their facet count and
+    volume) per ordered pair, so a repeat is the same hull down to its
+    triangulation.  The budget test is not kept: it reads the obstacles'
+    base volumes, which are bookkeeping, not content.  Each accepted hull is
+    a fresh ``m<k>`` copy sharing the kept hull's lists.  The memos live
+    only for the call.
     """
     rel = to_fraction(params.rel_bound_pct)
     abs_bound = to_fraction(params.abs_bound_mm3)
@@ -123,9 +137,17 @@ def merge_obstacles(region, params: MergeParams):
     # 0..n-1 and each merged hull the next unused one, so ``live`` (slot ->
     # obstacle, in insertion order) is always in slot order, the order the
     # pair list is built in.  touching[s] is the bitmask of the live slots
-    # whose obstacle touches the one in slot s.
+    # whose obstacle touches the one in slot s, and content[s] the number
+    # interned for that obstacle's vertex content.  The memos key a pair of
+    # content numbers (a, b) as the int a << 32 | b, smaller than a tuple;
+    # an unordered pair puts the smaller number first.
     live = {}
     touching: List[int] = []
+    content: List[int] = []
+    interned = {}
+    touch_memo = {}
+    hull_memo = {}
+    overlap_memo = {}
     fresh = [(MergedObstacle(o, o.volume(), (o.id or f"o{i}",)), 0)
              for i, o in enumerate(region.obstacles)]
     log: List[dict] = []
@@ -136,6 +158,9 @@ def merge_obstacles(region, params: MergeParams):
             slot = len(touching)
             live[slot] = obstacle
             touching.append(known)
+            content.append(interned.setdefault(
+                tuple(v._h for v in obstacle.polytope.vertices),
+                len(interned)))
             for s in _bits(known & ((1 << new_from) - 1)):
                 touching[s] |= 1 << slot
         alive = sum(1 << s for s in live)
@@ -144,9 +169,16 @@ def merge_obstacles(region, params: MergeParams):
             # pair with this slot was tested when that slot came up)
             decided = touching[slot] | ((2 << slot) - (1 << new_from))
             unknown = alive & ~decided
+            c = content[slot]
             for s in _bits(unknown):
-                lo, hi = (s, slot) if s < slot else (slot, s)
-                if polytopes_touch(live[lo].polytope, live[hi].polytope):
+                cs = content[s]
+                key = cs << 32 | c if cs <= c else c << 32 | cs
+                touch = touch_memo.get(key)
+                if touch is None:
+                    lo, hi = (s, slot) if s < slot else (slot, s)
+                    touch = touch_memo[key] = polytopes_touch(
+                        live[lo].polytope, live[hi].polytope)
+                if touch:
                     touching[slot] |= 1 << s
                     touching[s] |= 1 << slot
         pairs = [(i, j) for i in live
@@ -158,21 +190,27 @@ def merge_obstacles(region, params: MergeParams):
             if i in consumed or j in consumed:
                 continue
             first, second = live[i], live[j]
-            hull = convex_hull(
-                list(first.polytope.vertices) + list(second.polytope.vertices),
-                id=f"m{next_id}")
+            ci, cj = content[i], content[j]
+            hull = hull_memo.get(ci << 32 | cj)
+            if hull is None:
+                hull = hull_memo[ci << 32 | cj] = convex_hull(
+                    first.polytope.vertices + second.polytope.vertices)
             if len(hull.halfspaces) >= (len(first.polytope.halfspaces)
                                         + len(second.polytope.halfspaces)):
                 continue
             bases = first.base_volume_mm3 + second.base_volume_mm3
             if not within_budget(hull.volume() - bases, bases):
                 continue
-            overlap = _pairwise_intersection_volume(first.polytope,
-                                                    second.polytope)
+            key = ci << 32 | cj if ci <= cj else cj << 32 | ci
+            overlap = overlap_memo.get(key)
+            if overlap is None:
+                overlap = overlap_memo[key] = _pairwise_intersection_volume(
+                    first.polytope, second.polytope)
             base = bases - overlap
             growth = hull.volume() - base
             if not within_budget(growth, base):
                 continue
+            hull = hull.with_id(f"m{next_id}")
             approximate = (first.base_approximate or second.base_approximate
                            or (overlap > 0 and (len(first.member_ids) > 1
                                                 or len(second.member_ids) > 1)))
@@ -398,12 +436,11 @@ def contractiveness_violations(before, after, samples: Optional[int] = None,
             "violations": int(np.count_nonzero(mask_a & ~mask_b))}
 
 
-def write_log(path: str, entries: Sequence[dict]) -> None:
-    """Write merge/drop log entries as JSONL, one sorted-key object per
-    line, replacing any existing file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def format_log(entries: Sequence[dict]) -> str:
+    """Merge/drop log entries as JSONL text, one sorted-key object per
+    line."""
+    return "".join(json.dumps(entry, sort_keys=True) + "\n"
+                   for entry in entries)
 
 
 def read_log(path: str) -> List[dict]:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trunkpack import freespace
 from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
                                oriented_extents)
 from trunkpack.freespace import (
@@ -695,6 +696,44 @@ def test_raw_region_json_round_trip():
     assert isinstance(reloaded, RawRegion)
     assert region_json(reloaded) == text
     assert reloaded.obstacles[0].bbox() == ((40, 0, 0), (80, 50, 50))
+
+
+def test_repeated_obstacles_decode_once_each(monkeypatch):
+    hull = box_polytope((0, 0, 0), (100, 80, 60))
+    shapes = [box_polytope((0, 0, 0), (30, 80, 60)),
+              convex_hull([(F(1, 2), 0, 0), (20, 0, 0), (0, 20, 0),
+                           (0, 0, F(40, 3))]),
+              box_polytope((70, 0, 0), (100, 10, 60))]
+    order = [0, 1, 0, 2, 1, 1, 0, 2]
+    region = describe_region(
+        RawRegion("B", "xzy", hull, [shapes[k] for k in order]),
+        samples=500, seed=3)
+    text = region_json(region)
+    obj = json.loads(text)
+    calls = []
+
+    def counted(rows, _real=freespace.halfspaces_bounded):
+        calls.append(1)
+        return _real(rows)
+
+    monkeypatch.setattr(freespace, "halfspaces_bounded", counted)
+    reloaded = region_from_dict(obj)
+    # the hull and each distinct obstacle are checked once
+    assert len(calls) == 1 + len(shapes)
+    assert region_json(reloaded) == text
+    assert [o.id for o in reloaded.obstacles] == \
+           [f"o{i}" for i in range(len(order))]
+    for i, (got, stored) in enumerate(zip(reloaded.obstacles,
+                                          obj["obstacles"])):
+        # a decode with nothing remembered from the other obstacles
+        alone = freespace._polytope_from_halfspaces(stored, f"o{i}", {})
+        assert [h.key() for h in got.halfspaces] == \
+               [h.key() for h in alone.halfspaces]
+        assert got.vertices == alone.vertices
+        assert got.volume() == alone.volume()
+    first = reloaded.obstacles[0]
+    assert reloaded.obstacles[2].vertices is first.vertices
+    assert reloaded.obstacles[2] is not first
 
 
 def test_empty_region_marker():

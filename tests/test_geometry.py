@@ -105,6 +105,36 @@ def test_halfspace_zero_normal_rejected():
         Halfspace((0, 0, 0), 1)
 
 
+def test_integer_input_builds_no_fraction(monkeypatch):
+    # the integer rows of a region file and integer coordinates skip
+    # to_fraction, with the same canonical result as Fraction input
+    calls = []
+
+    def counted(value, _real=geometry.to_fraction):
+        calls.append(value)
+        return _real(value)
+
+    monkeypatch.setattr(geometry, "to_fraction", counted)
+    h = Halfspace((2, -4, 6), 8)
+    p = Point3(-3, 0, 12)
+    assert calls == []
+    assert h.key() == (1, -2, 3, 4) and p._h == (-3, 0, 12, 1)
+    assert h == Halfspace((F(1, 2), -1, F(3, 2)), F(2))
+    assert p == Point3(F(-6, 2), 0.0, "12")
+    assert calls  # the mixed inputs did go through to_fraction
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Point3(True, 0, 0),
+    lambda: Point3(1, 2, False),
+    lambda: Halfspace((1, 0, 0), True),
+    lambda: Halfspace((True, 0, 0), 1),
+])
+def test_bool_coordinates_still_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # convex hull
 
@@ -260,6 +290,23 @@ def test_simplex_volume():
     assert volume(hull) == F(1, 6)
     assert len(hull.halfspaces) == 4
     assert Halfspace((1, 1, 1), 1) in hull.halfspaces
+
+
+def test_volume_sums_determinants_over_one_denominator():
+    # the per-triangle Fraction sum the volume used to be built from
+    rng = random.Random(31)
+    dens = (1, 2, 3, 5, 7, 12, 1024)
+    for _ in range(12):
+        pts = [tuple(F(rng.randint(-40, 40), rng.choice(dens))
+                     for _ in range(3)) for _ in range(rng.randint(6, 24))]
+        hull = convex_hull(pts)
+        expect = Fraction(0)
+        for (pa, pb, pc) in hull._triangles:
+            expect += (pa.x * (pb.y * pc.z - pb.z * pc.y)
+                       - pa.y * (pb.x * pc.z - pb.z * pc.x)
+                       + pa.z * (pb.x * pc.y - pb.y * pc.x))
+        assert len({p._h[3] for t in hull._triangles for p in t}) > 1
+        assert volume(hull) == expect / 6 > 0
 
 
 def test_hull_of_two_cubes():

@@ -11,6 +11,7 @@ Oracles fixed up front:
 * A 50 mm cube cannot hold box T in any orientation: every region is empty.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ import shutil
 
 import pytest
 
-from trunkpack import simplify
+from trunkpack import pipeline, simplify
 from trunkpack.catalog import ORIENTATIONS
 from trunkpack.pipeline import (EXIT_EMPTY, EXIT_MALFORMED, EXIT_OK,
                                 EXIT_TIMEOUT, EXIT_UNREADABLE, RunConfig,
@@ -150,6 +151,64 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
         "ad9a97f736747df7b2b9f1c0dddddb0c249382b5d2ce41213d393a6c5d3bb453"
 
 
+class _TornFile:
+    """A text file that takes the first half of what is written to it and
+    then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+
+@pytest.mark.parametrize("target", ["feasible_T_yxz.json", "regions.txt",
+                                    "merge_T_xyz.jsonl", "simplify.csv",
+                                    "scene.obj", "packing.json"])
+def test_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch,
+                                                 target):
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    catalog = make_box_t_catalog(tmp_path)
+
+    def config(out):
+        return RunConfig(trunk=trunk, catalog_path=catalog, out_dir=str(out),
+                         mc_samples=500, orientations=("xyz", "yxz"),
+                         export_obj=str(out / "scene.obj"))
+
+    real_open = open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and target in os.path.basename(file):
+            return _TornFile(fh)
+        return fh
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        run(config(out))
+    monkeypatch.undo()
+    written = [p.name for p in out.rglob("*") if p.is_file()]
+    assert target not in written
+    assert not [name for name in written if name.endswith(".tmp")]
+    assert written  # the stages before the failing write kept their files
+
+    assert run(config(out)) == EXIT_OK
+    assert run(config(tmp_path / "clean")) == EXIT_OK
+    rerun, clean = artifact_map(out), artifact_map(tmp_path / "clean")
+    assert target in {os.path.basename(rel) for rel in rerun}
+    del rerun["packing.json"], clean["packing.json"]
+    assert rerun == clean
+    assert load_packing(out) == load_packing(tmp_path / "clean")
+
+
 def test_simplify_report_counts_only_dropped_facets(tmp_path, monkeypatch):
     real = simplify.maximize_direction
     calls = []
@@ -272,6 +331,10 @@ _UNBOUNDED_REGION = {"box": "T", "fattened": False,
                      "seed": 1}
 
 
+_CUBE_ROWS = convex_cube_obj(700)["shell"]
+_HALF_SPACE = {"halfspaces": [{"n": [1, 0, 0], "d": 10}]}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("stage,prefix", [("describe", "raw"),
                                           ("simplify", "feasible"),
@@ -281,7 +344,12 @@ _UNBOUNDED_REGION = {"box": "T", "fattened": False,
     # fails the boundedness check
     (_UNBOUNDED_REGION, "unbounded"),
     ([], "not an object"),
-], ids=["unbounded", "list"])
+    # a bounded hull and a repeated unbounded obstacle: still reported at
+    # its first index, though the repeat is decoded from memory
+    (dict(_UNBOUNDED_REGION, hull=_CUBE_ROWS,
+          obstacles=[_CUBE_ROWS, _HALF_SPACE, _CUBE_ROWS, _HALF_SPACE]),
+     "'o1' is unbounded"),
+], ids=["unbounded", "list", "repeated"])
 def test_exit_code_unbounded_region_file(tmp_path, capsys, stage, prefix,
                                          workers, content, message):
     # an undecodable region file is an unreadable input in every stage that

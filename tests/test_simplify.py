@@ -37,9 +37,8 @@ from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
 from trunkpack.simplify import (MergedObstacle, MergeParams,
                                 _pairwise_intersection_volume,
                                 contractiveness_violations, drop_facets,
-                                merge_obstacles, read_log,
-                                shared_sample_volumes, simplification_report,
-                                write_log)
+                                format_log, merge_obstacles, read_log,
+                                shared_sample_volumes, simplification_report)
 
 F = Fraction
 
@@ -328,6 +327,86 @@ def test_merge_matches_the_oracle_loop(monkeypatch):
             < counts["oracle._pairwise_intersection_volume"])
 
 
+def _content(poly):
+    return tuple(v._h for v in poly.vertices)
+
+
+def _duplicate_case(seed):
+    """The seeded obstacle set of ``_oracle_case`` with each obstacle
+    rebuilt 1-4 times under fresh ids, in shuffled order, plus two flush
+    boxes, each twice, whose hull is a third box in the set."""
+    r, params = _oracle_case(seed)
+    rng = random.Random(1000 + seed)
+    shapes = [o.vertices for o in r.obstacles
+              for _ in range(rng.randint(1, 4))]
+    for lo, hi in (((40, 0, 0), (41, 1, 1)), ((41, 0, 0), (42, 1, 1))):
+        shapes += [box(lo, hi).vertices] * 2
+    shapes.append(box((40, 0, 0), (42, 1, 1)).vertices)
+    rng.shuffle(shapes)
+    obstacles = [convex_hull(v, id=f"o{k}") for k, v in enumerate(shapes)]
+    return region(r.hull, obstacles), params
+
+
+def _content_keys(monkeypatch, namespace, keys, prefix):
+    """Record the content of the arguments of each touch test, candidate
+    hull and overlap volume seen by ``namespace``: unordered pairs for the
+    symmetric questions, the point list for a hull."""
+    for name, fn, key in (
+            ("polytopes_touch", polytopes_touch,
+             lambda p, q: tuple(sorted((_content(p), _content(q))))),
+            ("convex_hull", convex_hull,
+             lambda points, **kw: tuple(p._h for p in points)),
+            ("_pairwise_intersection_volume", _pairwise_intersection_volume,
+             lambda p, q: tuple(sorted((_content(p), _content(q)))))):
+        seen = keys.setdefault(prefix + name, [])
+
+        def recorded(*args, _fn=fn, _key=key, _seen=seen, **kw):
+            _seen.append(_key(*args, **kw))
+            return _fn(*args, **kw)
+        if isinstance(namespace, dict):
+            monkeypatch.setitem(namespace, name, recorded)
+        else:
+            monkeypatch.setattr(namespace, name, recorded)
+
+
+def test_repeated_obstacles_decide_each_content_pair_once(monkeypatch):
+    cases = [_duplicate_case(seed) for seed in range(12)]
+    keys = {}
+    _content_keys(monkeypatch, simplify, keys, "new.")
+    _content_keys(monkeypatch, globals(), keys, "oracle.")
+    repeated = set()
+    for seed, (r, params) in enumerate(cases):
+        for seen in keys.values():
+            seen.clear()
+        expect_region, expect_log = oracle_merge_obstacles(r, params)
+        got_region, got_log = merge_obstacles(r, params)
+        assert got_log == expect_log, seed
+        assert (_shapes(got_region.obstacles)
+                == _shapes(expect_region.obstacles)), seed
+        # a remembered hull was built from the same point list, so it has
+        # the same boundary triangulation
+        assert ([[[p._h for p in t] for t in o._triangles]
+                 for o in got_region.obstacles]
+                == [[[p._h for p in t] for t in o._triangles]
+                    for o in expect_region.obstacles]), seed
+        # the flush pair merged into the third box's shape at least once
+        assert any(e["hull_exact"] == "2" and e["growth_exact"] == "0"
+                   for e in expect_log), seed
+        for name in ("polytopes_touch", "convex_hull",
+                     "_pairwise_intersection_volume"):
+            new, oracle = keys["new." + name], keys["oracle." + name]
+            # the memoised merge asks each question once per call, and only
+            # questions the oracle asked too
+            assert len(new) == len(set(new)), (seed, name)
+            assert set(new) <= set(oracle), (seed, name)
+            if len(set(oracle)) < len(oracle):
+                repeated.add(name)
+        assert set(keys["new.convex_hull"]) == set(keys["oracle.convex_hull"])
+    # the cases make the oracle repeat every kind of question
+    assert repeated == {"polytopes_touch", "convex_hull",
+                        "_pairwise_intersection_volume"}
+
+
 def test_chain_of_three_sweeps_matches_the_oracle():
     # eight flush cubes in a row merge into one at zero growth; each sweep
     # merges an obstacle at most once, so that takes at least three sweeps
@@ -496,7 +575,7 @@ def test_log_round_trip(tmp_path):
     entries = [{"obstacle": "o0", "status": "dropped", "growth_mm": 0.25},
                {"id": "m0", "merged": ["o1", "o2"], "growth_exact": "1/3"}]
     path = tmp_path / "log.jsonl"
-    write_log(str(path), entries)
+    path.write_text(format_log(entries), encoding="utf-8")
     assert read_log(str(path)) == entries
     text = path.read_text()
     assert len(text.strip().splitlines()) == 2

@@ -1,0 +1,63 @@
+"""Source hygiene checks over ``src/trunkpack``.
+
+Every top-level import of a module must be used in that module or listed
+in its ``__all__`` (a re-export); ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent
+                  / "src" / "trunkpack").glob("*.py"))
+
+
+def _bound_names(node):
+    """The names a top-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """Top-level imported names that the module neither reads nor lists
+    in ``__all__``."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= _exported(tree)
+    return [name for node in tree.body for name in _bound_names(node)
+            if name not in read]
+
+
+def test_checker_flags_only_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "import a.b\n"
+              "from c import d as e, f, g\n"
+              "__all__ = ['g']\n"
+              "def h(x: f) -> None:\n"
+              "    return sys.argv, a.b\n")
+    assert unused_imports(source) == ["os", "e"]
+
+
+def test_sources_found():
+    assert any(p.name == "geometry.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
