@@ -25,8 +25,6 @@ from trunkpack.geometry import (
     intersect_halfspaces,
     minkowski_sum_convex,
     polytopes_touch,
-    support,
-    volume,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +42,5 @@ __all__ = [
     "intersect_halfspaces",
     "minkowski_sum_convex",
     "polytopes_touch",
-    "support",
-    "volume",
     "__version__",
 ]

@@ -844,12 +844,17 @@ def _polytope_from_halfspaces(obj: dict, id: str,
 
     ``memo`` maps canonical row lists to polytopes already rebuilt: a
     repeated list becomes a copy of the earlier polytope under ``id``, since
-    its boundedness and its vertices depend on the rows only."""
+    its vertices depend on the rows only.  It also maps each set of normals
+    to its boundedness verdict, which depends on the normals only (the
+    recession cone is {x : n . x <= 0})."""
     rows = [Halfspace(h["n"], h["d"]) for h in obj["halfspaces"]]
     key = tuple(h.key() for h in rows)
     if key in memo:
         return memo[key].with_id(id)
-    if not halfspaces_bounded(rows):
+    normals = frozenset(h.normal for h in rows)
+    if normals not in memo:
+        memo[normals] = halfspaces_bounded(rows)
+    if not memo[normals]:
         raise GeometryError(f"stored polytope {id!r} is unbounded")
     poly = _polytope_from_rows(rows, id=id)
     if poly is None or poly.degenerate:
@@ -881,10 +886,10 @@ def empty_region_dict(box_id: str, orientation: str) -> dict:
 def region_from_dict(obj: dict):
     """Rebuild a RawRegion or FeasibleRegion (None for an empty marker).
 
-    Each distinct stored obstacle is decoded, bounds-checked and enumerated
-    once per call; a repeat becomes its own polytope ``o<i>`` sharing the
-    first one's lists, so a bad obstacle is still reported at its first
-    index."""
+    Each distinct stored obstacle is decoded and enumerated once per call,
+    and each distinct set of normals bounds-checked once; a repeat becomes
+    its own polytope ``o<i>`` sharing the first one's lists, so a bad
+    obstacle is still reported at its first index."""
     if obj.get("empty"):
         return None
     memo = {}

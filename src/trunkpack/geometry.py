@@ -554,16 +554,6 @@ def minkowski_sum_convex(p: ConvexPolytope, q: ConvexPolytope,
     return convex_hull(verts, id=id)
 
 
-def support(p: ConvexPolytope, direction: Sequence[Rational]) -> Fraction:
-    """Support function of the polytope: max of direction . x."""
-    return p.support(direction)
-
-
-def volume(p: ConvexPolytope) -> Fraction:
-    """Exact volume of the polytope in the cube of its coordinate unit."""
-    return p.volume()
-
-
 # ---------------------------------------------------------------------------
 # halfspace intersection (vertex enumeration)
 

@@ -593,9 +593,12 @@ def _write_packing(path: Path, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _enumerate_cached(paths: RunPaths) -> bool:
+def _enumerate_cached(paths: RunPaths, export_obj: Optional[str]) -> bool:
     """A packing file counts as a cache hit unless it records a timeout
-    with no placements, so a rerun with a larger time limit retries."""
+    with no placements, so a rerun with a larger time limit retries, or
+    the OBJ scene the run asks for is missing."""
+    if export_obj and not Path(export_obj).exists():
+        return False
     if not paths.packing.exists():
         return False
     try:
@@ -620,7 +623,11 @@ def _all_feasible_empty(paths: RunPaths, combos) -> bool:
 def run(config: RunConfig) -> int:
     """Execute the selected stages; returns the process exit code."""
     paths = RunPaths(Path(config.out_dir))
-    paths.ensure_dirs()
+    try:
+        paths.ensure_dirs()
+    except OSError as exc:
+        print(f"cannot create the output directory: {exc}", file=sys.stderr)
+        return 2
     try:
         catalog = _load_catalog_checked(config)
         combos = _combos(config, catalog)
@@ -629,7 +636,7 @@ def run(config: RunConfig) -> int:
                 continue
             outputs = stage_outputs(stage, paths, combos)
             if stage == "enumerate":
-                cached = _enumerate_cached(paths)
+                cached = _enumerate_cached(paths, config.export_obj)
             else:
                 cached = all(f.exists() for f in outputs)
             if not cached:

@@ -8,13 +8,10 @@ found afterwards is still valid in the original region):
 
 * ``merge_obstacles`` replaces touching obstacle pairs by their convex hull
   when the hull's volume overshoot stays under an absolute (mm^3) or
-  relative (percent) budget and the facet count strictly decreases.  Each
-  touch verdict is decided once: pairs that survive a sweep keep theirs,
-  and a merged hull inherits every contact of its two members.  The pair
-  overlap volume is computed only when the budget test needs it.  Touch
+  relative (percent) budget and the facet count strictly decreases.  Touch
   verdicts, candidate hulls and overlap volumes are kept per distinct
-  obstacle shape for the length of the call, so repeated obstacles share
-  one exact answer to each question.
+  obstacle shape for the length of the call, so each is decided once, and
+  the overlap volume only when the budget test needs it.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -87,14 +84,6 @@ def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fract
     return inter.volume()
 
 
-def _bits(mask: int):
-    """Indices of the set bits of a non-negative int, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def merge_obstacles(region, params: MergeParams):
     """Greedy randomized merging of touching obstacle pairs.
 
@@ -106,25 +95,16 @@ def merge_obstacles(region, params: MergeParams):
     before merging is tracked approximately (inclusion-exclusion on the
     recorded pair only) and flagged ``base_approximate``.
 
-    Each touch verdict is decided once.  A pair of obstacles that both
-    survive a sweep keeps its verdict; a merged hull contains its two
-    members, so it touches whatever either member touched and every hull
-    built over such an obstacle.  Only the remaining pairs are tested.  The
-    pair overlap, needed only for the exact base volume, is computed only
-    for a hull that passes the budget at overlap zero: a larger overlap
-    raises the growth and lowers the base, so such a hull would fail at
-    any overlap.
-
-    Each exact question is also decided once per distinct shape.  An
-    obstacle's content is its vertex list (sorted, so canonical, in every
-    hull and row-built polytope), interned to a number when it enters the
-    live set; touch verdicts and overlap volumes are kept per
-    unordered content pair, and candidate hulls (with their facet count and
-    volume) per ordered pair, so a repeat is the same hull down to its
-    triangulation.  The budget test is not kept: it reads the obstacles'
-    base volumes, which are bookkeeping, not content.  Each accepted hull is
-    a fresh ``m<k>`` copy sharing the kept hull's lists.  The memos live
-    only for the call.
+    Each exact question is decided once per distinct shape.  An obstacle's
+    content is its vertex list (sorted, so canonical, in every hull and
+    row-built polytope), interned to a number when it enters the live list.
+    Touch verdicts and overlap volumes are kept per unordered content pair,
+    candidate hulls per ordered pair (so a repeat has the same
+    triangulation); a sweep runs the touch test only on a memo miss.  The
+    overlap is computed only for a hull that passes the budget at overlap
+    zero: a larger overlap raises the growth and lowers the base.  The
+    budget test is not kept, since base volumes are bookkeeping, not
+    content.  Each accepted hull is a fresh ``m<k>`` copy of the kept one.
     """
     rel = to_fraction(params.rel_bound_pct)
     abs_bound = to_fraction(params.abs_bound_mm3)
@@ -133,64 +113,41 @@ def merge_obstacles(region, params: MergeParams):
     def within_budget(growth: Fraction, base: Fraction) -> bool:
         return growth <= abs_bound or growth * 100 <= rel * base
 
-    # Every obstacle keeps one slot number for its life: the originals take
-    # 0..n-1 and each merged hull the next unused one, so ``live`` (slot ->
-    # obstacle, in insertion order) is always in slot order, the order the
-    # pair list is built in.  touching[s] is the bitmask of the live slots
-    # whose obstacle touches the one in slot s, and content[s] the number
-    # interned for that obstacle's vertex content.  The memos key a pair of
-    # content numbers (a, b) as the int a << 32 | b, smaller than a tuple;
-    # an unordered pair puts the smaller number first.
-    live = {}
-    touching: List[int] = []
-    content: List[int] = []
+    # live holds (obstacle, content number) in pair-list order: the
+    # survivors of a sweep in their order, then its merged hulls.  The memos
+    # key a pair of content numbers (a, b) as the int a << 32 | b, smaller
+    # than a tuple; an unordered pair puts the smaller number first.
     interned = {}
     touch_memo = {}
     hull_memo = {}
     overlap_memo = {}
-    fresh = [(MergedObstacle(o, o.volume(), (o.id or f"o{i}",)), 0)
-             for i, o in enumerate(region.obstacles)]
+
+    def entry(obstacle: MergedObstacle):
+        return obstacle, interned.setdefault(
+            tuple(v._h for v in obstacle.polytope.vertices), len(interned))
+
+    live = [entry(MergedObstacle(o, o.volume(), (o.id or f"o{i}",)))
+            for i, o in enumerate(region.obstacles)]
     log: List[dict] = []
     next_id = 0
     while True:
-        new_from = len(touching)
-        for obstacle, known in fresh:
-            slot = len(touching)
-            live[slot] = obstacle
-            touching.append(known)
-            content.append(interned.setdefault(
-                tuple(v._h for v in obstacle.polytope.vertices),
-                len(interned)))
-            for s in _bits(known & ((1 << new_from) - 1)):
-                touching[s] |= 1 << slot
-        alive = sum(1 << s for s in live)
-        for slot in range(new_from, len(touching)):
-            # decided: known to touch, or a fresh slot up to this one (whose
-            # pair with this slot was tested when that slot came up)
-            decided = touching[slot] | ((2 << slot) - (1 << new_from))
-            unknown = alive & ~decided
-            c = content[slot]
-            for s in _bits(unknown):
-                cs = content[s]
-                key = cs << 32 | c if cs <= c else c << 32 | cs
+        pairs = []
+        for i, (first, ci) in enumerate(live):
+            for j, (second, cj) in enumerate(live[i + 1:], i + 1):
+                key = ci << 32 | cj if ci <= cj else cj << 32 | ci
                 touch = touch_memo.get(key)
                 if touch is None:
-                    lo, hi = (s, slot) if s < slot else (slot, s)
                     touch = touch_memo[key] = polytopes_touch(
-                        live[lo].polytope, live[hi].polytope)
+                        first.polytope, second.polytope)
                 if touch:
-                    touching[slot] |= 1 << s
-                    touching[s] |= 1 << slot
-        pairs = [(i, j) for i in live
-                 for j in _bits(touching[i] >> (i + 1) << (i + 1))]
+                    pairs.append((i, j))
         rng.shuffle(pairs)
         consumed = set()
         merged = []
         for (i, j) in pairs:
             if i in consumed or j in consumed:
                 continue
-            first, second = live[i], live[j]
-            ci, cj = content[i], content[j]
+            (first, ci), (second, cj) = live[i], live[j]
             hull = hull_memo.get(ci << 32 | cj)
             if hull is None:
                 hull = hull_memo[ci << 32 | cj] = convex_hull(
@@ -231,30 +188,14 @@ def merge_obstacles(region, params: MergeParams):
                 "facets_after": len(hull.halfspaces),
                 "base_approximate": approximate,
             })
-            merged.append((i, j, MergedObstacle(hull, base, members,
-                                                approximate)))
+            merged.append(entry(MergedObstacle(hull, base, members,
+                                               approximate)))
             consumed.update((i, j))
             next_id += 1
         if not merged:
             break
-        # merged k takes slot len(touching) + k and inherits the contacts of
-        # its members, with each consumed neighbour replaced by its heir
-        dead = 0
-        heir = {}
-        for k, (i, j, _) in enumerate(merged):
-            dead |= (1 << i) | (1 << j)
-            heir[i] = heir[j] = len(touching) + k
-        fresh = []
-        for i, j, obstacle in merged:
-            reach = touching[i] | touching[j]
-            known = reach & ~dead
-            for s in _bits(reach & dead):
-                known |= 1 << heir[s]
-            fresh.append((obstacle, known & ~(1 << heir[i])))
-            del live[i], live[j]
-        for s in live:
-            touching[s] &= ~dead
-    obstacles = [m.polytope for m in live.values()]
+        live = [e for k, e in enumerate(live) if k not in consumed] + merged
+    obstacles = [m.polytope for m, _ in live]
     return dataclasses.replace(region, obstacles=obstacles), log
 
 

@@ -27,7 +27,7 @@ from trunkpack.freespace import (FeasibleRegion, classify_feasible,
                                  parse_mesh_json, raw_feasible_region,
                                  region_report_csv, sample_lattice_points)
 from trunkpack.geometry import (DegenerateInput, Halfspace, axis_aligned_box,
-                                convex_hull, minkowski_sum_convex, support)
+                                convex_hull, minkowski_sum_convex)
 from trunkpack.lp import maximize_direction
 from trunkpack.pipeline import format_simplify_report, simplify_report_csv
 from trunkpack.search import SearchConfig, enumerate_patterns, validate_packing
@@ -81,7 +81,7 @@ def test_criterion_01_exact_volume_and_minkowski_support():
             d = tuple(rng.randint(-9, 9) for _ in range(3))
             if d == (0, 0, 0):
                 d = (1, 0, 0)
-            if support(s, d) != support(a, d) + support(b, d):
+            if s.support(d) != a.support(d) + b.support(d):
                 violations += 1
     assert violations == 0
     _within_budget(t0, 60.0, "criterion 1")

@@ -52,6 +52,7 @@ from trunkpack.freespace import (
 )
 from trunkpack.geometry import (
     ConvexPolytope,
+    GeometryError,
     Halfspace,
     Point3,
     Triangle3,
@@ -60,8 +61,6 @@ from trunkpack.geometry import (
     convex_hull,
     fm_feasible,
     minkowski_sum_convex,
-    support,
-    volume,
 )
 
 F = Fraction
@@ -101,7 +100,7 @@ def test_inverted_box_extents_and_symmetry():
     b = inverted_box(BOX_A, "xyz")
     assert b.bbox() == ((-305, F(-483, 2), F(-229, 2)),
                         (305, F(483, 2), F(229, 2)))
-    assert volume(b) == BOX_A.volume_mm3()
+    assert b.volume() == BOX_A.volume_mm3()
     negated = {Point3(-v.x, -v.y, -v.z) for v in b.vertices}
     assert negated == set(b.vertices)
 
@@ -111,7 +110,7 @@ def test_minkowski_triangle_box_support():
         [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0)])
     box = box_polytope((-1, -1, -1), (1, 1, 1))
     s = minkowski_sum_convex(box, tri)
-    assert support(s, (1, 0, 0)) == 2
+    assert s.support((1, 0, 0)) == 2
 
 
 def test_erode_box_by_box_interval_arithmetic():
@@ -120,7 +119,7 @@ def test_erode_box_by_box_interval_arithmetic():
     assert not eroded.degenerate
     assert eroded.bbox() == ((305, F(483, 2), F(229, 2)),
                              (695, F(717, 2), F(771, 2)))
-    assert volume(eroded) == 390 * 117 * 271
+    assert eroded.volume() == 390 * 117 * 271
 
 
 def test_erode_by_point_is_identity():
@@ -712,13 +711,13 @@ def test_repeated_obstacles_decode_once_each(monkeypatch):
     obj = json.loads(text)
     calls = []
 
-    def counted(rows, _real=freespace.halfspaces_bounded):
+    def counted(rows, id=None, _real=freespace._polytope_from_rows):
         calls.append(1)
-        return _real(rows)
+        return _real(rows, id=id)
 
-    monkeypatch.setattr(freespace, "halfspaces_bounded", counted)
+    monkeypatch.setattr(freespace, "_polytope_from_rows", counted)
     reloaded = region_from_dict(obj)
-    # the hull and each distinct obstacle are checked once
+    # the hull and each distinct obstacle are enumerated once
     assert len(calls) == 1 + len(shapes)
     assert region_json(reloaded) == text
     assert [o.id for o in reloaded.obstacles] == \
@@ -734,6 +733,42 @@ def test_repeated_obstacles_decode_once_each(monkeypatch):
     first = reloaded.obstacles[0]
     assert reloaded.obstacles[2].vertices is first.vertices
     assert reloaded.obstacles[2] is not first
+
+
+def test_boundedness_checked_once_per_normal_set(monkeypatch):
+    # boxes of three sizes share the six axis normals, and a tetrahedron and
+    # its translate share four: two normal sets over five distinct row lists
+    tet = [(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20)]
+    shapes = [box_polytope((0, 0, 0), (30, 80, 60)),
+              convex_hull(tet),
+              box_polytope((70, 0, 0), (100, 10, 60)),
+              convex_hull([(x + 50, y + 10, z + 5) for x, y, z in tet]),
+              box_polytope((0, 0, 0), (30, 80, 60))]
+    hull = box_polytope((0, 0, 0), (100, 80, 60))
+    obj = region_to_dict(RawRegion("B", "xzy", hull, shapes))
+    stored = [obj["hull"]] + obj["obstacles"]
+    normal_sets = {frozenset(tuple(h["n"]) for h in p["halfspaces"])
+                   for p in stored}
+    assert len(normal_sets) == 2
+    calls = []
+
+    def counted(rows, _real=freespace.halfspaces_bounded):
+        calls.append(1)
+        return _real(rows)
+
+    monkeypatch.setattr(freespace, "halfspaces_bounded", counted)
+    reloaded = region_from_dict(obj)
+    assert len(calls) == len(normal_sets)
+    assert region_json(reloaded) == region_json(RawRegion(
+        "B", "xzy", hull, shapes))
+    # a flat box shares the axis normals with the good boxes before it, and
+    # is still refused at its own index
+    flat = {"halfspaces": [dict(h, d=-10) if h["n"] == [-1, 0, 0]
+                           else dict(h, d=10) if h["n"] == [1, 0, 0] else h
+                           for h in obj["obstacles"][0]["halfspaces"]]}
+    bad = dict(obj, obstacles=obj["obstacles"] + [flat])
+    with pytest.raises(GeometryError, match="'o5' is empty or flat"):
+        region_from_dict(bad)
 
 
 def test_empty_region_marker():
@@ -765,4 +800,4 @@ def test_enlarged_hull_margin_at_least_1mm():
         [Point3(0, 0, 0), Point3(3, 0, 0), Point3(0, 3, 0), Point3(0, 0, 3)])
     grown = enlarged_hull(oblique)
     # the oblique face moves out by 3/|n| = sqrt(3) mm >= 1
-    assert support(grown, (1, 1, 1)) == 6
+    assert grown.support((1, 1, 1)) == 6

@@ -28,9 +28,7 @@ from trunkpack.geometry import (
     intersect_halfspaces,
     minkowski_sum_convex,
     polytopes_touch,
-    support,
     to_fraction,
-    volume,
 )
 
 F = Fraction
@@ -147,7 +145,7 @@ def test_unit_cube_hull_shape():
     cube = unit_cube()
     assert len(cube.halfspaces) == 6
     assert len(cube.vertices) == 8
-    assert volume(cube) == 1
+    assert cube.volume() == 1
     keys = {h.key() for h in cube.halfspaces}
     assert keys == {
         (1, 0, 0, 1), (-1, 0, 0, 0),
@@ -164,7 +162,7 @@ def test_hull_discards_interior_and_boundary_points():
            (F(1, 2), 0, 0)]               # edge interior
     hull = convex_hull(pts)
     assert len(hull.vertices) == 8
-    assert volume(hull) == 1
+    assert hull.volume() == 1
     assert all(v.x in (0, 1) and v.y in (0, 1) and v.z in (0, 1)
                for v in hull.vertices)
 
@@ -180,7 +178,7 @@ def test_hull_insertion_order_invariance():
         h = convex_hull(shuffled)
         assert {hs.key() for hs in h.halfspaces} == {hs.key() for hs in ref.halfspaces}
         assert set(h.vertices) == set(ref.vertices)
-        assert volume(h) == volume(ref)
+        assert h.volume() == ref.volume()
 
 
 def test_hull_coplanar_input_raises():
@@ -274,7 +272,7 @@ def test_hull_vertices_match_brute_force():
 def test_flat_intersections_are_points_segments_polygons(rows, expect):
     hs = [Halfspace(n, d) for n, d in rows] + unit_cube().halfspaces
     flat = _polytope_from_rows(hs)
-    assert flat.degenerate and flat.halfspaces == [] and volume(flat) == 0
+    assert flat.degenerate and flat.halfspaces == [] and flat.volume() == 0
     assert flat.vertices == [Point3(*v) for v in expect]
 
 
@@ -282,12 +280,12 @@ def test_hull_fractional_coordinates_exact():
     # tetrahedron scaled by 1/3: volume (1/6)*(1/27)
     s = F(1, 3)
     hull = convex_hull([(0, 0, 0), (s, 0, 0), (0, s, 0), (0, 0, s)])
-    assert volume(hull) == F(1, 6) / 27
+    assert hull.volume() == F(1, 6) / 27
 
 
 def test_simplex_volume():
     hull = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert volume(hull) == F(1, 6)
+    assert hull.volume() == F(1, 6)
     assert len(hull.halfspaces) == 4
     assert Halfspace((1, 1, 1), 1) in hull.halfspaces
 
@@ -306,7 +304,7 @@ def test_volume_sums_determinants_over_one_denominator():
                        - pa.y * (pb.x * pc.z - pb.z * pc.x)
                        + pa.z * (pb.x * pc.y - pb.y * pc.x))
         assert len({p._h[3] for t in hull._triangles for p in t}) > 1
-        assert volume(hull) == expect / 6 > 0
+        assert hull.volume() == expect / 6 > 0
 
 
 def test_hull_of_two_cubes():
@@ -314,7 +312,7 @@ def test_hull_of_two_cubes():
     pts = ([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
            + [(x, y, z) for x in (2, 3) for y in (0, 1) for z in (0, 1)])
     hull = convex_hull(pts)
-    assert volume(hull) == 3
+    assert hull.volume() == 3
     assert len(hull.vertices) == 8
 
 
@@ -346,19 +344,19 @@ def test_hull_closed_oriented_surface():
 
 def test_cube_support_oracle():
     cube = axis_aligned_box((-1, -2, -3), (4, 5, 6))
-    assert support(cube, (1, 0, 0)) == 4
-    assert support(cube, (-1, 0, 0)) == 1
-    assert support(cube, (0, 1, 0)) == 5
-    assert support(cube, (0, -1, 0)) == 2
-    assert support(cube, (0, 0, 1)) == 6
-    assert support(cube, (0, 0, -1)) == 3
-    assert support(cube, (1, 1, 1)) == 15
-    assert support(cube, (-2, 1, -1)) == 2 + 5 + 3
+    assert cube.support((1, 0, 0)) == 4
+    assert cube.support((-1, 0, 0)) == 1
+    assert cube.support((0, 1, 0)) == 5
+    assert cube.support((0, -1, 0)) == 2
+    assert cube.support((0, 0, 1)) == 6
+    assert cube.support((0, 0, -1)) == 3
+    assert cube.support((1, 1, 1)) == 15
+    assert cube.support((-2, 1, -1)) == 2 + 5 + 3
 
 
 def test_support_zero_direction_raises():
     with pytest.raises(ZeroDirection):
-        support(unit_cube(), (0, 0, 0))
+        unit_cube().support((0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ def test_minkowski_cube_cube():
     a = axis_aligned_box((0, 0, 0), (1, 2, 3))
     b = axis_aligned_box((0, 0, 0), (4, 5, 6))
     s = minkowski_sum_convex(a, b)
-    assert volume(s) == 5 * 7 * 9
+    assert s.volume() == 5 * 7 * 9
     assert s.bbox() == ((0, 0, 0), (5, 7, 9))
 
 
@@ -384,7 +382,7 @@ def test_minkowski_with_point_translates():
     assert point.degenerate
     assert point.vertices == [Point3(2, 3, 4)]
     moved = minkowski_sum_convex(cube, point)
-    assert volume(moved) == 1
+    assert moved.volume() == 1
     assert moved.bbox() == ((2, 3, 4), (3, 4, 5))
 
 
@@ -400,7 +398,7 @@ def test_minkowski_tetra_segment():
     # volume = tetra swept by length 2 along z: integral of slice areas
     # slice area of tetra at height t is (1-t)^2/2, sweep adds prism volume
     # exact value: V(tetra) + 2 * area(shadow in z) = 1/6 + 2 * 1/2
-    assert volume(prism) == F(1, 6) + 1
+    assert prism.volume() == F(1, 6) + 1
 
 
 def test_support_additivity_random():
@@ -420,7 +418,7 @@ def test_support_additivity_random():
             d = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
             if d == (0, 0, 0):
                 continue
-            assert support(s, d) == support(a, d) + support(b, d)
+            assert s.support(d) == a.support(d) + b.support(d)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +428,7 @@ def test_support_additivity_random():
 def test_intersect_cuts_cube_in_half():
     half = intersect_halfspaces([Halfspace((1, 0, 0), F(1, 2))], unit_cube())
     assert not half.degenerate
-    assert volume(half) == F(1, 2)
+    assert half.volume() == F(1, 2)
     assert half.bbox() == ((0, 0, 0), (F(1, 2), 1, 1))
 
 
@@ -441,7 +439,7 @@ def test_intersect_empty_returns_none():
 def test_intersect_flat_returns_degenerate_polygon():
     flat = intersect_halfspaces([Halfspace((1, 0, 0), 0)], unit_cube())
     assert flat.degenerate
-    assert volume(flat) == 0
+    assert flat.volume() == 0
     assert set(flat.vertices) == {
         Point3(0, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1), Point3(0, 1, 1)}
 
@@ -458,13 +456,13 @@ def test_intersect_single_vertex_degenerate():
 def test_intersect_oblique_corner_cut():
     # slice off the corner of the unit cube at x+y+z <= 1/2
     cut = intersect_halfspaces([Halfspace((1, 1, 1), F(1, 2))], unit_cube())
-    assert volume(cut) == F(1, 6) * F(1, 8)
+    assert cut.volume() == F(1, 6) * F(1, 8)
 
 
 def test_intersect_redundant_halfspaces_removed():
     poly = intersect_halfspaces(
         [Halfspace((1, 0, 0), 5), Halfspace((2, 0, 0), 20)], unit_cube())
-    assert volume(poly) == 1
+    assert poly.volume() == 1
     assert len(poly.halfspaces) == 6
 
 
@@ -480,7 +478,7 @@ def test_parallel_rows_keep_the_tightest_whatever_their_scale():
                             F(1, 2))]:
         for rows in (cube + extra, extra + cube):
             poly = _polytope_from_rows(rows)
-            assert volume(poly) == tight_x
+            assert poly.volume() == tight_x
             assert len(poly.halfspaces) == 6
             assert max(v.x for v in poly.vertices) == tight_x
 

@@ -333,6 +333,8 @@ _UNBOUNDED_REGION = {"box": "T", "fattened": False,
 
 _CUBE_ROWS = convex_cube_obj(700)["shell"]
 _HALF_SPACE = {"halfspaces": [{"n": [1, 0, 0], "d": 10}]}
+_FLAT_CUBE = {"halfspaces": [dict(h, d=0) if h["n"] == [1, 0, 0] else h
+                             for h in _CUBE_ROWS["halfspaces"]]}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -349,7 +351,11 @@ _HALF_SPACE = {"halfspaces": [{"n": [1, 0, 0], "d": 10}]}
     (dict(_UNBOUNDED_REGION, hull=_CUBE_ROWS,
           obstacles=[_CUBE_ROWS, _HALF_SPACE, _CUBE_ROWS, _HALF_SPACE]),
      "'o1' is unbounded"),
-], ids=["unbounded", "list", "repeated"])
+    # a flat cube after a good one with the same normals: refused at its
+    # own index, though its boundedness is read from memory
+    (dict(_UNBOUNDED_REGION, hull=_CUBE_ROWS,
+          obstacles=[_CUBE_ROWS, _FLAT_CUBE]), "'o1' is empty or flat"),
+], ids=["unbounded", "list", "repeated", "flat"])
 def test_exit_code_unbounded_region_file(tmp_path, capsys, stage, prefix,
                                          workers, content, message):
     # an undecodable region file is an unreadable input in every stage that
@@ -452,6 +458,23 @@ def test_obj_export_lists_trunk_and_boxes(tmp_path):
     assert sum(1 for l in lines if l.startswith("f ")) == 18   # 12 tris + 6 quads
 
 
+def test_rerun_with_export_obj_writes_the_scene(tmp_path):
+    trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
+    catalog = make_box_t_catalog(tmp_path)
+    out = tmp_path / "out"
+    obj_path = tmp_path / "scene.obj"
+    assert run(RunConfig(trunk=trunk, catalog_path=catalog, out_dir=str(out),
+                         mc_samples=300)) == EXIT_OK
+    first = load_packing(out)
+    assert not obj_path.exists()
+    # the cached packing does not stand in for the OBJ the rerun asks for
+    assert run(RunConfig(trunk=trunk, catalog_path=catalog, out_dir=str(out),
+                         mc_samples=300,
+                         export_obj=str(obj_path))) == EXIT_OK
+    assert "g trunk" in obj_path.read_text().splitlines()
+    assert load_packing(out) == first
+
+
 def test_cli_flags_drive_a_full_run(tmp_path):
     trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
     out = tmp_path / "out"
@@ -480,16 +503,20 @@ def test_cli_rejects_bad_usage(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["--trunk", trunk, "--workers", "0",
                  "--out", str(tmp_path / "o")]) == 2
-    # bad numeric flag values are refused before any stage runs
+    # bad numeric flag values, and an --out that names a file, are refused
+    # before any stage runs
     catalog = make_box_t_catalog(tmp_path)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
     capsys.readouterr()
-    for flag, value in [("--time-limit", "0"), ("--time-limit", "-5"),
-                        ("--time-limit", "nan"), ("--merge-rel", "-1"),
-                        ("--merge-abs", "-1"), ("--drop-growth", "-1"),
-                        ("--merge-rel", "nan"), ("--merge-abs", "inf"),
-                        ("--drop-growth", "nan"), ("--drop-growth", "inf")]:
-        out = tmp_path / "bad"
-        assert main(["--trunk", trunk, "--catalog", catalog, flag, value,
+    for args, out in ([([flag, value], tmp_path / "bad") for flag, value in [
+            ("--time-limit", "0"), ("--time-limit", "-5"),
+            ("--time-limit", "nan"), ("--merge-rel", "-1"),
+            ("--merge-abs", "-1"), ("--drop-growth", "-1"),
+            ("--merge-rel", "nan"), ("--merge-abs", "inf"),
+            ("--drop-growth", "nan"), ("--drop-growth", "inf")]]
+                      + [([], a_file)]):
+        assert main(["--trunk", trunk, "--catalog", catalog, *args,
                      "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (out / "regions").exists()

@@ -321,7 +321,7 @@ def test_merge_matches_the_oracle_loop(monkeypatch):
         assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles), seed
         merges += len(got_log)
     assert merges > 36
-    # inherited verdicts and the zero-overlap rejection both ran
+    # memoised verdicts and the zero-overlap rejection both ran
     assert counts["new.polytopes_touch"] < counts["oracle.polytopes_touch"]
     assert (counts["new._pairwise_intersection_volume"]
             < counts["oracle._pairwise_intersection_volume"])
