@@ -62,7 +62,6 @@ class LinearProgram:
     b: np.ndarray
     objective: np.ndarray
     row_labels: List[str] = field(default_factory=list)
-    var_labels: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -186,8 +185,7 @@ def build_lp(placements: Sequence, regions: dict,
 
     objective = np.zeros(nv)
     objective[s] = 1.0
-    var_labels = [f"c{i}.{a}" for i in range(n_boxes) for a in "xyz"] + ["s"]
-    return LinearProgram(nv, A, b, objective, labels, var_labels)
+    return LinearProgram(nv, A, b, objective, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -306,60 +304,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(True, x, float(lp.objective @ x))
 
 
-def maximize_direction(direction: Sequence[float], halfspaces,
-                       extra_rows: Sequence = ()) -> LpOutcome:
+def maximize_direction(direction: Sequence[float], halfspaces) -> LpOutcome:
     """Convenience: maximize direction . x over exact halfspaces (given as
-    Halfspace objects) plus optional raw (coeffs, rhs) rows, in 3 variables."""
-    rows = []
-    rhs = []
-    labels = []
-    for i, h in enumerate(halfspaces):
-        rows.append([float(h.a), float(h.b), float(h.c)])
-        rhs.append(float(h.d))
-        labels.append(f"h{i}")
-    for i, (coeffs, r) in enumerate(extra_rows):
-        rows.append([float(v) for v in coeffs])
-        rhs.append(float(r))
-        labels.append(f"x{i}")
+    Halfspace objects), in 3 variables."""
+    rows = [[float(h.a), float(h.b), float(h.c)] for h in halfspaces]
+    rhs = [float(h.d) for h in halfspaces]
     lp = LinearProgram(3, np.array(rows, dtype=float), np.array(rhs, dtype=float),
-                       np.array([float(d) for d in direction]), labels,
-                       ["x", "y", "z"])
+                       np.array([float(d) for d in direction]))
     return solve(lp)
-
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-
-def to_lp_format(lp: LinearProgram, name: str = "pattern") -> str:
-    """Emit the LP in the common text LP format for external cross-checks."""
-    def term(coef: float, var: str, first: bool) -> str:
-        sign = "-" if coef < 0 else ("" if first else "+")
-        mag = abs(coef)
-        return f" {sign} {mag:.12g} {var}" if not first else f"{sign}{mag:.12g} {var}"
-
-    vars_ = lp.var_labels or [f"v{i}" for i in range(lp.num_vars)]
-    out = [f"\\ {name}", "Maximize", " obj:"]
-    parts = []
-    first = True
-    for j, coef in enumerate(lp.objective):
-        if coef != 0:
-            parts.append(term(float(coef), vars_[j], first))
-            first = False
-    out[-1] += " " + ("0" if not parts else "".join(parts))
-    out.append("Subject To")
-    for i in range(lp.A.shape[0]):
-        label = lp.row_labels[i] if i < len(lp.row_labels) else f"r{i}"
-        parts = []
-        first = True
-        for j, coef in enumerate(lp.A[i]):
-            if coef != 0:
-                parts.append(term(float(coef), vars_[j], first))
-                first = False
-        body = "".join(parts) if parts else "0 " + vars_[0]
-        out.append(f" {label.replace(':', '_')}: {body} <= {float(lp.b[i]):.12g}")
-    out.append("Bounds")
-    for v in vars_:
-        out.append(f" {v} free")
-    out.append("End")
-    return "\n".join(out) + "\n"

@@ -17,11 +17,13 @@ four stages, each persisting its results under the run directory:
 
 A stage is skipped when every one of its output files already exists, so a
 run is resumable: deleting any suffix of the artifacts and re-running
-recomputes only the missing stages.  Region files are canonical JSON and
-byte-identical across runs and worker counts.  Stages one to three fan the
-(box, orientation) pairs out over a process pool; the enumeration stage is
-one sequential search.  Every stage decodes its region files with
-``_read_region``, inside the pool tasks where there are any.
+recomputes only the missing stages; a rerun that only adds an OBJ export
+writes it from the placements stored in packing.json.  Region files are
+canonical JSON and byte-identical across runs and worker counts.  Stages
+one to three fan the (box, orientation) pairs out over a process pool; the
+enumeration stage is one sequential search.  Every stage decodes its
+region files with ``_read_region``, inside the pool tasks where there are
+any.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
@@ -51,10 +53,10 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         raw_feasible_region, region_from_dict, region_json,
                         region_report_csv, region_report_rows, region_seed,
                         format_region_report)
-from .geometry import GeometryError, convex_hull
+from .geometry import GeometryError
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
                        MergeParams, drop_facets, format_log, merge_obstacles)
-from .search import (PackingResult, SearchConfig, SearchStats,
+from .search import (PackingResult, Placement, SearchConfig, SearchStats,
                      enumerate_patterns, validate_packing)
 
 EXIT_OK = 0
@@ -411,34 +413,36 @@ def simplify_report_csv(rows: Sequence[dict]) -> str:
 # OBJ export
 
 
-def _obj_polytope(lines: list, name: str, vertices, triangles,
-                  offset: int) -> int:
+def _obj_triangles(lines: list, name: str, triangles, offset: int) -> int:
+    """One group: a ``v`` line per distinct triangle corner, in order of
+    first use, then an ``f`` line per triangle.  Returns the next index."""
     lines.append(f"g {name}")
     index = {}
-    for v in vertices:
-        index[v] = offset + len(index)
-        lines.append(f"v {float(v.x):.6f} {float(v.y):.6f} {float(v.z):.6f}")
     for tri in triangles:
-        a, b, c = (index[p] for p in tri)
-        lines.append(f"f {a} {b} {c}")
+        for p in tri:
+            if p not in index:
+                index[p] = offset + len(index)
+                lines.append(f"v {float(p.x):.6f} {float(p.y):.6f} "
+                             f"{float(p.z):.6f}")
+    for tri in triangles:
+        lines.append("f " + " ".join(str(index[p]) for p in tri))
     return offset + len(index)
 
 
 def export_packing_obj(path, placements, trunk=None) -> None:
-    """Wavefront OBJ scene: the trunk hull (when available) plus one group
-    per placed box."""
+    """Wavefront OBJ scene: the trunk surface (when available: a mesh's own
+    triangles, a convex trunk's shell) plus one group per placed box."""
     lines = ["# packing export"]
     offset = 1
     if trunk is not None:
         if isinstance(trunk, ConvexTrunk):
-            hull = trunk.shell
+            tris = [t for group in trunk.shell.facet_triangles().values()
+                    for t in group]
         elif isinstance(trunk, MeshTrunk):
-            hull = convex_hull([p for t in trunk.triangles
-                                for p in t.vertices()], id="trunk")
+            tris = [t.vertices() for t in trunk.triangles]
         else:
             raise TypeError(f"not a trunk model: {trunk!r}")
-        tris = [t for group in hull.facet_triangles().values() for t in group]
-        offset = _obj_polytope(lines, "trunk", hull.vertices, tris, offset)
+        offset = _obj_triangles(lines, "trunk", tris, offset)
     for i, pl in enumerate(placements):
         hx, hy, hz = (float(h) for h in half_extents(pl.box, pl.orientation))
         cx, cy, cz = (float(c) for c in pl.center_mm)
@@ -575,13 +579,7 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
     payload = result.as_dict()
     payload["validation"] = validate_packing(result.placements, regions)
     if config.export_obj:
-        trunk = None
-        if config.trunk is not None:
-            try:
-                trunk = _load_trunk_checked(config)
-            except PipelineError:
-                trunk = None
-        export_packing_obj(config.export_obj, result.placements, trunk)
+        _export_obj(config, result.placements)
     # written last: a packing file marks the stage done for later runs
     _write_packing(paths.packing, payload)
     if result.timed_out and not result.placements:
@@ -593,20 +591,38 @@ def _write_packing(path: Path, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _enumerate_cached(paths: RunPaths, export_obj: Optional[str]) -> bool:
+def _export_obj(config: RunConfig, placements) -> None:
+    """The OBJ scene the run asks for; without a readable trunk it holds
+    the boxes alone."""
+    try:
+        trunk = _load_trunk_checked(config)
+    except PipelineError:
+        trunk = None
+    export_packing_obj(config.export_obj, placements, trunk)
+
+
+def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
     """A packing file counts as a cache hit unless it records a timeout
-    with no placements, so a rerun with a larger time limit retries, or
-    the OBJ scene the run asks for is missing."""
-    if export_obj and not Path(export_obj).exists():
-        return False
-    if not paths.packing.exists():
-        return False
+    with no placements, so a rerun with a larger time limit retries.  On a
+    hit, a missing OBJ scene the run asks for is written from the stored
+    placements; a placed box id the catalog lacks makes it a miss."""
     try:
         with open(paths.packing, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False
-    return bool(payload.get("placements")) or not payload.get("timed_out")
+    if not payload.get("placements") and payload.get("timed_out"):
+        return False
+    if config.export_obj and not Path(config.export_obj).exists():
+        boxes = {box.id: box for box in catalog}
+        try:
+            placements = [Placement(boxes[p["box"]], p["orientation"],
+                                    tuple(p["center_mm"]))
+                          for p in payload["placements"]]
+        except (KeyError, TypeError):  # an unknown box id or a bad entry
+            return False
+        _export_obj(config, placements)
+    return True
 
 
 def _all_feasible_empty(paths: RunPaths, combos) -> bool:
@@ -636,7 +652,7 @@ def run(config: RunConfig) -> int:
                 continue
             outputs = stage_outputs(stage, paths, combos)
             if stage == "enumerate":
-                cached = _enumerate_cached(paths, config.export_obj)
+                cached = _enumerate_cached(config, paths, catalog)
             else:
                 cached = all(f.exists() for f in outputs)
             if not cached:

@@ -16,12 +16,17 @@ conflict to branch on:
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
 
-The search is one sequential depth-first pass over an explicit stack.
-Intersection-free nodes replace the incumbent when their volume is larger,
-or equal with a smaller node identity, and are then extended by one more
-placement with a key no smaller than the last one.  An exact integer upper bound (placed volume plus all
-still-addable box volumes) prunes hopeless subtrees; pruning never changes
-the final result, only the node count.
+The search is one sequential depth-first pass over an explicit stack that
+pops the largest boxes first, at the roots as in every extension.  An
+intersection-free node replaces the incumbent only when its volume is
+larger, so the result is the first packing of maximum volume in visiting
+order; the node is then extended by one more placement with a key no
+smaller than its last one.  An exact integer upper bound (placed volume
+plus all still-addable box volumes) prunes every subtree whose bound is at
+most the incumbent.  Until the first maximum-volume node is found the
+incumbent is below the maximum and that node's bound is at least the
+maximum, so pruning never skips it and never reorders the nodes it keeps:
+the result is the same with pruning on or off, only the node count moves.
 
 LP numerical failures are counted and treated conservatively: the node is
 neither recorded nor branched on, but its extensions are still explored.
@@ -216,16 +221,15 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
 
 class PartialPattern:
     """One search node: candidate indices of the placed multiset (canonical,
-    non-decreasing), the separation constraints chosen so far, and the index
-    floor for further extensions."""
+    non-decreasing; extensions start at the last one) and the separation
+    constraints chosen so far."""
 
-    __slots__ = ("indices", "bb", "bo", "floor")
+    __slots__ = ("indices", "bb", "bo")
 
-    def __init__(self, indices, bb, bo, floor):
+    def __init__(self, indices, bb, bo):
         self.indices = indices
         self.bb = bb
         self.bo = bo
-        self.floor = floor
 
 
 def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
@@ -240,14 +244,14 @@ def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
         _, i, j = bb_conflicts[0]
         children = [
             PartialPattern(pattern.indices, pattern.bb + ((i, j, axis, order),),
-                           pattern.bo, pattern.floor)
+                           pattern.bo)
             for axis in (0, 1, 2) for order in (1, -1)]
         return children, "bb"
     if bo_conflicts:
         _, i, obstacle = bo_conflicts[0]
         children = [
             PartialPattern(pattern.indices, pattern.bb,
-                           pattern.bo + ((i, obstacle.id, f),), pattern.floor)
+                           pattern.bo + ((i, obstacle.id, f),))
             for f in range(len(obstacle.halfspaces))]
         return children, "bo"
     return [], None
@@ -345,9 +349,8 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     no region are unplaceable.  ``catalog`` supplies volumes and per-type
     count limits.  ``config`` defaults to ``SearchConfig()``.
 
-    The incumbent is replaced by a larger volume, or by an equal volume
-    whose discrete node identity (indices, bb, bo) is smaller, so the result
-    is the least such node of maximum volume.
+    The result is the first packing of maximum volume the search visits:
+    only a larger volume replaces the incumbent.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -357,9 +360,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     stats = SearchStats()
     deadline = (started + config.time_limit_s) if config.time_limit_s else None
     best_volume = 0
-    best_key = None
     best_placements: List[Placement] = []
-    stack = [PartialPattern((k,), (), (), k) for k in range(len(candidates))]
+    stack = [PartialPattern((k,), (), ())
+             for k in reversed(range(len(candidates)))]
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -369,10 +372,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         stats.nodes += 1
         placed = [candidates[k] for k in node.indices]
 
-        # strictly below the incumbent: the subtree can neither improve nor
-        # tie, so skipping it cannot change the (tie-broken) result
+        # at most the incumbent: the subtree cannot replace it
         if config.prune_enabled and upper_bound(
-                placed, catalog, suffix[node.floor]) < best_volume:
+                placed, catalog, suffix[node.indices[-1]]) <= best_volume:
             stats.pruned += 1
             continue
 
@@ -414,14 +416,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                 continue
             # intersection-free: record, then extend
             volume = sum(c.box.volume_mm3() for c in placed)
-            node_key = (node.indices, node.bb, node.bo)
-            if volume > best_volume or (volume == best_volume
-                                        and best_key is not None
-                                        and node_key < best_key):
-                if volume > best_volume:
-                    stats.improvements += 1
+            if volume > best_volume:
+                stats.improvements += 1
                 best_volume = volume
-                best_key = node_key
                 best_placements = [
                     Placement(c.box, c.orientation,
                               tuple(map(float, centers[i])))
@@ -431,12 +428,12 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         for c in placed:
             used[c.box.id] = used.get(c.box.id, 0) + 1
         children = []
-        for k in range(node.floor, len(candidates)):
+        for k in range(node.indices[-1], len(candidates)):
             cand = candidates[k]
             if used.get(cand.box.id, 0) >= max_counts[cand.box.id]:
                 continue
             children.append(PartialPattern(node.indices + (k,), node.bb,
-                                           node.bo, k))
+                                           node.bo))
         stack.extend(reversed(children))
 
     stats.wall_time_s = time.monotonic() - started

@@ -580,7 +580,7 @@ def test_criterion_09_branch_arity(monkeypatch):
              r.volume_mm3) for r in results] == [
         (15278, 2461, 0, 3407360),
         (5889, 921, 0, 1983600),
-        (872, 46, 96, 70846188)]
+        (133, 8, 13, 70846188)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
                                 fm_feasible)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
                           LinearProgram, LpOutcome, NumericalFailure,
-                          UnknownRegion, build_lp, maximize_direction, solve,
-                          to_lp_format)
+                          UnknownRegion, build_lp, maximize_direction, solve)
 
 F = fractions.Fraction
 
@@ -241,22 +240,9 @@ def test_maximize_direction_over_halfspaces():
     cube = axis_aligned_box((0, 0, 0), (10, 10, 10))
     out = maximize_direction([1.0, 0.0, 0.0], cube.halfspaces)
     assert out.feasible and out.value == pytest.approx(10.0, abs=1e-8)
-    out = maximize_direction([1.0, 1.0, 1.0], cube.halfspaces,
-                             extra_rows=[((1.0, 0.0, 0.0), 4.0)])
+    out = maximize_direction([1.0, 1.0, 1.0],
+                             cube.halfspaces + [Halfspace((1, 0, 0), 4)])
     assert out.value == pytest.approx(24.0, abs=1e-8)
-
-
-def test_lp_format_dump_mentions_all_parts():
-    box = _box_a()
-    regions = {("A", "zyx"): _slab_region("114.5", "343.5")}
-    lp = build_lp([(box, "zyx"), (box, "zyx")], regions,
-                  bb_constraints=[(0, 1, 0, 1)])
-    text = to_lp_format(lp)
-    assert text.startswith("\\ pattern\nMaximize")
-    assert "Subject To" in text and "End" in text
-    assert "bb_0<1_x" in text
-    assert "c0.x" in text and " s " in text or " s\n" in text
-    assert "c1.z free" in text
 
 
 def test_degenerate_ties_do_not_cycle():
@@ -269,7 +255,7 @@ def test_degenerate_ties_do_not_cycle():
 
 
 # ---------------------------------------------------------------------------
-# bit-identical solver outcomes over seeded build_lp / maximize_direction LPs
+# bit-identical solver outcomes over seeded build_lp and 3-variable LPs
 
 # SHA-256 over the (feasible, assignment bytes, value) of every LP below, as
 # the row-by-row Bland simplex computes them.  The pivot sequence and every
@@ -337,7 +323,11 @@ def test_solver_outcomes_match_reference_digest():
                   float(rng.integers(-300, 300)))
                  for _ in range(int(rng.integers(0, 4)))]
         extra = [(c, r) for (c, r) in extra if any(c)]
-        seen[_hash_outcome(digest, lambda: maximize_direction(
-            direction, hull.halfspaces, extra))] += 1
+        # the rows maximize_direction builds, plus the extra raw rows
+        rows = [[float(h.a), float(h.b), float(h.c)] for h in hull.halfspaces]
+        rhs = [float(h.d) for h in hull.halfspaces]
+        lp = _lp(rows + [c for c, _ in extra], rhs + [r for _, r in extra],
+                 direction)
+        seen[_hash_outcome(digest, lambda: solve(lp))] += 1
     assert seen["feasible"] >= 300 and seen["infeasible"] >= 80
     assert digest.hexdigest() == _REFERENCE_OUTCOME_DIGEST

@@ -45,6 +45,25 @@ def cube_mesh_obj(edge):
     return {"triangles": tris, "seed": [edge / 2] * 3}
 
 
+def subdivided_cube_mesh_obj(edge, cells):
+    """cube_mesh_obj with every face cut into cells x cells squares, so the
+    mesh has corners inside the faces of its hull."""
+    step = edge // cells
+    tris = []
+    for axis in range(3):
+        u, v = [k for k in range(3) if k != axis]
+        for side in (0, edge):
+            def at(i, j):
+                p = [0, 0, 0]
+                p[axis], p[u], p[v] = side, i * step, j * step
+                return p
+            for i in range(cells):
+                for j in range(cells):
+                    tris.append([at(i, j), at(i + 1, j), at(i + 1, j + 1)])
+                    tris.append([at(i, j), at(i + 1, j + 1), at(i, j + 1)])
+    return {"triangles": tris, "seed": [edge / 2] * 3}
+
+
 def convex_cube_obj(edge, cavities=()):
     obj = {"shell": {"halfspaces": [
         {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": edge},
@@ -473,6 +492,56 @@ def test_rerun_with_export_obj_writes_the_scene(tmp_path):
                          export_obj=str(obj_path))) == EXIT_OK
     assert "g trunk" in obj_path.read_text().splitlines()
     assert load_packing(out) == first
+
+
+def test_obj_export_of_a_subdivided_mesh_trunk(tmp_path):
+    # the hull of this mesh has 8 vertices, but its triangles use all 26
+    # grid points on the surface
+    trunk = write_json(tmp_path / "cube.json", subdivided_cube_mesh_obj(700, 2))
+    obj_path = tmp_path / "scene.obj"
+    rc = main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+               "--out", str(tmp_path / "out"), "--mc-samples", "300",
+               "--orientations", "xyz", "--export-obj", str(obj_path)])
+    assert rc == EXIT_OK
+    lines = obj_path.read_text().splitlines()
+    vertices = sum(1 for l in lines if l.startswith("v "))
+    faces = [l.split()[1:] for l in lines if l.startswith("f ")]
+    assert vertices == 26 + 8
+    assert len(faces) == 48 + 6
+    assert all(1 <= int(i) <= vertices for face in faces for i in face)
+
+
+def test_obj_only_rerun_exports_the_stored_packing(tmp_path, monkeypatch):
+    trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
+    catalog = make_box_t_catalog(tmp_path)
+
+    def config(out, obj=None, catalog_path=catalog):
+        return RunConfig(trunk=trunk, catalog_path=catalog_path,
+                         out_dir=str(out), mc_samples=300,
+                         orientations=("xyz",), export_obj=obj)
+
+    one_shot = tmp_path / "one_shot.obj"
+    assert run(config(tmp_path / "one_shot", str(one_shot))) == EXIT_OK
+    out = tmp_path / "out"
+    assert run(config(out)) == EXIT_OK
+    first = load_packing(out)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran again")
+
+    monkeypatch.setattr(pipeline, "enumerate_patterns", no_search)
+    obj_path = tmp_path / "scene.obj"
+    assert run(config(out, str(obj_path))) == EXIT_OK
+    assert obj_path.read_bytes() == one_shot.read_bytes()
+    assert load_packing(out) == first
+
+    # a stored box id the run's catalog lacks makes the packing a miss
+    other = write_json(tmp_path / "other.json",
+                       [{"id": "U", "dims_mm": [610, 483, 458],
+                         "max_count": 4, "phase": 1}])
+    obj_path.unlink()
+    with pytest.raises(AssertionError, match="the search ran again"):
+        run(config(out, str(obj_path), catalog_path=other))
 
 
 def test_cli_flags_drive_a_full_run(tmp_path):

@@ -12,6 +12,11 @@ Oracles:
   empty.
 * pruning with the exact placed+addable volume bound never changes the
   result, only the node count.
+* a 700 mm cube holds all six boxes of A, B and E at two each
+  (2 * (67470270 + 24883650 + 17711547) = 220130934 mm^3): the two A
+  stand side by side (458 x 483 x 610), each E lies beyond one of them in
+  y (483 + 203 <= 700), and the two B stand next to them in x
+  (458 + 165 <= 700, 2 * 330 <= 700).
 * box-box order constraints alone are difference constraints: on box hulls
   their exact verdict (Fourier-Motzkin on each axis) is the order-chain
   test's, and the node LP agrees with it whenever a chain overruns by more
@@ -26,8 +31,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trunkpack.catalog import BoxType, default_catalog
-from trunkpack.freespace import RawRegion, parse_convex_json, raw_feasible_region
+from trunkpack.catalog import BoxType, default_catalog, distinct_orientations
+from trunkpack.freespace import (RawRegion, compute_feasible_region,
+                                 parse_convex_json, raw_feasible_region)
 from trunkpack.geometry import (Halfspace, axis_aligned_box, fm_feasible,
                                 intersect_halfspaces)
 from trunkpack.lp import NumericalFailure, build_lp, solve
@@ -142,6 +148,32 @@ def test_prune_toggle_preserves_results():
     assert without.stats.pruned == 0
 
 
+def test_many_box_types_finish_with_every_box_placed():
+    # the paper's setting: several box types in one search.  A 700 mm cube
+    # holds two each of A, B and E (220,130,934 mm^3, the whole catalog);
+    # the first-found rule proves it without visiting every equal packing
+    trunk = parse_convex_json({"shell": {"halfspaces": [
+        {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": 700},
+        {"n": [0, -1, 0], "d": 0}, {"n": [0, 1, 0], "d": 700},
+        {"n": [0, 0, -1], "d": 0}, {"n": [0, 0, 1], "d": 700}]}})
+    catalog = [dataclasses.replace(b, max_count=2)
+               for b in default_catalog() if b.id in "ABE"]
+    regions = {}
+    for box in catalog:
+        for orientation in distinct_orientations(box):
+            found = compute_feasible_region(trunk, box, orientation,
+                                            samples=200, seed=1)
+            if found is not None:
+                regions[(box.id, orientation)] = found
+    result = enumerate_patterns(regions, catalog,
+                                config=SearchConfig(time_limit_s=20))
+    assert not result.timed_out
+    assert result.volume_mm3 == 220130934
+    assert len(result.placements) == 6
+    check = validate_packing(result.placements, regions)
+    assert check["valid"] and check["mode"] == "exact", check
+
+
 def test_search_is_deterministic():
     box, regions = _pillar_instance()
     a = enumerate_patterns(regions, [box]).as_dict()
@@ -228,7 +260,7 @@ def test_upper_bound_full_catalog_example():
 
 
 def test_branch_children_shapes():
-    pattern = PartialPattern((0,), (), (), 0)
+    pattern = PartialPattern((0,), (), ())
     obstacle = axis_aligned_box((0, 0, 0), (1, 1, 1), id="o0")
     children, kind = branch(pattern, [(5.0, 0, 1)], [(2.0, 0, obstacle)])
     assert kind == "bb" and len(children) == 6
