@@ -57,7 +57,7 @@ def main():
               f"center bbox {spans}")
         print(f"  obstacles: {len(region.obstacles)} "
               f"({sum(len(o.halfspaces) for o in region.obstacles)} facets)")
-        print(f"  feasible volume ~ {region.volume_dm3():.2f} dm3 "
+        print(f"  feasible volume ~ {region.volume_mm3 / 1e6:.2f} dm3 "
               f"(stderr {region.volume_stderr_mm3 / 1e6:.2f} dm3)")
     print()
     print("Every extent above is exact; only the volume estimates are "

@@ -16,7 +16,7 @@ prints the audit log that certifies each accepted step:
 Run:  python3 demos/02_simplify_obstacles.py
 """
 
-from trunkpack.freespace import FeasibleRegion
+from trunkpack.freespace import Region
 from trunkpack.geometry import axis_aligned_box, convex_hull
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
                                 drop_facets, merge_obstacles)
@@ -45,8 +45,8 @@ def build_region():
         # boundary 15/sqrt(3) ~ 8.7 mm, inside a 10 mm drop budget.
         chamfered_cube((200, 200, 200), 50, 15, "a4"),
     ]
-    return FeasibleRegion("demo", "xyz", hull, obstacles, 0.0, 0.0,
-                          samples=100000, seed=917)
+    return Region("demo", "xyz", hull, obstacles, volume_mm3=0.0,
+                  volume_stderr_mm3=0.0, samples=100000, seed=917)
 
 
 def main():

@@ -60,7 +60,9 @@ from trunkpack.geometry import (
 FATTEN_EPS = Fraction(1, 1024)
 DEFAULT_MC_SAMPLES = 200000
 DEFAULT_SEED = 12345
+_GRID = FATTEN_EPS  # sample boxes are rounded outward to this grid
 _LATTICE = 1 << 20
+LATTICE_DEN = 2 * _LATTICE * _GRID.denominator  # denominator of every sample
 # float screening: trust a sign when |value| exceeds magnitude_bound * 2^-40
 # (true rounding error is below magnitude_bound * 2^-49); smaller values are
 # re-evaluated exactly
@@ -217,40 +219,23 @@ def _validate_mesh(trunk: MeshTrunk) -> None:
 # regions
 
 
-class _FacetCount:
-    """The facet count both region kinds report."""
+@dataclass
+class Region:
+    """A box's feasible center set: hull minus obstacle interiors.  The
+    volume estimate fields stay None until the describe stage fills them."""
+
+    box_id: str
+    orientation: str
+    hull: ConvexPolytope
+    obstacles: List[ConvexPolytope]
+    fattened: bool = False
+    volume_mm3: Optional[float] = None
+    volume_stderr_mm3: Optional[float] = None
+    samples: Optional[int] = None
+    seed: Optional[int] = None
 
     def facet_count(self) -> int:
         return len(self.hull.halfspaces) + sum(len(o.halfspaces) for o in self.obstacles)
-
-
-@dataclass
-class RawRegion(_FacetCount):
-    """Stage-1 product: eroded hull plus unclipped Minkowski obstacles."""
-
-    box_id: str
-    orientation: str
-    hull: ConvexPolytope
-    obstacles: List[ConvexPolytope]
-    fattened: bool = False
-
-
-@dataclass
-class FeasibleRegion(_FacetCount):
-    """A box's feasible center set: hull minus obstacle interiors."""
-
-    box_id: str
-    orientation: str
-    hull: ConvexPolytope
-    obstacles: List[ConvexPolytope]
-    volume_mm3: float
-    volume_stderr_mm3: float
-    samples: int
-    seed: int
-    fattened: bool = False
-
-    def volume_dm3(self) -> float:
-        return self.volume_mm3 / 1e6
 
 
 def inverted_box(box: BoxType, orientation: str) -> ConvexPolytope:
@@ -309,7 +294,7 @@ def _triangle_polytope(tri: Triangle3, id: str) -> ConvexPolytope:
     return _degenerate_from_points(list(tri.vertices()), id=id)
 
 
-def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[RawRegion]:
+def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[Region]:
     """Stage 1: eroded hull (fattened if flat) plus per-concavity obstacles,
     not yet clipped.  None when the box cannot fit inside the outer hull."""
     b = inverted_box(box, orientation)
@@ -339,7 +324,7 @@ def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[RawRe
         hull.id = f"{region_id}:hull"
     obstacles = [minkowski_sum_convex(src, b, id=f"o{i}")
                  for i, src in enumerate(sources)]
-    return RawRegion(box.id, orientation, hull, obstacles, fattened)
+    return Region(box.id, orientation, hull, obstacles, fattened)
 
 
 def enlarged_hull(hull: ConvexPolytope) -> ConvexPolytope:
@@ -361,8 +346,8 @@ def clip_obstacle(obstacle_halfspaces: Iterable[Halfspace],
     return intersect_halfspaces(obstacle_halfspaces, margin, id=id)
 
 
-def describe_region(raw: RawRegion, samples: int = DEFAULT_MC_SAMPLES,
-                    seed: int = DEFAULT_SEED) -> Optional[FeasibleRegion]:
+def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
+                    seed: int = DEFAULT_SEED) -> Optional[Region]:
     """Stage 2: clip obstacles, discard the ones that miss the hull, and
     estimate the free volume.  Returns None when no sampled center is free
     (the emptiness probe) — exact emptiness is not decided."""
@@ -380,13 +365,13 @@ def describe_region(raw: RawRegion, samples: int = DEFAULT_MC_SAMPLES,
     vol, stderr = estimate_volume(raw.hull, kept, samples, seed)
     if vol == 0.0:
         return None
-    return FeasibleRegion(raw.box_id, raw.orientation, raw.hull, kept,
-                          vol, stderr, samples, seed, raw.fattened)
+    return Region(raw.box_id, raw.orientation, raw.hull, kept, raw.fattened,
+                  vol, stderr, samples, seed)
 
 
 def compute_feasible_region(trunk, box: BoxType, orientation: str,
                             samples: int = DEFAULT_MC_SAMPLES,
-                            seed: int = DEFAULT_SEED) -> Optional[FeasibleRegion]:
+                            seed: int = DEFAULT_SEED) -> Optional[Region]:
     raw = raw_feasible_region(trunk, box, orientation)
     if raw is None:
         return None
@@ -405,22 +390,20 @@ def region_seed(global_seed: int, box_id: str, orientation: str) -> int:
 class LatticePoints:
     """Random sample points stored exactly.
 
-    Coordinates on axis k are num[:, k] / dens[k] with positive integer
-    denominators; a float view is kept for vectorized screening, with
-    ``max_abs``, the largest float coordinate magnitude, as the screen's
-    magnitude bound.  All classifications are certified: float comparisons
-    are trusted only outside a conservative error bound and re-done exactly
-    inside it.
+    Coordinates are num / LATTICE_DEN with int64 numerators; a float view
+    is kept for vectorized screening, with ``max_abs``, the largest float
+    coordinate magnitude, as the screen's magnitude bound.  All
+    classifications are certified: float comparisons are trusted only
+    outside a conservative error bound and re-done exactly inside it.
     """
 
-    __slots__ = ("num", "dens", "coords", "max_abs")
+    __slots__ = ("num", "coords", "max_abs")
 
-    def __init__(self, num, dens):
+    def __init__(self, num):
         if num.dtype != np.int64:
             raise GeometryError("lattice numerators must be int64")
         self.num = num
-        self.dens = dens
-        self.coords = num / np.array([float(d) for d in dens])
+        self.coords = num / float(LATTICE_DEN)
         self.max_abs = max(-float(self.coords.min(initial=0.0)),
                            float(self.coords.max(initial=0.0)))
 
@@ -428,19 +411,19 @@ class LatticePoints:
         return self.num.shape[0]
 
     def exact(self, idx: int) -> Tuple[Fraction, Fraction, Fraction]:
-        return tuple(Fraction(int(self.num[idx, k]), self.dens[k]) for k in range(3))
+        return tuple(Fraction(int(self.num[idx, k]), LATTICE_DEN) for k in range(3))
 
     def point(self, idx: int) -> Point3:
         return Point3(*self.exact(idx))
 
     def subset(self, mask) -> "LatticePoints":
-        return LatticePoints(self.num[mask], self.dens)
+        return LatticePoints(self.num[mask])
 
     def translated(self, offset: Sequence[Fraction]) -> "LatticePoints":
-        """Shift all points by an exact offset (offset*den must be integral)."""
+        """Shift all points by an exact offset on the lattice."""
         num = self.num.copy()
         for k in range(3):
-            shift = to_fraction(offset[k]) * self.dens[k]
+            shift = to_fraction(offset[k]) * LATTICE_DEN
             if shift.denominator != 1:
                 raise GeometryError("offset is not representable on the lattice")
             step = int(shift)
@@ -448,39 +431,38 @@ class LatticePoints:
                     int(np.max(np.abs(num[:, k]))) + abs(step) >= 2 ** 62:
                 raise GeometryError("translated numerators would overflow int64")
             num[:, k] = num[:, k] + step
-        return LatticePoints(num, self.dens)
+        return LatticePoints(num)
+
+
+def _sample_box(bbox) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The box rounded outward to the _GRID grid, each side grown by less
+    than one step, as integer corners (lo, hi) counted in grid steps."""
+    lo, hi = (tuple(map(to_fraction, corner)) for corner in bbox)
+    if any(a > b for a, b in zip(lo, hi)):
+        raise GeometryError("empty bounding box")
+    return (tuple(math.floor(a / _GRID) for a in lo),
+            tuple(math.ceil(b / _GRID) for b in hi))
 
 
 def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
-    """n random points on a (2*_LATTICE)^3 lattice inside the box, exact."""
-    (lo, hi) = bbox
+    """n random points inside the box rounded outward to the grid
+    (``_sample_box``), exact: 2*_LATTICE lattice positions per axis."""
+    lo, hi = _sample_box(bbox)
     rng = np.random.default_rng(seed)
     r = rng.integers(0, _LATTICE, size=(n, 3), dtype=np.int64)
     num = np.empty((n, 3), dtype=np.int64)
-    dens = []
-    for axis in range(3):
-        lo_a = to_fraction(lo[axis])
-        span = to_fraction(hi[axis]) - lo_a
-        if span < 0:
-            raise GeometryError("empty bounding box")
-        d = math.lcm(lo_a.denominator, span.denominator)
-        a_int = int(lo_a * d)
-        b_int = int(span * d)
-        # x = (A*2*_LATTICE + (2r+1)*B) / (D*2*_LATTICE)
-        bound = abs(a_int) * 2 * _LATTICE + (2 * _LATTICE + 1) * abs(b_int)
-        if bound >= 2 ** 62:
+    for axis, (a, b) in enumerate(zip(lo, hi)):
+        # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN
+        if abs(a) * 2 * _LATTICE + (2 * _LATTICE + 1) * (b - a) >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-        num[:, axis] = a_int * 2 * _LATTICE + (2 * r[:, axis] + 1) * b_int
-        dens.append(d * 2 * _LATTICE)
-    return LatticePoints(num, tuple(dens))
+        num[:, axis] = a * 2 * _LATTICE + (2 * r[:, axis] + 1) * (b - a)
+    return LatticePoints(num)
 
 
-def _bbox_volume(bbox) -> Fraction:
-    (lo, hi) = bbox
-    v = Fraction(1)
-    for axis in range(3):
-        v *= to_fraction(hi[axis]) - to_fraction(lo[axis])
-    return v
+def _sample_volume(bbox) -> Fraction:
+    """Volume of the box the samples of ``bbox`` are drawn from."""
+    lo, hi = _sample_box(bbox)
+    return math.prod(b - a for a, b in zip(lo, hi)) * _GRID ** 3
 
 
 def halfspace_signs(h: Halfspace, pts: LatticePoints,
@@ -488,9 +470,9 @@ def halfspace_signs(h: Halfspace, pts: LatticePoints,
     """Certified sign of (normal . p - offset) per point: -1, 0, +1.  With
     ``idx``, only for the points at those indices, in that order."""
     rows = slice(None) if idx is None else idx
-    vals = pts.num[rows, 0] * (h.a / pts.dens[0])
-    vals += pts.num[rows, 1] * (h.b / pts.dens[1])
-    vals += pts.num[rows, 2] * (h.c / pts.dens[2])
+    vals = pts.num[rows, 0] * (h.a / LATTICE_DEN)
+    vals += pts.num[rows, 1] * (h.b / LATTICE_DEN)
+    vals += pts.num[rows, 2] * (h.c / LATTICE_DEN)
     vals -= float(h.d)
     bound = (abs(h.a) + abs(h.b) + abs(h.c)) * max(pts.max_abs, 1.0) + abs(h.d)
     tau = bound * _CERT
@@ -519,11 +501,11 @@ class _AxisSweep:
             self.keys.append(col[perm])
             del col, perm  # before the next axis allocates its own
 
-    def in_box(self, int_bbox, dens) -> np.ndarray:
+    def in_box(self, int_bbox) -> np.ndarray:
         """Indices of the subset's points strictly inside the integer box
         (lo, hi, w) of ``ConvexPolytope.int_bbox()``.  For an integer
-        numerator, lo_k/w < num_k/den_k < hi_k/w is exactly
-        floor(lo_k*den_k/w) < num_k < ceil(hi_k*den_k/w): integer floor
+        numerator, lo_k/w < num_k/D < hi_k/w (D = LATTICE_DEN) is exactly
+        floor(lo_k*D/w) < num_k < ceil(hi_k*D/w): integer floor
         divisions, no float and no Fraction.  Binary search on the axis with
         the fewest points in range, then a filter on the other two."""
         lo, hi, w = int_bbox
@@ -532,8 +514,8 @@ class _AxisSweep:
             # thresholds clamped to the points' range, so they fit int64
             keys = self.keys[k]
             first, last = int(keys[0]), int(keys[-1])
-            below = max(lo[k] * dens[k] // w, first - 1)
-            above = min(-(-hi[k] * dens[k] // w), last + 1)
+            below = max(lo[k] * LATTICE_DEN // w, first - 1)
+            above = min(-(-hi[k] * LATTICE_DEN // w), last + 1)
             if below >= above - 1:
                 return self.order[k][:0]
             limits.append((below, above))
@@ -573,7 +555,7 @@ def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
         return feasible
     sweep = _AxisSweep(pts.num, inside)
     for obs in solid:
-        cand = sweep.in_box(obs.int_bbox(), pts.dens)
+        cand = sweep.in_box(obs.int_bbox())
         cand = cand[feasible[cand]]
         for h in obs.halfspaces:
             if cand.size == 0:
@@ -586,11 +568,11 @@ def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
 def estimate_volume(hull: ConvexPolytope, obstacles: Sequence[ConvexPolytope],
                     samples: int, seed: int) -> Tuple[float, float]:
     """Monte Carlo free volume of hull minus obstacles, with its standard
-    error: the hull's bounding-box volume times the share of ``samples``
-    seeded lattice points in the box that are feasible."""
+    error: the volume of the hull's bounding box rounded out to the grid
+    times the share of ``samples`` seeded lattice points in it that are free."""
     pts = sample_lattice_points(hull.bbox(), samples, seed)
     hits = int(classify_feasible(pts, hull, obstacles).sum())
-    return _hit_volume(_bbox_volume(hull.bbox()), hits, samples)
+    return _hit_volume(_sample_volume(hull.bbox()), hits, samples)
 
 
 def _hit_volume(bbox_volume: Fraction, hits: int,
@@ -871,7 +853,7 @@ def region_to_dict(region) -> dict:
         "obstacles": [_polytope_to_dict(o) for o in region.obstacles],
         "fattened": region.fattened,
     }
-    if isinstance(region, FeasibleRegion):
+    if region.volume_mm3 is not None:
         out["volume_mm3"] = region.volume_mm3
         out["volume_stderr_mm3"] = region.volume_stderr_mm3
         out["samples"] = region.samples
@@ -884,7 +866,8 @@ def empty_region_dict(box_id: str, orientation: str) -> dict:
 
 
 def region_from_dict(obj: dict):
-    """Rebuild a RawRegion or FeasibleRegion (None for an empty marker).
+    """Rebuild a Region, with its volume estimate when one is stored (None
+    for an empty marker).
 
     Each distinct stored obstacle is decoded and enumerated once per call,
     and each distinct set of normals bounds-checked once; a repeat becomes
@@ -897,14 +880,14 @@ def region_from_dict(obj: dict):
         obj["hull"], f"{obj['box']}:{obj['orientation']}:hull", memo)
     obstacles = [_polytope_from_halfspaces(o, f"o{i}", memo)
                  for i, o in enumerate(obj["obstacles"])]
+    region = Region(obj["box"], obj["orientation"], hull, obstacles,
+                    bool(obj.get("fattened", False)))
     if "volume_mm3" in obj:
-        return FeasibleRegion(obj["box"], obj["orientation"], hull, obstacles,
-                              float(obj["volume_mm3"]),
-                              float(obj.get("volume_stderr_mm3", 0.0)),
-                              int(obj["samples"]), int(obj["seed"]),
-                              bool(obj.get("fattened", False)))
-    return RawRegion(obj["box"], obj["orientation"], hull, obstacles,
-                     bool(obj.get("fattened", False)))
+        region.volume_mm3 = float(obj["volume_mm3"])
+        region.volume_stderr_mm3 = float(obj.get("volume_stderr_mm3", 0.0))
+        region.samples = int(obj["samples"])
+        region.seed = int(obj["seed"])
+    return region
 
 
 def region_json(region_or_none, box_id: str = None, orientation: str = None) -> str:
@@ -915,7 +898,7 @@ def region_json(region_or_none, box_id: str = None, orientation: str = None) -> 
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def region_report_rows(regions: Sequence[FeasibleRegion]) -> list:
+def region_report_rows(regions: Sequence[Region]) -> list:
     """One row per non-empty region: box, orientation, volume dm3, facets
     in thousands."""
     rows = []

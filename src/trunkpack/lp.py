@@ -24,8 +24,8 @@ infeasible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     objective: np.ndarray
-    row_labels: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -98,12 +97,16 @@ def build_lp(placements: Sequence, regions: dict,
     """Assemble the pattern-feasibility LP.
 
     placements: list of (BoxType, orientation) in pattern order.
-    regions: {(box_id, orientation): FeasibleRegion}.
+    regions: {(box_id, orientation): Region}.
     bb_constraints: (i, j, axis, order); order +1 places box i before box j
     along the axis (center_i + half-extents + slack <= center_j), order -1
     the reverse.
     bo_constraints: (i, obstacle_id, facet_index) keeping box i's center
     outside that facet of that obstacle, with slack.
+
+    Rows, in order: each box's hull rows (boxes in pattern order, facets in
+    hull order), the box-box rows and the box-obstacle rows as given, then
+    the slack cap and the slack floor.
     """
     from trunkpack.catalog import oriented_extents
 
@@ -125,14 +128,12 @@ def build_lp(placements: Sequence, regions: dict,
          + len(bo_constraints) + 2)
     A = np.zeros((m, nv))
     b = np.empty(m)
-    labels: List[str] = []
 
     r = 0
     for i, (normals, offsets) in enumerate(hulls):
         k = len(offsets)
         A[r:r + k, 3 * i:3 * i + 3] = normals
         b[r:r + k] = offsets
-        labels.extend(f"hull:{i}:{h_idx}" for h_idx in range(k))
         r += k
 
     seen_bb = set()
@@ -150,7 +151,6 @@ def build_lp(placements: Sequence, regions: dict,
         A[r, 3 * hi + axis] = -1.0
         A[r, s] = 1.0
         b[r] = -(extents[lo][axis] + extents[hi][axis]) / 2.0
-        labels.append(f"bb:{lo}<{hi}:{'xyz'[axis]}")
         r += 1
 
     seen_bo = set()
@@ -174,18 +174,16 @@ def build_lp(placements: Sequence, regions: dict,
         A[r, 3 * i:3 * i + 3] = -normals[facet_idx]
         A[r, s] = 1.0
         b[r] = -offsets[facet_idx]
-        labels.append(f"bo:{i}:{obstacle_id}:{facet_idx}")
         r += 1
 
     A[r, s] = 1.0
     b[r] = DELTA_MM
     A[r + 1, s] = -1.0
     b[r + 1] = 0.0
-    labels += ["slack-cap", "slack-nonneg"]
 
     objective = np.zeros(nv)
     objective[s] = 1.0
-    return LinearProgram(nv, A, b, objective, labels)
+    return LinearProgram(nv, A, b, objective)
 
 
 # ---------------------------------------------------------------------------

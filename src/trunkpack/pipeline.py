@@ -27,8 +27,8 @@ any.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
-(or one whose regions the describe stage cannot sample exactly),
-12 no feasible placement for any (box, orientation) pair, 13 timed out
+(or one too large for the describe stage's exact sampling lattice, which
+holds coordinates up to about 2^30 mm), 12 no feasible placement for any (box, orientation) pair, 13 timed out
 before finding any packing (an empty packing.json is still written).
 """
 
@@ -291,9 +291,8 @@ def _set_worker_trunk(trunk) -> None:
 
 
 def _freespace_task(args):
-    """(box dict, orientation) -> (box id, orientation, region file text)."""
-    box_dict, orientation = args
-    box = BoxType.from_dict(box_dict)
+    """(box, orientation) -> (box id, orientation, region file text)."""
+    box, orientation = args
     raw = raw_feasible_region(_WORKER_TRUNK, box, orientation)
     return box.id, orientation, region_json(raw, box.id, orientation)
 
@@ -471,9 +470,8 @@ def _combos(config: RunConfig, catalog: Sequence[BoxType]) -> list:
 
 def _stage_freespace(config: RunConfig, paths: RunPaths, combos) -> None:
     trunk = _load_trunk_checked(config)
-    tasks = [(box.as_dict(), orient) for box, orient in combos]
     try:
-        results = _run_tasks(_freespace_task, tasks, config.workers,
+        results = _run_tasks(_freespace_task, combos, config.workers,
                              trunk=trunk)
     except GeometryError as exc:
         raise PipelineError(EXIT_MALFORMED,
@@ -521,8 +519,8 @@ def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
 
 
 def _read_region(path: Path):
-    """Decode a region file: a RawRegion, a FeasibleRegion, or None for an
-    empty marker.  Any failure is exit 10 (unreadable input)."""
+    """Decode a region file: a Region, or None for an empty marker.  Any
+    failure is exit 10 (unreadable input)."""
     try:
         return region_from_dict(_read_region_json(path))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trunkpack.freespace import (_bbox_volume, _hit_volume, classify_feasible,
+from trunkpack.freespace import (_hit_volume, _sample_volume, classify_feasible,
                                  enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
                                 cross3, intersect_halfspaces, polytopes_touch,
@@ -331,8 +331,8 @@ def shared_sample_volumes(before, after, samples: Optional[int] = None,
     """Monte Carlo free-volume estimates of two descriptions of the same
     region from one shared sample set.  Returns (points, mask_before,
     mask_after, bbox_volume)."""
-    samples = samples if samples is not None else getattr(before, "samples", None)
-    seed = seed if seed is not None else getattr(before, "seed", None)
+    samples = samples if samples is not None else before.samples
+    seed = seed if seed is not None else before.seed
     if samples is None or seed is None:
         raise ValueError("sample count and seed are required when the region "
                          "carries no sampling metadata")
@@ -340,7 +340,7 @@ def shared_sample_volumes(before, after, samples: Optional[int] = None,
     pts = sample_lattice_points(bbox, samples, seed)
     mask_before = classify_feasible(pts, before.hull, before.obstacles)
     mask_after = classify_feasible(pts, after.hull, after.obstacles)
-    return pts, mask_before, mask_after, _bbox_volume(bbox)
+    return pts, mask_before, mask_after, _sample_volume(bbox)
 
 
 def simplification_report(before, after, samples: Optional[int] = None,

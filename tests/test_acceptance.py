@@ -20,7 +20,7 @@ import numpy as np
 import trunkpack.search as search_mod
 from trunkpack.catalog import (FULL_CATALOG, ORIENTATIONS, BoxType,
                                distinct_orientations, oriented_extents)
-from trunkpack.freespace import (FeasibleRegion, classify_feasible,
+from trunkpack.freespace import (LATTICE_DEN, Region, classify_feasible,
                                  compute_feasible_region, describe_region,
                                  erode_hull, format_region_report,
                                  inverted_box, parse_convex_json,
@@ -187,25 +187,25 @@ def test_criterion_03_mesh_freespace_soundness():
     assert int(mask.sum()) >= 100000
 
     # Exact integer arithmetic on the sampled centers: coordinates are
-    # num/dens per axis, so corner and interval tests multiply through by
-    # 2*dens and stay in int64 (numerators are bounded by 600*dens and
-    # dens ~ 4e6 here).
+    # num/den with den = LATTICE_DEN = 2^31, so corner and interval tests
+    # multiply through by 2*den and stay in int64 (numerators are bounded
+    # by 600*den < 2^41 here).
     ext = np.array(oriented_extents(box.dims_mm, "xyz"), dtype=np.int64)
-    dens = np.array([int(d) for d in pts.dens], dtype=np.int64)
+    den = LATTICE_DEN
     sel = pts.num[mask]
-    lo2 = 2 * sel - ext * dens          # 2 * dens * (corner low)
-    hi2 = 2 * sel + ext * dens          # 2 * dens * (corner high)
-    inside_cube = (lo2 >= 0).all(axis=1) & (hi2 <= 1200 * dens).all(axis=1)
+    lo2 = 2 * sel - ext * den           # 2 * den * (corner low)
+    hi2 = 2 * sel + ext * den           # 2 * den * (corner high)
+    inside_cube = (lo2 >= 0).all(axis=1) & (hi2 <= 1200 * den).all(axis=1)
 
     # A box corner strictly inside the channel (open region) would stick out
     # of the solid.
     corner_in_channel = np.zeros(len(sel), dtype=bool)
     for sy in (-1, 1):
-        y2 = 2 * sel[:, 1] + sy * ext[1] * dens[1]
-        in_y = (y2 > 500 * dens[1]) & (y2 < 700 * dens[1])
+        y2 = 2 * sel[:, 1] + sy * ext[1] * den
+        in_y = (y2 > 500 * den) & (y2 < 700 * den)
         for sz in (-1, 1):
-            z2 = 2 * sel[:, 2] + sz * ext[2] * dens[2]
-            in_z = (z2 > 900 * dens[2]) & (z2 < 1200 * dens[2])
+            z2 = 2 * sel[:, 2] + sz * ext[2] * den
+            in_z = (z2 > 900 * den) & (z2 < 1200 * den)
             corner_in_channel |= in_y & in_z
     corners_outside = int((~inside_cube).sum()) + int(corner_in_channel.sum())
     assert corners_outside == 0
@@ -213,8 +213,8 @@ def test_criterion_03_mesh_freespace_soundness():
     # Stronger than the corner test: the box interior must not intersect the
     # channel interior at all (a box spanning across the opening has all
     # corners in the solid but still pokes into the channel).
-    cross = ((lo2[:, 1] < 700 * dens[1]) & (hi2[:, 1] > 500 * dens[1])
-             & (lo2[:, 2] < 1200 * dens[2]) & (hi2[:, 2] > 900 * dens[2]))
+    cross = ((lo2[:, 1] < 700 * den) & (hi2[:, 1] > 500 * den)
+             & (lo2[:, 2] < 1200 * den) & (hi2[:, 2] > 900 * den))
     assert int(cross.sum()) == 0
     _within_budget(t0, 300.0, "criterion 3")
 
@@ -251,7 +251,7 @@ def _chamfered_cube(lo, edge, cut, id):
     return convex_hull(corners, id=id)
 
 
-def _simplify_instance(name: str) -> FeasibleRegion:
+def _simplify_instance(name: str) -> Region:
     hull = axis_aligned_box((0, 0, 0), (300, 300, 300), id="hull")
     if name == "mixed":
         obstacles = [
@@ -281,8 +281,8 @@ def _simplify_instance(name: str) -> FeasibleRegion:
         seed = 608
     else:  # pragma: no cover - guard against typos in the test body
         raise KeyError(name)
-    return FeasibleRegion("sim", "xyz", hull, obstacles, 0.0, 0.0,
-                          samples=_SIMPLIFY_SAMPLES, seed=seed)
+    return Region("sim", "xyz", hull, obstacles, volume_mm3=0.0,
+                  volume_stderr_mm3=0.0, samples=_SIMPLIFY_SAMPLES, seed=seed)
 
 
 _SIMPLIFY_NAMES = ("mixed", "chamfers", "flush_mix")

@@ -18,14 +18,15 @@ from trunkpack import freespace
 from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
                                oriented_extents)
 from trunkpack.freespace import (
+    LATTICE_DEN,
     ConvexTrunk,
     DegenerateTrunk,
-    FeasibleRegion,
     LatticePoints,
     MeshTrunk,
-    RawRegion,
+    Region,
     TrunkFormatError,
     _AxisSweep,
+    _sample_box,
     classify_feasible,
     compute_feasible_region,
     describe_region,
@@ -197,7 +198,7 @@ def test_region_volume_matches_exact_difference():
     # free set by construction: [0,10]^3 hull minus half-space slab obstacle
     hull = box_polytope((0, 0, 0), (10, 10, 10))
     obstacle = box_polytope((0, 0, 0), (10, 10, 5))
-    raw = RawRegion("X", "xyz", hull, [obstacle])
+    raw = Region("X", "xyz", hull, [obstacle])
     region = describe_region(raw, samples=50000, seed=7)
     est = region.volume_mm3
     stderr = region.volume_stderr_mm3
@@ -207,7 +208,7 @@ def test_region_volume_matches_exact_difference():
 
 def test_region_without_obstacles_matches_hull_volume():
     hull = box_polytope((0, 0, 0), (40, 30, 20))
-    region = describe_region(RawRegion("X", "xyz", hull, []),
+    region = describe_region(Region("X", "xyz", hull, []),
                              samples=20000, seed=3)
     # bbox equals hull here, so every sample hits: exact agreement
     assert region.volume_mm3 == pytest.approx(24000.0)
@@ -219,7 +220,7 @@ def test_obstacles_outside_hull_are_discarded():
     far = box_polytope((500, 500, 500), (600, 600, 600))
     touching = box_polytope((100, 0, 0), (150, 100, 100))
     inside = box_polytope((10, 10, 10), (90, 90, 90))
-    raw = RawRegion("X", "xyz", hull, [far, touching, inside])
+    raw = Region("X", "xyz", hull, [far, touching, inside])
     region = describe_region(raw, samples=5000, seed=1)
     kept_ids = [o.id for o in region.obstacles]
     assert len(region.obstacles) == 2  # far one dropped
@@ -325,7 +326,7 @@ def test_mesh_soundness_matches_point_in_mesh_on_l_prism(sampler):
         rng = np.random.default_rng(5)
         num = rng.integers(0, 13, size=(300, 3), dtype=np.int64) * 50
         num[:, 2] //= 2
-        centers = LatticePoints(num, (1, 1, 1))
+        centers = LatticePoints(num * LATTICE_DEN)
     hx, hy, hz = half_extents(box, "xyz")
     ok = np.ones(len(centers), dtype=bool)
     for off in [(sx * hx, sy * hy, sz * hz) for sx in (-1, 1)
@@ -495,6 +496,40 @@ def test_lattice_sampling_deterministic():
     assert (a.num != c.num).any()
 
 
+def test_lattice_samples_of_dyadic_box_unchanged():
+    # a box on the 2^-10 mm grid is sampled as it is: these coordinates were
+    # recorded from the per-axis lattice that sampled the exact box
+    bbox = ((F(-3, 2), 0, F(-1, 1024)), (600, F(301, 4), F(1025, 1024)))
+    pts = sample_lattice_points(bbox, 4, seed=2026)
+    assert [pts.exact(i) for i in range(4)] == [
+        (F(2142823533, 4194304), F(112951153, 8388608),
+         F(27372137, 1073741824)),
+        (F(1608128529, 4194304), F(230705363, 8388608),
+         F(501657053, 1073741824)),
+        (F(195103977, 4194304), F(233875495, 8388608),
+         F(691201319, 1073741824)),
+        (F(889119489, 4194304), F(524601161, 8388608),
+         F(849421805, 1073741824)),
+    ]
+    assert freespace._sample_volume(bbox) == F(1203, 2) * F(301, 4) * F(513, 512)
+
+
+def test_sample_box_rounds_outward_to_grid():
+    bbox = ((F(-1, 3), F(2, 3), 7), (F(10, 3), F(31, 3), F(22, 3)))
+    lo, hi = _sample_box(bbox)
+    step = F(1, 1024)
+    for k in range(3):
+        assert isinstance(lo[k], int) and isinstance(hi[k], int)
+        assert 0 <= bbox[0][k] - lo[k] * step < step
+        assert 0 <= hi[k] * step - bbox[1][k] < step
+    # z = 7 is on the grid and stays; the thirds grow by less than a step
+    assert lo[2] * step == 7
+    pts = sample_lattice_points(bbox, 200, seed=1)
+    for i in range(len(pts)):
+        assert all(lo[k] * step < c < hi[k] * step
+                   for k, c in enumerate(pts.exact(i)))
+
+
 def test_classify_matches_pure_fraction_predicate():
     hull = box_polytope((0, 0, 0), (10, 10, 10))
     obstacle = box_polytope((2, 2, 2), (6, 6, 6))
@@ -514,10 +549,10 @@ def _brute_force_mask(pts, hull, obstacles):
 
 
 def test_classify_culled_matches_brute_force_predicate():
-    # dyadic lattice: points exactly on obstacle facets and bounding-box
-    # faces, and one or three steps of 2^-40 off them, inside the float
-    # screen's exact-recheck band
-    den = 1 << 40
+    # points exactly on obstacle facets and bounding-box faces, and one or
+    # three lattice steps off them; two far points widen the float screen's
+    # exact-recheck band past those steps
+    den = LATTICE_DEN
     hull = box_polytope((0, 0, 0), (12, 12, 12))
     obstacles = [
         # intruding into the hull, oblique facets
@@ -559,8 +594,9 @@ def test_classify_culled_matches_brute_force_predicate():
     # the hull-feasible extremes on x and y, strictly inside the box that
     # reaches past the lattice range
     points += [(0, 10, F(3, 2)), (2, 12, F(3, 2))]
+    points += [(-(1 << 24), 0, 0), (0, 1 << 24, 0)]
     num = np.array([[int(c * den) for c in p] for p in points], dtype=np.int64)
-    pts = LatticePoints(num, (den, den, den))
+    pts = LatticePoints(num)
     expect = _brute_force_mask(pts, hull, obstacles)
     assert expect.any() and not expect.all()
     assert (classify_feasible(pts, hull, obstacles) == expect).all()
@@ -570,18 +606,19 @@ def test_sweep_in_box_matches_fraction_comparison():
     # box corners with denominators that do not divide the lattice's, so the
     # integer floor and ceil thresholds fall strictly between lattice points
     rng = random.Random(12)
-    dens = (10, 7, 12)
+    den = LATTICE_DEN
     boxes = []
     for _ in range(25):
         lo = [F(rng.randint(-40, 30), rng.choice((1, 3, 7, 11))) for _ in range(3)]
         hi = [a + F(rng.randint(1, 40), rng.choice((1, 2, 9, 13))) for a in lo]
         boxes.append(axis_aligned_box(lo, hi).int_bbox())
-    rows = [[rng.randint(-500, 500) for _ in range(3)] for _ in range(400)]
+    rows = [[rng.randint(-50 * den, 80 * den) for _ in range(3)]
+            for _ in range(400)]
     for (lo, hi, w) in boxes:
         # the lattice points next to each face, on both sides, with the
         # other coordinates inside the box's range
-        span = [(math.floor(F(lo[k] * dens[k], w)),
-                 math.ceil(F(hi[k] * dens[k], w))) for k in range(3)]
+        span = [(math.floor(F(lo[k] * den, w)),
+                 math.ceil(F(hi[k] * den, w))) for k in range(3)]
         for k in range(3):
             for edge in span[k]:
                 for step in (-1, 0, 1):
@@ -594,9 +631,9 @@ def test_sweep_in_box_matches_fraction_comparison():
     found = 0
     for (lo, hi, w) in boxes:
         expect = [i for i in subset
-                  if all(F(lo[k], w) < F(int(num[i, k]), dens[k]) < F(hi[k], w)
+                  if all(F(lo[k], w) < F(int(num[i, k]), den) < F(hi[k], w)
                          for k in range(3))]
-        assert sorted(sweep.in_box((lo, hi, w), dens).tolist()) == expect
+        assert sorted(sweep.in_box((lo, hi, w)).tolist()) == expect
         found += len(expect)
     assert found
 
@@ -675,11 +712,11 @@ def test_region_seed_is_stable_and_distinct():
 def test_region_json_round_trip_byte_exact():
     hull = box_polytope((0, 0, 0), (100, 80, 60))
     obstacle = box_polytope((0, 0, 0), (30, 80, 60))
-    region = describe_region(RawRegion("B", "xzy", hull, [obstacle]),
+    region = describe_region(Region("B", "xzy", hull, [obstacle]),
                              samples=2000, seed=8)
     text = region_json(region)
     reloaded = region_from_dict(json.loads(text))
-    assert isinstance(reloaded, FeasibleRegion)
+    assert reloaded.volume_mm3 == region.volume_mm3
     assert region_json(reloaded) == text
     assert reloaded.facet_count() == region.facet_count()
     assert {h.key() for h in reloaded.hull.halfspaces} == \
@@ -689,10 +726,10 @@ def test_region_json_round_trip_byte_exact():
 def test_raw_region_json_round_trip():
     hull = box_polytope((0, 0, 0), (50, 50, 50))
     obstacle = box_polytope((40, 0, 0), (80, 50, 50))  # sticks out of hull
-    raw = RawRegion("C", "yzx", hull, [obstacle], fattened=False)
+    raw = Region("C", "yzx", hull, [obstacle], fattened=False)
     text = region_json(raw)
     reloaded = region_from_dict(json.loads(text))
-    assert isinstance(reloaded, RawRegion)
+    assert reloaded.volume_mm3 is None
     assert region_json(reloaded) == text
     assert reloaded.obstacles[0].bbox() == ((40, 0, 0), (80, 50, 50))
 
@@ -705,7 +742,7 @@ def test_repeated_obstacles_decode_once_each(monkeypatch):
               box_polytope((70, 0, 0), (100, 10, 60))]
     order = [0, 1, 0, 2, 1, 1, 0, 2]
     region = describe_region(
-        RawRegion("B", "xzy", hull, [shapes[k] for k in order]),
+        Region("B", "xzy", hull, [shapes[k] for k in order]),
         samples=500, seed=3)
     text = region_json(region)
     obj = json.loads(text)
@@ -745,7 +782,7 @@ def test_boundedness_checked_once_per_normal_set(monkeypatch):
               convex_hull([(x + 50, y + 10, z + 5) for x, y, z in tet]),
               box_polytope((0, 0, 0), (30, 80, 60))]
     hull = box_polytope((0, 0, 0), (100, 80, 60))
-    obj = region_to_dict(RawRegion("B", "xzy", hull, shapes))
+    obj = region_to_dict(Region("B", "xzy", hull, shapes))
     stored = [obj["hull"]] + obj["obstacles"]
     normal_sets = {frozenset(tuple(h["n"]) for h in p["halfspaces"])
                    for p in stored}
@@ -759,7 +796,7 @@ def test_boundedness_checked_once_per_normal_set(monkeypatch):
     monkeypatch.setattr(freespace, "halfspaces_bounded", counted)
     reloaded = region_from_dict(obj)
     assert len(calls) == len(normal_sets)
-    assert region_json(reloaded) == region_json(RawRegion(
+    assert region_json(reloaded) == region_json(Region(
         "B", "xzy", hull, shapes))
     # a flat box shares the axis normals with the good boxes before it, and
     # is still refused at its own index
@@ -779,8 +816,8 @@ def test_empty_region_marker():
 
 def test_region_report_layout():
     hull = box_polytope((0, 0, 0), (200, 100, 100))
-    r1 = describe_region(RawRegion("A", "xyz", hull, []), samples=1000, seed=1)
-    r2 = describe_region(RawRegion("A", "zyx", hull, []), samples=1000, seed=1)
+    r1 = describe_region(Region("A", "xyz", hull, []), samples=1000, seed=1)
+    r2 = describe_region(Region("A", "zyx", hull, []), samples=1000, seed=1)
     rows = region_report_rows([r1, r2])
     text = format_region_report(rows, ("zyx", "zxy", "yzx", "xzy", "yxz", "xyz"))
     assert "box A" in text

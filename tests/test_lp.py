@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from trunkpack.catalog import BoxType, default_catalog
-from trunkpack.freespace import (RawRegion, compute_feasible_region,
+from trunkpack.freespace import (Region, compute_feasible_region,
                                  describe_region, parse_convex_json,
                                  raw_feasible_region)
 from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
@@ -130,24 +130,22 @@ def test_build_lp_row_structure():
     lp = build_lp([(box, "zyx"), (box, "zyx")], regions,
                   bb_constraints=[(0, 1, 0, 1)],
                   bo_constraints=[(1, "o0", 0)])
+    # rows in build_lp's documented order: hull rows per box, box-box rows,
+    # box-obstacle rows, slack cap, slack floor
     s = 6
-    for i, label in enumerate(lp.row_labels):
-        coef = lp.A[i, s]
-        if label.startswith("hull"):
-            assert coef == 0.0
-        elif label.startswith(("bb", "bo")):
-            assert coef == 1.0
-        elif label == "slack-cap":
-            assert coef == 1.0 and lp.b[i] == DELTA_MM
-        elif label == "slack-nonneg":
-            assert coef == -1.0 and lp.b[i] == 0.0
-    hull_rows = [i for i, l in enumerate(lp.row_labels) if l.startswith("hull")]
-    for i in hull_rows:
-        assert np.linalg.norm(lp.A[i, :6][lp.A[i, :6] != 0]) == pytest.approx(1.0)
-    bb = lp.row_labels.index("bb:0<1:x")
+    k = len(region.hull.halfspaces)
+    bb, bo, cap, floor = 2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3
+    assert lp.A.shape == (2 * k + 4, 7)
+    for i in range(2 * k):
+        box_cols = slice(3 * (i // k), 3 * (i // k) + 3)
+        assert lp.A[i, s] == 0.0
+        assert np.linalg.norm(lp.A[i, box_cols]) == pytest.approx(1.0)
+        assert np.count_nonzero(lp.A[i]) == np.count_nonzero(lp.A[i, box_cols])
+    assert lp.A[bb, s] == lp.A[bo, s] == 1.0
+    assert lp.A[cap, s] == 1.0 and lp.b[cap] == DELTA_MM
+    assert lp.A[floor, s] == -1.0 and lp.b[floor] == 0.0
     assert lp.A[bb, 0] == 1.0 and lp.A[bb, 3] == -1.0
     assert lp.b[bb] == pytest.approx(-229.0)
-    bo = [i for i, l in enumerate(lp.row_labels) if l.startswith("bo")][0]
     facet = region.obstacles[0].halfspaces[0]
     norm = math.sqrt(facet.a ** 2 + facet.b ** 2 + facet.c ** 2)
     assert lp.b[bo] == pytest.approx(-float(facet.d) / norm)
@@ -305,8 +303,8 @@ def test_solver_outcomes_match_reference_digest():
             box = BoxType(f"B{k}", tuple(int(v) for v in
                                          rng.integers(30, 200, size=3)), 1)
             placements.append((box, "xyz"))
-            regions[(box.id, "xyz")] = RawRegion(box.id, "xyz", hull,
-                                                 list(obstacles))
+            regions[(box.id, "xyz")] = Region(box.id, "xyz", hull,
+                                              list(obstacles))
         pairs = [(i, j) for i in range(n_boxes) for j in range(i + 1, n_boxes)]
         rng.shuffle(pairs)
         bb = [(i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))

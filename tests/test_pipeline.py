@@ -331,7 +331,7 @@ def test_exit_code_unreadable_input(tmp_path):
     assert rc == EXIT_UNREADABLE
 
 
-def test_exit_code_malformed_trunk(tmp_path):
+def test_exit_code_malformed_trunk(tmp_path, capsys):
     unbounded = write_json(tmp_path / "open.json",
                            {"shell": {"halfspaces": [
                                {"n": [1, 0, 0], "d": 10}]}})
@@ -342,6 +342,16 @@ def test_exit_code_malformed_trunk(tmp_path):
     garbage.write_text("not json {", encoding="utf-8")
     assert run(RunConfig(trunk=str(garbage), trunk_format="convex-json",
                          out_dir=str(tmp_path / "o2"))) == EXIT_MALFORMED
+
+    # coordinates past the exact sampling lattice's range (about 2^30 mm):
+    # describe reports it in one line, not a traceback
+    huge = write_json(tmp_path / "huge.json", convex_cube_obj(2 ** 42))
+    capsys.readouterr()
+    assert run(RunConfig(trunk=huge, catalog_path=make_box_t_catalog(tmp_path),
+                         out_dir=str(tmp_path / "o3"),
+                         mc_samples=300)) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflow int64" in err
 
 
 _UNBOUNDED_REGION = {"box": "T", "fattened": False,
@@ -413,20 +423,24 @@ def test_enumerate_only_over_empty_regions(tmp_path):
                                      "violations": []}
 
 
-def test_exit_code_curved_hull_lattice_overflow(tmp_path, capsys):
-    # an eroded curved hull has rational vertices too fine for the int64
-    # sampling lattice; describe reports it as exit 11, not a traceback
+def test_curved_hull_runs_end_to_end(tmp_path):
+    # an eroded curved hull has rational vertices with huge denominators;
+    # its sample box is rounded out to the dyadic grid, so describe samples
+    # it exactly and the run packs
     trunk = os.path.join(os.path.dirname(__file__), "data",
                          "curved_hull_trunk.json")
     catalog = write_json(tmp_path / "catalog.json",
                          [{"id": "E", "dims_mm": [381, 229, 203],
                            "max_count": 4}])
+    out = tmp_path / "out"
     rc = main(["--trunk", trunk, "--trunk-format", "convex-json",
                "--catalog", catalog, "--orientations", "xyz",
-               "--out", str(tmp_path / "out")])
-    assert rc == EXIT_MALFORMED
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "overflow int64" in err
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    payload = load_packing(out)
+    assert payload["validation"]["valid"]
+    assert len(payload["placements"]) == 3
+    assert payload["volume_mm3"] == 3 * 381 * 229 * 203
 
 
 def test_exit_code_empty_free_space(tmp_path):

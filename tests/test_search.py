@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from trunkpack.catalog import BoxType, default_catalog, distinct_orientations
-from trunkpack.freespace import (RawRegion, compute_feasible_region,
+from trunkpack.freespace import (Region, compute_feasible_region,
                                  parse_convex_json, raw_feasible_region)
 from trunkpack.geometry import (Halfspace, axis_aligned_box, fm_feasible,
                                 intersect_halfspaces)
@@ -48,7 +48,7 @@ F = Fraction
 
 
 def region(hull, obstacles, box_id, orientation="zyx"):
-    return RawRegion(box_id, orientation, hull, list(obstacles))
+    return Region(box_id, orientation, hull, list(obstacles))
 
 
 def cube_type(id="K", edge=20, max_count=2):

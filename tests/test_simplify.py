@@ -30,7 +30,7 @@ from typing import List
 import numpy as np
 import pytest
 
-from trunkpack.freespace import RawRegion, classify_feasible, sample_lattice_points
+from trunkpack.freespace import Region, classify_feasible, sample_lattice_points
 from trunkpack import simplify
 from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
                                 convex_hull, polytopes_touch, to_fraction)
@@ -44,7 +44,7 @@ F = Fraction
 
 
 def region(hull, obstacles):
-    return RawRegion("A", "zyx", hull, list(obstacles))
+    return Region("A", "zyx", hull, list(obstacles))
 
 
 def hull10():
