@@ -46,10 +46,13 @@ class BoxType:
         dims = tuple(int(v) for v in obj["dims_mm"])
         if len(dims) != 3 or any(v <= 0 for v in dims):
             raise ValueError(f"box {obj.get('id')!r}: dims_mm must be 3 positive ints")
+        max_count = int(obj["max_count"])
+        if max_count < 0:
+            raise ValueError(f"box {obj.get('id')!r}: max_count must be >= 0")
         return cls(
             id=str(obj["id"]),
             dims_mm=dims,
-            max_count=int(obj["max_count"]),
+            max_count=max_count,
             phase=str(obj.get("phase", "primary")),
         )
 

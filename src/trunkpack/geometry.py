@@ -43,7 +43,8 @@ def to_fraction(value: Rational) -> Fraction:
     Floats are read through their shortest ``repr`` (decimal semantics), so a
     JSON value such as ``241.5`` becomes 483/2 rather than a 53-bit binary
     expansion.  Strings may be decimal ("1.5"), rational ("3/4"), or use an
-    exponent ("2.5e2").
+    exponent ("2.5e2").  A string or float that is not a finite rational
+    ("abc", "1/0", "inf", NaN) raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -52,13 +53,21 @@ def to_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(decimal.Decimal(repr(value)))
-    if isinstance(value, str):
+        number = decimal.Decimal(repr(value))
+    elif isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError:
-            return Fraction(decimal.Decimal(value))
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+        except (ValueError, ZeroDivisionError):
+            pass
+        try:
+            number = decimal.Decimal(value)
+        except decimal.InvalidOperation:
+            number = None
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a rational number")
+    if number is None or not number.is_finite():
+        raise ValueError(f"{value!r} is not a finite rational number")
+    return Fraction(number)
 
 
 def _gcd4(a: int, b: int, c: int, d: int) -> int:
@@ -605,57 +614,26 @@ def _vertex_candidates(rows) -> list:
     return list(cands)
 
 
-def _hull2d_extremes(pairs):
-    """Indices of the extreme points of a 2D point set, via a strict
-    monotone chain (collinear boundary points are dropped)."""
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-
-    def turn(o, a, b):
-        return ((pairs[a][0] - pairs[o][0]) * (pairs[b][1] - pairs[o][1])
-                - (pairs[a][1] - pairs[o][1]) * (pairs[b][0] - pairs[o][0]))
-
-    lower = []
-    for i in order:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(order):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return list(dict.fromkeys(lower[:-1] + upper[:-1]))
+def _row_vertices(halfspaces) -> list:
+    """The vertices of a *bounded* halfspace system, empty when it is
+    infeasible.  Every point where three rows with independent normals are
+    tight and every row holds is a basic feasible solution, hence a vertex
+    (Bertsimas & Tsitsiklis 1997, Thm 2.3), so nothing needs a hull to
+    weed out non-extreme points, flat systems included."""
+    return _vertex_candidates([h.key() for h in _dedupe_dominated(halfspaces)])
 
 
 def _degenerate_from_points(points, id=None) -> ConvexPolytope:
-    """Flat polytope (point, segment, or polygon) holding the extreme points
-    of a point set that is not full-dimensional."""
-    H = [p._h for p in points]
-    basis = _affine_basis(H)
-    if len(basis) == 1:
-        verts = [points[0]]
-    elif len(basis) == 2:
-        # along a line, (x, y, z) order is the order of the line parameter
-        ordered = _sorted_points(points)
-        verts = [ordered[0], ordered[-1]]
-    else:
-        # project along the axis where the plane's normal is largest
-        normal = _plane_ints(H[basis[0]], H[basis[1]], H[basis[2]])
-        drop = max(range(3), key=lambda i: abs(normal[i]))
-        keep = [i for i in range(3) if i != drop]
-        pairs = [(c[keep[0]], c[keep[1]]) for c in _int_coords(points)[0]]
-        verts = [points[i] for i in _hull2d_extremes(pairs)]
-    verts = _sorted_points(dict.fromkeys(verts))
-    return ConvexPolytope([], verts, triangles=[], degenerate=True, id=id)
+    """Flat polytope (point, segment, or polygon) from its extreme points."""
+    return ConvexPolytope([], _sorted_points(points), triangles=[],
+                          degenerate=True, id=id)
 
 
 def _polytope_from_rows(halfspaces, id=None):
-    """Intersection of a *bounded* halfspace list: ConvexPolytope, a
-    degenerate polytope, or None when empty.  The caller guarantees
-    boundedness."""
-    hs = _dedupe_dominated(halfspaces)
-    rows = [h.key() for h in hs]
-    points = _vertex_candidates(rows)
+    """Intersection of a *bounded* halfspace list: the hull of its vertices
+    when they span space, else a degenerate polytope holding them, or None
+    when empty.  The caller guarantees boundedness."""
+    points = _row_vertices(halfspaces)
     if not points:
         return None
     if len(_affine_basis([p._h for p in points])) == 4:
@@ -707,7 +685,7 @@ def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
             return False
     # the combined system is bounded, so it is feasible exactly when it has
     # a vertex
-    return _polytope_from_rows(p.halfspaces + q.halfspaces) is not None
+    return bool(_row_vertices(p.halfspaces + q.halfspaces))
 
 
 # ---------------------------------------------------------------------------

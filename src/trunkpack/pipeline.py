@@ -53,7 +53,7 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         raw_feasible_region, region_from_dict, region_json,
                         region_report_csv, region_report_rows, region_seed,
                         format_region_report)
-from .geometry import GeometryError
+from .geometry import GeometryError, to_fraction
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
                        MergeParams, drop_facets, format_log, merge_obstacles)
 from .search import (PackingResult, Placement, SearchConfig, SearchStats,
@@ -235,19 +235,20 @@ def stage_outputs(stage: str, paths: RunPaths,
 
 
 def detect_trunk_format(path: str) -> str:
-    """Pick a trunk format from the file name and a JSON content sniff."""
-    name = path.lower()
-    if name.endswith(".stl"):
+    """Pick a trunk format: STL by file name or a leading ``solid``, else
+    convex-json when the file is a JSON object with a top-level ``shell``
+    key, else mesh-json (whose loader reports anything unreadable)."""
+    if path.lower().endswith(".stl"):
         return "stl"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(1 << 16)
-    except OSError:
-        return "mesh-json"  # let the loader raise a readable error
-    stripped = head.lstrip()
-    if stripped.startswith("solid"):
-        return "stl"
-    if '"shell"' in head:
+            text = fh.read()
+        if text.lstrip().startswith("solid"):
+            return "stl"
+        obj = json.loads(text)
+    except (OSError, ValueError):
+        return "mesh-json"
+    if isinstance(obj, dict) and "shell" in obj:
         return "convex-json"
     return "mesh-json"
 
@@ -264,7 +265,7 @@ def _load_trunk_checked(config: RunConfig):
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read trunk file {config.trunk}: {exc}")
     except (json.JSONDecodeError, TrunkFormatError, DegenerateTrunk,
-            GeometryError, ValueError) as exc:
+            GeometryError, ValueError, TypeError) as exc:
         raise PipelineError(EXIT_MALFORMED,
                             f"malformed trunk {config.trunk}: {exc}")
 
@@ -600,16 +601,18 @@ def _export_obj(config: RunConfig, placements) -> None:
 
 
 def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
-    """A packing file counts as a cache hit unless it records a timeout
-    with no placements, so a rerun with a larger time limit retries.  On a
-    hit, a missing OBJ scene the run asks for is written from the stored
-    placements; a placed box id the catalog lacks makes it a miss."""
+    """A packing file counts as a cache hit when it is a JSON object that
+    does not record a timeout with no placements, so a rerun with a larger
+    time limit retries.  On a hit, a missing OBJ scene the run asks for is
+    written from the stored placements; a placed box id the catalog lacks
+    makes it a miss."""
     try:
         with open(paths.packing, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return False
-    if not payload.get("placements") and payload.get("timed_out"):
+    if not isinstance(payload, dict) or (not payload.get("placements")
+                                         and payload.get("timed_out")):
         return False
     if config.export_obj and not Path(config.export_obj).exists():
         boxes = {box.id: box for box in catalog}
@@ -679,12 +682,16 @@ def run(config: RunConfig) -> int:
 
 
 def _parse_seed_point(text: str) -> Tuple[str, str, str]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3 or not all(parts):
+    parts = tuple(p.strip() for p in text.split(","))
+    try:
+        numbers = [to_fraction(p) for p in parts]
+    except ValueError:
+        numbers = []
+    if len(numbers) != 3:
         raise argparse.ArgumentTypeError(
-            "seed point must be three comma-separated coordinates, "
+            "seed point must be three comma-separated numbers, "
             "e.g. 100,200,300")
-    return tuple(parts)
+    return parts
 
 
 def _parse_csv_list(text: str) -> Tuple[str, ...]:

@@ -146,9 +146,11 @@ class PackingResult:
 
 def candidate_list(regions: Dict[tuple, object], catalog: Sequence) -> List[Candidate]:
     """All placeable (box, orientation) pairs that have a region, in
-    canonical key order."""
+    canonical key order; a type with ``max_count`` below 1 has none."""
     out = []
     for box in catalog:
+        if box.max_count < 1:
+            continue
         for orientation in ORIENTATIONS:
             region = regions.get((box.id, orientation))
             if region is None:

@@ -38,7 +38,8 @@ from trunkpack.freespace import (_hit_volume, _sample_volume, classify_feasible,
                                  enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
                                 cross3, intersect_halfspaces, polytopes_touch,
-                                to_fraction, _polytope_from_rows)
+                                to_fraction, _polytope_from_rows,
+                                _row_vertices)
 from trunkpack.lp import NumericalFailure, maximize_direction
 
 DEFAULT_REL_PCT = 10.0
@@ -79,9 +80,7 @@ class MergedObstacle:
 
 def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fraction:
     inter = _polytope_from_rows(list(a.halfspaces) + list(b.halfspaces))
-    if inter is None or inter.degenerate:
-        return Fraction(0)
-    return inter.volume()
+    return Fraction(0) if inter is None else inter.volume()
 
 
 def merge_obstacles(region, params: MergeParams):
@@ -225,16 +224,11 @@ def _exact_growth(candidate: Halfspace, remaining: Sequence[Halfspace],
     the dropped facet plane.  Returns (numerator Fraction, |n|^2 int) with
     growth = numerator / sqrt(|n|^2), or None when the intersection is empty.
     """
-    poly = _polytope_from_rows(list(remaining) + list(hull_rows))
-    if poly is None:
+    vertices = _row_vertices(list(remaining) + list(hull_rows))
+    if not vertices:
         return None
-    best = None
-    for v in poly.vertices:
-        val = candidate.value(v)
-        if best is None or val > best:
-            best = val
     nn = candidate.a ** 2 + candidate.b ** 2 + candidate.c ** 2
-    return best, nn
+    return max(map(candidate.value, vertices)), nn
 
 
 def _growth_within(numerator: Fraction, norm_sq: int, bound: Fraction) -> bool:

@@ -130,3 +130,8 @@ def test_catalog_file_validation(tmp_path):
     ]))
     with pytest.raises(ValueError):
         load_catalog(str(dup))
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps(
+        [{"id": "X", "dims_mm": [1, 2, 3], "max_count": -1}]))
+    with pytest.raises(ValueError, match="max_count"):
+        load_catalog(str(negative))

@@ -23,7 +23,6 @@ from trunkpack.geometry import (
     _polytope_from_rows,
     axis_aligned_box,
     convex_hull,
-    cross3,
     fm_feasible,
     intersect_halfspaces,
     minkowski_sum_convex,
@@ -53,6 +52,13 @@ def test_to_fraction_strings():
 def test_to_fraction_rejects_bool():
     with pytest.raises(TypeError):
         to_fraction(True)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "inf", "-Infinity", "nan", "",
+                                 float("inf"), float("-inf"), float("nan")])
+def test_to_fraction_rejects_non_finite_or_malformed(bad):
+    with pytest.raises(ValueError):
+        to_fraction(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +628,12 @@ def _random_touch_pairs(rng):
 def test_touch_matches_fourier_motzkin(monkeypatch):
     outcomes = []
 
-    def counted(halfspaces, id=None):
-        poly = _polytope_from_rows(halfspaces, id=id)
-        outcomes.append(poly is not None)
-        return poly
+    def counted(halfspaces, _real=geometry._row_vertices):
+        vertices = _real(halfspaces)
+        outcomes.append(bool(vertices))
+        return vertices
 
-    monkeypatch.setattr(geometry, "_polytope_from_rows", counted)
+    monkeypatch.setattr(geometry, "_row_vertices", counted)
     verdicts = []
     for p, q in _random_touch_pairs(random.Random(57)):
         rows = [((h.a, h.b, h.c), h.d) for h in p.halfspaces + q.halfspaces]
@@ -716,7 +722,7 @@ def test_integer_vertex_order_matches_fraction_order():
 
 
 def _fraction_flat_extremes(points):
-    """Reference for _degenerate_from_points on Fraction coordinates: the
+    """The extreme points of a flat point set, on Fraction coordinates: the
     two ends of a collinear set along its direction, or the corners of a
     coplanar set by a monotone chain on its projection."""
     coords = sorted({p.astuple() for p in points})
@@ -757,45 +763,46 @@ def _fraction_flat_extremes(points):
     return sorted(set(chain))
 
 
-def test_degenerate_extremes_match_fraction_reference():
+def _fraction_satisfies(h, v):
+    return F(h.a) * v.x + F(h.b) * v.y + F(h.c) * v.z <= F(h.d)
+
+
+def test_flat_intersection_vertices_are_extreme_points():
+    # a flat row system's vertex list is kept as it is: every point where
+    # three independent rows are tight and all rows hold is a vertex, so it
+    # must already equal its own extreme points in (x, y, z) order
     rng = random.Random(10)
-    values = _seeded_rationals(rng, 400)
-    take = iter(values * 4).__next__
+    box = axis_aligned_box((-10, -10, -10), (10, 10, 10))
 
-    def rand_point():
-        return Point3(take(), take(), take())
+    def normal():
+        n = [rng.randint(-3, 3) for _ in range(3)]
+        return n if any(n) else [1, 0, 0]
 
-    def nonzero_vector():
-        v = rand_point()
-        return v if v != Point3(0, 0, 0) else Point3(1, take(), 0)
+    def offset(n, p, slack=0):
+        return sum(a * c for a, c in zip(n, p)) + slack
 
-    axis = [Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1)]
     kinds = set()
-    for trial in range(60):
-        p0 = rand_point()
-        u = axis[trial % 3] if trial % 4 == 0 else nonzero_vector()
-        if trial % 2 == 0:
-            # collinear: points p0 + t*u, with repeats and interior points
-            ts = [take() for _ in range(rng.randint(2, 8))]
-            pts = [p0 + Point3(*(t * c for c in u)) for t in ts]
-        else:
-            v = axis[(trial + 1) % 3] if trial % 4 == 1 else nonzero_vector()
-            if cross3(u, v) == Point3(0, 0, 0):
-                v = next(a for a in axis if cross3(u, a) != Point3(0, 0, 0))
-            # coplanar: a grid (edge and interior points) plus random points
-            n = rng.randint(1, 3)
-            pts = [p0 + Point3(*(F(s, n) * a + F(t, n) * b
-                                 for a, b in zip(u, v)))
-                   for s in range(n + 1) for t in range(n + 1)]
-            for _ in range(rng.randint(0, 6)):
-                s, t = take(), take()
-                pts.append(p0 + Point3(*(s * a + t * b for a, b in zip(u, v))))
-        pts += rng.sample(pts, min(3, len(pts)))
-        rng.shuffle(pts)
-        assert len(geometry._affine_basis([p._h for p in pts])) < 4
-        flat = geometry._degenerate_from_points(pts)
-        assert flat.degenerate
+    for trial in range(90):
+        planes = trial % 3 + 1
+        p0 = [F(rng.randint(-80, 80), rng.choice((1, 2, 3, 7, 8))) / 10
+              for _ in range(3)]
+        rows = []
+        for _ in range(planes):
+            n = normal()
+            # the plane n . x = n . p0, written as two opposite rows
+            rows += [Halfspace(n, offset(n, p0)),
+                     Halfspace([-a for a in n], -offset(n, p0))]
+        if planes == 1:
+            for _ in range(rng.randint(1, 6)):
+                n = normal()
+                rows.append(Halfspace(n, offset(n, p0, F(rng.randint(0, 40),
+                                                         rng.randint(1, 4)))))
+        rng.shuffle(rows)
+        flat = intersect_halfspaces(rows, box)
+        assert flat.degenerate and flat.volume() == 0
         got = [v.astuple() for v in flat.vertices]
-        assert got == _fraction_flat_extremes(pts)
+        assert got == _fraction_flat_extremes(flat.vertices)
+        for h in rows + box.halfspaces:
+            assert all(_fraction_satisfies(h, v) for v in flat.vertices)
         kinds.add(min(len(got), 3))
-    assert kinds == {2, 3}
+    assert kinds == {1, 2, 3}

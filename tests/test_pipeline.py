@@ -329,6 +329,13 @@ def test_exit_code_unreadable_input(tmp_path):
                        catalog_path=str(tmp_path / "no-catalog.json"),
                        out_dir=str(tmp_path / "out2")))
     assert rc == EXIT_UNREADABLE
+    negative = write_json(tmp_path / "negative.json",
+                          [{"id": "T", "dims_mm": [610, 483, 458],
+                            "max_count": -1}])
+    rc = run(RunConfig(trunk=write_json(tmp_path / "c.json",
+                                        convex_cube_obj(700)),
+                       catalog_path=negative, out_dir=str(tmp_path / "out3")))
+    assert rc == EXIT_UNREADABLE
 
 
 def test_exit_code_malformed_trunk(tmp_path, capsys):
@@ -353,6 +360,29 @@ def test_exit_code_malformed_trunk(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflow int64" in err
 
+    # numbers that are not finite rationals: one line, not a traceback
+    cube = convex_cube_obj(700)
+    bad_offset = dict(cube, shell={"halfspaces": [
+        dict(h, d="abc") for h in cube["shell"]["halfspaces"]]})
+    bad_seed = dict(cube_mesh_obj(700), seed=["1/0", 350, 350])
+    infinite_seed = dict(cube_mesh_obj(700), seed=[float("inf"), 350, 350])
+    null_corner = cube_mesh_obj(700)
+    null_corner["triangles"][0][0] = [0, 0, None]
+    cavity_of_lists = convex_cube_obj(700, [[[[1], 2, 3]]])
+    catalog = make_box_t_catalog(tmp_path)
+    for name, obj, fmt, message in [
+            ("offset", bad_offset, "convex-json", "not a finite rational"),
+            ("seed", bad_seed, "mesh-json", "not a finite rational"),
+            ("inf", infinite_seed, "mesh-json", "not a finite rational"),
+            ("null", null_corner, "mesh-json", "cannot interpret None"),
+            ("lists", cavity_of_lists, "convex-json", "cannot interpret [1]")]:
+        trunk = write_json(tmp_path / f"{name}.json", obj)
+        assert run(RunConfig(trunk=trunk, trunk_format=fmt,
+                             catalog_path=catalog,
+                             out_dir=str(tmp_path / name))) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
 
 _UNBOUNDED_REGION = {"box": "T", "fattened": False,
                      "hull": {"halfspaces": [{"n": [1, 0, 0], "d": 10}]},
@@ -364,6 +394,8 @@ _CUBE_ROWS = convex_cube_obj(700)["shell"]
 _HALF_SPACE = {"halfspaces": [{"n": [1, 0, 0], "d": 10}]}
 _FLAT_CUBE = {"halfspaces": [dict(h, d=0) if h["n"] == [1, 0, 0] else h
                              for h in _CUBE_ROWS["halfspaces"]]}
+_BAD_NUMBER_CUBE = {"halfspaces": [dict(h, d="abc") if h["n"] == [1, 0, 0]
+                                   else h for h in _CUBE_ROWS["halfspaces"]]}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -384,7 +416,10 @@ _FLAT_CUBE = {"halfspaces": [dict(h, d=0) if h["n"] == [1, 0, 0] else h
     # own index, though its boundedness is read from memory
     (dict(_UNBOUNDED_REGION, hull=_CUBE_ROWS,
           obstacles=[_CUBE_ROWS, _FLAT_CUBE]), "'o1' is empty or flat"),
-], ids=["unbounded", "list", "repeated", "flat"])
+    # an offset that is not a number
+    (dict(_UNBOUNDED_REGION, hull=_BAD_NUMBER_CUBE),
+     "'abc' is not a finite rational"),
+], ids=["unbounded", "list", "repeated", "flat", "bad-number"])
 def test_exit_code_unbounded_region_file(tmp_path, capsys, stage, prefix,
                                          workers, content, message):
     # an undecodable region file is an unreadable input in every stage that
@@ -605,6 +640,29 @@ def test_cli_rejects_bad_usage(tmp_path, capsys):
         assert not (out / "regions").exists()
 
 
+def test_cli_rejects_a_seed_point_that_is_not_numbers(tmp_path, capsys):
+    trunk = write_json(tmp_path / "mesh.json", cube_mesh_obj(700))
+    for text in ("1,2,x", "1,2", "1,2,", "1/0,2,3", "inf,2,3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--trunk", trunk, "--seed-point", text,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "seed point" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_packing_file_that_is_not_an_object_is_a_cache_miss(tmp_path):
+    trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
+    cfg = RunConfig(trunk=trunk, catalog_path=make_box_t_catalog(tmp_path),
+                    out_dir=str(tmp_path / "out"), mc_samples=300,
+                    orientations=("xyz",))
+    assert run(cfg) == EXIT_OK
+    first = load_packing(tmp_path / "out")
+    (tmp_path / "out" / "packing.json").write_text("[]", encoding="utf-8")
+    assert run(cfg) == EXIT_OK
+    assert load_packing(tmp_path / "out") == first
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(stages=("describe", "freespace"))
@@ -650,6 +708,21 @@ def test_detect_trunk_format(tmp_path):
     mesh = tmp_path / "mesh.json"
     write_json(mesh, cube_mesh_obj(10))
     assert detect_trunk_format(str(mesh)) == "mesh-json"
+
+    # sorted keys put "shell" after 500 cavities, past the first 64 KiB
+    cavities = [box_corners((10 * i, 10, 10), (10 * i + 1, 11, 11))
+                for i in range(500)]
+    late = tmp_path / "late_shell.json"
+    late.write_text(json.dumps(convex_cube_obj(10000, cavities),
+                               sort_keys=True), encoding="utf-8")
+    text = late.read_text(encoding="utf-8")
+    assert len(text) > 1 << 16 and '"shell"' not in text[:1 << 16]
+    assert detect_trunk_format(str(late)) == "convex-json"
+
+    # a JSON file that is not an object is left to the mesh loader
+    listed = tmp_path / "list.json"
+    write_json(listed, [{"shell": []}])
+    assert detect_trunk_format(str(listed)) == "mesh-json"
 
 
 def test_export_obj_without_trunk(tmp_path):

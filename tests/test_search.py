@@ -128,6 +128,19 @@ def test_max_count_limits_placements():
     assert result.volume_mm3 == 8000
 
 
+def test_zero_count_type_is_never_placed():
+    # a 300 mm cube fits in the region, but its type allows none: with
+    # pruning on or off the packing is the same, and empty
+    box = cube_type(edge=300, max_count=0)
+    hull = axis_aligned_box((150, 150, 150), (550, 550, 550), id="hull")
+    regions = {("K", "zyx"): region(hull, [], "K")}
+    assert candidate_list(regions, [box]) == []
+    for prune in (True, False):
+        result = enumerate_patterns(regions, [box],
+                                    config=SearchConfig(prune_enabled=prune))
+        assert result.placements == [] and result.volume_mm3 == 0
+
+
 def test_prune_toggle_preserves_results():
     big, regions = _pillar_instance()
     small = cube_type(id="L", edge=10, max_count=2)
