@@ -17,7 +17,20 @@ from typing import Iterable, Optional, Sequence
 # canonical orientation order, used everywhere a deterministic sweep is needed
 ORIENTATIONS = ("zyx", "zxy", "yzx", "xzy", "yxz", "xyz")
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# orientation -> the box dimension that lies along world x, y and z
+_DIM_ALONG_AXIS = {name: tuple(name.index(axis) for axis in "xyz")
+                   for name in ORIENTATIONS}
+
+
+def _whole_number(value, box_id, field: str) -> int:
+    """An int that is not a bool, or a float with no fractional part; any
+    other value is an error naming the box and the field."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"box {box_id!r}: {field} value {value!r} is not "
+                         f"a whole number")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -43,12 +56,14 @@ class BoxType:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoxType":
-        dims = tuple(int(v) for v in obj["dims_mm"])
+        box_id = obj.get("id")
+        dims = tuple(_whole_number(v, box_id, "dims_mm")
+                     for v in obj["dims_mm"])
         if len(dims) != 3 or any(v <= 0 for v in dims):
-            raise ValueError(f"box {obj.get('id')!r}: dims_mm must be 3 positive ints")
-        max_count = int(obj["max_count"])
+            raise ValueError(f"box {box_id!r}: dims_mm must be 3 positive ints")
+        max_count = _whole_number(obj["max_count"], box_id, "max_count")
         if max_count < 0:
-            raise ValueError(f"box {obj.get('id')!r}: max_count must be >= 0")
+            raise ValueError(f"box {box_id!r}: max_count must be >= 0")
         return cls(
             id=str(obj["id"]),
             dims_mm=dims,
@@ -103,12 +118,11 @@ def save_catalog(boxes: Iterable[BoxType], path: str) -> None:
 
 def oriented_extents(dims: Sequence, orientation: str) -> tuple:
     """Extent along each world axis after applying the orientation."""
-    if len(orientation) != 3 or set(orientation) != {"x", "y", "z"}:
-        raise ValueError(f"bad orientation {orientation!r}")
-    out = [None, None, None]
-    for i, axis in enumerate(orientation):
-        out[_AXIS_INDEX[axis]] = dims[i]
-    return tuple(out)
+    try:
+        i, j, k = _DIM_ALONG_AXIS[orientation]
+    except KeyError:
+        raise ValueError(f"bad orientation {orientation!r}") from None
+    return (dims[i], dims[j], dims[k])
 
 
 def distinct_orientations(box: BoxType, allowed: Optional[Sequence[str]] = None) -> list:

@@ -12,13 +12,26 @@ outcome always corresponds to a genuinely non-overlapping placement.
 Each polytope's unit-norm float rows are computed once and cached on the
 polytope, so a search node only copies them into its LP.
 
-The solver is a dense two-phase simplex with Bland's rule: tiny problems,
-deterministic behaviour, no external dependency.  Each pivot works on whole
-arrays (entering column, ratio test with ties to the lowest basis index, and
-elimination on the rows with a nonzero pivot-column entry only), with the
-same pivot sequence and the same floats as a row-by-row loop.  Rows are
-normalized to unit coefficient norm; a residual check after solving guards
-against silent numerical drift (NumericalFailure, never misreported as
+The solver is a dense two-phase simplex with Bland's rule (Bland 1977) on
+the textbook single tableau (Chvátal, Linear Programming, 1983, ch. 2-3):
+tiny problems, deterministic behaviour, no external dependency.  The
+tableau has m + 1 rows and one column per structural, slack and artificial
+variable plus one: its last column is x_b and its last row the reduced
+costs, computed once per phase.  A pivot divides the pivot row, then
+updates every other row, x_b and the reduced costs included, with one
+dense rank-1 elimination.  The lowest-index column with a positive reduced
+cost enters; the smallest ratio over the rows whose pivot-column entry
+exceeds _PIVOT_EPS leaves, ties to the lowest basis index.
+
+This gives the pivot sequence and the tableau floats of a solver that
+eliminates row by row and recomputes the reduced costs from the basis at
+each step.  Elimination is elementwise: an entry becomes t - f * p, one
+product and one subtraction, whichever rows are updated together, and a
+row with f = 0 keeps its value (only a zero's sign may differ).  Reduced
+costs only decide which columns are eligible, never a tableau value, and
+a basic column's reduced cost stays exactly zero.  Rows are normalized to
+unit coefficient norm; a residual check after solving guards against
+silent numerical drift (NumericalFailure, never misreported as
 infeasible).
 """
 
@@ -68,6 +81,7 @@ class LpOutcome:
     feasible: bool
     assignment: Optional[np.ndarray] = None
     value: float = 0.0
+    pivots: int = 0
 
     @property
     def slack(self) -> float:
@@ -192,71 +206,69 @@ def build_lp(placements: Sequence, regions: dict,
 
 def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """maximize c.x st A x <= b, x >= 0 via two-phase tableau with Bland's
-    rule.  Returns (status, x) with status in {'optimal', 'infeasible',
-    'unbounded', 'stalled'}."""
+    rule.  Returns (status, x, pivots): status in {'optimal', 'infeasible',
+    'unbounded', 'stalled'}, pivots counts both phases and the removal of
+    leftover artificials."""
     m, n = A.shape
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-    # columns: n structural | m slack (+1 unflipped, -1 flipped) | artificials
+    # rows: m constraints | reduced costs
+    # columns: n structural | m slack (+1 unflipped, -1 flipped) |
+    # artificials | x_b
     art_rows = flip.nonzero()[0]
     n_art = len(art_rows)
     ncols = n + m + n_art
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :n] = np.where(flip[:, None], -A, A)
     T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
     T[art_rows, n + m + np.arange(n_art)] = 1.0
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
-    x_b = b.astype(float)
+    T[:m, -1] = np.where(flip, -b, b)
+    x_b = T[:m, -1]
+    basis = list(range(n, n + m))
+    for k, r in enumerate(art_rows.tolist()):
+        basis[r] = n + m + k
+    pivots = 0
 
     def pivot(r, col):
-        piv = T[r, col]
-        T[r] /= piv
-        x_b[r] /= piv
-        # eliminate col from the other rows; rows with a zero entry stay as
-        # they are (bit for bit, signed zeros included)
-        rows = T[:, col].nonzero()[0]
-        rows = rows[rows != r]
-        f = T[rows, col]
-        T[rows] -= f[:, None] * T[r]
-        x_b[rows] -= f * x_b[r]
-        nonbasic[basis[r]] = True
-        nonbasic[col] = False
+        nonlocal pivots
+        pivots += 1
+        row = T[r]
+        row /= row[col]
+        # the outer product is a K=1 matrix product: each entry is still one
+        # rounded product, and it runs about twice as fast as a broadcast
+        f = T[:, col, None].copy()
+        f[r] = 0.0
+        T[...] -= np.dot(f, row[None])
         basis[r] = col
 
     def run_phase(cost: np.ndarray, allow_cols: int):
-        cost_allowed = cost[:allow_cols]
-        T_allowed = T[:, :allow_cols]
-        nonbasic_allowed = nonbasic[:allow_cols]
+        # reduced costs once per phase; pivots keep them up to date
+        T[m] = -(cost[basis] @ T[:m])
+        T[m, :ncols] += cost
+        reduced = T[m, :allow_cols]
         for _ in range(_MAX_ITER):
-            reduced = cost_allowed - cost[basis] @ T_allowed
-            # Bland: the lowest-index improving nonbasic column enters ...
-            eligible = (reduced > _PIVOT_EPS) & nonbasic_allowed
-            entering = eligible.argmax()
+            # Bland: the lowest-index improving column enters (a basic
+            # column's reduced cost is exactly zero) ...
+            eligible = reduced > _PIVOT_EPS
+            entering = int(eligible.argmax())
             if not eligible[entering]:
                 return "optimal"
-            column = T[:, entering]
+            column = T[:m, entering]
             rows = (column > _PIVOT_EPS).nonzero()[0]
             if not rows.size:
                 return "unbounded"
             # ... and the smallest ratio leaves, ties to the lowest basis index
             ratios = x_b[rows] / column[rows]
-            ties = rows[ratios == ratios[ratios.argmin()]]
-            r = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
-            pivot(r, entering)
+            ties = rows[ratios == ratios[ratios.argmin()]].tolist()
+            pivot(min(ties, key=basis.__getitem__), entering)
         return "stalled"
 
     if n_art:
         cost1 = np.zeros(ncols)
         cost1[n + m:] = -1.0
-        status = run_phase(cost1, ncols)
-        if status != "optimal":
-            return ("stalled", None)
+        if run_phase(cost1, ncols) != "optimal":
+            return ("stalled", None, pivots)
         if -float(cost1[basis] @ x_b) > 1e2 * FEAS_TOL * (1.0 + abs(b).max()):
-            return ("infeasible", None)
+            return ("infeasible", None, pivots)
         # force remaining artificials out of the basis
         for r in range(m):
             if basis[r] >= n + m:
@@ -269,14 +281,13 @@ def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     cost2 = np.zeros(ncols)
     cost2[:n] = c
     status = run_phase(cost2, n + m)
-    if status == "stalled":
-        return ("stalled", None)
-    if status == "unbounded":
-        return ("unbounded", None)
+    if status != "optimal":
+        return (status, None, pivots)
     x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = x_b[structural]
-    return ("optimal", x)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = x_b[r]
+    return ("optimal", x, pivots)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -290,16 +301,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
     b_scaled = lp.b / scale
     A2 = np.hstack([A_scaled, -A_scaled])
     c2 = np.concatenate([lp.objective, -lp.objective])
-    status, x2 = _simplex_leq(A2, b_scaled.copy(), c2)
+    status, x2, pivots = _simplex_leq(A2, b_scaled, c2)
     if status in ("stalled", "unbounded"):
         raise NumericalFailure(f"simplex {status}")
     if status == "infeasible":
-        return LpOutcome(False)
+        return LpOutcome(False, pivots=pivots)
     x = x2[:n] - x2[n:]
     residual = float((A_scaled @ x - b_scaled).max(initial=0.0))
     if residual > FEAS_TOL:
         raise NumericalFailure(f"residual {residual:.3e} exceeds {FEAS_TOL}")
-    return LpOutcome(True, x, float(lp.objective @ x))
+    return LpOutcome(True, x, float(lp.objective @ x), pivots)
 
 
 def maximize_direction(direction: Sequence[float], halfspaces) -> LpOutcome:

@@ -601,9 +601,10 @@ def _export_obj(config: RunConfig, placements) -> None:
 
 
 def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
-    """A packing file counts as a cache hit when it is a JSON object that
-    does not record a timeout with no placements, so a rerun with a larger
-    time limit retries.  On a hit, a missing OBJ scene the run asks for is
+    """A packing file counts as a cache hit when it is a JSON object with a
+    placements list, an integer volume_mm3 and a validation object, and does
+    not record a timeout with no placements, so a rerun with a larger time
+    limit retries.  On a hit, a missing OBJ scene the run asks for is
     written from the stored placements; a placed box id the catalog lacks
     makes it a miss."""
     try:
@@ -611,8 +612,13 @@ def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
             payload = json.load(fh)
     except (OSError, ValueError):
         return False
-    if not isinstance(payload, dict) or (not payload.get("placements")
-                                         and payload.get("timed_out")):
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("placements"), list)
+            and isinstance(payload.get("volume_mm3"), int)
+            and not isinstance(payload["volume_mm3"], bool)
+            and isinstance(payload.get("validation"), dict)):
+        return False
+    if not payload["placements"] and payload.get("timed_out"):
         return False
     if config.export_obj and not Path(config.export_obj).exists():
         boxes = {box.id: box for box in catalog}

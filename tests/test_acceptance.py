@@ -553,6 +553,19 @@ def test_criterion_09_branch_arity(monkeypatch):
 
     monkeypatch.setattr(search_mod, "branch", checked_branch)
 
+    # simplex pivots per search: they pin the solver's path, not just its
+    # answers (a different vertex would move the node counts, but a
+    # different route to the same vertex would not)
+    real_solve = search_mod.solve
+    pivots = []
+
+    def counted_solve(lp):
+        outcome = real_solve(lp)
+        pivots[-1] += outcome.pivots
+        return outcome
+
+    monkeypatch.setattr(search_mod, "solve", counted_solve)
+
     results = []
     # Two cavity-free cubes sized so many equal boxes collide repeatedly
     # (box-box churn), plus one L-trunk rerun for box-obstacle branching.
@@ -562,12 +575,14 @@ def test_criterion_09_branch_arity(monkeypatch):
     ]
     for trunk, box in churn:
         regions = _region_map(trunk, box, samples=2000, seed=5)
+        pivots.append(0)
         result = enumerate_patterns(regions, [box],
                                     config=SearchConfig(prune_enabled=False))
         assert result.stats.arity_violations == 0
         results.append(result)
 
     shell, cavity_lo, box, expected = _pack_params("double_stack")
+    pivots.append(0)
     result = enumerate_patterns(_pack_regions("double_stack"), [box])
     assert result.stats.arity_violations == 0
     assert len(result.placements) == expected
@@ -581,6 +596,7 @@ def test_criterion_09_branch_arity(monkeypatch):
         (15278, 2461, 0, 3407360),
         (5889, 921, 0, 1983600),
         (133, 8, 13, 70846188)]
+    assert pivots == [192143, 65035, 1480]
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,22 @@ def test_catalog_file_validation(tmp_path):
         [{"id": "X", "dims_mm": [1, 2, 3], "max_count": -1}]))
     with pytest.raises(ValueError, match="max_count"):
         load_catalog(str(negative))
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"id": "X", "dims_mm": [610.7, 483, 229.9], "max_count": 2}, "dims_mm"),
+    ({"id": "X", "dims_mm": [610, 483, 229], "max_count": 2.9}, "max_count"),
+    ({"id": "X", "dims_mm": [True, 483, 229], "max_count": 2}, "dims_mm"),
+    ({"id": "X", "dims_mm": [610, 483, 229], "max_count": False}, "max_count"),
+    ({"id": "X", "dims_mm": ["610", 483, 229], "max_count": 2}, "dims_mm")])
+def test_box_from_dict_rejects_non_whole_numbers(obj, field):
+    # a fractional catalog must not pack boxes smaller than it states
+    with pytest.raises(ValueError, match=rf"'X'.*{field}"):
+        BoxType.from_dict(obj)
+
+
+def test_box_from_dict_accepts_whole_floats():
+    box = BoxType.from_dict({"id": "X", "dims_mm": [610.0, 483, 229],
+                             "max_count": 2.0})
+    assert box.dims_mm == (610, 483, 229) and box.max_count == 2
+    assert all(type(v) is int for v in box.dims_mm + (box.max_count,))

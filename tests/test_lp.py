@@ -61,6 +61,16 @@ def test_unit_cube_chebyshev_slack_half():
     assert np.allclose(out.assignment[:3], [0.5, 0.5, 0.5], atol=1e-9)
 
 
+def test_pivot_count_covers_both_phases():
+    # 2 <= x <= 3: no pivot when the slack basis is already optimal; one
+    # phase-1 pivot makes x basic at 2, maximizing x takes one more to 3
+    assert solve(_lp([[1.0], [-1.0]], [1.0, 0.0], [0.0])).pivots == 0
+    assert solve(_lp([[1.0], [-1.0]], [3.0, -2.0], [0.0])).pivots == 1
+    assert solve(_lp([[1.0], [-1.0]], [3.0, -2.0], [1.0])).pivots == 2
+    # an infeasible outcome reports its phase-1 pivots too
+    assert solve(_lp([[1.0], [-1.0]], [1.0, -2.0], [0.0])).pivots == 1
+
+
 def _slab_region(x_lo, x_hi):
     """Feasible region stand-in whose hull pins y and z and bounds x."""
     hull = axis_aligned_box((F(x_lo), F("241.4"), F("304.9")),

@@ -338,6 +338,21 @@ def test_exit_code_unreadable_input(tmp_path):
     assert rc == EXIT_UNREADABLE
 
 
+@pytest.mark.parametrize("box", [
+    {"id": "T", "dims_mm": [610.7, 483, 229.9], "max_count": 2},
+    {"id": "T", "dims_mm": [610, 483, 458], "max_count": 2.9},
+    {"id": "T", "dims_mm": [True, 483, 458], "max_count": 2}])
+def test_exit_code_catalog_with_fractional_numbers(tmp_path, capsys, box):
+    # integer millimetres only: a fraction or a bool is never truncated
+    trunk = write_json(tmp_path / "c.json", convex_cube_obj(700))
+    catalog = write_json(tmp_path / "catalog.json", [box])
+    rc = main(["--trunk", trunk, "--catalog", catalog,
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert "cannot read catalog" in err and "'T'" in err
+
+
 def test_exit_code_malformed_trunk(tmp_path, capsys):
     unbounded = write_json(tmp_path / "open.json",
                            {"shell": {"halfspaces": [
@@ -661,6 +676,28 @@ def test_packing_file_that_is_not_an_object_is_a_cache_miss(tmp_path):
     (tmp_path / "out" / "packing.json").write_text("[]", encoding="utf-8")
     assert run(cfg) == EXIT_OK
     assert load_packing(tmp_path / "out") == first
+
+
+@pytest.mark.parametrize("stored", [
+    {}, {"placements": [], "volume_mm3": 0},
+    {"placements": [], "volume_mm3": True, "validation": {}},
+    {"placements": None, "volume_mm3": 0, "validation": {}}])
+def test_packing_object_without_its_fields_is_a_cache_miss(tmp_path, stored):
+    # only a finished packing (placements, integer volume, validation) is
+    # reused; anything less is searched again and overwritten
+    trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
+    cfg = RunConfig(trunk=trunk, catalog_path=make_box_t_catalog(tmp_path),
+                    out_dir=str(tmp_path / "out"), mc_samples=300,
+                    orientations=("xyz",))
+    assert run(cfg) == EXIT_OK
+    first = load_packing(tmp_path / "out")
+    write_json(tmp_path / "out" / "packing.json", stored)
+    assert run(cfg) == EXIT_OK
+    rerun = load_packing(tmp_path / "out")
+    assert len(rerun["placements"]) == 1
+    assert rerun["volume_mm3"] == TEST_BOX_VOLUME_MM3
+    assert rerun["validation"]["valid"]
+    assert rerun == first
 
 
 def test_runconfig_validation():
