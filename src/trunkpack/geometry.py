@@ -260,10 +260,11 @@ class ConvexPolytope:
     full-dimensional, and they support only vertex-based queries.
     """
 
-    # _unit_rows: the float rows trunkpack.lp derives from ``halfspaces``,
-    # cached here (filled on first use) like _volume and _ibox
+    # _unit_rows and _float_bbox: the float rows and bounding box
+    # trunkpack.lp derives from ``halfspaces`` and ``int_bbox()``, cached
+    # here (filled on first use) like _volume and _ibox
     __slots__ = ("halfspaces", "vertices", "id", "degenerate", "_triangles",
-                 "_volume", "_ibox", "_unit_rows")
+                 "_volume", "_ibox", "_unit_rows", "_float_bbox")
 
     def __init__(self, halfspaces, vertices, triangles=None, degenerate=False,
                  id: Optional[str] = None):
@@ -275,6 +276,7 @@ class ConvexPolytope:
         self._volume = None
         self._ibox = None
         self._unit_rows = None
+        self._float_bbox = None
 
     def with_id(self, id: Optional[str]) -> "ConvexPolytope":
         """The same polytope under another id: it shares this one's lists

@@ -7,37 +7,65 @@ carry no slack; every separation row (box-box order, box-obstacle facet)
 includes the slack, so a positive optimum certifies a placement with that
 many millimetres of clearance in every separating constraint.  The slack is
 capped (DELTA_MM) to keep the LP bounded and non-negative so that a feasible
-outcome always corresponds to a genuinely non-overlapping placement.
+outcome always corresponds to a genuinely non-overlapping placement.  Every
+LP also carries `lower` and `upper` bounds that its rows imply: for a
+center, its region hull's bounding box rounded outward to floats; for the
+slack, [0, DELTA_MM].
 
-Each polytope's unit-norm float rows are computed once and cached on the
-polytope, so a search node only copies them into its LP.
+Each polytope's unit-norm float rows and float bounding box are computed
+once and cached on the polytope, so a search node only copies them into its
+LP.
 
-The solver is a dense two-phase simplex with Bland's rule (Bland 1977) on
-the textbook single tableau (Chvátal, Linear Programming, 1983, ch. 2-3):
-tiny problems, deterministic behaviour, no external dependency.  The
-tableau has m + 1 rows and one column per structural, slack and artificial
-variable plus one: its last column is x_b and its last row the reduced
-costs, computed once per phase.  A pivot divides the pivot row, then
-updates every other row, x_b and the reduced costs included, with one
-dense rank-1 elimination.  The lowest-index column with a positive reduced
-cost enters; the smallest ratio over the rows whose pivot-column entry
-exceeds _PIVOT_EPS leaves, ties to the lowest basis index.
+**One canonical answer.**  `solve` maximizes the objective and, among its
+maximizers, minimizes sum w_k x_k over the variables the objective leaves
+at zero, by adding -EPS * w_k to their costs (EPS = 2^-20, w_k = 1 + k/1024,
+both exact in binary).  For a pattern LP the solved objective is
+s - EPS * sum w_k x_k over the centers: the answer is the least point of
+the face where the slack is largest.  On axis-aligned rows (box-box order
+rows are difference constraints, axis-aligned hull and obstacle rows bound
+one coordinate) the centers at a fixed slack form a lattice, and its least
+element is the unique minimizer of every positive weighting, so the answer
+is exact and unique.  On slanted hulls it is unique for generic weights (a
+tie needs w to be orthogonal to an edge of the optimal face).  EPS is small
+enough that no center movement pays for lost slack: along an edge, a
+millimetre of slack would have to move the weighted centers by about 2^20
+mm.  A unique optimum is reached by every pivot path, so the answer does not
+depend on where the solver starts.
 
-This gives the pivot sequence and the tableau floats of a solver that
-eliminates row by row and recomputes the reduced costs from the basis at
-each step.  Elimination is elementwise: an entry becomes t - f * p, one
-product and one subtraction, whichever rows are updated together, and a
-row with f = 0 keeps its value (only a zero's sign may differ).  Reduced
-costs only decide which columns are eligible, never a tableau value, and
-a basic column's reduced cost stays exactly zero.  Rows are normalized to
-unit coefficient norm; a residual check after solving guards against
-silent numerical drift (NumericalFailure, never misreported as
+**The solver** is a dense dual simplex (Chvátal, Linear Programming, 1983,
+ch. 10) on one tableau of m + 1 rows: the constraint rows, whose last
+column is x_b, and the reduced costs.  Each variable is measured from the
+bound that is best for its cost, x = lower + x' when its cost is <= 0 and
+x = upper - x' otherwise, with x' >= 0; the rows imply the other bound, so
+it needs no row of its own.  Every reduced cost is then -|cost| <= 0, so
+the all-slack basis is dual feasible from the start and one phase
+suffices, with no artificial columns.  Bland's rule for the
+dual: the infeasible row whose basic variable has the lowest index leaves;
+the column with the smallest d_j / a_rj over a_rj < -_PIVOT_EPS enters,
+ties to the lowest index.  A violated row with no negative entry proves
+the LP infeasible.  A pivot divides the pivot row, then updates every other
+row, x_b and the reduced costs included, with one dense rank-1 elimination.
+
+Each row enters the tableau divided by the least power of two above its
+norm: exact, so on dyadic data (axis-aligned hulls, half-millimetre extents)
+every tableau entry stays exact and warm and cold solves give bit-identical
+answers.  A residual check against the unit-norm rows after solving guards
+against silent numerical drift (NumericalFailure, never misreported as
 infeasible).
+
+**Warm start.**  A search node's LP is its parent's plus one box-box or
+box-obstacle row, or plus one box's three center columns and its hull
+rows.  `solve(lp, parent)` copies the parent's final tableau into the
+child's layout, gives each new column its own reduced cost (<= 0: it is
+zero in every old row), expresses each new row in the parent's basis, and
+continues the dual simplex from that dual feasible basis (Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, 1997, sec. 5.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +74,8 @@ FEAS_TOL = 1e-7
 SLACK_ZERO = 1e-6
 DELTA_MM = 1.0
 _PIVOT_EPS = 1e-10
+_PRIMAL_EPS = 1e-9
+_TIE_EPS = 2.0 ** -20
 _MAX_ITER = 20000
 
 
@@ -68,20 +98,29 @@ class InvalidConstraintReference(LpError):
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x  subject to  A x <= b  (x unrestricted)."""
+    """maximize objective . x  subject to  A x <= b.  The rows must imply
+    lower <= x <= upper: the solver measures each variable from one of
+    them and enters neither as a row."""
 
     num_vars: int
     A: np.ndarray
     b: np.ndarray
     objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 @dataclass
 class LpOutcome:
+    """``value`` is objective . assignment, without the tie-break terms."""
+
     feasible: bool
     assignment: Optional[np.ndarray] = None
     value: float = 0.0
     pivots: int = 0
+    # a feasible outcome's final tableau, which a child LP warm-starts from
+    tableau: Optional["_Tableau"] = field(default=None, repr=False,
+                                          compare=False)
 
     @property
     def slack(self) -> float:
@@ -105,6 +144,28 @@ def _unit_rows(poly) -> Tuple[np.ndarray, np.ndarray]:
     return poly._unit_rows
 
 
+def _outward(num: int, den: int, up: bool) -> float:
+    """num / den (den > 0) rounded to a float: up when ``up``, else
+    down."""
+    value = num / den
+    p, q = value.as_integer_ratio()
+    if up and p * den < num * q:
+        return math.nextafter(value, math.inf)
+    if not up and p * den > num * q:
+        return math.nextafter(value, -math.inf)
+    return value
+
+
+def _float_bbox(poly) -> Tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) corners of the polytope's bounding box, rounded
+    outward to floats; computed once per polytope and cached on it."""
+    if poly._float_bbox is None:
+        lo, hi, w = poly.int_bbox()
+        poly._float_bbox = (np.array([_outward(v, w, False) for v in lo]),
+                            np.array([_outward(v, w, True) for v in hi]))
+    return poly._float_bbox
+
+
 def build_lp(placements: Sequence, regions: dict,
              bb_constraints: Sequence[Tuple[int, int, int, int]] = (),
              bo_constraints: Sequence[Tuple[int, str, int]] = ()) -> LinearProgram:
@@ -120,7 +181,8 @@ def build_lp(placements: Sequence, regions: dict,
 
     Rows, in order: each box's hull rows (boxes in pattern order, facets in
     hull order), the box-box rows and the box-obstacle rows as given, then
-    the slack cap and the slack floor.
+    the slack cap and the slack floor.  Bounds: each center's region hull's
+    bounding box, the slack's [0, DELTA_MM].
     """
     from trunkpack.catalog import oriented_extents
 
@@ -197,127 +259,174 @@ def build_lp(placements: Sequence, regions: dict,
 
     objective = np.zeros(nv)
     objective[s] = 1.0
-    return LinearProgram(nv, A, b, objective)
+    lower = np.empty(nv)
+    upper = np.empty(nv)
+    for i, region in enumerate(region_of):
+        lower[3 * i:3 * i + 3], upper[3 * i:3 * i + 3] = _float_bbox(
+            region.hull)
+    lower[s], upper[s] = 0.0, DELTA_MM
+    return LinearProgram(nv, A, b, objective, lower, upper)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
 
-def _simplex_leq(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """maximize c.x st A x <= b, x >= 0 via two-phase tableau with Bland's
-    rule.  Returns (status, x, pivots): status in {'optimal', 'infeasible',
-    'unbounded', 'stalled'}, pivots counts both phases and the removal of
-    leftover artificials."""
-    m, n = A.shape
-    flip = b < 0
-    # rows: m constraints | reduced costs
-    # columns: n structural | m slack (+1 unflipped, -1 flipped) |
-    # artificials | x_b
-    art_rows = flip.nonzero()[0]
-    n_art = len(art_rows)
-    ncols = n + m + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = np.where(flip[:, None], -A, A)
-    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
-    T[art_rows, n + m + np.arange(n_art)] = 1.0
-    T[:m, -1] = np.where(flip, -b, b)
+class _Tableau:
+    """A solved LP's final tableau: the rows (x_b last) and the reduced
+    costs, the basic variable of each row, and the costs and origins the
+    variables are measured with."""
+
+    __slots__ = ("lp", "T", "basis", "cost", "origin")
+
+    def __init__(self, lp, T, basis, cost, origin):
+        self.lp = lp
+        self.T = T
+        self.basis = basis
+        self.cost = cost
+        self.origin = origin
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, col: int) -> None:
+    row = T[r]
+    row /= row[col]
+    # the outer product is a K=1 matrix product: each entry is still one
+    # rounded product, and it runs about twice as fast as a broadcast
+    f = T[:, col, None].copy()
+    f[r] = 0.0
+    T -= np.dot(f, row[None])
+    basis[r] = col
+
+
+def _dual_simplex(T: np.ndarray, basis: np.ndarray):
+    """Run the dual simplex from a dual feasible tableau, in place.  Returns
+    (status, pivots), status in {'optimal', 'infeasible', 'stalled'}."""
+    m = len(basis)
     x_b = T[:m, -1]
-    basis = list(range(n, n + m))
-    for k, r in enumerate(art_rows.tolist()):
-        basis[r] = n + m + k
-    pivots = 0
-
-    def pivot(r, col):
-        nonlocal pivots
-        pivots += 1
-        row = T[r]
-        row /= row[col]
-        # the outer product is a K=1 matrix product: each entry is still one
-        # rounded product, and it runs about twice as fast as a broadcast
-        f = T[:, col, None].copy()
-        f[r] = 0.0
-        T[...] -= np.dot(f, row[None])
-        basis[r] = col
-
-    def run_phase(cost: np.ndarray, allow_cols: int):
-        # reduced costs once per phase; pivots keep them up to date
-        T[m] = -(cost[basis] @ T[:m])
-        T[m, :ncols] += cost
-        reduced = T[m, :allow_cols]
-        for _ in range(_MAX_ITER):
-            # Bland: the lowest-index improving column enters (a basic
-            # column's reduced cost is exactly zero) ...
-            eligible = reduced > _PIVOT_EPS
-            entering = int(eligible.argmax())
-            if not eligible[entering]:
-                return "optimal"
-            column = T[:m, entering]
-            rows = (column > _PIVOT_EPS).nonzero()[0]
-            if not rows.size:
-                return "unbounded"
-            # ... and the smallest ratio leaves, ties to the lowest basis index
-            ratios = x_b[rows] / column[rows]
-            ties = rows[ratios == ratios[ratios.argmin()]].tolist()
-            pivot(min(ties, key=basis.__getitem__), entering)
-        return "stalled"
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[n + m:] = -1.0
-        if run_phase(cost1, ncols) != "optimal":
-            return ("stalled", None, pivots)
-        if -float(cost1[basis] @ x_b) > 1e2 * FEAS_TOL * (1.0 + abs(b).max()):
-            return ("infeasible", None, pivots)
-        # force remaining artificials out of the basis
-        for r in range(m):
-            if basis[r] >= n + m:
-                nonzero = (np.abs(T[r, :n + m]) > _PIVOT_EPS).nonzero()[0]
-                if nonzero.size:
-                    pivot(r, int(nonzero[0]))
-                else:
-                    x_b[r] = 0.0  # redundant row; harmless to keep
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    status = run_phase(cost2, n + m)
-    if status != "optimal":
-        return (status, None, pivots)
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = x_b[r]
-    return ("optimal", x, pivots)
+    reduced = T[m, :-1]
+    for pivots in range(_MAX_ITER):
+        rows = (x_b < -_PRIMAL_EPS).nonzero()[0]
+        if not rows.size:
+            return "optimal", pivots
+        # Bland for the dual: the lowest-index basic variable leaves ...
+        r = int(rows[basis[rows].argmin()])
+        row = T[r, :-1]
+        cols = (row < -_PIVOT_EPS).nonzero()[0]
+        if not cols.size:
+            return "infeasible", pivots
+        # ... and the smallest ratio enters, ties to the lowest index (a
+        # reduced cost is <= 0 up to rounding)
+        ratios = np.minimum(reduced[cols], 0.0) / row[cols]
+        _pivot(T, basis, r, int(cols[ratios.argmin()]))
+    return "stalled", _MAX_ITER
 
 
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve the LP.  Free variables are split into positive parts; the
-    result is checked against the unit-scaled rows and NumericalFailure is
-    raised rather than ever guessing."""
+def _cold_tableau(rows, rhs, sign, cost):
+    """The all-slack tableau: dual feasible, since every reduced cost is
+    -|cost|."""
+    m, n = rows.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = rows * sign
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:m, -1] = rhs
+    T[m, :n] = -np.abs(cost)
+    return T, np.arange(n, n + m)
+
+
+def _warm_tableau(parent: _Tableau, lp: LinearProgram, rows, rhs, sign, cost,
+                  origin):
+    """The parent's final tableau in the child's layout.
+
+    The child must extend the parent: its variables are the parent's with
+    any new ones inserted just before the last (build_lp's slack), and its
+    rows, so mapped, are the parent's with one block of new rows inserted.
+    Raises ValueError otherwise."""
+    old = parent.lp
+    m0, n0 = old.A.shape
     m, n = lp.A.shape
-    scale = np.linalg.norm(lp.A, axis=1)
-    scale[scale == 0] = 1.0
-    A_scaled = lp.A / scale[:, None]
-    b_scaled = lp.b / scale
-    A2 = np.hstack([A_scaled, -A_scaled])
-    c2 = np.concatenate([lp.objective, -lp.objective])
-    status, x2, pivots = _simplex_leq(A2, b_scaled, c2)
-    if status in ("stalled", "unbounded"):
-        raise NumericalFailure(f"simplex {status}")
+    k = m - m0
+    if k < 0 or n < n0:
+        raise ValueError("the LP does not extend its parent's")
+    cols = np.arange(n0)
+    cols[-1] = n - 1
+    mapped = np.zeros((m0, n))
+    mapped[:, cols] = old.A
+    same = (lp.A[:m0] == mapped).all(axis=1) & (lp.b[:m0] == old.b)
+    p = m0 if same.all() else int(same.argmin())
+    if not ((lp.A[p + k:] == mapped[p:]).all()
+            and (lp.b[p + k:] == old.b[p:]).all()
+            and (cost[cols] == parent.cost).all()
+            and (origin[cols] == parent.origin).all()):
+        raise ValueError("the LP does not extend its parent's")
+
+    # old rows (the cost row last) and variables in the child's numbering
+    rows_to = np.arange(m0 + 1)
+    rows_to[p:] += k
+    vars_to = np.concatenate([cols, n + rows_to])
+    T = np.zeros((m + 1, n + m + 1))
+    T[rows_to[:, None], vars_to] = parent.T
+    old_rows = rows_to[:-1]
+    basis = np.empty(m, dtype=int)
+    basis[old_rows] = vars_to[parent.basis]
+    new_cols = np.arange(n0 - 1, n - 1)
+    T[m, new_cols] = -np.abs(cost[new_cols])
+
+    # the new rows, each with its own slack basic, in the current basis
+    new = T[p:p + k]
+    new[:, :n] = rows[p:p + k] * sign
+    new[np.arange(k), n + p + np.arange(k)] = 1.0
+    new[:, -1] = rhs[p:p + k]
+    basis[p:p + k] = n + p + np.arange(k)
+    new -= np.dot(new[:, basis[old_rows]], T[old_rows])
+    return T, basis
+
+
+def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
+          ) -> LpOutcome:
+    """Solve the LP, warm-started from ``parent`` (a feasible outcome of an
+    LP that this one extends) when given.  The result is checked against
+    the unit-scaled rows and NumericalFailure is raised rather than ever
+    guessing."""
+    m, n = lp.A.shape
+    norm = np.sqrt((lp.A * lp.A).sum(axis=1))
+    norm[norm == 0] = 1.0
+    cost = np.where(lp.objective != 0, lp.objective,
+                    -_TIE_EPS * (1.0 + np.arange(n) / 1024))
+    up = cost > 0
+    origin = np.where(up, lp.upper, lp.lower)
+    sign = np.where(up, -1.0, 1.0)
+    shift = -np.frexp(norm)[1]
+    rows = np.ldexp(lp.A, shift[:, None])
+    rhs = np.ldexp(lp.b, shift) - rows @ origin
+    if parent is None:
+        T, basis = _cold_tableau(rows, rhs, sign, cost)
+    else:
+        T, basis = _warm_tableau(parent.tableau, lp, rows, rhs, sign, cost,
+                                 origin)
+    status, pivots = _dual_simplex(T, basis)
+    if status == "stalled":
+        raise NumericalFailure("simplex stalled")
     if status == "infeasible":
         return LpOutcome(False, pivots=pivots)
-    x = x2[:n] - x2[n:]
-    residual = float((A_scaled @ x - b_scaled).max(initial=0.0))
+    shifted = np.zeros(n + m)
+    shifted[basis] = T[:m, -1]
+    x = origin + sign * shifted[:n]
+    residual = float(((lp.A @ x - lp.b) / norm).max(initial=0.0))
     if residual > FEAS_TOL:
         raise NumericalFailure(f"residual {residual:.3e} exceeds {FEAS_TOL}")
-    return LpOutcome(True, x, float(lp.objective @ x), pivots)
+    return LpOutcome(True, x, float(lp.objective @ x), pivots,
+                     _Tableau(lp, T, basis, cost, origin))
 
 
-def maximize_direction(direction: Sequence[float], halfspaces) -> LpOutcome:
-    """Convenience: maximize direction . x over exact halfspaces (given as
-    Halfspace objects), in 3 variables."""
-    rows = [[float(h.a), float(h.b), float(h.c)] for h in halfspaces]
-    rhs = [float(h.d) for h in halfspaces]
-    lp = LinearProgram(3, np.array(rows, dtype=float), np.array(rhs, dtype=float),
-                       np.array([float(d) for d in direction]))
+def maximize_direction(direction: Sequence[float], halfspaces,
+                       bounding) -> LpOutcome:
+    """Maximize direction . x over exact halfspaces (Halfspace objects)
+    inside the ``bounding`` polytope, in 3 variables; the bounds are its
+    bounding box."""
+    rows = list(halfspaces) + list(bounding.halfspaces)
+    lower, upper = _float_bbox(bounding)
+    lp = LinearProgram(
+        3, np.array([[float(h.a), float(h.b), float(h.c)] for h in rows]),
+        np.array([float(h.d) for h in rows]),
+        np.array([float(d) for d in direction]), lower, upper)
     return solve(lp)

@@ -11,7 +11,10 @@ box-box order constraints are decided first, exactly and without an LP
 infeasible LP, together with its subtree, whose nodes keep the constraints.
 Otherwise the node LP maximizes the shared separation slack; a feasible
 assignment either certifies an intersection-free packing or exposes a
-conflict to branch on:
+conflict to branch on.  A node's LP is its parent's plus one separation
+row or one box, so it is warm-started from the parent's final tableau;
+its answer is the LP's canonical point (see ``trunkpack.lp``), the same
+from any start, so the tree does not depend on the solver's path:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
@@ -223,15 +226,17 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
 
 class PartialPattern:
     """One search node: candidate indices of the placed multiset (canonical,
-    non-decreasing; extensions start at the last one) and the separation
-    constraints chosen so far."""
+    non-decreasing; extensions start at the last one), the separation
+    constraints chosen so far, and the LP outcome of the node it was made
+    from (None at a root or below a failed LP), which its own LP extends."""
 
-    __slots__ = ("indices", "bb", "bo")
+    __slots__ = ("indices", "bb", "bo", "parent")
 
-    def __init__(self, indices, bb, bo):
+    def __init__(self, indices, bb, bo, parent=None):
         self.indices = indices
         self.bb = bb
         self.bo = bo
+        self.parent = parent
 
 
 def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
@@ -389,7 +394,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         try:
             lp = build_lp(placements, regions, node.bb, node.bo)
             stats.lp_calls += 1
-            outcome = solve(lp)
+            outcome = solve(lp, node.parent)
         except NumericalFailure:
             stats.lp_failures += 1
             outcome = None
@@ -404,6 +409,8 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             bb_conf, bo_conf = detect_intersections(placed, centers, regions,
                                                     skip_bb, skip_bo)
             children, kind = branch(node, bb_conf, bo_conf)
+            for child in children:
+                child.parent = outcome
             if kind == "bb":
                 stats.bb_branches += 1
                 if len(children) != 6:
@@ -435,7 +442,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             if used.get(cand.box.id, 0) >= max_counts[cand.box.id]:
                 continue
             children.append(PartialPattern(node.indices + (k,), node.bb,
-                                           node.bo))
+                                           node.bo, outcome))
         stack.extend(reversed(children))
 
     stats.wall_time_s = time.monotonic() - started

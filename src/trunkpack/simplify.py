@@ -280,7 +280,7 @@ def drop_facets(region, max_growth_mm=DEFAULT_DROP_MM):
                     out = maximize_direction(
                         [candidate.a / norm, candidate.b / norm,
                          candidate.c / norm],
-                        remaining + hull_rows)
+                        remaining, region.hull)
                 except NumericalFailure as exc:
                     log.append({"obstacle": obs.id, "status": "lp_failure",
                                 "facet": candidate.as_dict(),

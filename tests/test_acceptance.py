@@ -334,7 +334,6 @@ def test_criterion_05_simplification_log_audit():
         # re-solve the growth LP independently: how far can the forbidden
         # set now reach past the removed facet plane inside the hull?
         rows_by_id = {o.id: list(o.halfspaces) for o in merged.obstacles}
-        hull_rows = list(merged.hull.halfspaces)
         for e in drop_log:
             if e["status"] != "dropped":
                 continue
@@ -346,7 +345,7 @@ def test_criterion_05_simplification_log_audit():
             norm = math.sqrt(norm_sq)
             out = maximize_direction(
                 [cand.a / norm, cand.b / norm, cand.c / norm],
-                rows + hull_rows)
+                rows, merged.hull)
             if out.feasible:
                 growth_mm = out.value - float(cand.d) / norm
                 assert growth_mm <= e["bound_mm"] + 1e-6
@@ -553,14 +552,13 @@ def test_criterion_09_branch_arity(monkeypatch):
 
     monkeypatch.setattr(search_mod, "branch", checked_branch)
 
-    # simplex pivots per search: they pin the solver's path, not just its
-    # answers (a different vertex would move the node counts, but a
-    # different route to the same vertex would not)
+    # dual simplex pivots per search, warm starts included: the node counts
+    # pin the canonical answers, the pivots the route the solver takes
     real_solve = search_mod.solve
     pivots = []
 
-    def counted_solve(lp):
-        outcome = real_solve(lp)
+    def counted_solve(lp, parent=None):
+        outcome = real_solve(lp, parent)
         pivots[-1] += outcome.pivots
         return outcome
 
@@ -595,8 +593,8 @@ def test_criterion_09_branch_arity(monkeypatch):
              r.volume_mm3) for r in results] == [
         (15278, 2461, 0, 3407360),
         (5889, 921, 0, 1983600),
-        (133, 8, 13, 70846188)]
-    assert pivots == [192143, 65035, 1480]
+        (127, 8, 12, 70846188)]
+    assert pivots == [7260, 4062, 129]
 
 
 # ---------------------------------------------------------------------------

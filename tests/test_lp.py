@@ -35,9 +35,15 @@ from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
 F = fractions.Fraction
 
 
-def _lp(rows, rhs, obj):
-    return LinearProgram(len(obj), np.array(rows, dtype=float),
-                         np.array(rhs, dtype=float), np.array(obj, dtype=float))
+def _lp(rows, rhs, obj, bound=1e6):
+    """The LP over the given rows plus rows -bound <= x_k <= bound, so that
+    the rows imply the LP's bounds."""
+    n = len(obj)
+    A = np.vstack([np.array(rows, dtype=float).reshape(-1, n), np.eye(n),
+                   -np.eye(n)])
+    b = np.concatenate([np.array(rhs, dtype=float), np.full(2 * n, bound)])
+    return LinearProgram(n, A, b, np.array(obj, dtype=float),
+                         np.full(n, -bound), np.full(n, bound))
 
 
 def test_one_var_contradiction_is_infeasible():
@@ -61,14 +67,42 @@ def test_unit_cube_chebyshev_slack_half():
     assert np.allclose(out.assignment[:3], [0.5, 0.5, 0.5], atol=1e-9)
 
 
-def test_pivot_count_covers_both_phases():
-    # 2 <= x <= 3: no pivot when the slack basis is already optimal; one
-    # phase-1 pivot makes x basic at 2, maximizing x takes one more to 3
-    assert solve(_lp([[1.0], [-1.0]], [1.0, 0.0], [0.0])).pivots == 0
-    assert solve(_lp([[1.0], [-1.0]], [3.0, -2.0], [0.0])).pivots == 1
-    assert solve(_lp([[1.0], [-1.0]], [3.0, -2.0], [1.0])).pivots == 2
-    # an infeasible outcome reports its phase-1 pivots too
-    assert solve(_lp([[1.0], [-1.0]], [1.0, -2.0], [0.0])).pivots == 1
+def _interval_lp(lower, upper, cost, rhs=(3.0, -2.0), extra=()):
+    """One variable, rows x <= rhs[0] and -x <= rhs[1], then ``extra``
+    rows x <= r."""
+    rows = [[1.0], [-1.0]] + [[1.0]] * len(extra)
+    return LinearProgram(1, np.array(rows), np.array(rhs + tuple(extra)),
+                         np.array([cost]), np.array([lower]),
+                         np.array([upper]))
+
+
+def test_pivot_count_dual_simplex():
+    # 2 <= x <= 3: x starts at the bound its cost prefers (lower for a cost
+    # <= 0, upper for > 0), which is optimal, so no pivot
+    assert solve(_interval_lp(2.0, 3.0, 0.0)).pivots == 0
+    assert solve(_interval_lp(2.0, 3.0, 1.0)).pivots == 0
+    # from looser bounds one dual pivot moves x onto the violated row
+    assert solve(_interval_lp(-10.0, 10.0, 0.0)).pivots == 1
+    assert solve(_interval_lp(-10.0, 10.0, 1.0)).pivots == 1
+    # an infeasible outcome reports its pivots too: x moves to 2, and then
+    # row x <= 1 has no negative entry left
+    out = solve(_interval_lp(-10.0, 10.0, 0.0, rhs=(1.0, -2.0)))
+    assert not out.feasible and out.pivots == 1
+    # a warm start counts only the pivots after the parent's: none when the
+    # new row holds at the parent's answer, one when it cuts it off
+    parent = solve(_interval_lp(-10.0, 10.0, 1.0))
+    assert solve(_interval_lp(-10.0, 10.0, 1.0, extra=(4.0,)),
+                 parent).pivots == 0
+    child = solve(_interval_lp(-10.0, 10.0, 1.0, extra=(2.5,)), parent)
+    assert child.pivots == 1 and child.assignment[0] == 2.5
+
+
+def test_warm_start_needs_an_extension_of_the_parent():
+    parent = solve(_interval_lp(-10.0, 10.0, 1.0))
+    with pytest.raises(ValueError):
+        solve(_interval_lp(-10.0, 10.0, 1.0, rhs=(3.0, -1.0)), parent)
+    with pytest.raises(ValueError):
+        solve(_interval_lp(-10.0, 10.0, 0.0, extra=(2.5,)), parent)
 
 
 def _slab_region(x_lo, x_hi):
@@ -246,10 +280,10 @@ def test_slack_capped_at_delta():
 
 def test_maximize_direction_over_halfspaces():
     cube = axis_aligned_box((0, 0, 0), (10, 10, 10))
-    out = maximize_direction([1.0, 0.0, 0.0], cube.halfspaces)
+    out = maximize_direction([1.0, 0.0, 0.0], [], cube)
     assert out.feasible and out.value == pytest.approx(10.0, abs=1e-8)
-    out = maximize_direction([1.0, 1.0, 1.0],
-                             cube.halfspaces + [Halfspace((1, 0, 0), 4)])
+    out = maximize_direction([1.0, 1.0, 1.0], [Halfspace((1, 0, 0), 4)],
+                             cube)
     assert out.value == pytest.approx(24.0, abs=1e-8)
 
 
@@ -263,13 +297,7 @@ def test_degenerate_ties_do_not_cycle():
 
 
 # ---------------------------------------------------------------------------
-# bit-identical solver outcomes over seeded build_lp and 3-variable LPs
-
-# SHA-256 over the (feasible, assignment bytes, value) of every LP below, as
-# the row-by-row Bland simplex computes them.  The pivot sequence and every
-# floating-point operation of the solver must reproduce it exactly.
-_REFERENCE_OUTCOME_DIGEST = (
-    "f1e20bb35463658c74a749d42cd0ae7ed173f75c4096dd4b43755abcb4033b56")
+# canonical solver outcomes over seeded build_lp and 3-variable LPs
 
 
 def _sphere_hull(rng, points, radius, id):
@@ -281,6 +309,52 @@ def _sphere_hull(rng, points, radius, id):
     return convex_hull(sorted(pts), id=id)
 
 
+def _hulls(rng):
+    """The four test hulls: two axis-aligned ("box", "halves", with
+    half-millimetre corners) and two slanted point-set hulls."""
+    return [axis_aligned_box((0, 0, 0), (400, 300, 250), id="box"),
+            axis_aligned_box((F(1, 2), -40, 7), (F(521, 2), 180, 230),
+                             id="halves"),
+            _sphere_hull(rng, 10, 260, "sphere10"),
+            _sphere_hull(rng, 30, 300, "sphere30")]
+
+
+_OBSTACLES = [axis_aligned_box((100, 50, 40), (180, 140, 120), id="o0"),
+              axis_aligned_box((-60, -30, -20), (40, 60, 30), id="o1")]
+
+
+def _add_box(rng, hull, placements, regions):
+    box = BoxType(f"B{len(placements)}",
+                  tuple(int(v) for v in rng.integers(30, 200, size=3)), 1)
+    placements.append((box, "xyz"))
+    regions[(box.id, "xyz")] = Region(box.id, "xyz", hull, list(_OBSTACLES))
+
+
+def _pattern(rng, hull, max_boxes=5):
+    """A seeded pattern over ``hull``: (placements, regions, bb, bo) for
+    build_lp, with random box-box orders and box-obstacle facets."""
+    placements, regions = [], {}
+    for _ in range(int(rng.integers(2, max_boxes + 1))):
+        _add_box(rng, hull, placements, regions)
+    n_boxes = len(placements)
+    pairs = [(i, j) for i in range(n_boxes) for j in range(i + 1, n_boxes)]
+    rng.shuffle(pairs)
+    bb = [(i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
+          for (i, j) in pairs[:int(rng.integers(0, len(pairs) + 1))]]
+    bo = [(i, _OBSTACLES[int(rng.integers(2))].id, int(rng.integers(6)))
+          for i in range(n_boxes) if rng.random() < 0.3]
+    bo = list({(i, o): (i, o, f) for (i, o, f) in bo}.values())
+    return placements, regions, bb, bo
+
+
+# SHA-256 over the (feasible, assignment, value) of every LP below, the
+# floats rounded to 2^-20 mm.  It pins the canonical answers, which do not
+# depend on the pivot path, and not the last bits a path leaves on the
+# slanted hulls' rows.
+_REFERENCE_OUTCOME_DIGEST = (
+    "73f466622d9d0304aec9247d7c3ca6a4201b8ebd9cc6dfd6eafd78def7ba08df")
+
+
 def _hash_outcome(digest, solve_call):
     try:
         out = solve_call()
@@ -289,53 +363,161 @@ def _hash_outcome(digest, solve_call):
         return "failure"
     digest.update(b"F" if out.feasible else b"I")
     if out.feasible:
-        digest.update(out.assignment.tobytes())
-        digest.update(np.float64(out.value).tobytes())
+        values = np.append(out.assignment, out.value)
+        digest.update(np.rint(values * 2 ** 20).astype(np.int64).tobytes())
     return "feasible" if out.feasible else "infeasible"
 
 
 def test_solver_outcomes_match_reference_digest():
     rng = np.random.default_rng(20261018)
-    hulls = [axis_aligned_box((0, 0, 0), (400, 300, 250), id="box"),
-             axis_aligned_box((F(1, 2), -40, 7), (F(521, 2), 180, 230),
-                              id="halves"),
-             _sphere_hull(rng, 10, 260, "sphere10"),
-             _sphere_hull(rng, 30, 300, "sphere30")]
-    obstacles = [axis_aligned_box((100, 50, 40), (180, 140, 120), id="o0"),
-                 axis_aligned_box((-60, -30, -20), (40, 60, 30), id="o1")]
+    hulls = _hulls(rng)
     digest = hashlib.sha256()
     seen = collections.Counter()
     for trial in range(300):
-        n_boxes = int(rng.integers(2, 6))
-        hull = hulls[trial % len(hulls)]
-        placements, regions = [], {}
-        for k in range(n_boxes):
-            box = BoxType(f"B{k}", tuple(int(v) for v in
-                                         rng.integers(30, 200, size=3)), 1)
-            placements.append((box, "xyz"))
-            regions[(box.id, "xyz")] = Region(box.id, "xyz", hull,
-                                              list(obstacles))
-        pairs = [(i, j) for i in range(n_boxes) for j in range(i + 1, n_boxes)]
-        rng.shuffle(pairs)
-        bb = [(i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
-              for (i, j) in pairs[:int(rng.integers(0, len(pairs) + 1))]]
-        bo = [(i, obstacles[int(rng.integers(2))].id, int(rng.integers(6)))
-              for i in range(n_boxes) if rng.random() < 0.3]
-        bo = list({(i, o): (i, o, f) for (i, o, f) in bo}.values())
-        lp = build_lp(placements, regions, bb, bo)
+        lp = build_lp(*_pattern(rng, hulls[trial % len(hulls)]))
         seen[_hash_outcome(digest, lambda: solve(lp))] += 1
     for trial in range(200):
         hull = hulls[trial % len(hulls)]
         direction = rng.normal(size=3).tolist()
         extra = [(rng.integers(-5, 6, size=3).tolist(),
-                  float(rng.integers(-300, 300)))
+                  int(rng.integers(-300, 300)))
                  for _ in range(int(rng.integers(0, 4)))]
-        extra = [(c, r) for (c, r) in extra if any(c)]
-        # the rows maximize_direction builds, plus the extra raw rows
-        rows = [[float(h.a), float(h.b), float(h.c)] for h in hull.halfspaces]
-        rhs = [float(h.d) for h in hull.halfspaces]
-        lp = _lp(rows + [c for c, _ in extra], rhs + [r for _, r in extra],
-                 direction)
-        seen[_hash_outcome(digest, lambda: solve(lp))] += 1
+        extra = [Halfspace(c, r) for (c, r) in extra if any(c)]
+        seen[_hash_outcome(
+            digest, lambda: maximize_direction(direction, extra, hull))] += 1
     assert seen["feasible"] >= 300 and seen["infeasible"] >= 80
     assert digest.hexdigest() == _REFERENCE_OUTCOME_DIGEST
+
+
+def _child(rng, hull, placements, regions, bb, bo):
+    """One child of the pattern as the search makes them: one more box-box
+    order, one more box-obstacle facet, or one more box."""
+    placements, regions, bb, bo = (list(placements), dict(regions), list(bb),
+                                   list(bo))
+    n = len(placements)
+    free = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if not any({i, j} == {a, b} for (a, b, _, _) in bb)]
+    kind = int(rng.integers(3))
+    if kind == 0 and free:
+        i, j = free[int(rng.integers(len(free)))]
+        bb.append((i, j, int(rng.integers(3)), int(rng.choice([-1, 1]))))
+    elif kind == 1:
+        i = int(rng.integers(n))
+        obstacle = _OBSTACLES[int(rng.integers(2))].id
+        if all((a, o) != (i, obstacle) for (a, o, _) in bo):
+            bo.append((i, obstacle, int(rng.integers(6))))
+    else:
+        _add_box(rng, hull, placements, regions)
+    return placements, regions, bb, bo
+
+
+def test_warm_start_gives_the_cold_answer():
+    rng = np.random.default_rng(20261019)
+    hulls = _hulls(rng)
+    compared = collections.Counter()
+    for trial in range(240):
+        hull = hulls[trial % len(hulls)]
+        pattern = _pattern(rng, hull, max_boxes=4)
+        parent = solve(build_lp(*pattern))
+        if not parent.feasible:
+            continue
+        for _ in range(3):
+            lp = build_lp(*_child(rng, hull, *pattern))
+            warm, cold = solve(lp, parent), solve(lp)
+            assert warm.feasible == cold.feasible
+            if not cold.feasible:
+                continue
+            compared[hull.id] += 1
+            if hull.id in ("box", "halves"):
+                assert np.array_equal(warm.assignment, cold.assignment)
+                assert warm.value == cold.value
+            else:
+                assert np.allclose(warm.assignment, cold.assignment,
+                                   rtol=0.0, atol=1e-9)
+                assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert min(compared.values()) >= 40, compared
+
+
+def _least_centers(placements, hull, bb, bo, slack):
+    """The least centers (componentwise) of an axis-aligned pattern at the
+    given slack, in exact arithmetic.  Each center starts at the hull's
+    lower corner, a box-obstacle facet with a positive normal raises one
+    coordinate's lower bound, and the box-box orders are difference
+    constraints, settled by longest paths (n rounds of relaxation)."""
+    lo, _ = hull.bbox()
+    centers = [list(lo) for _ in placements]
+    obstacles = {o.id: o for o in _OBSTACLES}
+    for (i, obstacle_id, facet) in bo:
+        h = obstacles[obstacle_id].halfspaces[facet]
+        for axis, a in enumerate((h.a, h.b, h.c)):
+            # a unit axis normal: outside the facet is a x >= d + slack
+            if a > 0:
+                centers[i][axis] = max(centers[i][axis], F(h.d) / a + slack)
+    extents = [box.dims_mm for box, _ in placements]
+    for _ in placements:
+        for (i, j, axis, order) in bb:
+            first, second = (i, j) if order == 1 else (j, i)
+            gap = F(extents[first][axis] + extents[second][axis], 2)
+            centers[second][axis] = max(centers[second][axis],
+                                        centers[first][axis] + gap + slack)
+    return [float(v) for c in centers for v in c]
+
+
+def test_axis_aligned_answer_is_the_least_element():
+    rng = np.random.default_rng(20261020)
+    hulls = _hulls(rng)[:2]
+    checked = 0
+    for trial in range(200):
+        hull = hulls[trial % 2]
+        placements, regions, bb, bo = _pattern(rng, hull)
+        out = solve(build_lp(placements, regions, bb, bo))
+        if not out.feasible or out.value != DELTA_MM:
+            continue
+        least = _least_centers(placements, hull, bb, bo, F(DELTA_MM))
+        assert out.assignment[:-1].tolist() == least
+        checked += 1
+    assert checked >= 60
+
+
+def _exact_rows(placements, hull, bb, bo):
+    """The pattern's rows in exact arithmetic at slack 0 (every separation
+    row carries the slack on its left side, so a pattern is feasible for
+    some slack in [0, DELTA_MM] exactly when it is at slack 0)."""
+    nv = 3 * len(placements)
+    rows = []
+
+    def row(coeffs, rhs):
+        full = [0] * nv
+        for k, v in coeffs.items():
+            full[k] = v
+        rows.append((full, rhs))
+
+    for i in range(len(placements)):
+        for h in hull.halfspaces:
+            row({3 * i: h.a, 3 * i + 1: h.b, 3 * i + 2: h.c}, h.d)
+    extents = [box.dims_mm for box, _ in placements]
+    for (i, j, axis, order) in bb:
+        first, second = (i, j) if order == 1 else (j, i)
+        row({3 * first + axis: 1, 3 * second + axis: -1},
+            -F(extents[first][axis] + extents[second][axis], 2))
+    obstacles = {o.id: o for o in _OBSTACLES}
+    for (i, obstacle_id, facet) in bo:
+        h = obstacles[obstacle_id].halfspaces[facet]
+        row({3 * i: -h.a, 3 * i + 1: -h.b, 3 * i + 2: -h.c}, -h.d)
+    return rows, nv
+
+
+def test_infeasible_verdicts_agree_with_exact_elimination():
+    # Fourier-Motzkin's rows multiply with every elimination, so the slanted
+    # hull takes only two boxes, and sphere30 (56 facets) none
+    rng = np.random.default_rng(20261021)
+    hulls = _hulls(rng)[:3]
+    infeasible = collections.Counter()
+    for trial in range(450):
+        hull = hulls[trial % 3]
+        pattern = _pattern(rng, hull, max_boxes=2 if trial % 3 == 2 else 4)
+        if not solve(build_lp(*pattern)).feasible:
+            placements, _, bb, bo = pattern
+            assert not fm_feasible(*_exact_rows(placements, hull, bb, bo))
+            infeasible[hull.id] += 1
+    assert min(infeasible.values()) >= 5, infeasible
