@@ -55,20 +55,27 @@ infeasible).
 
 **Warm start.**  A search node's LP is its parent's plus one box-box or
 box-obstacle row, or plus one box's three center columns and its hull
-rows.  `solve(lp, parent)` copies the parent's final tableau into the
-child's layout, gives each new column its own reduced cost (<= 0: it is
-zero in every old row), expresses each new row in the parent's basis, and
-continues the dual simplex from that dual feasible basis (Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, 1997, sec. 5.1).
+rows: one extension step (`extend_lp`: k rows inserted at row p, 0 or 3
+columns just before the slack; `add_box`, `add_bb` and `add_bo` place and
+check them, and `build_lp` is their fold).  The child records its base and
+p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
+outcome's LP (ValueError otherwise), copies the parent's final tableau into
+the child's layout in contiguous blocks, gives each new column its own
+reduced cost (<= 0: it is zero in every old row), scales only the new rows
+and expresses them in the parent's basis, and continues the dual simplex
+from that dual feasible basis (Bertsimas & Tsitsiklis, Introduction to
+Linear Optimization, 1997, sec. 5.1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from trunkpack.catalog import oriented_extents
 
 FEAS_TOL = 1e-7
 SLACK_ZERO = 1e-6
@@ -100,7 +107,13 @@ class InvalidConstraintReference(LpError):
 class LinearProgram:
     """maximize objective . x  subject to  A x <= b.  The rows must imply
     lower <= x <= upper: the solver measures each variable from one of
-    them and enters neither as a row."""
+    them and enters neither as a row.
+
+    An LP made by ``extend_lp`` records the LP it extends (``base``) and
+    where its inserted rows start (``at``); the shapes give how many rows
+    and variables were inserted.  A pattern LP also carries its
+    ``pattern``, which the pattern steps read.  An LP is not modified once
+    returned, so an extension shares the arrays it leaves unchanged."""
 
     num_vars: int
     A: np.ndarray
@@ -108,6 +121,22 @@ class LinearProgram:
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    base: Optional["LinearProgram"] = field(default=None, repr=False,
+                                            compare=False)
+    at: int = 0
+    pattern: Optional["_Pattern"] = field(default=None, repr=False,
+                                          compare=False)
+
+
+class _Pattern(NamedTuple):
+    """What a pattern LP's rows stand for: each box's region and oriented
+    extents, in pattern order, and the box-box and box-obstacle
+    constraints, in row order."""
+
+    regions: tuple
+    extents: tuple
+    bb: tuple
+    bo: tuple
 
 
 @dataclass
@@ -127,6 +156,12 @@ class LpOutcome:
         """Objective value read as the uniform separation slack; values
         below SLACK_ZERO count as zero."""
         return 0.0 if abs(self.value) < SLACK_ZERO else self.value
+
+    @property
+    def lp(self) -> Optional[LinearProgram]:
+        """The LP a feasible outcome solved: the one its children's LPs
+        extend."""
+        return None if self.tableau is None else self.tableau.lp
 
 
 def _unit_rows(poly) -> Tuple[np.ndarray, np.ndarray]:
@@ -166,6 +201,116 @@ def _float_bbox(poly) -> Tuple[np.ndarray, np.ndarray]:
     return poly._float_bbox
 
 
+def extend_lp(lp: LinearProgram, at: int, rows, rhs, lower=(),
+              upper=()) -> LinearProgram:
+    """One extension step: ``lp`` with the rows ``rows . x <= rhs`` inserted
+    before its row ``at`` and, for each of ``lower``/``upper``, one new
+    variable with those bounds and objective 0 inserted just before its
+    last variable (``rows`` span the new variable count).  The last
+    variable keeps its index relative to the end, so when variables are
+    inserted its objective must be nonzero (a zero-cost variable's
+    tie-break weight depends on its index).  The result records ``lp`` as
+    its base, and ``solve`` warm-starts it from ``lp``'s outcome."""
+    A, objective = lp.A, lp.objective
+    c = len(lower)
+    if c:
+        if objective[-1] == 0:
+            raise ValueError("new variables need a last variable with a "
+                             "nonzero objective")
+        A = np.concatenate((A[:, :-1], np.zeros((len(A), c)), A[:, -1:]),
+                           axis=1)
+        objective = np.concatenate((objective[:-1], np.zeros(c),
+                                    objective[-1:]))
+        lower = np.concatenate((lp.lower[:-1], lower, lp.lower[-1:]))
+        upper = np.concatenate((lp.upper[:-1], upper, lp.upper[-1:]))
+    else:
+        lower, upper = lp.lower, lp.upper
+    return LinearProgram(len(objective),
+                         np.concatenate((A[:at], rows, A[at:])),
+                         np.concatenate((lp.b[:at], rhs, lp.b[at:])),
+                         objective, lower, upper, base=lp, at=at)
+
+
+def add_box(lp: LinearProgram, regions: dict, box,
+            orientation: str) -> LinearProgram:
+    """The pattern LP with one more box: three center columns before the
+    slack, bounded by the box's region hull's bounding box, and the hull
+    rows after the other boxes' hull rows."""
+    key = (box.id, orientation)
+    if key not in regions:
+        raise UnknownRegion(f"no feasible region for {key}")
+    region = regions[key]
+    pattern = lp.pattern
+    normals, offsets = _unit_rows(region.hull)
+    n = lp.num_vars + 3
+    rows = np.zeros((len(offsets), n))
+    rows[:, n - 4:n - 1] = normals
+    child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bb) - len(pattern.bo),
+                      rows, offsets, *_float_bbox(region.hull))
+    child.pattern = _Pattern(
+        pattern.regions + (region,),
+        pattern.extents + (oriented_extents(box.dims_mm, orientation),),
+        pattern.bb, pattern.bo)
+    return child
+
+
+def add_bb(lp: LinearProgram, constraint: Tuple[int, int, int, int]
+           ) -> LinearProgram:
+    """The pattern LP with one more box-box order row (i, j, axis, order),
+    after the other box-box rows."""
+    i, j, axis, order = constraint
+    pattern = lp.pattern
+    n_boxes = len(pattern.regions)
+    if not (0 <= i < n_boxes and 0 <= j < n_boxes) or i == j \
+            or axis not in (0, 1, 2) or order not in (-1, 1):
+        raise InvalidConstraintReference(f"bad box-box constraint "
+                                         f"{(i, j, axis, order)}")
+    if any(a in (i, j) and b in (i, j) for (a, b, _, _) in pattern.bb):
+        raise InvalidConstraintReference(
+            f"duplicate box-box pair {(min(i, j), max(i, j))}")
+    lo, hi = (i, j) if order == 1 else (j, i)
+    row = np.zeros((1, lp.num_vars))
+    row[0, 3 * lo + axis] = 1.0
+    row[0, 3 * hi + axis] = -1.0
+    row[0, -1] = 1.0
+    gap = -(pattern.extents[lo][axis] + pattern.extents[hi][axis]) / 2.0
+    child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bo), row, [gap])
+    child.pattern = _Pattern(pattern.regions, pattern.extents,
+                             pattern.bb + (constraint,), pattern.bo)
+    return child
+
+
+def add_bo(lp: LinearProgram, constraint: Tuple[int, str, int]
+           ) -> LinearProgram:
+    """The pattern LP with one more box-obstacle row (i, obstacle id,
+    facet index), after the other box-obstacle rows."""
+    i, obstacle_id, facet_idx = constraint
+    pattern = lp.pattern
+    if not 0 <= i < len(pattern.regions):
+        raise InvalidConstraintReference(f"bad box index {i}")
+    region = pattern.regions[i]
+    obstacle = next((o for o in region.obstacles if o.id == obstacle_id),
+                    None)
+    if obstacle is None:
+        raise InvalidConstraintReference(
+            f"region {region.box_id}:{region.orientation} has no obstacle "
+            f"{obstacle_id!r}")
+    if not 0 <= facet_idx < len(obstacle.halfspaces):
+        raise InvalidConstraintReference(
+            f"obstacle {obstacle_id} has no facet {facet_idx}")
+    if any((a, o) == (i, obstacle_id) for (a, o, _) in pattern.bo):
+        raise InvalidConstraintReference(
+            f"duplicate box-obstacle pair {(i, obstacle_id)}")
+    normals, offsets = _unit_rows(obstacle)
+    row = np.zeros((1, lp.num_vars))
+    row[0, 3 * i:3 * i + 3] = -normals[facet_idx]
+    row[0, -1] = 1.0
+    child = extend_lp(lp, len(lp.b) - 2, row, [-offsets[facet_idx]])
+    child.pattern = _Pattern(pattern.regions, pattern.extents, pattern.bb,
+                             pattern.bo + (constraint,))
+    return child
+
+
 def build_lp(placements: Sequence, regions: dict,
              bb_constraints: Sequence[Tuple[int, int, int, int]] = (),
              bo_constraints: Sequence[Tuple[int, str, int]] = ()) -> LinearProgram:
@@ -180,92 +325,28 @@ def build_lp(placements: Sequence, regions: dict,
     outside that facet of that obstacle, with slack.
 
     Rows, in order: each box's hull rows (boxes in pattern order, facets in
-    hull order), the box-box rows and the box-obstacle rows as given, then
-    the slack cap and the slack floor.  Bounds: each center's region hull's
+    hull order), the box-box and the box-obstacle rows as given, then the
+    slack cap and the slack floor.  Bounds: each center's region hull's
     bounding box, the slack's [0, DELTA_MM].
+
+    The LP is the fold of ``add_box``, ``add_bb`` and ``add_bo`` from the
+    pattern LP of no box, so it equals, entry for entry, any LP those steps
+    reach with the same placements and constraints.  It is assembled
+    whole: it records no base to warm-start from.
     """
-    from trunkpack.catalog import oriented_extents
-
-    n_boxes = len(placements)
-    nv = 3 * n_boxes + 1
-    s = 3 * n_boxes
-
-    region_of = []
-    extents = []
-    for i, (box, orientation) in enumerate(placements):
-        key = (box.id, orientation)
-        if key not in regions:
-            raise UnknownRegion(f"no feasible region for {key}")
-        region_of.append(regions[key])
-        extents.append(oriented_extents(box.dims_mm, orientation))
-
-    hulls = [_unit_rows(region.hull) for region in region_of]
-    m = (sum(len(d) for _, d in hulls) + len(bb_constraints)
-         + len(bo_constraints) + 2)
-    A = np.zeros((m, nv))
-    b = np.empty(m)
-
-    r = 0
-    for i, (normals, offsets) in enumerate(hulls):
-        k = len(offsets)
-        A[r:r + k, 3 * i:3 * i + 3] = normals
-        b[r:r + k] = offsets
-        r += k
-
-    seen_bb = set()
-    for (i, j, axis, order) in bb_constraints:
-        if not (0 <= i < n_boxes and 0 <= j < n_boxes) or i == j \
-                or axis not in (0, 1, 2) or order not in (-1, 1):
-            raise InvalidConstraintReference(f"bad box-box constraint "
-                                             f"{(i, j, axis, order)}")
-        lo, hi = (i, j) if order == 1 else (j, i)
-        pair = (min(i, j), max(i, j))
-        if pair in seen_bb:
-            raise InvalidConstraintReference(f"duplicate box-box pair {pair}")
-        seen_bb.add(pair)
-        A[r, 3 * lo + axis] = 1.0
-        A[r, 3 * hi + axis] = -1.0
-        A[r, s] = 1.0
-        b[r] = -(extents[lo][axis] + extents[hi][axis]) / 2.0
-        r += 1
-
-    seen_bo = set()
-    for (i, obstacle_id, facet_idx) in bo_constraints:
-        if not 0 <= i < n_boxes:
-            raise InvalidConstraintReference(f"bad box index {i}")
-        region = region_of[i]
-        obstacle = next((o for o in region.obstacles if o.id == obstacle_id), None)
-        if obstacle is None:
-            raise InvalidConstraintReference(
-                f"region {region.box_id}:{region.orientation} has no obstacle "
-                f"{obstacle_id!r}")
-        if not 0 <= facet_idx < len(obstacle.halfspaces):
-            raise InvalidConstraintReference(
-                f"obstacle {obstacle_id} has no facet {facet_idx}")
-        if (i, obstacle_id) in seen_bo:
-            raise InvalidConstraintReference(
-                f"duplicate box-obstacle pair {(i, obstacle_id)}")
-        seen_bo.add((i, obstacle_id))
-        normals, offsets = _unit_rows(obstacle)
-        A[r, 3 * i:3 * i + 3] = -normals[facet_idx]
-        A[r, s] = 1.0
-        b[r] = -offsets[facet_idx]
-        r += 1
-
-    A[r, s] = 1.0
-    b[r] = DELTA_MM
-    A[r + 1, s] = -1.0
-    b[r + 1] = 0.0
-
-    objective = np.zeros(nv)
-    objective[s] = 1.0
-    lower = np.empty(nv)
-    upper = np.empty(nv)
-    for i, region in enumerate(region_of):
-        lower[3 * i:3 * i + 3], upper[3 * i:3 * i + 3] = _float_bbox(
-            region.hull)
-    lower[s], upper[s] = 0.0, DELTA_MM
-    return LinearProgram(nv, A, b, objective, lower, upper)
+    # the pattern LP of no box: the slack alone, with its cap and floor
+    lp = LinearProgram(1, np.array([[1.0], [-1.0]]),
+                       np.array([DELTA_MM, 0.0]), np.array([1.0]),
+                       np.array([0.0]), np.array([DELTA_MM]),
+                       pattern=_Pattern((), (), (), ()))
+    for box, orientation in placements:
+        lp = add_box(lp, regions, box, orientation)
+    for constraint in bb_constraints:
+        lp = add_bb(lp, constraint)
+    for constraint in bo_constraints:
+        lp = add_bo(lp, constraint)
+    lp.base, lp.at = None, 0
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +355,22 @@ def build_lp(placements: Sequence, regions: dict,
 
 class _Tableau:
     """A solved LP's final tableau: the rows (x_b last) and the reduced
-    costs, the basic variable of each row, and the costs and origins the
-    variables are measured with."""
+    costs, the basic variable of each row, the costs, origins and signs the
+    variables are measured with, and the norms of the LP's rows."""
 
-    __slots__ = ("lp", "T", "basis", "cost", "origin")
+    __slots__ = ("lp", "T", "basis", "cost", "origin", "sign", "norm")
 
-    def __init__(self, lp, T, basis, cost, origin):
+    def __init__(self, lp, T, basis, cost, origin, sign, norm):
         self.lp = lp
         self.T = T
         self.basis = basis
         self.cost = cost
         self.origin = origin
+        self.sign = sign
+        self.norm = norm
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: list, r: int, col: int) -> None:
     row = T[r]
     row /= row[col]
     # the outer product is a K=1 matrix product: each entry is still one
@@ -298,7 +381,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, col: int) -> None:
     basis[r] = col
 
 
-def _dual_simplex(T: np.ndarray, basis: np.ndarray):
+def _dual_simplex(T: np.ndarray, basis: list):
     """Run the dual simplex from a dual feasible tableau, in place.  Returns
     (status, pivots), status in {'optimal', 'infeasible', 'stalled'}."""
     m = len(basis)
@@ -309,7 +392,7 @@ def _dual_simplex(T: np.ndarray, basis: np.ndarray):
         if not rows.size:
             return "optimal", pivots
         # Bland for the dual: the lowest-index basic variable leaves ...
-        r = int(rows[basis[rows].argmin()])
+        r = min(rows.tolist(), key=basis.__getitem__)
         row = T[r, :-1]
         cols = (row < -_PIVOT_EPS).nonzero()[0]
         if not cols.size:
@@ -330,79 +413,93 @@ def _cold_tableau(rows, rhs, sign, cost):
     T[np.arange(m), n + np.arange(m)] = 1.0
     T[:m, -1] = rhs
     T[m, :n] = -np.abs(cost)
-    return T, np.arange(n, n + m)
+    return T, list(range(n, n + m))
 
 
-def _warm_tableau(parent: _Tableau, lp: LinearProgram, rows, rhs, sign, cost,
-                  origin):
-    """The parent's final tableau in the child's layout.
+def _costs(lp: LinearProgram):
+    """(cost, origin, sign) of every variable: the objective, or the
+    tie-break cost where it is zero; the bound it is measured from; -1 when
+    measured down from its upper bound, else +1."""
+    n = len(lp.objective)
+    cost = np.where(lp.objective != 0, lp.objective,
+                    -_TIE_EPS * (1.0 + np.arange(n) / 1024))
+    up = cost > 0
+    return cost, np.where(up, lp.upper, lp.lower), np.where(up, -1.0, 1.0)
 
-    The child must extend the parent: its variables are the parent's with
-    any new ones inserted just before the last (build_lp's slack), and its
-    rows, so mapped, are the parent's with one block of new rows inserted.
-    Raises ValueError otherwise."""
-    old = parent.lp
-    m0, n0 = old.A.shape
+
+def _scaled(A, b, origin):
+    """(rows, rhs, norm): each row and its right-hand side divided by the
+    least power of two above the row's norm, the right-hand side measured
+    from ``origin``, and the norms."""
+    norm = np.sqrt((A * A).sum(axis=1))
+    norm[norm == 0] = 1.0
+    shift = -np.frexp(norm)[1]
+    rows = np.ldexp(A, shift[:, None])
+    return rows, np.ldexp(b, shift) - rows @ origin, norm
+
+
+def _warm_tableau(parent: _Tableau, lp: LinearProgram):
+    """The parent's final tableau in the layout of ``lp``, which extends the
+    parent's LP by one step: k rows inserted at row p and c variables just
+    before the last one.
+
+    The parent's rows (before p, and from p on with the cost row) and its
+    columns (the variables before the last; the last with the slacks of
+    rows before p; the other slacks with x_b) are copied as contiguous
+    blocks.  Each new column gets its own reduced cost (<= 0: it is zero in
+    every old row), and only the new rows are scaled and expressed in the
+    parent's basis.  Returns (T, basis, cost, origin, sign, norm)."""
+    m0, n0 = parent.lp.A.shape
     m, n = lp.A.shape
-    k = m - m0
-    if k < 0 or n < n0:
-        raise ValueError("the LP does not extend its parent's")
-    cols = np.arange(n0)
-    cols[-1] = n - 1
-    mapped = np.zeros((m0, n))
-    mapped[:, cols] = old.A
-    same = (lp.A[:m0] == mapped).all(axis=1) & (lp.b[:m0] == old.b)
-    p = m0 if same.all() else int(same.argmin())
-    if not ((lp.A[p + k:] == mapped[p:]).all()
-            and (lp.b[p + k:] == old.b[p:]).all()
-            and (cost[cols] == parent.cost).all()
-            and (origin[cols] == parent.origin).all()):
-        raise ValueError("the LP does not extend its parent's")
+    p, k, c = lp.at, m - m0, n - n0
+    if c:
+        cost, origin, sign = _costs(lp)
+    else:
+        cost, origin, sign = parent.cost, parent.origin, parent.sign
+    rows, rhs, norm = _scaled(lp.A[p:p + k], lp.b[p:p + k], origin)
+    norm = np.concatenate((parent.norm[:p], norm, parent.norm[p:]))
 
-    # old rows (the cost row last) and variables in the child's numbering
-    rows_to = np.arange(m0 + 1)
-    rows_to[p:] += k
-    vars_to = np.concatenate([cols, n + rows_to])
     T = np.zeros((m + 1, n + m + 1))
-    T[rows_to[:, None], vars_to] = parent.T
-    old_rows = rows_to[:-1]
-    basis = np.empty(m, dtype=int)
-    basis[old_rows] = vars_to[parent.basis]
-    new_cols = np.arange(n0 - 1, n - 1)
-    T[m, new_cols] = -np.abs(cost[new_cols])
+    for dst, src in ((T[:p], parent.T[:p]), (T[p + k:], parent.T[p:])):
+        dst[:, :n0 - 1] = src[:, :n0 - 1]
+        dst[:, n - 1:n + p] = src[:, n0 - 1:n0 + p]
+        dst[:, n + p + k:] = src[:, n0 + p:]
+    old = [v if v < n0 - 1 else v + c if v < n0 + p else v + c + k
+           for v in parent.basis]
+    basis = old[:p] + list(range(n + p, n + p + k)) + old[p:]
+    if c:
+        T[m, n0 - 1:n - 1] = -np.abs(cost[n0 - 1:n - 1])
 
-    # the new rows, each with its own slack basic, in the current basis
+    # the new rows, each with its own slack basic, in the current basis:
+    # they are zero in every other slack's column, so only the rows whose
+    # basic variable is one of the LP's own contribute
     new = T[p:p + k]
-    new[:, :n] = rows[p:p + k] * sign
-    new[np.arange(k), n + p + np.arange(k)] = 1.0
-    new[:, -1] = rhs[p:p + k]
-    basis[p:p + k] = n + p + np.arange(k)
-    new -= np.dot(new[:, basis[old_rows]], T[old_rows])
-    return T, basis
+    new[:, :n] = rows * sign
+    for r in range(p, p + k):
+        T[r, n + r] = 1.0
+    new[:, -1] = rhs
+    structural = [r for r, v in enumerate(basis) if v < n]
+    new -= np.dot(new[:, [basis[r] for r in structural]], T[structural])
+    return T, basis, cost, origin, sign, norm
 
 
 def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
           ) -> LpOutcome:
-    """Solve the LP, warm-started from ``parent`` (a feasible outcome of an
-    LP that this one extends) when given.  The result is checked against
-    the unit-scaled rows and NumericalFailure is raised rather than ever
+    """Solve the LP, warm-started from ``parent`` when given: the feasible
+    outcome of the LP that ``lp`` extends by one step (``extend_lp``);
+    ValueError for any other LP.  The result is checked against the
+    unit-scaled rows and NumericalFailure is raised rather than ever
     guessing."""
     m, n = lp.A.shape
-    norm = np.sqrt((lp.A * lp.A).sum(axis=1))
-    norm[norm == 0] = 1.0
-    cost = np.where(lp.objective != 0, lp.objective,
-                    -_TIE_EPS * (1.0 + np.arange(n) / 1024))
-    up = cost > 0
-    origin = np.where(up, lp.upper, lp.lower)
-    sign = np.where(up, -1.0, 1.0)
-    shift = -np.frexp(norm)[1]
-    rows = np.ldexp(lp.A, shift[:, None])
-    rhs = np.ldexp(lp.b, shift) - rows @ origin
     if parent is None:
+        cost, origin, sign = _costs(lp)
+        rows, rhs, norm = _scaled(lp.A, lp.b, origin)
         T, basis = _cold_tableau(rows, rhs, sign, cost)
     else:
-        T, basis = _warm_tableau(parent.tableau, lp, rows, rhs, sign, cost,
-                                 origin)
+        if parent.tableau is None or lp.base is not parent.tableau.lp:
+            raise ValueError("the LP does not extend its parent's")
+        T, basis, cost, origin, sign, norm = _warm_tableau(parent.tableau,
+                                                           lp)
     status, pivots = _dual_simplex(T, basis)
     if status == "stalled":
         raise NumericalFailure("simplex stalled")
@@ -415,7 +512,7 @@ def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
     if residual > FEAS_TOL:
         raise NumericalFailure(f"residual {residual:.3e} exceeds {FEAS_TOL}")
     return LpOutcome(True, x, float(lp.objective @ x), pivots,
-                     _Tableau(lp, T, basis, cost, origin))
+                     _Tableau(lp, T, basis, cost, origin, sign, norm))
 
 
 def maximize_direction(direction: Sequence[float], halfspaces,

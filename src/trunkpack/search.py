@@ -5,15 +5,20 @@ canonical order (descending box volume, then type id, then orientation
 rank), so every multiset is explored exactly once.  Each search node carries
 the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
-constraints (which obstacle facet a center must stay outside of).  A node's
-box-box order constraints are decided first, exactly and without an LP
-(``order_chains_feasible``); a node they rule out is skipped like one with an
-infeasible LP, together with its subtree, whose nodes keep the constraints.
-Otherwise the node LP maximizes the shared separation slack; a feasible
-assignment either certifies an intersection-free packing or exposes a
-conflict to branch on.  A node's LP is its parent's plus one separation
-row or one box, so it is warm-started from the parent's final tableau;
-its answer is the LP's canonical point (see ``trunkpack.lp``), the same
+constraints (which obstacle facet a center must stay outside of).  A node
+differs from the node it was made from by one delta (one box, one box-box
+order or one box-obstacle facet) and builds its state from its parent's by
+that delta alone.  Its box-box order constraints are decided first, exactly
+and without an LP (``order_chains_feasible``); only a box-box delta can
+rule a node out, by an overrun or a cycle on its one axis.  A node they rule
+out is skipped like one with an infeasible LP, together with its subtree,
+whose nodes keep the constraints.  Otherwise the node LP, its parent's
+extended by the delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``) and
+warm-started from the parent's final tableau, maximizes the shared
+separation slack; only roots and nodes below a failed LP are assembled
+whole (``lp.build_lp``) and solved cold.  A feasible assignment either
+certifies an intersection-free packing or exposes a conflict to branch on.
+The answer is the LP's canonical point (see ``trunkpack.lp``), the same
 from any start, so the tree does not depend on the solver's path:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +53,8 @@ import numpy as np
 
 from trunkpack.catalog import ORIENTATIONS, oriented_extents
 from trunkpack.geometry import Point3
-from trunkpack.lp import NumericalFailure, build_lp, solve
+from trunkpack.lp import (NumericalFailure, add_bb, add_bo, add_box,
+                          build_lp, solve)
 
 _DEPTH_TOL = 1e-9
 SNAP_GRID = 2048
@@ -65,6 +72,11 @@ class Candidate:
     def key(self) -> tuple:
         return (-self.box.volume_mm3(), self.box.id,
                 ORIENTATIONS.index(self.orientation))
+
+    @cached_property
+    def extents(self) -> Tuple[int, int, int]:
+        """The box's extents along x, y and z in this orientation."""
+        return oriented_extents(self.box.dims_mm, self.orientation)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,10 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
     ``skip_bo`` (already separated by a constraint) are ignored.
     """
     n = len(placed)
-    extents = [oriented_extents(c.box.dims_mm, c.orientation) for c in placed]
+    extents = [c.extents for c in placed]
+    # Python floats: the same IEEE arithmetic, without a numpy scalar per
+    # operation
+    centers = centers.tolist()
     bb = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -227,16 +242,23 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
 class PartialPattern:
     """One search node: candidate indices of the placed multiset (canonical,
     non-decreasing; extensions start at the last one), the separation
-    constraints chosen so far, and the LP outcome of the node it was made
-    from (None at a root or below a failed LP), which its own LP extends."""
+    constraints chosen so far, and what it adds to the node it was made
+    from (``delta``: ("box", candidate index), ("bb", order constraint) or
+    ("bo", facet constraint)).  ``parent`` is that node's LP outcome (None
+    at a root or below a failed LP), whose LP the node's own extends by the
+    delta.  ``earliest`` holds the node's order chains (see
+    ``order_chains_feasible``), None when they rule the node out."""
 
-    __slots__ = ("indices", "bb", "bo", "parent")
+    __slots__ = ("indices", "bb", "bo", "parent", "delta", "earliest")
 
-    def __init__(self, indices, bb, bo, parent=None):
+    def __init__(self, indices, bb, bo, parent=None, delta=None,
+                 earliest=None):
         self.indices = indices
         self.bb = bb
         self.bo = bo
         self.parent = parent
+        self.delta = delta
+        self.earliest = earliest
 
 
 def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
@@ -249,19 +271,66 @@ def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
     """
     if bb_conflicts:
         _, i, j = bb_conflicts[0]
-        children = [
-            PartialPattern(pattern.indices, pattern.bb + ((i, j, axis, order),),
-                           pattern.bo)
-            for axis in (0, 1, 2) for order in (1, -1)]
+        constraints = [(i, j, axis, order)
+                       for axis in (0, 1, 2) for order in (1, -1)]
+        children = [PartialPattern(pattern.indices, pattern.bb + (c,),
+                                   pattern.bo, delta=("bb", c))
+                    for c in constraints]
         return children, "bb"
     if bo_conflicts:
         _, i, obstacle = bo_conflicts[0]
-        children = [
-            PartialPattern(pattern.indices, pattern.bb,
-                           pattern.bo + ((i, obstacle.id, f),))
-            for f in range(len(obstacle.halfspaces))]
+        constraints = [(i, obstacle.id, f)
+                       for f in range(len(obstacle.halfspaces))]
+        children = [PartialPattern(pattern.indices, pattern.bb,
+                                   pattern.bo + (c,), delta=("bo", c))
+                    for c in constraints]
         return children, "bo"
     return [], None
+
+
+def _add_chain(earliest, limit):
+    """The order chains with one more box, unconstrained: at the lower
+    corner of its hull's bounding box on every axis."""
+    (lo, _, w), _ = limit
+    return tuple(positions + ((2 * lo[axis], w),)
+                 for axis, positions in enumerate(earliest))
+
+
+def _add_order(earliest, bb, constraint, limits):
+    """The order chains after one more constraint, or None when they become
+    infeasible.
+
+    ``bb`` holds the constraints already in ``earliest``.  Only the
+    constraint's axis moves: its later box is raised to the earlier box's
+    position plus the gap, and each raised box raises its own successors in
+    turn (incremental longest paths; Ramalingam & Reps, J. Algorithms 21,
+    1996).  Every raised position is checked against its box's upper
+    bound.  A raise that reaches the earlier box again closes a cycle: the
+    chains were acyclic and held, so that happens exactly when the new
+    constraint lies on a cycle."""
+    i, j, axis, order = constraint
+    first, second = (i, j) if order == 1 else (j, i)
+    succ = {first: [second]}
+    for (a, b, a_axis, a_order) in bb:
+        if a_axis == axis:
+            u, v = (a, b) if a_order == 1 else (b, a)
+            succ.setdefault(u, []).append(v)
+    positions = list(earliest[axis])
+    work = [first]
+    while work:
+        u = work.pop()
+        num, den = positions[u]
+        for v in succ.get(u, ()):
+            start = num + (limits[u][1][axis] + limits[v][1][axis]) * den
+            v_num, v_den = positions[v]
+            if start * v_den <= v_num * den:
+                continue
+            (_, hi, w), _ = limits[v]
+            if v == first or start * w > 2 * hi[axis] * den:
+                return None
+            positions[v] = (start, den)
+            work.append(v)
+    return earliest[:axis] + (tuple(positions),) + earliest[axis + 1:]
 
 
 def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
@@ -271,52 +340,29 @@ def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
 
     ``placements`` and ``bb_constraints`` are as for ``lp.build_lp``.  Every
     constraint is a difference constraint ``c_lo + gap <= c_hi`` on one axis
-    (gap: the half-extent sum), so one longest-path pass per axis gives each
-    center's earliest position, starting from the lower corner of its
-    region hull's bounding box (Cormen et al., Introduction to Algorithms,
-    24.4).  Returns False when some earliest position lies strictly beyond
-    the box's upper bound, or when the constraints on an axis form a cycle
-    (every gap is positive).  Then the pattern LP, which adds the hull rows,
-    the slack and the obstacle rows to these constraints, is infeasible too,
-    and so is every extension of the node.  An exact fit (no overrun) is
-    left to the LP.
+    (gap: the half-extent sum), so each center has an earliest position on
+    each axis: the longest path to it from the lower corners of the region
+    hulls' bounding boxes (Cormen et al., Introduction to Algorithms,
+    24.4).  These positions are the order chains, in doubled coordinates
+    (integer gaps), each an exact (num, den) with den > 0.  They are folded
+    one constraint at a time, as the search builds them along a branch
+    (``_add_order``).  Returns False when some earliest position lies
+    strictly beyond the box's upper bound, or when the constraints on an
+    axis form a cycle (every gap is positive).  Then the pattern LP, which
+    adds the hull rows, the slack and the obstacle rows to these
+    constraints, is infeasible too, and so is every extension of the node.
+    An exact fit (no overrun) is left to the LP.
     """
-    bounds = []
-    extents = []
-    for box, orientation in placements:
-        bounds.append(regions[(box.id, orientation)].hull.int_bbox())
-        extents.append(oriented_extents(box.dims_mm, orientation))
-    n = len(placements)
-    for axis in range(3):
-        succ = [[] for _ in range(n)]
-        indegree = [0] * n
-        for (i, j, a, order) in bb_constraints:
-            if a == axis:
-                first, second = (i, j) if order == 1 else (j, i)
-                succ[first].append(second)
-                indegree[second] += 1
-        if not any(indegree):
-            continue
-        # doubled coordinates (integer gaps), each an exact num/den, den > 0
-        earliest = [(2 * lo[axis], w) for lo, _, w in bounds]
-        ready = [k for k in range(n) if indegree[k] == 0]
-        reached = 0
-        while ready:
-            u = ready.pop()
-            reached += 1
-            num, den = earliest[u]
-            _, hi, w = bounds[u]
-            if num * w > 2 * hi[axis] * den:
-                return False
-            for v in succ[u]:
-                start = num + (extents[u][axis] + extents[v][axis]) * den
-                v_num, v_den = earliest[v]
-                if start * v_den > v_num * den:
-                    earliest[v] = (start, den)
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        if reached < n:
+    limits = [(regions[(box.id, orientation)].hull.int_bbox(),
+               oriented_extents(box.dims_mm, orientation))
+              for box, orientation in placements]
+    earliest = ((), (), ())
+    for limit in limits:
+        earliest = _add_chain(earliest, limit)
+    for t, constraint in enumerate(bb_constraints):
+        earliest = _add_order(earliest, bb_constraints[:t], constraint,
+                              limits)
+        if earliest is None:
             return False
     return True
 
@@ -348,6 +394,23 @@ def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
     return out
 
 
+def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
+             regions: Dict[tuple, object]):
+    """The node's LP: its parent's extended by the delta, or assembled
+    whole by ``build_lp`` at a root and below a failed LP."""
+    if node.parent is None:
+        placements = [(candidates[k].box, candidates[k].orientation)
+                      for k in node.indices]
+        return build_lp(placements, regions, node.bb, node.bo)
+    step, item = node.delta
+    if step == "box":
+        return add_box(node.parent.lp, regions, candidates[item].box,
+                       candidates[item].orientation)
+    if step == "bb":
+        return add_bb(node.parent.lp, item)
+    return add_bo(node.parent.lp, item)
+
+
 def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                        config: Optional[SearchConfig] = None) -> PackingResult:
     """Exhaustive depth-first search for the best packing over the regions.
@@ -368,7 +431,10 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     deadline = (started + config.time_limit_s) if config.time_limit_s else None
     best_volume = 0
     best_placements: List[Placement] = []
-    stack = [PartialPattern((k,), (), ())
+    limits = [(regions[(c.box.id, c.orientation)].hull.int_bbox(), c.extents)
+              for c in candidates]
+    stack = [PartialPattern((k,), (), (), delta=("box", k),
+                            earliest=_add_chain(((), (), ()), limits[k]))
              for k in reversed(range(len(candidates)))]
 
     while stack:
@@ -385,14 +451,12 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             stats.pruned += 1
             continue
 
-        placements = [(c.box, c.orientation) for c in placed]
         # a node its order chains rule out is skipped like an infeasible LP
-        if node.bb and not order_chains_feasible(placements, regions,
-                                                 node.bb):
+        if node.earliest is None:
             continue
 
         try:
-            lp = build_lp(placements, regions, node.bb, node.bo)
+            lp = _node_lp(node, candidates, regions)
             stats.lp_calls += 1
             outcome = solve(lp, node.parent)
         except NumericalFailure:
@@ -411,7 +475,13 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             children, kind = branch(node, bb_conf, bo_conf)
             for child in children:
                 child.parent = outcome
+                child.earliest = node.earliest
             if kind == "bb":
+                # each child raises what its one new constraint pushes
+                placed_limits = [limits[k] for k in node.indices]
+                for child in children:
+                    child.earliest = _add_order(node.earliest, node.bb,
+                                                child.delta[1], placed_limits)
                 stats.bb_branches += 1
                 if len(children) != 6:
                     stats.arity_violations += 1
@@ -441,8 +511,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             cand = candidates[k]
             if used.get(cand.box.id, 0) >= max_counts[cand.box.id]:
                 continue
-            children.append(PartialPattern(node.indices + (k,), node.bb,
-                                           node.bo, outcome))
+            children.append(PartialPattern(
+                node.indices + (k,), node.bb, node.bo, outcome, ("box", k),
+                _add_chain(node.earliest, limits[k])))
         stack.extend(reversed(children))
 
     stats.wall_time_s = time.monotonic() - started

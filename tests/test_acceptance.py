@@ -28,7 +28,7 @@ from trunkpack.freespace import (LATTICE_DEN, Region, classify_feasible,
                                  region_report_csv, sample_lattice_points)
 from trunkpack.geometry import (DegenerateInput, Halfspace, axis_aligned_box,
                                 convex_hull, minkowski_sum_convex)
-from trunkpack.lp import maximize_direction
+from trunkpack.lp import build_lp, maximize_direction, solve
 from trunkpack.pipeline import format_simplify_report, simplify_report_csv
 from trunkpack.search import SearchConfig, enumerate_patterns, validate_packing
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
@@ -595,6 +595,65 @@ def test_criterion_09_branch_arity(monkeypatch):
         (5889, 921, 0, 1983600),
         (127, 8, 12, 70846188)]
     assert pivots == [7260, 4062, 129]
+
+
+def _same_lp(a, b) -> bool:
+    """Bit for bit the same rows, bounds and objective."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.A, b.A), (a.b, b.b), (a.lower, b.lower),
+                            (a.upper, b.upper), (a.objective, b.objective)))
+
+
+def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
+    """Every node LP of the K-cube and L-trunk searches: the LP the search
+    makes from its parent's by one step is the LP ``build_lp`` assembles
+    whole from the node's placements and constraints, bit for bit, and its
+    warm-started answer is the cold one."""
+    real_node_lp = search_mod._node_lp
+    made = []
+
+    def compared_node_lp(node, candidates, regions):
+        lp = real_node_lp(node, candidates, regions)
+        placements = [(candidates[k].box, candidates[k].orientation)
+                      for k in node.indices]
+        whole = build_lp(placements, regions, node.bb, node.bo)
+        assert _same_lp(lp, whole), (node.indices, node.bb, node.bo)
+        made.append((lp, whole, node))
+        return lp
+
+    def compared_solve(lp, parent=None):
+        made_lp, whole, node = made[-1]
+        assert made_lp is lp and node.parent is parent
+        outcome = solve(lp, parent)
+        if parent is not None:
+            cold = solve(whole)
+            assert (outcome.feasible, outcome.value) \
+                == (cold.feasible, cold.value)
+            if cold.feasible:
+                assert np.array_equal(outcome.assignment, cold.assignment)
+        return outcome
+
+    monkeypatch.setattr(search_mod, "_node_lp", compared_node_lp)
+    monkeypatch.setattr(search_mod, "solve", compared_solve)
+    k_box = BoxType("K", (95, 87, 80), 3)
+    searches = [
+        (_region_map(_convex_cuboid_trunk((210, 210, 210)), k_box,
+                     samples=2000, seed=5), k_box, False),
+        (_pack_regions("double_stack"), _pack_params("double_stack")[2],
+         True)]
+    counts = []
+    for regions, box, prune in searches:
+        made.clear()
+        result = enumerate_patterns(regions, [box],
+                                    config=SearchConfig(prune_enabled=prune))
+        assert result.stats.lp_failures == 0
+        assert len(made) == result.stats.lp_calls
+        # only the roots start cold
+        cold = [node for _, _, node in made if node.parent is None]
+        assert all(len(node.indices) == 1 for node in cold)
+        assert len(cold) <= len(regions)
+        counts.append(len(made))
+    assert counts == [4425, 96]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
                                 fm_feasible)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
                           LinearProgram, LpOutcome, NumericalFailure,
-                          UnknownRegion, build_lp, maximize_direction, solve)
+                          UnknownRegion, add_bb, add_bo, add_box, build_lp,
+                          extend_lp, maximize_direction, solve)
 
 F = fractions.Fraction
 
@@ -90,19 +91,41 @@ def test_pivot_count_dual_simplex():
     assert not out.feasible and out.pivots == 1
     # a warm start counts only the pivots after the parent's: none when the
     # new row holds at the parent's answer, one when it cuts it off
-    parent = solve(_interval_lp(-10.0, 10.0, 1.0))
-    assert solve(_interval_lp(-10.0, 10.0, 1.0, extra=(4.0,)),
-                 parent).pivots == 0
-    child = solve(_interval_lp(-10.0, 10.0, 1.0, extra=(2.5,)), parent)
+    base = _interval_lp(-10.0, 10.0, 1.0)
+    parent = solve(base)
+    assert solve(extend_lp(base, 2, [[1.0]], [4.0]), parent).pivots == 0
+    child = solve(extend_lp(base, 2, [[1.0]], [2.5]), parent)
     assert child.pivots == 1 and child.assignment[0] == 2.5
 
 
 def test_warm_start_needs_an_extension_of_the_parent():
-    parent = solve(_interval_lp(-10.0, 10.0, 1.0))
+    base = _interval_lp(-10.0, 10.0, 1.0)
+    parent = solve(base)
     with pytest.raises(ValueError):
         solve(_interval_lp(-10.0, 10.0, 1.0, rhs=(3.0, -1.0)), parent)
     with pytest.raises(ValueError):
         solve(_interval_lp(-10.0, 10.0, 0.0, extra=(2.5,)), parent)
+    # the same rows, but assembled whole or extended from another LP
+    with pytest.raises(ValueError):
+        solve(_interval_lp(-10.0, 10.0, 1.0, extra=(2.5,)), parent)
+    with pytest.raises(ValueError):
+        solve(extend_lp(_interval_lp(-10.0, 10.0, 1.0), 2, [[1.0]], [2.5]),
+              parent)
+    # a grandchild extends the child's LP, not the parent's
+    child = extend_lp(base, 2, [[1.0]], [2.5])
+    with pytest.raises(ValueError):
+        solve(extend_lp(child, 3, [[-1.0]], [0.0]), parent)
+    assert solve(extend_lp(child, 3, [[-1.0]], [0.0]),
+                 solve(child, parent)).assignment[0] == 2.5
+    # new variables go before the last one, which must not be a zero-cost
+    # variable: its tie-break weight would move with its index
+    with pytest.raises(ValueError):
+        extend_lp(_interval_lp(-10.0, 10.0, 0.0), 0, np.zeros((0, 2)), [],
+                  [0.0], [1.0])
+    # an infeasible outcome has no tableau to start from
+    with pytest.raises(ValueError):
+        solve(extend_lp(base, 2, [[1.0]], [2.5]),
+              solve(_interval_lp(-10.0, 10.0, 0.0, rhs=(1.0, -2.0))))
 
 
 def _slab_region(x_lo, x_hi):
@@ -411,6 +434,27 @@ def _child(rng, hull, placements, regions, bb, bo):
     return placements, regions, bb, bo
 
 
+def _extended(lp, pattern, child):
+    """The child pattern's LP made from the parent's LP by its one step, or
+    None when the child adds nothing."""
+    placements, _, bb, bo = pattern
+    child_placements, child_regions, child_bb, child_bo = child
+    if len(child_placements) > len(placements):
+        return add_box(lp, child_regions, *child_placements[-1])
+    if len(child_bb) > len(bb):
+        return add_bb(lp, child_bb[-1])
+    if len(child_bo) > len(bo):
+        return add_bo(lp, child_bo[-1])
+    return None
+
+
+def _same_lp(a, b):
+    """Bit for bit the same rows, bounds and objective."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.A, b.A), (a.b, b.b), (a.lower, b.lower),
+                            (a.upper, b.upper), (a.objective, b.objective)))
+
+
 def test_warm_start_gives_the_cold_answer():
     rng = np.random.default_rng(20261019)
     hulls = _hulls(rng)
@@ -422,8 +466,14 @@ def test_warm_start_gives_the_cold_answer():
         if not parent.feasible:
             continue
         for _ in range(3):
-            lp = build_lp(*_child(rng, hull, *pattern))
-            warm, cold = solve(lp, parent), solve(lp)
+            child = _child(rng, hull, *pattern)
+            lp = _extended(parent.lp, pattern, child)
+            if lp is None:
+                continue
+            # one step from the parent's LP is the child's LP assembled whole
+            cold_lp = build_lp(*child)
+            assert _same_lp(lp, cold_lp)
+            warm, cold = solve(lp, parent), solve(cold_lp)
             assert warm.feasible == cold.feasible
             if not cold.feasible:
                 continue

@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import trunkpack.search as search_mod
 from trunkpack.catalog import BoxType, default_catalog, distinct_orientations
 from trunkpack.freespace import (Region, compute_feasible_region,
                                  parse_convex_json, raw_feasible_region)
@@ -119,6 +120,37 @@ def test_pillar_instance_places_two_cubes():
     assert result.stats.arity_violations == 0
     check = validate_packing(result.placements, regions)
     assert check["valid"], check
+
+
+def test_failed_root_lp_leaves_its_children_to_cold_starts(monkeypatch):
+    box, regions = _pillar_instance()
+    real_build, real_solve = search_mod.build_lp, search_mod.solve
+    built, solved = [], []
+
+    def recorded_build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def failing_solve(lp, parent=None):
+        solved.append((lp, parent))
+        if len(solved) == 1:
+            raise NumericalFailure("injected at the root")
+        return real_solve(lp, parent)
+
+    monkeypatch.setattr(search_mod, "build_lp", recorded_build)
+    monkeypatch.setattr(search_mod, "solve", failing_solve)
+    result = enumerate_patterns(regions, [box])
+    assert result.stats.lp_failures == 1
+    # the root's one child (two cubes) is assembled whole and solved cold,
+    # and the nodes below it extend their parents' LPs
+    assert len(built) == 2
+    assert all(lp is whole for (lp, _), whole in zip(solved, built))
+    assert solved[1][1] is None and solved[1][0].num_vars == 7
+    assert all(parent is not None for _, parent in solved[2:])
+    assert len(solved) > 2
+    assert result.volume_mm3 == 2 * 8000
+    check = validate_packing(result.placements, regions)
+    assert check["valid"] and check["mode"] == "exact", check
 
 
 def test_max_count_limits_placements():
@@ -403,9 +435,18 @@ def _chain_instance(rng, trial):
 def test_order_chains_match_exact_elimination_and_the_lp():
     rng = np.random.default_rng(20261018)
     seen = {"cycle": 0, "overrun": 0, "near_fit": 0, "feasible": 0}
+    prefixes = {True: 0, False: 0}
     for trial in range(400):
         placements, regions, bb = _chain_instance(rng, trial)
         n = len(placements)
+        # every prefix, as the search adds the constraints along a branch:
+        # the fold of the one-constraint step decides each one exactly
+        for t in range(len(bb)):
+            verdict = order_chains_feasible(placements, regions, bb[:t])
+            assert verdict == all(
+                fm_feasible(_axis_rows(placements, regions, bb[:t], axis), n)
+                for axis in range(3)), (trial, bb[:t])
+            prefixes[verdict] += 1
         chains = order_chains_feasible(placements, regions, bb)
         exact = all(fm_feasible(_axis_rows(placements, regions, bb, axis), n)
                     for axis in range(3))
@@ -432,6 +473,7 @@ def test_order_chains_match_exact_elimination_and_the_lp():
         seen["overrun"] += overrun and not cycle
         seen["feasible"] += chains
     assert min(seen.values()) >= 20, seen
+    assert min(prefixes.values()) >= 200, prefixes
 
 
 def test_exact_fit_chain_is_left_to_the_lp():
