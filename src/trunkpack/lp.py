@@ -59,19 +59,31 @@ rows: one extension step (`extend_lp`: k rows inserted at row p, 0 or 3
 columns just before the slack; `add_box`, `add_bb` and `add_bo` place and
 check them, and `build_lp` is their fold).  The child records its base and
 p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
-outcome's LP (ValueError otherwise), copies the parent's final tableau into
-the child's layout in contiguous blocks, gives each new column its own
-reduced cost (<= 0: it is zero in every old row), scales only the new rows
-and expresses them in the parent's basis, and continues the dual simplex
+outcome's LP (ValueError otherwise), scales only the new rows and
+expresses them in the parent's final basis, and continues the dual simplex
 from that dual feasible basis (Bertsimas & Tsitsiklis, Introduction to
-Linear Optimization, 1997, sec. 5.1).
+Linear Optimization, 1997, sec. 5.1).  The parent's tableau, copied into
+the child's layout in contiguous blocks with the new columns' reduced
+costs (<= 0: a new column is zero in every old row), is made once per
+parent and layout and shared by its children.
+
+Only new rows can be violated.  With none, the parent's basis is optimal;
+with one, its Bland pivot needs only that row and the entering column,
+which update x_b with the float operations of a full pivot.  The child's
+own final tableau is then built, bit for bit as a full pivot would leave
+it, only when it is read: when a child of its own warm-starts from it
+(the deferred update of the product form of the inverse; Dantzig &
+Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  Several violated rows,
+or a row still violated after the first pivot, build it at once and
+continue the dual simplex on it.  The residual check always runs at solve
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,15 +153,21 @@ class _Pattern(NamedTuple):
 
 @dataclass
 class LpOutcome:
-    """``value`` is objective . assignment, without the tie-break terms."""
+    """``value`` is objective . assignment, without the tie-break terms.
+    A feasible outcome keeps ``lp``, the LP it solved (the one its
+    children's LPs extend), and its final tableau, which a child LP
+    warm-starts from."""
 
     feasible: bool
     assignment: Optional[np.ndarray] = None
     value: float = 0.0
     pivots: int = 0
-    # a feasible outcome's final tableau, which a child LP warm-starts from
-    tableau: Optional["_Tableau"] = field(default=None, repr=False,
-                                          compare=False)
+    lp: Optional[LinearProgram] = field(default=None, repr=False,
+                                        compare=False)
+    # the final tableau, or a warm start's pieces (`_Warm`) that build it
+    _final: Union["_Tableau", "_Warm", None] = field(default=None,
+                                                     repr=False,
+                                                     compare=False)
 
     @property
     def slack(self) -> float:
@@ -158,10 +176,13 @@ class LpOutcome:
         return 0.0 if abs(self.value) < SLACK_ZERO else self.value
 
     @property
-    def lp(self) -> Optional[LinearProgram]:
-        """The LP a feasible outcome solved: the one its children's LPs
-        extend."""
-        return None if self.tableau is None else self.tableau.lp
+    def tableau(self) -> Optional["_Tableau"]:
+        """The final tableau, built from a warm start's pieces the first
+        time it is read; the pieces, and with them the outcome's hold on
+        its parent's tableau, are then dropped."""
+        if isinstance(self._final, _Warm):
+            self._final = _warm_tableau(self._final)
+        return self._final
 
 
 def _unit_rows(poly) -> Tuple[np.ndarray, np.ndarray]:
@@ -358,19 +379,53 @@ class _Tableau:
     costs, the basic variable of each row, the costs, origins and signs the
     variables are measured with, and the norms of the LP's rows."""
 
-    __slots__ = ("lp", "T", "basis", "cost", "origin", "sign", "norm")
+    __slots__ = ("T", "basis", "cost", "origin", "sign", "norm", "frame")
 
-    def __init__(self, lp, T, basis, cost, origin, sign, norm):
-        self.lp = lp
+    def __init__(self, T, basis, cost, origin, sign, norm):
         self.T = T
         self.basis = basis
         self.cost = cost
         self.origin = origin
         self.sign = sign
         self.norm = norm
+        # the `_Frame` of the last layout its extensions were solved in
+        self.frame = None
 
 
-def _pivot(T: np.ndarray, basis: list, r: int, col: int) -> None:
+class _Frame(NamedTuple):
+    """A final tableau as every extension of its LP by k rows at row p and
+    c variables before the last sees it, shared by all of them: the layout
+    (p, k, c); the tableau in the extension's layout, the new rows zero
+    (its x_b column and reduced-cost row give the old rows' x_b and the
+    reduced costs); the basis, the new rows' slacks basic; the columns and
+    rows of the structural basic variables; the row norms, zero in the new
+    rows."""
+
+    layout: Tuple[int, int, int]
+    T: np.ndarray
+    basis: np.ndarray
+    cols: np.ndarray
+    held: np.ndarray
+    norm: np.ndarray
+
+
+@dataclass
+class _Warm:
+    """A warm-started LP's tableau, not yet built: the parent's `_Frame`
+    for the LP's layout, the new rows in that layout and the parent's
+    basis, the costs, origins, signs and row norms, and the first pivot
+    (row, column) or None."""
+
+    frame: _Frame
+    new: np.ndarray
+    cost: np.ndarray
+    origin: np.ndarray
+    sign: np.ndarray
+    norm: np.ndarray
+    pivot: Optional[Tuple[int, int]] = None
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, col: int) -> None:
     row = T[r]
     row /= row[col]
     # the outer product is a K=1 matrix product: each entry is still one
@@ -381,7 +436,19 @@ def _pivot(T: np.ndarray, basis: list, r: int, col: int) -> None:
     basis[r] = col
 
 
-def _dual_simplex(T: np.ndarray, basis: list):
+def _entering(row: np.ndarray, reduced: np.ndarray) -> Optional[int]:
+    """Bland's entering column for a leaving row: the smallest ratio
+    d_j / a_rj over a_rj < -_PIVOT_EPS, ties to the lowest index (a reduced
+    cost is <= 0 up to rounding); None when the row has no negative entry,
+    which proves the LP infeasible."""
+    cols = (row < -_PIVOT_EPS).nonzero()[0]
+    if not cols.size:
+        return None
+    ratios = np.minimum(reduced[cols], 0.0) / row[cols]
+    return int(cols[ratios.argmin()])
+
+
+def _dual_simplex(T: np.ndarray, basis: np.ndarray):
     """Run the dual simplex from a dual feasible tableau, in place.  Returns
     (status, pivots), status in {'optimal', 'infeasible', 'stalled'}."""
     m = len(basis)
@@ -391,16 +458,12 @@ def _dual_simplex(T: np.ndarray, basis: list):
         rows = (x_b < -_PRIMAL_EPS).nonzero()[0]
         if not rows.size:
             return "optimal", pivots
-        # Bland for the dual: the lowest-index basic variable leaves ...
-        r = min(rows.tolist(), key=basis.__getitem__)
-        row = T[r, :-1]
-        cols = (row < -_PIVOT_EPS).nonzero()[0]
-        if not cols.size:
+        # Bland for the dual: the lowest-index basic variable leaves
+        r = int(rows[basis[rows].argmin()])
+        col = _entering(T[r, :-1], reduced)
+        if col is None:
             return "infeasible", pivots
-        # ... and the smallest ratio enters, ties to the lowest index (a
-        # reduced cost is <= 0 up to rounding)
-        ratios = np.minimum(reduced[cols], 0.0) / row[cols]
-        _pivot(T, basis, r, int(cols[ratios.argmin()]))
+        _pivot(T, basis, r, col)
     return "stalled", _MAX_ITER
 
 
@@ -413,7 +476,7 @@ def _cold_tableau(rows, rhs, sign, cost):
     T[np.arange(m), n + np.arange(m)] = 1.0
     T[:m, -1] = rhs
     T[m, :n] = -np.abs(cost)
-    return T, list(range(n, n + m))
+    return T, np.arange(n, n + m)
 
 
 def _costs(lp: LinearProgram):
@@ -438,49 +501,112 @@ def _scaled(A, b, origin):
     return rows, np.ldexp(b, shift) - rows @ origin, norm
 
 
-def _warm_tableau(parent: _Tableau, lp: LinearProgram):
-    """The parent's final tableau in the layout of ``lp``, which extends the
-    parent's LP by one step: k rows inserted at row p and c variables just
-    before the last one.
-
-    The parent's rows (before p, and from p on with the cost row) and its
-    columns (the variables before the last; the last with the slacks of
-    rows before p; the other slacks with x_b) are copied as contiguous
-    blocks.  Each new column gets its own reduced cost (<= 0: it is zero in
-    every old row), and only the new rows are scaled and expressed in the
-    parent's basis.  Returns (T, basis, cost, origin, sign, norm)."""
-    m0, n0 = parent.lp.A.shape
-    m, n = lp.A.shape
-    p, k, c = lp.at, m - m0, n - n0
+def _frame(parent: _Tableau, p: int, k: int, n: int,
+           cost: np.ndarray) -> _Frame:
+    """The parent's frame for its extensions by k rows at row p to n
+    variables.  Each new column gets its own reduced cost, -|cost| (<= 0:
+    it is zero in every old row).  A new variable has objective 0, so its
+    cost, the tie-break one, depends only on its index and is the same in
+    every such extension."""
+    T0, m0, n0 = parent.T, len(parent.basis), len(parent.cost)
+    m, c = m0 + k, n - n0
+    # the parent's columns in three contiguous blocks: the variables before
+    # the last; the last with the slacks of rows before p; the other slacks
+    # with x_b.  The new variables' and slacks' columns go between them,
+    # the new rows at row p.
+    T = np.concatenate((T0[:, :n0 - 1], np.zeros((m0 + 1, c)),
+                        T0[:, n0 - 1:n0 + p], np.zeros((m0 + 1, k)),
+                        T0[:, n0 + p:]), axis=1)
+    T = np.concatenate((T[:p], np.zeros((k, n + m + 1)), T[p:]))
+    old = parent.basis.copy()
     if c:
+        T[m, n0 - 1:n - 1] = -np.abs(cost[n0 - 1:n - 1])
+        old[old >= n0 - 1] += c  # the last variable and the slacks
+    old[old >= n + p] += k  # the slacks of rows p on
+    basis = np.concatenate((old[:p], np.arange(n + p, n + p + k), old[p:]))
+    structural = (basis < n).nonzero()[0]
+    return _Frame((p, k, c), T, basis, basis[structural], T[structural],
+                  np.concatenate((parent.norm[:p], np.zeros(k),
+                                  parent.norm[p:])))
+
+
+def _warm_rows(parent: _Tableau, lp: LinearProgram) -> _Warm:
+    """The warm start of ``lp``, which extends the parent's LP by one step
+    (k rows inserted at row p, c variables just before the last one),
+    before its tableau is built.  Only the new rows are scaled; each, with
+    its own slack basic, is expressed in the parent's basis: it is zero in
+    every other slack's column, so only the rows whose basic variable is one
+    of the LP's own contribute."""
+    m0, n0 = len(parent.basis), len(parent.cost)
+    m, n = lp.A.shape
+    p, k = lp.at, m - m0
+    if n > n0:
         cost, origin, sign = _costs(lp)
     else:
         cost, origin, sign = parent.cost, parent.origin, parent.sign
+    frame = parent.frame
+    if frame is None or frame.layout != (p, k, n - n0):
+        frame = parent.frame = _frame(parent, p, k, n, cost)
     rows, rhs, norm = _scaled(lp.A[p:p + k], lp.b[p:p + k], origin)
-    norm = np.concatenate((parent.norm[:p], norm, parent.norm[p:]))
-
-    T = np.zeros((m + 1, n + m + 1))
-    for dst, src in ((T[:p], parent.T[:p]), (T[p + k:], parent.T[p:])):
-        dst[:, :n0 - 1] = src[:, :n0 - 1]
-        dst[:, n - 1:n + p] = src[:, n0 - 1:n0 + p]
-        dst[:, n + p + k:] = src[:, n0 + p:]
-    old = [v if v < n0 - 1 else v + c if v < n0 + p else v + c + k
-           for v in parent.basis]
-    basis = old[:p] + list(range(n + p, n + p + k)) + old[p:]
-    if c:
-        T[m, n0 - 1:n - 1] = -np.abs(cost[n0 - 1:n - 1])
-
-    # the new rows, each with its own slack basic, in the current basis:
-    # they are zero in every other slack's column, so only the rows whose
-    # basic variable is one of the LP's own contribute
-    new = T[p:p + k]
-    new[:, :n] = rows * sign
-    for r in range(p, p + k):
-        T[r, n + r] = 1.0
+    width = n + m + 1
+    new = np.zeros((k, width))
+    np.multiply(rows, sign, out=new[:, :n])
+    new.flat[n + p::width + 1] = 1.0  # new[i, n + p + i], each row's slack
     new[:, -1] = rhs
-    structural = [r for r, v in enumerate(basis) if v < n]
-    new -= np.dot(new[:, [basis[r] for r in structural]], T[structural])
-    return T, basis, cost, origin, sign, norm
+    new -= np.dot(new[:, frame.cols], frame.held)
+    full = frame.norm.copy()
+    full[p:p + k] = norm
+    return _Warm(frame, new, cost, origin, sign, full)
+
+
+def _warm_tableau(warm: _Warm) -> _Tableau:
+    """A warm start's final tableau: its frame's with the new rows, after
+    the first pivot."""
+    p, k, _ = warm.frame.layout
+    T = warm.frame.T.copy()
+    T[p:p + k] = warm.new
+    basis = warm.frame.basis.copy()
+    if warm.pivot is not None:
+        _pivot(T, basis, *warm.pivot)
+    return _Tableau(T, basis, warm.cost, warm.origin, warm.sign, warm.norm)
+
+
+def _warm_solve(warm: _Warm):
+    """Run the dual simplex from a warm start, building its tableau only
+    when one pivot does not finish it.  The old rows hold at the parent's
+    answer, so only new rows can be violated.  With none violated the
+    parent's basis is optimal; with one, its pivot needs only the pivot
+    row and the entering column, which update x_b with ``_pivot``'s float
+    operations.  Returns (status, pivots, x_b, basis, final), final the
+    built tableau or ``warm``."""
+    frame, new = warm.frame, warm.new
+    p, k, _ = frame.layout
+    m = len(frame.basis)
+    x_b = frame.T[:m, -1].copy()
+    x_b[p:p + k] = new[:, -1]
+    violated = (new[:, -1] < -_PRIMAL_EPS).nonzero()[0]
+    if not violated.size:
+        return "optimal", 0, x_b, frame.basis, warm
+    if violated.size == 1:
+        i = int(violated[0])
+        col = _entering(new[i, :-1], frame.T[m, :-1])
+        if col is None:
+            return "infeasible", 0, None, None, None
+        r = p + i
+        warm.pivot = (r, col)
+        f = frame.T[:m, col].copy()
+        f[p:p + k] = new[:, col]
+        step = new[i, -1] / new[i, col]
+        x_b -= f * step
+        x_b[r] = step
+        if not (x_b < -_PRIMAL_EPS).any():
+            basis = frame.basis.copy()
+            basis[r] = col
+            return "optimal", 1, x_b, basis, warm
+    final = _warm_tableau(warm)
+    status, pivots = _dual_simplex(final.T, final.basis)
+    return (status, pivots + (warm.pivot is not None), final.T[:m, -1],
+            final.basis, final)
 
 
 def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
@@ -495,24 +621,25 @@ def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
         cost, origin, sign = _costs(lp)
         rows, rhs, norm = _scaled(lp.A, lp.b, origin)
         T, basis = _cold_tableau(rows, rhs, sign, cost)
+        status, pivots = _dual_simplex(T, basis)
+        final = _Tableau(T, basis, cost, origin, sign, norm)
+        x_b = T[:m, -1]
     else:
-        if parent.tableau is None or lp.base is not parent.tableau.lp:
+        if parent.lp is None or lp.base is not parent.lp:
             raise ValueError("the LP does not extend its parent's")
-        T, basis, cost, origin, sign, norm = _warm_tableau(parent.tableau,
-                                                           lp)
-    status, pivots = _dual_simplex(T, basis)
+        status, pivots, x_b, basis, final = _warm_solve(
+            _warm_rows(parent.tableau, lp))
     if status == "stalled":
         raise NumericalFailure("simplex stalled")
     if status == "infeasible":
         return LpOutcome(False, pivots=pivots)
     shifted = np.zeros(n + m)
-    shifted[basis] = T[:m, -1]
-    x = origin + sign * shifted[:n]
-    residual = float(((lp.A @ x - lp.b) / norm).max(initial=0.0))
+    shifted[basis] = x_b
+    x = final.origin + final.sign * shifted[:n]
+    residual = float(((lp.A @ x - lp.b) / final.norm).max(initial=0.0))
     if residual > FEAS_TOL:
         raise NumericalFailure(f"residual {residual:.3e} exceeds {FEAS_TOL}")
-    return LpOutcome(True, x, float(lp.objective @ x), pivots,
-                     _Tableau(lp, T, basis, cost, origin, sign, norm))
+    return LpOutcome(True, x, float(lp.objective @ x), pivots, lp, final)
 
 
 def maximize_direction(direction: Sequence[float], halfspaces,

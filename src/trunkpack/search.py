@@ -100,10 +100,12 @@ class SearchConfig:
 class SearchStats:
     """Search counters.  ``lp_calls`` counts the node LPs actually built and
     solved: nodes pruned by the bound or ruled out by their order chains
-    make none."""
+    make none.  ``pivots`` counts their dual simplex pivots, warm starts
+    included (a failed LP's are not counted)."""
 
     nodes: int = 0
     lp_calls: int = 0
+    pivots: int = 0
     lp_failures: int = 0
     bb_branches: int = 0
     bo_branches: int = 0
@@ -117,6 +119,7 @@ class SearchStats:
         return {
             "nodes": self.nodes,
             "lp_calls": self.lp_calls,
+            "pivots": self.pivots,
             "lp_failures": self.lp_failures,
             "bb_branches": self.bb_branches,
             "bo_branches": self.bo_branches,
@@ -459,6 +462,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             lp = _node_lp(node, candidates, regions)
             stats.lp_calls += 1
             outcome = solve(lp, node.parent)
+            stats.pivots += outcome.pivots
         except NumericalFailure:
             stats.lp_failures += 1
             outcome = None

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+import trunkpack.lp as lp_mod
 import trunkpack.search as search_mod
 from trunkpack.catalog import (FULL_CATALOG, ORIENTATIONS, BoxType,
                                distinct_orientations, oriented_extents)
@@ -552,18 +553,6 @@ def test_criterion_09_branch_arity(monkeypatch):
 
     monkeypatch.setattr(search_mod, "branch", checked_branch)
 
-    # dual simplex pivots per search, warm starts included: the node counts
-    # pin the canonical answers, the pivots the route the solver takes
-    real_solve = search_mod.solve
-    pivots = []
-
-    def counted_solve(lp, parent=None):
-        outcome = real_solve(lp, parent)
-        pivots[-1] += outcome.pivots
-        return outcome
-
-    monkeypatch.setattr(search_mod, "solve", counted_solve)
-
     results = []
     # Two cavity-free cubes sized so many equal boxes collide repeatedly
     # (box-box churn), plus one L-trunk rerun for box-obstacle branching.
@@ -573,14 +562,12 @@ def test_criterion_09_branch_arity(monkeypatch):
     ]
     for trunk, box in churn:
         regions = _region_map(trunk, box, samples=2000, seed=5)
-        pivots.append(0)
         result = enumerate_patterns(regions, [box],
                                     config=SearchConfig(prune_enabled=False))
         assert result.stats.arity_violations == 0
         results.append(result)
 
     shell, cavity_lo, box, expected = _pack_params("double_stack")
-    pivots.append(0)
     result = enumerate_patterns(_pack_regions("double_stack"), [box])
     assert result.stats.arity_violations == 0
     assert len(result.placements) == expected
@@ -594,7 +581,9 @@ def test_criterion_09_branch_arity(monkeypatch):
         (15278, 2461, 0, 3407360),
         (5889, 921, 0, 1983600),
         (127, 8, 12, 70846188)]
-    assert pivots == [7260, 4062, 129]
+    # dual simplex pivots per search, warm starts included: the node counts
+    # pin the canonical answers, the pivots the route the solver takes
+    assert [r.stats.pivots for r in results] == [7260, 4062, 129]
 
 
 def _same_lp(a, b) -> bool:
@@ -608,9 +597,12 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
     """Every node LP of the K-cube and L-trunk searches: the LP the search
     makes from its parent's by one step is the LP ``build_lp`` assembles
     whole from the node's placements and constraints, bit for bit, and its
-    warm-started answer is the cold one."""
+    warm-started answer is the cold one.  A warm outcome builds its final
+    tableau only when a child warm-starts from it (or when one pivot does
+    not finish it), so most feasible outcomes never build one."""
     real_node_lp = search_mod._node_lp
     made = []
+    feasible = []
 
     def compared_node_lp(node, candidates, regions):
         lp = real_node_lp(node, candidates, regions)
@@ -631,6 +623,8 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
                 == (cold.feasible, cold.value)
             if cold.feasible:
                 assert np.array_equal(outcome.assignment, cold.assignment)
+        if outcome.feasible:
+            feasible.append(outcome)
         return outcome
 
     monkeypatch.setattr(search_mod, "_node_lp", compared_node_lp)
@@ -644,6 +638,7 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
     counts = []
     for regions, box, prune in searches:
         made.clear()
+        feasible.clear()
         result = enumerate_patterns(regions, [box],
                                     config=SearchConfig(prune_enabled=prune))
         assert result.stats.lp_failures == 0
@@ -652,8 +647,9 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
         cold = [node for _, _, node in made if node.parent is None]
         assert all(len(node.indices) == 1 for node in cold)
         assert len(cold) <= len(regions)
-        counts.append(len(made))
-    assert counts == [4425, 96]
+        unbuilt = sum(isinstance(o._final, lp_mod._Warm) for o in feasible)
+        counts.append((len(made), len(feasible), unbuilt))
+    assert counts == [(4425, 4425, 3372), (96, 24, 1)]
 
 
 # ---------------------------------------------------------------------------

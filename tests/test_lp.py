@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+import trunkpack.lp as lp_mod
 from trunkpack.catalog import BoxType, default_catalog
 from trunkpack.freespace import (Region, compute_feasible_region,
                                  describe_region, parse_convex_json,
@@ -77,6 +78,16 @@ def _interval_lp(lower, upper, cost, rhs=(3.0, -2.0), extra=()):
                          np.array([upper]))
 
 
+def _tableau_assignment(outcome):
+    """The assignment a feasible outcome's final tableau holds: each
+    variable at its origin, moved by its basic value."""
+    tableau = outcome.tableau
+    m, n = len(tableau.basis), len(tableau.cost)
+    shifted = np.zeros(n + m)
+    shifted[tableau.basis] = tableau.T[:m, -1]
+    return tableau.origin + tableau.sign * shifted[:n]
+
+
 def test_pivot_count_dual_simplex():
     # 2 <= x <= 3: x starts at the bound its cost prefers (lower for a cost
     # <= 0, upper for > 0), which is optimal, so no pivot
@@ -93,9 +104,30 @@ def test_pivot_count_dual_simplex():
     # new row holds at the parent's answer, one when it cuts it off
     base = _interval_lp(-10.0, 10.0, 1.0)
     parent = solve(base)
-    assert solve(extend_lp(base, 2, [[1.0]], [4.0]), parent).pivots == 0
+    same = solve(extend_lp(base, 2, [[1.0]], [4.0]), parent)
+    assert same.pivots == 0 and same.assignment[0] == 3.0
     child = solve(extend_lp(base, 2, [[1.0]], [2.5]), parent)
     assert child.pivots == 1 and child.assignment[0] == 2.5
+    # neither needed its tableau to answer, and each builds one that holds
+    # its answer
+    assert isinstance(same._final, lp_mod._Warm)
+    assert isinstance(child._final, lp_mod._Warm)
+    for outcome in (parent, same, child):
+        assert _tableau_assignment(outcome).tobytes() \
+            == outcome.assignment.tobytes()
+    # minimize x + y over x + y >= 0 and x - 3y >= 3 in [-4, 4]^2, then
+    # y >= 0: the first pivot on the new row leaves x - 3y >= 3 violated, so
+    # the child builds its tableau at once and pivots again, to (3, 0)
+    base = _lp([[-1.0, -1.0], [-1.0, 3.0]], [0.0, -3.0], [-1.0, -1.0],
+               bound=4.0)
+    parent = solve(base)
+    lp = extend_lp(base, 4, [[0.0, -1.0]], [0.0])
+    child = solve(lp, parent)
+    cold = solve(LinearProgram(2, lp.A, lp.b, lp.objective, lp.lower,
+                               lp.upper))
+    assert child.pivots == 2 and isinstance(child._final, lp_mod._Tableau)
+    assert child.assignment.tolist() == cold.assignment.tolist() == [3.0, 0.0]
+    assert _tableau_assignment(child).tobytes() == child.assignment.tobytes()
 
 
 def test_warm_start_needs_an_extension_of_the_parent():
@@ -455,10 +487,22 @@ def _same_lp(a, b):
                             (a.upper, b.upper), (a.objective, b.objective)))
 
 
+def _assert_same_answer(hull, warm, cold):
+    """Bit for bit on the dyadic hulls, within 1e-9 mm on the spheres."""
+    if hull.id in ("box", "halves"):
+        assert np.array_equal(warm.assignment, cold.assignment)
+        assert warm.value == cold.value
+    else:
+        assert np.allclose(warm.assignment, cold.assignment, rtol=0.0,
+                           atol=1e-9)
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+
 def test_warm_start_gives_the_cold_answer():
     rng = np.random.default_rng(20261019)
     hulls = _hulls(rng)
     compared = collections.Counter()
+    chained = collections.Counter()
     for trial in range(240):
         hull = hulls[trial % len(hulls)]
         pattern = _pattern(rng, hull, max_boxes=4)
@@ -478,14 +522,30 @@ def test_warm_start_gives_the_cold_answer():
             if not cold.feasible:
                 continue
             compared[hull.id] += 1
-            if hull.id in ("box", "halves"):
-                assert np.array_equal(warm.assignment, cold.assignment)
-                assert warm.value == cold.value
-            else:
-                assert np.allclose(warm.assignment, cold.assignment,
-                                   rtol=0.0, atol=1e-9)
-                assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            _assert_same_answer(hull, warm, cold)
+        # a chain of up to four steps, each warm-started from the last
+        # outcome: nothing here reads a tableau, so a warm outcome's is built
+        # by the next step's solve
+        outcome = parent
+        for _ in range(4):
+            child = _child(rng, hull, *pattern)
+            lp = _extended(outcome.lp, pattern, child)
+            if lp is None:
+                continue
+            unbuilt = isinstance(outcome._final, lp_mod._Warm)
+            warm, cold = solve(lp, outcome), solve(build_lp(*child))
+            assert isinstance(outcome._final, lp_mod._Tableau)
+            chained[hull.id] += unbuilt
+            assert warm.feasible == cold.feasible
+            if not cold.feasible:
+                break
+            _assert_same_answer(hull, warm, cold)
+            pattern, outcome = child, warm
+        # the last outcome's tableau, built now, holds its answer
+        assert _tableau_assignment(outcome).tobytes() \
+            == outcome.assignment.tobytes()
     assert min(compared.values()) >= 40, compared
+    assert min(chained.values()) >= 20, chained
 
 
 def _least_centers(placements, hull, bb, bo, slack):
