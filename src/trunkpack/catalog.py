@@ -145,8 +145,3 @@ def distinct_orientations(box: BoxType, allowed: Optional[Sequence[str]] = None)
 def half_extents(box: BoxType, orientation: str) -> tuple:
     """Half of each oriented extent, exact."""
     return tuple(Fraction(e, 2) for e in oriented_extents(box.dims_mm, orientation))
-
-
-def catalog_volume_bound_mm3(boxes: Iterable[BoxType]) -> int:
-    """Total volume if every box of every type were placed."""
-    return sum(b.volume_mm3() * b.max_count for b in boxes)

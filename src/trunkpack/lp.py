@@ -39,7 +39,10 @@ bound that is best for its cost, x = lower + x' when its cost is <= 0 and
 x = upper - x' otherwise, with x' >= 0; the rows imply the other bound, so
 it needs no row of its own.  Every reduced cost is then -|cost| <= 0, so
 the all-slack basis is dual feasible from the start and one phase
-suffices, with no artificial columns.  Bland's rule for the
+suffices, with no artificial columns.  A cold solve is the warm start
+(below) from the LP with no rows, whose tableau is the one reduced-cost
+row -|cost| with an empty basis: every row of the LP is new, inserted at
+row 0, and their slacks make the all-slack basis.  Bland's rule for the
 dual: the infeasible row whose basic variable has the lowest index leaves;
 the column with the smallest d_j / a_rj over a_rj < -_PIVOT_EPS enters,
 ties to the lowest index.  A violated row with no negative entry proves
@@ -48,10 +51,10 @@ row, x_b and the reduced costs included, with one dense rank-1 elimination.
 
 Each row enters the tableau divided by the least power of two above its
 norm: exact, so on dyadic data (axis-aligned hulls, half-millimetre extents)
-every tableau entry stays exact and warm and cold solves give bit-identical
-answers.  A residual check against the unit-norm rows after solving guards
-against silent numerical drift (NumericalFailure, never misreported as
-infeasible).
+every tableau entry stays exact and solves from any parent give
+bit-identical answers.  A residual check against the unit-norm rows after
+solving guards against silent numerical drift (NumericalFailure, never
+misreported as infeasible).
 
 **Warm start.**  A search node's LP is its parent's plus one box-box or
 box-obstacle row, or plus one box's three center columns and its hull
@@ -59,10 +62,10 @@ rows: one extension step (`extend_lp`: k rows inserted at row p, 0 or 3
 columns just before the slack; `add_box`, `add_bb` and `add_bo` place and
 check them, and `build_lp` is their fold).  The child records its base and
 p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
-outcome's LP (ValueError otherwise), scales only the new rows and
-expresses them in the parent's final basis, and continues the dual simplex
-from that dual feasible basis (Bertsimas & Tsitsiklis, Introduction to
-Linear Optimization, 1997, sec. 5.1).  The parent's tableau, copied into
+outcome's LP (ValueError otherwise), scales only the new rows (all of
+them in a cold solve) and expresses them in the parent's final basis, and
+continues the dual simplex from that dual feasible basis (Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, 1997, sec. 5.1).  The parent's tableau, copied into
 the child's layout in contiguous blocks with the new columns' reduced
 costs (<= 0: a new column is zero in every old row), is made once per
 parent and layout and shared by its children.
@@ -467,18 +470,6 @@ def _dual_simplex(T: np.ndarray, basis: np.ndarray):
     return "stalled", _MAX_ITER
 
 
-def _cold_tableau(rows, rhs, sign, cost):
-    """The all-slack tableau: dual feasible, since every reduced cost is
-    -|cost|."""
-    m, n = rows.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = rows * sign
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:m, -1] = rhs
-    T[m, :n] = -np.abs(cost)
-    return T, np.arange(n, n + m)
-
-
 def _costs(lp: LinearProgram):
     """(cost, origin, sign) of every variable: the objective, or the
     tie-break cost where it is zero; the bound it is measured from; -1 when
@@ -530,7 +521,7 @@ def _frame(parent: _Tableau, p: int, k: int, n: int,
                                   parent.norm[p:])))
 
 
-def _warm_rows(parent: _Tableau, lp: LinearProgram) -> _Warm:
+def _warm_rows(parent: _Tableau, lp: LinearProgram, p: int) -> _Warm:
     """The warm start of ``lp``, which extends the parent's LP by one step
     (k rows inserted at row p, c variables just before the last one),
     before its tableau is built.  Only the new rows are scaled; each, with
@@ -539,7 +530,7 @@ def _warm_rows(parent: _Tableau, lp: LinearProgram) -> _Warm:
     of the LP's own contribute."""
     m0, n0 = len(parent.basis), len(parent.cost)
     m, n = lp.A.shape
-    p, k = lp.at, m - m0
+    k = m - m0
     if n > n0:
         cost, origin, sign = _costs(lp)
     else:
@@ -618,17 +609,17 @@ def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
     guessing."""
     m, n = lp.A.shape
     if parent is None:
+        # the LP with no rows: its tableau is the reduced-cost row alone
         cost, origin, sign = _costs(lp)
-        rows, rhs, norm = _scaled(lp.A, lp.b, origin)
-        T, basis = _cold_tableau(rows, rhs, sign, cost)
-        status, pivots = _dual_simplex(T, basis)
-        final = _Tableau(T, basis, cost, origin, sign, norm)
-        x_b = T[:m, -1]
+        start = _Tableau(np.append(-np.abs(cost), 0.0)[None],
+                         np.zeros(0, dtype=int), cost, origin, sign,
+                         np.zeros(0))
+        at = 0
     else:
         if parent.lp is None or lp.base is not parent.lp:
             raise ValueError("the LP does not extend its parent's")
-        status, pivots, x_b, basis, final = _warm_solve(
-            _warm_rows(parent.tableau, lp))
+        start, at = parent.tableau, lp.at
+    status, pivots, x_b, basis, final = _warm_solve(_warm_rows(start, lp, at))
     if status == "stalled":
         raise NumericalFailure("simplex stalled")
     if status == "infeasible":

@@ -15,12 +15,22 @@ four stages, each persisting its results under the run directory:
   enumerate   exhaustive branch-and-bound over all regions
                                             -> packing.json (+ optional OBJ)
 
+Each of the first three stages is one entry of ``_REGION_STAGES``: the
+region kind it reads (none: the trunk), the kind it writes, its per-region
+logs, its report and the formatter of each report file, the message a
+geometric failure in it is reported under (exit 11), and its work per
+(box, orientation).  One pool task (``_region_task``) reads an entry's
+input and renders its outputs, one runner (``_stage_regions``) writes
+them, and ``stage_outputs`` and the enumeration's choice of region files
+are derived from the same entries, so what a stage writes is declared
+once.
+
 A stage is skipped when every one of its output files already exists, so a
 run is resumable: deleting any suffix of the artifacts and re-running
 recomputes only the missing stages; a rerun that only adds an OBJ export
 writes it from the placements stored in packing.json.  Region files are
-canonical JSON and byte-identical across runs and worker counts.  Stages
-one to three fan the (box, orientation) pairs out over a process pool; the
+canonical JSON and byte-identical across runs and worker counts.  The
+region stages fan the (box, orientation) pairs out over a process pool; the
 enumeration stage is one sequential search.  Every stage decodes its
 region files with ``_read_region``, inside the pool tasks where there are
 any.
@@ -28,14 +38,17 @@ any.
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
 (or one too large for the describe stage's exact sampling lattice, which
-holds coordinates up to about 2^30 mm), 12 no feasible placement for any (box, orientation) pair, 13 timed out
-before finding any packing (an empty packing.json is still written).
+holds coordinates up to about 2^30 mm, or any geometric failure in a
+region stage), 12 no feasible placement for any (box, orientation) pair,
+13 timed out before finding any packing (an empty packing.json is still
+written).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,7 +56,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import (BoxType, ORIENTATIONS, default_catalog,
                       distinct_orientations, half_extents, load_catalog)
@@ -156,36 +169,16 @@ class RunPaths:
     def reports(self) -> Path:
         return self.root / "reports"
 
-    def raw(self, box_id: str, orientation: str) -> Path:
-        return self.regions / f"raw_{box_id}_{orientation}.json"
+    def region(self, kind: str, box_id: str, orientation: str) -> Path:
+        """A region file: ``kind`` is raw, feasible or simplified."""
+        return self.regions / f"{kind}_{box_id}_{orientation}.json"
 
-    def feasible(self, box_id: str, orientation: str) -> Path:
-        return self.regions / f"feasible_{box_id}_{orientation}.json"
+    def log(self, kind: str, box_id: str, orientation: str) -> Path:
+        """A per-region log: ``kind`` is merge or drop."""
+        return self.logs / f"{kind}_{box_id}_{orientation}.jsonl"
 
-    def simplified(self, box_id: str, orientation: str) -> Path:
-        return self.regions / f"simplified_{box_id}_{orientation}.json"
-
-    def merge_log(self, box_id: str, orientation: str) -> Path:
-        return self.logs / f"merge_{box_id}_{orientation}.jsonl"
-
-    def drop_log(self, box_id: str, orientation: str) -> Path:
-        return self.logs / f"drop_{box_id}_{orientation}.jsonl"
-
-    @property
-    def region_report_txt(self) -> Path:
-        return self.reports / "regions.txt"
-
-    @property
-    def region_report_csv(self) -> Path:
-        return self.reports / "regions.csv"
-
-    @property
-    def simplify_report_txt(self) -> Path:
-        return self.reports / "simplify.txt"
-
-    @property
-    def simplify_report_csv(self) -> Path:
-        return self.reports / "simplify.csv"
+    def report(self, name: str, ext: str) -> Path:
+        return self.reports / f"{name}.{ext}"
 
     @property
     def packing(self) -> Path:
@@ -209,25 +202,6 @@ def _write_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def stage_outputs(stage: str, paths: RunPaths,
-                  combos: Sequence[Tuple[BoxType, str]]) -> list:
-    """All files the stage promises to write; a stage with every output
-    already present is skipped on re-runs."""
-    if stage == "freespace":
-        return [paths.raw(b.id, o) for b, o in combos]
-    if stage == "describe":
-        return ([paths.feasible(b.id, o) for b, o in combos]
-                + [paths.region_report_txt, paths.region_report_csv])
-    if stage == "simplify":
-        return ([paths.simplified(b.id, o) for b, o in combos]
-                + [paths.merge_log(b.id, o) for b, o in combos]
-                + [paths.drop_log(b.id, o) for b, o in combos]
-                + [paths.simplify_report_txt, paths.simplify_report_csv])
-    if stage == "enumerate":
-        return [paths.packing]
-    raise ValueError(f"unknown stage {stage!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +255,7 @@ def _load_catalog_checked(config: RunConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-region worker tasks (module level so a process pool can import them)
+# per-region work (module level so a process pool can import it)
 
 _WORKER_TRUNK = None
 
@@ -291,38 +265,26 @@ def _set_worker_trunk(trunk) -> None:
     _WORKER_TRUNK = trunk
 
 
-def _freespace_task(args):
-    """(box, orientation) -> (box id, orientation, region file text)."""
-    box, orientation = args
-    raw = raw_feasible_region(_WORKER_TRUNK, box, orientation)
-    return box.id, orientation, region_json(raw, box.id, orientation)
+def _freespace(trunk, box: BoxType, orientation: str, config: RunConfig):
+    return raw_feasible_region(trunk, box, orientation), (), None
 
 
-def _describe_task(args):
-    """(box, orient, raw file, samples, seed) ->
-    (box, orient, file text, report row)."""
-    box_id, orientation, path, samples, seed = args
-    raw = _read_region(path)
-    region = None
-    if raw is not None:
-        region = describe_region(raw, samples=samples, seed=seed)
-    text = region_json(region, box_id, orientation)
+def _describe(raw, box: BoxType, orientation: str, config: RunConfig):
+    region = describe_region(raw, samples=config.mc_samples,
+                             seed=region_seed(config.rng_seed, box.id,
+                                              orientation))
     row = region_report_rows([region])[0] if region is not None else None
-    return box_id, orientation, text, row
+    return region, (), row
 
 
-def _simplify_task(args):
-    """(box, orient, feasible file, merge params, drop bound) ->
-    (box, orient, file text, merge log, drop log, report row)."""
-    box_id, orientation, path, rel_pct, abs_mm3, merge_seed, drop_mm = args
-    region = _read_region(path)
-    if region is None:
-        return box_id, orientation, region_json(None, box_id, orientation), \
-            [], [], None
-    params = MergeParams(rel_bound_pct=rel_pct, abs_bound_mm3=abs_mm3,
-                         rng_seed=merge_seed)
+def _simplify(region, box: BoxType, orientation: str, config: RunConfig):
+    params = MergeParams(rel_bound_pct=config.merge_rel_pct,
+                         abs_bound_mm3=config.merge_abs_mm3,
+                         rng_seed=region_seed(config.rng_seed, box.id,
+                                              orientation))
     merged, merge_entries = merge_obstacles(region, params)
-    final, drop_entries = drop_facets(merged, max_growth_mm=drop_mm)
+    final, drop_entries = drop_facets(merged,
+                                      max_growth_mm=config.drop_growth_mm)
 
     # Refresh the stored volume estimate from the same sample set the
     # describe stage used (simplification keeps the hull), so before/after
@@ -336,7 +298,7 @@ def _simplify_task(args):
     fc_after = final.facet_count()
     vol_before = region.volume_mm3
     row = {
-        "box": box_id,
+        "box": box.id,
         "orientation": orientation,
         "volume_before_mm3": vol_before,
         "volume_after_mm3": vol_after,
@@ -347,23 +309,39 @@ def _simplify_task(args):
         "merges": len(merge_entries),
         "drops": sum(e["status"] == "dropped" for e in drop_entries),
     }
-    return box_id, orientation, region_json(final), merge_entries, \
-        drop_entries, row
+    return final, (merge_entries, drop_entries), row
 
 
-def _run_tasks(task_fn, task_args, workers: int, trunk=None):
-    """Run the per-region tasks inline or on a process pool; results come
-    back in task order either way, so downstream files are identical."""
+def _region_task(args):
+    """(stage name, box, orientation, input region file, run config) ->
+    (region file text, log texts, report row or None).  A stage that reads
+    no region file (its input is None) works on the worker's trunk; an
+    empty input region gives an empty one, empty logs and no row."""
+    name, box, orientation, path, config = args
+    stage = _REGION_STAGES[name]
+    source = _WORKER_TRUNK if path is None else _read_region(path)
+    if source is None:
+        region, logs, row = None, [() for _ in stage.logs], None
+    else:
+        region, logs, row = stage.work(source, box, orientation, config)
+    return (region_json(region, box.id, orientation),
+            [format_log(entries) for entries in logs], row)
+
+
+def _run_tasks(task_args, workers: int, trunk=None):
+    """Run ``_region_task`` on each task inline or on a process pool;
+    results come back in task order either way, so downstream files are
+    identical."""
     if workers <= 1 or len(task_args) <= 1:
         _set_worker_trunk(trunk)
         try:
-            return [task_fn(a) for a in task_args]
+            return [_region_task(a) for a in task_args]
         finally:
             _set_worker_trunk(None)
     with ProcessPoolExecutor(max_workers=min(workers, len(task_args)),
                              initializer=_set_worker_trunk,
                              initargs=(trunk,)) as pool:
-        return list(pool.map(task_fn, task_args))
+        return list(pool.map(_region_task, task_args))
 
 
 # ---------------------------------------------------------------------------
@@ -464,59 +442,81 @@ def export_packing_obj(path, placements, trunk=None) -> None:
 # stages
 
 
+class _RegionStage(NamedTuple):
+    """One region stage: the region kind it reads (None: the trunk) and
+    the kind it writes, its per-region log kinds, its report name and the
+    formatter of each report file extension, the message a GeometryError
+    in it is reported under, and its work per (box, orientation):
+    (source, box, orientation, config) -> (region or None, one list of
+    entries per log kind, report row or None)."""
+
+    reads: Optional[str]
+    writes: str
+    logs: Tuple[str, ...]
+    report: Optional[str]
+    formats: dict
+    failure: str
+    work: Callable
+
+
+_REGION_STAGES = {
+    "freespace": _RegionStage(None, "raw", (), None, {},
+                              "malformed trunk {trunk}", _freespace),
+    "describe": _RegionStage(
+        "raw", "feasible", (), "regions",
+        {"txt": functools.partial(format_region_report,
+                                  orientation_order=ORIENTATIONS),
+         "csv": region_report_csv},
+        "cannot describe the feasible regions", _describe),
+    "simplify": _RegionStage(
+        "feasible", "simplified", ("merge", "drop"), "simplify",
+        {"txt": format_simplify_report, "csv": simplify_report_csv},
+        "cannot simplify the feasible regions", _simplify),
+}
+
+
+def stage_outputs(stage: str, paths: RunPaths,
+                  combos: Sequence[Tuple[BoxType, str]]) -> list:
+    """All files the stage promises to write; a stage with every output
+    already present is skipped on re-runs."""
+    if stage == "enumerate":
+        return [paths.packing]
+    entry = _REGION_STAGES[stage]
+    return ([paths.region(entry.writes, b.id, o) for b, o in combos]
+            + [paths.log(kind, b.id, o) for kind in entry.logs
+               for b, o in combos]
+            + [paths.report(entry.report, ext) for ext in entry.formats])
+
+
 def _combos(config: RunConfig, catalog: Sequence[BoxType]) -> list:
     return [(box, orient) for box in catalog
             for orient in distinct_orientations(box, config.orientations)]
 
 
-def _stage_freespace(config: RunConfig, paths: RunPaths, combos) -> None:
-    trunk = _load_trunk_checked(config)
-    try:
-        results = _run_tasks(_freespace_task, combos, config.workers,
-                             trunk=trunk)
-    except GeometryError as exc:
-        raise PipelineError(EXIT_MALFORMED,
-                            f"malformed trunk {config.trunk}: {exc}")
-    for box_id, orient, text in results:
-        _write_atomic(paths.raw(box_id, orient), text)
-
-
-def _stage_describe(config: RunConfig, paths: RunPaths, combos) -> None:
-    tasks = [(box.id, orient, paths.raw(box.id, orient), config.mc_samples,
-              region_seed(config.rng_seed, box.id, orient))
+def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
+                   combos) -> None:
+    """Run one region stage over the (box, orientation) pairs and write
+    every file its table entry names; a GeometryError is exit 11."""
+    stage = _REGION_STAGES[name]
+    trunk = _load_trunk_checked(config) if stage.reads is None else None
+    tasks = [(name, box, orient,
+              None if stage.reads is None
+              else paths.region(stage.reads, box.id, orient), config)
              for box, orient in combos]
     try:
-        results = _run_tasks(_describe_task, tasks, config.workers)
+        results = _run_tasks(tasks, config.workers, trunk=trunk)
     except GeometryError as exc:
-        raise PipelineError(EXIT_MALFORMED,
-                            f"cannot describe the feasible regions: {exc}")
+        raise PipelineError(EXIT_MALFORMED, stage.failure.format(
+            trunk=config.trunk) + f": {exc}")
     rows = []
-    for box_id, orient, text, row in results:
-        _write_atomic(paths.feasible(box_id, orient), text)
+    for (box, orient), (text, logs, row) in zip(combos, results):
+        _write_atomic(paths.region(stage.writes, box.id, orient), text)
+        for kind, log in zip(stage.logs, logs):
+            _write_atomic(paths.log(kind, box.id, orient), log)
         if row is not None:
             rows.append(row)
-    _write_atomic(paths.region_report_txt,
-                  format_region_report(rows, ORIENTATIONS))
-    _write_atomic(paths.region_report_csv, region_report_csv(rows))
-
-
-def _stage_simplify(config: RunConfig, paths: RunPaths, combos) -> None:
-    tasks = [(box.id, orient, paths.feasible(box.id, orient),
-              config.merge_rel_pct, config.merge_abs_mm3,
-              region_seed(config.rng_seed, box.id, orient),
-              config.drop_growth_mm)
-             for box, orient in combos]
-    rows = []
-    results = _run_tasks(_simplify_task, tasks, config.workers)
-    for box_id, orient, text, merge_entries, drop_entries, row in results:
-        _write_atomic(paths.simplified(box_id, orient), text)
-        _write_atomic(paths.merge_log(box_id, orient),
-                      format_log(merge_entries))
-        _write_atomic(paths.drop_log(box_id, orient), format_log(drop_entries))
-        if row is not None:
-            rows.append(row)
-    _write_atomic(paths.simplify_report_txt, format_simplify_report(rows))
-    _write_atomic(paths.simplify_report_csv, simplify_report_csv(rows))
+    for ext, format_rows in stage.formats.items():
+        _write_atomic(paths.report(stage.report, ext), format_rows(rows))
 
 
 def _read_region(path: Path):
@@ -548,8 +548,9 @@ def _read_region_json(path: Path) -> dict:
 
 def _pick_region_files(paths: RunPaths, combos) -> list:
     """The freshest complete set of region files the enumeration can use."""
-    for picker in (paths.simplified, paths.feasible, paths.raw):
-        files = [picker(box.id, orient) for box, orient in combos]
+    for stage in reversed(_REGION_STAGES.values()):
+        files = [paths.region(stage.writes, box.id, orient)
+                 for box, orient in combos]
         if all(f.exists() for f in files):
             return files
     raise PipelineError(EXIT_UNREADABLE,
@@ -635,8 +636,8 @@ def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
 def _all_feasible_empty(paths: RunPaths, combos) -> bool:
     # reads the empty marker only: decoding a region to learn that it is
     # not empty would rebuild every obstacle polytope
-    return all(_read_region_json(paths.feasible(box.id, orient)).get("empty")
-               for box, orient in combos)
+    return all(_read_region_json(paths.region("feasible", box.id, orient))
+               .get("empty") for box, orient in combos)
 
 
 # ---------------------------------------------------------------------------
@@ -654,26 +655,14 @@ def run(config: RunConfig) -> int:
     try:
         catalog = _load_catalog_checked(config)
         combos = _combos(config, catalog)
-        for stage in STAGES:
-            if stage not in config.stages:
-                continue
-            outputs = stage_outputs(stage, paths, combos)
-            if stage == "enumerate":
-                cached = _enumerate_cached(config, paths, catalog)
-            else:
-                cached = all(f.exists() for f in outputs)
-            if not cached:
-                if stage == "freespace":
-                    _stage_freespace(config, paths, combos)
-                elif stage == "describe":
-                    _stage_describe(config, paths, combos)
-                elif stage == "simplify":
-                    _stage_simplify(config, paths, combos)
-                elif stage == "enumerate":
-                    code = _stage_enumerate(config, paths, catalog, combos)
-                    if code != EXIT_OK:
-                        return code
-            if stage == "describe" and _all_feasible_empty(paths, combos):
+        for name in config.stages:
+            if name == "enumerate":  # always the last stage
+                if _enumerate_cached(config, paths, catalog):
+                    return EXIT_OK
+                return _stage_enumerate(config, paths, catalog, combos)
+            if not all(f.exists() for f in stage_outputs(name, paths, combos)):
+                _stage_regions(name, config, paths, combos)
+            if name == "describe" and _all_feasible_empty(paths, combos):
                 print("no feasible placements for any (box, orientation) "
                       "pair", file=sys.stderr)
                 return EXIT_EMPTY

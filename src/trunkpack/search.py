@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -116,19 +116,7 @@ class SearchStats:
     timed_out: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "lp_calls": self.lp_calls,
-            "pivots": self.pivots,
-            "lp_failures": self.lp_failures,
-            "bb_branches": self.bb_branches,
-            "bo_branches": self.bo_branches,
-            "arity_violations": self.arity_violations,
-            "improvements": self.improvements,
-            "pruned": self.pruned,
-            "wall_time_s": self.wall_time_s,
-            "timed_out": self.timed_out,
-        }
+        return asdict(self)
 
 
 @dataclass

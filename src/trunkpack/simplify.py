@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trunkpack.freespace import (_hit_volume, _sample_volume, classify_feasible,
+from trunkpack.freespace import (_sample_volume, classify_feasible,
                                  enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
                                 cross3, intersect_halfspaces, polytopes_touch,
@@ -335,30 +335,6 @@ def shared_sample_volumes(before, after, samples: Optional[int] = None,
     mask_before = classify_feasible(pts, before.hull, before.obstacles)
     mask_after = classify_feasible(pts, after.hull, after.obstacles)
     return pts, mask_before, mask_after, _sample_volume(bbox)
-
-
-def simplification_report(before, after, samples: Optional[int] = None,
-                          seed: Optional[int] = None) -> dict:
-    """Volume and facet-count ratios of a simplified region against the
-    original, with the volumes estimated from a shared sample seed."""
-    _, mask_b, mask_a, bbox_vol = shared_sample_volumes(before, after,
-                                                        samples, seed)
-    n = len(mask_b)
-    vol_b, _ = _hit_volume(bbox_vol, int(mask_b.sum()), n)
-    vol_a, _ = _hit_volume(bbox_vol, int(mask_a.sum()), n)
-    fc_b = before.facet_count()
-    fc_a = after.facet_count()
-    return {
-        "box": before.box_id,
-        "orientation": before.orientation,
-        "samples": n,
-        "volume_before_mm3": vol_b,
-        "volume_after_mm3": vol_a,
-        "volume_ratio_pct": 100.0 * vol_a / vol_b if vol_b else 0.0,
-        "facets_before": fc_b,
-        "facets_after": fc_a,
-        "facet_ratio_pct": 100.0 * fc_a / fc_b if fc_b else 0.0,
-    }
 
 
 def contractiveness_violations(before, after, samples: Optional[int] = None,

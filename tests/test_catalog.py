@@ -12,7 +12,6 @@ from trunkpack.catalog import (
     ORIENTATIONS,
     BoxType,
     builtin_catalog,
-    catalog_volume_bound_mm3,
     default_catalog,
     distinct_orientations,
     half_extents,
@@ -20,6 +19,7 @@ from trunkpack.catalog import (
     oriented_extents,
     save_catalog,
 )
+from trunkpack.search import upper_bound
 
 
 def by_id(cid):
@@ -58,7 +58,7 @@ def test_default_catalog_is_primary_phase():
     boxes = default_catalog()
     assert [b.id for b in boxes] == ["A", "B", "C", "D", "E", "F"]
     # everything-placed bound for the default set
-    assert catalog_volume_bound_mm3(boxes) == 700341734
+    assert upper_bound([], boxes) == 700341734
 
 
 def test_builtin_catalog_lists_all_boxes():

@@ -20,7 +20,8 @@ import shutil
 import pytest
 
 from trunkpack import pipeline, simplify
-from trunkpack.catalog import ORIENTATIONS
+from trunkpack.catalog import ORIENTATIONS, load_catalog
+from trunkpack.geometry import GeometryError
 from trunkpack.pipeline import (EXIT_EMPTY, EXIT_MALFORMED, EXIT_OK,
                                 EXIT_TIMEOUT, EXIT_UNREADABLE, RunConfig,
                                 RunPaths, STAGES, detect_trunk_format,
@@ -133,28 +134,26 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
 
     paths = RunPaths(out)
     for orient in ORIENTATIONS:
-        assert paths.raw("T", orient).exists()
-        assert paths.feasible("T", orient).exists()
-        assert paths.simplified("T", orient).exists()
-        # no file is an empty marker: the box fits in every orientation
-        for picker in (paths.raw, paths.feasible, paths.simplified):
-            obj = json.loads(picker("T", orient).read_text())
-            assert not obj.get("empty")
+        for kind in ("raw", "feasible", "simplified"):
+            path = paths.region(kind, "T", orient)
+            assert path.exists()
+            # no file is an empty marker: the box fits in every orientation
+            assert not json.loads(path.read_text()).get("empty")
         # wall obstacles never bite into the free space: merges have growth
         # exactly 0 and drops at most 0
-        for entry in read_log(paths.merge_log("T", orient)):
+        for entry in read_log(paths.log("merge", "T", orient)):
             assert entry["growth_mm3"] == 0.0
-        for entry in read_log(paths.drop_log("T", orient)):
+        for entry in read_log(paths.log("drop", "T", orient)):
             assert entry["status"] == "dropped"
             assert entry["growth_mm"] <= 0.0
 
     # simplification is a set-level no-op: every volume ratio is 100.0
-    csv_lines = paths.simplify_report_csv.read_text().strip().splitlines()
+    csv_lines = paths.report("simplify", "csv").read_text().strip().splitlines()
     data = [l.split(",") for l in csv_lines[1:]]
     region_rows = [r for r in data if r[0] == "T"]
     assert len(region_rows) == 6
     assert all(r[2] == "100.0" for r in region_rows)
-    assert paths.region_report_txt.read_text().startswith("box T")
+    assert paths.report("regions", "txt").read_text().startswith("box T")
 
     payload = load_packing(out)
     assert len(payload["placements"]) == 1
@@ -249,13 +248,13 @@ def test_simplify_report_counts_only_dropped_facets(tmp_path, monkeypatch):
     assert rc == EXIT_OK
 
     paths = RunPaths(out)
-    statuses = [e["status"] for e in read_log(paths.drop_log("T", "xyz"))]
+    statuses = [e["status"] for e in read_log(paths.log("drop", "T", "xyz"))]
     assert statuses.count("lp_failure") == 1
     assert statuses.count("dropped") > 0
-    row = paths.simplify_report_csv.read_text().splitlines()[1].split(",")
+    row = paths.report("simplify", "csv").read_text().splitlines()[1].split(",")
     assert row[:2] == ["T", "xyz"]
     assert int(row[-1]) == statuses.count("dropped")
-    txt = paths.simplify_report_txt.read_text().splitlines()[2].split()
+    txt = paths.report("simplify", "txt").read_text().splitlines()[2].split()
     assert int(txt[-1]) == statuses.count("dropped")
 
 
@@ -495,6 +494,49 @@ def test_curved_hull_runs_end_to_end(tmp_path):
     assert payload["volume_mm3"] == 3 * 381 * 229 * 203
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_geometry_error_in_simplify_is_exit_11(tmp_path, monkeypatch, capsys,
+                                              workers):
+    # every region stage reports a geometric failure as a malformed trunk
+    # in one line; two orientations give the pool two tasks
+    def fail(*args, **kwargs):
+        raise GeometryError("injected")
+
+    monkeypatch.setattr(pipeline, "merge_obstacles", fail)
+    trunk = write_json(tmp_path / "cube.json", convex_cube_obj(700))
+    rc = main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+               "--orientations", "xyz,yxz", "--mc-samples", "300",
+               "--workers", str(workers), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "injected" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trunk_obj,code", [(cube_mesh_obj(700), EXIT_OK),
+                                            (convex_cube_obj(50), EXIT_EMPTY)],
+                         ids=["mesh-cube", "empty-cube"])
+def test_written_files_are_the_promised_files(tmp_path, trunk_obj, code):
+    # the empty cube stops after describe; the simplify stage run on its
+    # own then writes empty regions, empty logs and reports without rows
+    catalog = make_box_t_catalog(tmp_path)
+    argv = ["--trunk", write_json(tmp_path / "trunk.json", trunk_obj),
+            "--catalog", catalog, "--orientations", "xyz,yxz",
+            "--mc-samples", "300", "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert main(argv + ["--stages", "simplify"]) == EXIT_OK
+
+    config = pipeline.config_from_args(pipeline.build_arg_parser()
+                                       .parse_args(argv))
+    combos = pipeline._combos(config, load_catalog(catalog))
+    paths = RunPaths(tmp_path / "out")
+    promised = {path for stage in ("freespace", "describe", "simplify")
+                for path in pipeline.stage_outputs(stage, paths, combos)}
+    written = {path for d in (paths.regions, paths.logs, paths.reports)
+               for path in d.iterdir()}
+    assert written == promised
+
+
 def test_exit_code_empty_free_space(tmp_path):
     trunk = write_json(tmp_path / "tiny.json", convex_cube_obj(50))
     out = tmp_path / "out"
@@ -503,7 +545,8 @@ def test_exit_code_empty_free_space(tmp_path):
     assert run(cfg) == EXIT_EMPTY
     paths = RunPaths(out)
     for orient in ORIENTATIONS:
-        assert json.loads(paths.feasible("T", orient).read_text())["empty"]
+        feasible = paths.region("feasible", "T", orient)
+        assert json.loads(feasible.read_text())["empty"]
     assert not paths.packing.exists()
     # idempotent: the cached rerun reports the same condition
     assert run(cfg) == EXIT_EMPTY
