@@ -358,8 +358,9 @@ def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
         if clipped is None or clipped.degenerate or \
                 not polytopes_touch(clipped, raw.hull):
             # discarding must not change the represented set
-            assert not polytopes_touch(obs, raw.hull), \
-                "discard filter would drop an obstacle that meets the hull"
+            if polytopes_touch(obs, raw.hull):
+                raise GeometryError("discard filter would drop an obstacle "
+                                    "that meets the hull")
             continue
         kept.append(clipped)
     vol, stderr = estimate_volume(raw.hull, kept, samples, seed)
@@ -772,42 +773,20 @@ def soundness_check_mesh(trunk: MeshTrunk, centers: LatticePoints,
 def _edge_tests(seed: Point3, corners: LatticePoints, idx: np.ndarray,
                 tri: Triangle3) -> dict:
     """Vectorized wedge test: does segment seed->corner pass through the
-    triangle?  Returns per-candidate crossing (0/1) and degeneracy flags."""
-    fs = np.array([float(seed.x), float(seed.y), float(seed.z)])
-    cpts = corners.coords[idx]
-    tri_f = [np.array([float(v.x), float(v.y), float(v.z)])
-             for v in tri.vertices()]
-    max_c = max(float(np.max(np.abs(cpts), initial=1.0)),
-                float(np.max(np.abs(fs))),
-                max(float(np.max(np.abs(t))) for t in tri_f))
-    tau = 48.0 * (2.0 * max_c) ** 3 * _CERT
-    m = idx.size
-    signs = np.zeros((3, m), dtype=np.int8)
-    needs_exact = np.zeros(m, dtype=bool)
-    edges = [(tri_f[0], tri_f[1]), (tri_f[1], tri_f[2]), (tri_f[2], tri_f[0])]
-    for e_i, (p, q) in enumerate(edges):
-        u = cpts - fs
-        v = p - fs
-        w = q - fs
-        det = (u[:, 0] * (v[1] * w[2] - v[2] * w[1])
-               - u[:, 1] * (v[0] * w[2] - v[2] * w[0])
-               + u[:, 2] * (v[0] * w[1] - v[1] * w[0]))
-        s = np.zeros(m, dtype=np.int8)
-        s[det > tau] = 1
-        s[det < -tau] = -1
-        near = np.abs(det) <= tau
-        needs_exact |= near
-        signs[e_i] = s
-    tri_v = list(tri.vertices())
-    edge_pairs = [(tri_v[0], tri_v[1]), (tri_v[1], tri_v[2]), (tri_v[2], tri_v[0])]
-    for j in np.nonzero(needs_exact)[0]:
-        corner = corners.point(int(idx[j]))
-        for e_i, (p, q) in enumerate(edge_pairs):
-            signs[e_i, j] = _orient3d(seed, corner, p, q)
+    triangle?  Per edge (p, q), orient3d(seed, corner, p, q) is the side of
+    the plane through seed, p and q that the corner lies on, signed by
+    ``halfspace_signs``; 0 when the seed is collinear with the edge.
+    Returns per-candidate crossing (0/1) and degeneracy flags."""
+    a, b, c = tri.vertices()
+    signs = np.zeros((3, idx.size), dtype=np.int8)
+    for e_i, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+        plane = _plane_ints(seed._h, p._h, q._h)
+        if plane is not None:
+            signs[e_i] = halfspace_signs(Halfspace._from_ints(*plane),
+                                         corners, idx)
     degenerate = (signs == 0).any(axis=0)
     crossing = ((signs[0] == signs[1]) & (signs[1] == signs[2])
-                & (signs[0] != 0)).astype(np.int64)
-    crossing[degenerate] = 0
+                & ~degenerate).astype(np.int64)
     return {"crossing": crossing, "degenerate": degenerate}
 
 

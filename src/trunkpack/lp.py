@@ -127,8 +127,9 @@ class LinearProgram:
     An LP made by ``extend_lp`` records the LP it extends (``base``) and
     where its inserted rows start (``at``); the shapes give how many rows
     and variables were inserted.  A pattern LP also carries its
-    ``pattern``, which the pattern steps read.  An LP is not modified once
-    returned, so an extension shares the arrays it leaves unchanged."""
+    ``pattern``, which the pattern steps read and the search reads as its
+    node's constraints.  An LP is not modified once returned, so an
+    extension shares the arrays it leaves unchanged."""
 
     num_vars: int
     A: np.ndarray

@@ -13,10 +13,12 @@ and without an LP (``order_chains_feasible``); only a box-box delta can
 rule a node out, by an overrun or a cycle on its one axis.  A node they rule
 out is skipped like one with an infeasible LP, together with its subtree,
 whose nodes keep the constraints.  Otherwise the node LP, its parent's
-extended by the delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``) and
-warm-started from the parent's final tableau, maximizes the shared
-separation slack; only roots and nodes below a failed LP are assembled
-whole (``lp.build_lp``) and solved cold.  A feasible assignment either
+extended by the delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``),
+maximizes the shared separation slack; it is warm-started from the
+parent's final tableau.  A root's LP extends the pattern LP of no box,
+built once per search, and a node below a failed LP extends the failed
+one; both are solved cold.  The node's constraints are those its LP
+records (``LinearProgram.pattern``).  A feasible assignment either
 certifies an intersection-free packing or exposes a conflict to branch on.
 The answer is the LP's canonical point (see ``trunkpack.lp``), the same
 from any start, so the tree does not depend on the solver's path:
@@ -37,7 +39,8 @@ maximum, so pruning never skips it and never reorders the nodes it keeps:
 the result is the same with pruning on or off, only the node count moves.
 
 LP numerical failures are counted and treated conservatively: the node is
-neither recorded nor branched on, but its extensions are still explored.
+neither recorded nor branched on, but its extensions are still explored;
+their LPs extend the failed one and are solved cold.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +112,6 @@ class SearchStats:
     lp_failures: int = 0
     bb_branches: int = 0
     bo_branches: int = 0
-    arity_violations: int = 0
     improvements: int = 0
     pruned: int = 0
     wall_time_s: float = 0.0
@@ -230,52 +232,43 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
 # search
 
 
-class PartialPattern:
-    """One search node: candidate indices of the placed multiset (canonical,
-    non-decreasing; extensions start at the last one), the separation
-    constraints chosen so far, and what it adds to the node it was made
-    from (``delta``: ("box", candidate index), ("bb", order constraint) or
-    ("bo", facet constraint)).  ``parent`` is that node's LP outcome (None
-    at a root or below a failed LP), whose LP the node's own extends by the
-    delta.  ``earliest`` holds the node's order chains (see
-    ``order_chains_feasible``), None when they rule the node out."""
+class PartialPattern(NamedTuple):
+    """One search node, one step on an LP that already exists.
 
-    __slots__ = ("indices", "bb", "bo", "parent", "delta", "earliest")
+    ``indices`` are the candidate indices of the placed multiset
+    (canonical, non-decreasing; extensions start at the last one).
+    ``base`` is the LP the node's own extends by ``delta`` (("box",
+    candidate index), ("bb", order constraint) or ("bo", facet
+    constraint)): the LP of the node it was made from, or at a root the
+    pattern LP of no box.  ``parent`` is the outcome of solving ``base``,
+    None at a root and below a failed LP, where the node's LP is solved
+    cold.  ``earliest`` holds the node's order chains (see
+    ``order_chains_feasible``), None when they rule the node out.  The
+    node's constraints are those of its LP's ``pattern``."""
 
-    def __init__(self, indices, bb, bo, parent=None, delta=None,
-                 earliest=None):
-        self.indices = indices
-        self.bb = bb
-        self.bo = bo
-        self.parent = parent
-        self.delta = delta
-        self.earliest = earliest
+    indices: tuple
+    base: object
+    parent: object
+    delta: object
+    earliest: object
 
 
-def branch(pattern: PartialPattern, bb_conflicts, bo_conflicts):
-    """Children resolving the largest conflict.
+def branch(bb_conflicts, bo_conflicts):
+    """The constraints resolving the largest conflict, one per child.
 
     Box-box conflicts take strict priority: the largest one yields exactly
-    six children (three axes times two orders).  Otherwise the largest
-    box-obstacle conflict yields one child per obstacle facet.  Returns
-    (children, kind) with kind in {"bb", "bo", None}.
+    six order constraints (three axes times two orders).  Otherwise the
+    largest box-obstacle conflict yields one facet constraint per obstacle
+    facet.  Returns (constraints, kind) with kind in {"bb", "bo", None}.
     """
     if bb_conflicts:
         _, i, j = bb_conflicts[0]
-        constraints = [(i, j, axis, order)
-                       for axis in (0, 1, 2) for order in (1, -1)]
-        children = [PartialPattern(pattern.indices, pattern.bb + (c,),
-                                   pattern.bo, delta=("bb", c))
-                    for c in constraints]
-        return children, "bb"
+        return [(i, j, axis, order)
+                for axis in (0, 1, 2) for order in (1, -1)], "bb"
     if bo_conflicts:
         _, i, obstacle = bo_conflicts[0]
-        constraints = [(i, obstacle.id, f)
-                       for f in range(len(obstacle.halfspaces))]
-        children = [PartialPattern(pattern.indices, pattern.bb,
-                                   pattern.bo + (c,), delta=("bo", c))
-                    for c in constraints]
-        return children, "bo"
+        return [(i, obstacle.id, f)
+                for f in range(len(obstacle.halfspaces))], "bo"
     return [], None
 
 
@@ -387,19 +380,30 @@ def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
 
 def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
              regions: Dict[tuple, object]):
-    """The node's LP: its parent's extended by the delta, or assembled
-    whole by ``build_lp`` at a root and below a failed LP."""
-    if node.parent is None:
-        placements = [(candidates[k].box, candidates[k].orientation)
-                      for k in node.indices]
-        return build_lp(placements, regions, node.bb, node.bo)
+    """The node's LP: its base extended by the delta."""
     step, item = node.delta
     if step == "box":
-        return add_box(node.parent.lp, regions, candidates[item].box,
+        return add_box(node.base, regions, candidates[item].box,
                        candidates[item].orientation)
     if step == "bb":
-        return add_bb(node.parent.lp, item)
-    return add_bo(node.parent.lp, item)
+        return add_bb(node.base, item)
+    return add_bo(node.base, item)
+
+
+def _child(node: PartialPattern, lp, outcome, delta, limits) -> PartialPattern:
+    """The node's child by one step ``delta`` on the node's LP ``lp``,
+    solved to ``outcome`` (None when it failed), with its order chains: a
+    box child adds the box's chains, a box-box child raises what its one
+    new constraint pushes, a box-obstacle child keeps the node's."""
+    step, item = delta
+    indices, earliest = node.indices, node.earliest
+    if step == "box":
+        indices, earliest = indices + (item,), _add_chain(earliest,
+                                                         limits[item])
+    elif step == "bb":
+        earliest = _add_order(earliest, lp.pattern.bb, item,
+                              [limits[k] for k in indices])
+    return PartialPattern(indices, lp, outcome, delta, earliest)
 
 
 def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
@@ -424,8 +428,10 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     best_placements: List[Placement] = []
     limits = [(regions[(c.box.id, c.orientation)].hull.int_bbox(), c.extents)
               for c in candidates]
-    stack = [PartialPattern((k,), (), (), delta=("box", k),
-                            earliest=_add_chain(((), (), ()), limits[k]))
+    # the node before every root: no box, on the pattern LP of no box
+    origin = PartialPattern((), None, None, None, ((), (), ()))
+    empty = build_lp([], regions)
+    stack = [_child(origin, empty, None, ("box", k), limits)
              for k in reversed(range(len(candidates)))]
 
     while stack:
@@ -446,9 +452,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         if node.earliest is None:
             continue
 
+        lp = _node_lp(node, candidates, regions)
+        stats.lp_calls += 1
         try:
-            lp = _node_lp(node, candidates, regions)
-            stats.lp_calls += 1
             outcome = solve(lp, node.parent)
             stats.pivots += outcome.pivots
         except NumericalFailure:
@@ -460,30 +466,19 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
 
         if outcome is not None:
             centers = outcome.assignment[:3 * len(placed)].reshape(-1, 3)
-            skip_bb = {(min(i, j), max(i, j)) for (i, j, _, _) in node.bb}
-            skip_bo = {(i, oid) for (i, oid, _) in node.bo}
+            skip_bb = {(min(i, j), max(i, j))
+                       for (i, j, _, _) in lp.pattern.bb}
+            skip_bo = {(i, oid) for (i, oid, _) in lp.pattern.bo}
             bb_conf, bo_conf = detect_intersections(placed, centers, regions,
                                                     skip_bb, skip_bo)
-            children, kind = branch(node, bb_conf, bo_conf)
-            for child in children:
-                child.parent = outcome
-                child.earliest = node.earliest
-            if kind == "bb":
-                # each child raises what its one new constraint pushes
-                placed_limits = [limits[k] for k in node.indices]
-                for child in children:
-                    child.earliest = _add_order(node.earliest, node.bb,
-                                                child.delta[1], placed_limits)
-                stats.bb_branches += 1
-                if len(children) != 6:
-                    stats.arity_violations += 1
-                stack.extend(reversed(children))
-                continue
-            if kind == "bo":
-                stats.bo_branches += 1
-                if len(children) != len(bo_conf[0][2].halfspaces):
-                    stats.arity_violations += 1
-                stack.extend(reversed(children))
+            constraints, kind = branch(bb_conf, bo_conf)
+            if kind is not None:
+                if kind == "bb":
+                    stats.bb_branches += 1
+                else:
+                    stats.bo_branches += 1
+                stack.extend(_child(node, lp, outcome, (kind, c), limits)
+                             for c in reversed(constraints))
                 continue
             # intersection-free: record, then extend
             volume = sum(c.box.volume_mm3() for c in placed)
@@ -498,15 +493,11 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         used: Dict[str, int] = {}
         for c in placed:
             used[c.box.id] = used.get(c.box.id, 0) + 1
-        children = []
-        for k in range(node.indices[-1], len(candidates)):
-            cand = candidates[k]
-            if used.get(cand.box.id, 0) >= max_counts[cand.box.id]:
-                continue
-            children.append(PartialPattern(
-                node.indices + (k,), node.bb, node.bo, outcome, ("box", k),
-                _add_chain(node.earliest, limits[k])))
-        stack.extend(reversed(children))
+        addable = [k for k in range(node.indices[-1], len(candidates))
+                   if used.get(candidates[k].box.id, 0)
+                   < max_counts[candidates[k].box.id]]
+        stack.extend(_child(node, lp, outcome, ("box", k), limits)
+                     for k in reversed(addable))
 
     stats.wall_time_s = time.monotonic() - started
     return PackingResult(best_placements, best_volume, stats,

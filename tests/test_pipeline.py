@@ -19,7 +19,7 @@ import shutil
 
 import pytest
 
-from trunkpack import pipeline, simplify
+from trunkpack import freespace, pipeline, simplify
 from trunkpack.catalog import ORIENTATIONS, load_catalog
 from trunkpack.geometry import GeometryError
 from trunkpack.pipeline import (EXIT_EMPTY, EXIT_MALFORMED, EXIT_OK,
@@ -165,10 +165,10 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
 
     # every region file, log and report byte for byte (paths included), as
     # written before points were stored as integer quadruples only; the
-    # packing's search statistics include its dual simplex pivots (without
-    # that key the digest is ad9a97f7...)
+    # packing's search statistics are the ``SearchStats`` fields, dual
+    # simplex pivots included
     assert artifact_digest(out) == \
-        "e352292fa04325bacdaeae2d407bbd9fdf2778b9ebfc38d761059af0f5c00591"
+        "e177b2b4a84731db125668faadd665db2cae9fec1f9a19f17945bc42e144b5ce"
 
 
 class _TornFile:
@@ -511,6 +511,38 @@ def test_geometry_error_in_simplify_is_exit_11(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "injected" in err and "Traceback" not in err
+
+
+def test_discard_filter_disagreement_is_exit_11(tmp_path, monkeypatch,
+                                                capsys):
+    # a touch test that calls every clipped obstacle clear of the hull and
+    # every unclipped one touching it: discarding would change the region,
+    # which the describe stage reports as a geometric failure (also under
+    # python -O)
+    clipped = []
+    real_clip = freespace.clip_obstacle
+
+    def recorded_clip(*args, **kwargs):
+        clipped.append(real_clip(*args, **kwargs))
+        return clipped[-1]
+
+    monkeypatch.setattr(freespace, "clip_obstacle", recorded_clip)
+    monkeypatch.setattr(freespace, "polytopes_touch",
+                        lambda a, b: not any(a is c for c in clipped))
+    trunk_obj = cube_mesh_obj(700)
+    box = load_catalog(make_box_t_catalog(tmp_path))[0]
+    raw = freespace.raw_feasible_region(freespace.parse_mesh_json(trunk_obj),
+                                        box, "xyz")
+    assert raw.obstacles
+    with pytest.raises(GeometryError, match="discard filter"):
+        freespace.describe_region(raw, samples=300)
+    rc = main(["--trunk", write_json(tmp_path / "cube.json", trunk_obj),
+               "--catalog", make_box_t_catalog(tmp_path),
+               "--orientations", "xyz", "--mc-samples", "300",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "discard filter" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trunk_obj,code", [(cube_mesh_obj(700), EXIT_OK),

@@ -38,8 +38,8 @@ from trunkpack.freespace import (Region, compute_feasible_region,
 from trunkpack.geometry import (Halfspace, axis_aligned_box, fm_feasible,
                                 intersect_halfspaces)
 from trunkpack.lp import NumericalFailure, build_lp, solve
-from trunkpack.search import (Candidate, PackingResult, PartialPattern,
-                              Placement, SearchConfig, branch, candidate_list,
+from trunkpack.search import (Candidate, PackingResult, Placement,
+                              SearchConfig, branch, candidate_list,
                               detect_intersections, enumerate_patterns,
                               order_chains_feasible, upper_bound,
                               validate_packing)
@@ -84,7 +84,6 @@ def test_exact_fit_packs_exactly_two_boxes():
     assert xs[1] == pytest.approx(343.5, abs=1e-6)
     assert not result.timed_out
     assert result.stats.bb_branches >= 1
-    assert result.stats.arity_violations == 0
     check = validate_packing(result.placements, regions)
     assert check["valid"], check
     assert check["mode"] == "exact"
@@ -99,7 +98,6 @@ def test_covered_hull_places_nothing_and_branches_per_facet():
     assert result.placements == []
     assert result.volume_mm3 == 0
     assert result.stats.bo_branches >= 1
-    assert result.stats.arity_violations == 0
     # every box-obstacle branch fans out over all six facets of the blocker
     assert result.stats.lp_calls >= 6
 
@@ -117,40 +115,70 @@ def test_pillar_instance_places_two_cubes():
     assert result.volume_mm3 == 2 * 8000
     assert len(result.placements) == 2
     assert result.stats.bb_branches >= 1
-    assert result.stats.arity_violations == 0
     check = validate_packing(result.placements, regions)
     assert check["valid"], check
 
 
-def test_failed_root_lp_leaves_its_children_to_cold_starts(monkeypatch):
-    box, regions = _pillar_instance()
-    real_build, real_solve = search_mod.build_lp, search_mod.solve
-    built, solved = [], []
+def _same_lp(a, b) -> bool:
+    """Bit for bit the same rows, bounds and objective."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.A, b.A), (a.b, b.b), (a.lower, b.lower),
+                            (a.upper, b.upper), (a.objective, b.objective)))
 
-    def recorded_build(*args):
-        built.append(real_build(*args))
-        return built[-1]
+
+def _failing_search(monkeypatch, box, regions, fail_at, config=None):
+    """Run the search with its ``fail_at``-th LP solve (counting from 0)
+    raising NumericalFailure.  Returns the result, every (lp, parent) pair
+    solved, and the failed LP's children: the solved LPs that extend it,
+    each checked to start cold and to equal the LP ``build_lp`` assembles
+    whole from its pattern."""
+    real_solve = search_mod.solve
+    solved = []
 
     def failing_solve(lp, parent=None):
         solved.append((lp, parent))
-        if len(solved) == 1:
-            raise NumericalFailure("injected at the root")
+        if len(solved) == fail_at + 1:
+            raise NumericalFailure("injected")
         return real_solve(lp, parent)
 
-    monkeypatch.setattr(search_mod, "build_lp", recorded_build)
     monkeypatch.setattr(search_mod, "solve", failing_solve)
-    result = enumerate_patterns(regions, [box])
+    result = enumerate_patterns(regions, [box], config=config)
     assert result.stats.lp_failures == 1
-    # the root's one child (two cubes) is assembled whole and solved cold,
-    # and the nodes below it extend their parents' LPs
-    assert len(built) == 2
-    assert all(lp is whole for (lp, _), whole in zip(solved, built))
-    assert solved[1][1] is None and solved[1][0].num_vars == 7
+    failed = solved[fail_at][0]
+    children = [(lp, parent) for lp, parent in solved if lp.base is failed]
+    for lp, parent in children:
+        assert parent is None
+        pattern = lp.pattern
+        whole = build_lp([(box, "zyx")] * len(pattern.regions), regions,
+                         pattern.bb, pattern.bo)
+        assert _same_lp(lp, whole)
+    check = validate_packing(result.placements, regions)
+    assert check["valid"] and check["mode"] == "exact", check
+    return result, solved, children
+
+
+def test_failed_root_lp_leaves_its_children_to_cold_starts(monkeypatch):
+    box, regions = _pillar_instance()
+    result, solved, children = _failing_search(monkeypatch, box, regions, 0)
+    # the root's one child (two cubes) extends the failed root LP and is
+    # solved cold; the nodes below it warm-start from their parents
+    assert len(children) == 1 and children[0][0] is solved[1][0]
+    assert solved[1][0].num_vars == 7
     assert all(parent is not None for _, parent in solved[2:])
     assert len(solved) > 2
     assert result.volume_mm3 == 2 * 8000
-    check = validate_packing(result.placements, regions)
-    assert check["valid"] and check["mode"] == "exact", check
+
+
+def test_failed_lp_below_the_root_leaves_its_children_to_cold_starts(
+        monkeypatch):
+    box, regions = _pillar_instance(max_count=3)
+    result, solved, children = _failing_search(
+        monkeypatch, box, regions, 1, SearchConfig(prune_enabled=False))
+    # the failed two-cube node is not branched on: its one child adds the
+    # third cube to it
+    assert solved[1][0].num_vars == 7
+    assert [lp.num_vars for lp, _ in children] == [10]
+    assert result.volume_mm3 == 3 * 8000
 
 
 def test_max_count_limits_placements():
@@ -305,17 +333,16 @@ def test_upper_bound_full_catalog_example():
 
 
 def test_branch_children_shapes():
-    pattern = PartialPattern((0,), (), ())
     obstacle = axis_aligned_box((0, 0, 0), (1, 1, 1), id="o0")
-    children, kind = branch(pattern, [(5.0, 0, 1)], [(2.0, 0, obstacle)])
-    assert kind == "bb" and len(children) == 6
-    assert {c.bb[0][2:] for c in children} \
+    constraints, kind = branch([(5.0, 0, 1)], [(2.0, 0, obstacle)])
+    assert kind == "bb" and len(constraints) == 6
+    assert {c[:2] for c in constraints} == {(0, 1)}
+    assert {c[2:] for c in constraints} \
         == {(0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)}
-    children, kind = branch(pattern, [], [(2.0, 0, obstacle)])
-    assert kind == "bo" and len(children) == 6
-    assert [c.bo[0] for c in children] == [(0, "o0", f) for f in range(6)]
-    children, kind = branch(pattern, [], [])
-    assert children == [] and kind is None
+    constraints, kind = branch([], [(2.0, 0, obstacle)])
+    assert kind == "bo"
+    assert constraints == [(0, "o0", f) for f in range(6)]
+    assert branch([], []) == ([], None)
 
 
 def test_search_config_validation_and_use():

@@ -3,7 +3,8 @@
 Every top-level import of a module must be used in that module or listed
 in its ``__all__`` (a re-export); ``from __future__`` imports are exempt.
 Every top-level private name (one leading underscore) that a module
-defines must be read somewhere in the package.
+defines must be read somewhere in the package.  No module holds an
+``assert`` statement.
 """
 
 import ast
@@ -117,3 +118,10 @@ def test_checker_flags_only_unread_private_names():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statements(path):
+    # ``python -O`` strips them: a library invariant raises an error instead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
