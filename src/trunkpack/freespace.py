@@ -391,22 +391,21 @@ def region_seed(global_seed: int, box_id: str, orientation: str) -> int:
 class LatticePoints:
     """Random sample points stored exactly.
 
-    Coordinates are num / LATTICE_DEN with int64 numerators; a float view
-    is kept for vectorized screening, with ``max_abs``, the largest float
-    coordinate magnitude, as the screen's magnitude bound.  All
-    classifications are certified: float comparisons are trusted only
-    outside a conservative error bound and re-done exactly inside it.
+    Coordinates are num / LATTICE_DEN with int64 numerators; ``max_abs``,
+    the largest coordinate magnitude rounded to a float, bounds the
+    vectorized float screen.  All classifications are certified: float
+    comparisons are trusted only outside a conservative error bound and
+    re-done exactly inside it.
     """
 
-    __slots__ = ("num", "coords", "max_abs")
+    __slots__ = ("num", "max_abs")
 
     def __init__(self, num):
         if num.dtype != np.int64:
             raise GeometryError("lattice numerators must be int64")
         self.num = num
-        self.coords = num / float(LATTICE_DEN)
-        self.max_abs = max(-float(self.coords.min(initial=0.0)),
-                           float(self.coords.max(initial=0.0)))
+        self.max_abs = max(-int(num.min(initial=0)),
+                           int(num.max(initial=0))) / LATTICE_DEN
 
     def __len__(self) -> int:
         return self.num.shape[0]

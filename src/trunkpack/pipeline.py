@@ -257,14 +257,6 @@ def _load_catalog_checked(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # per-region work (module level so a process pool can import it)
 
-_WORKER_TRUNK = None
-
-
-def _set_worker_trunk(trunk) -> None:
-    global _WORKER_TRUNK
-    _WORKER_TRUNK = trunk
-
-
 def _freespace(trunk, box: BoxType, orientation: str, config: RunConfig):
     return raw_feasible_region(trunk, box, orientation), (), None
 
@@ -313,13 +305,15 @@ def _simplify(region, box: BoxType, orientation: str, config: RunConfig):
 
 
 def _region_task(args):
-    """(stage name, box, orientation, input region file, run config) ->
-    (region file text, log texts, report row or None).  A stage that reads
-    no region file (its input is None) works on the worker's trunk; an
-    empty input region gives an empty one, empty logs and no row."""
-    name, box, orientation, path, config = args
+    """(stage name, box, orientation, input, run config) -> (region file
+    text, log texts, report row or None).  The input is the trunk for a
+    stage that reads no region file, else the path of its input region
+    file; an empty input region gives an empty one, empty logs and no
+    row."""
+    name, box, orientation, source, config = args
     stage = _REGION_STAGES[name]
-    source = _WORKER_TRUNK if path is None else _read_region(path)
+    if stage.reads is not None:
+        source = _read_region(source)
     if source is None:
         region, logs, row = None, [() for _ in stage.logs], None
     else:
@@ -328,19 +322,13 @@ def _region_task(args):
             [format_log(entries) for entries in logs], row)
 
 
-def _run_tasks(task_args, workers: int, trunk=None):
+def _run_tasks(task_args, workers: int):
     """Run ``_region_task`` on each task inline or on a process pool;
     results come back in task order either way, so downstream files are
     identical."""
     if workers <= 1 or len(task_args) <= 1:
-        _set_worker_trunk(trunk)
-        try:
-            return [_region_task(a) for a in task_args]
-        finally:
-            _set_worker_trunk(None)
-    with ProcessPoolExecutor(max_workers=min(workers, len(task_args)),
-                             initializer=_set_worker_trunk,
-                             initargs=(trunk,)) as pool:
+        return [_region_task(a) for a in task_args]
+    with ProcessPoolExecutor(max_workers=min(workers, len(task_args))) as pool:
         return list(pool.map(_region_task, task_args))
 
 
@@ -500,11 +488,11 @@ def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
     stage = _REGION_STAGES[name]
     trunk = _load_trunk_checked(config) if stage.reads is None else None
     tasks = [(name, box, orient,
-              None if stage.reads is None
+              trunk if stage.reads is None
               else paths.region(stage.reads, box.id, orient), config)
              for box, orient in combos]
     try:
-        results = _run_tasks(tasks, config.workers, trunk=trunk)
+        results = _run_tasks(tasks, config.workers)
     except GeometryError as exc:
         raise PipelineError(EXIT_MALFORMED, stage.failure.format(
             trunk=config.trunk) + f": {exc}")
@@ -569,8 +557,7 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
     if not regions:
         result = PackingResult([], 0, SearchStats())
         payload = result.as_dict()
-        payload["validation"] = {"valid": True, "mode": "exact",
-                                 "violations": []}
+        payload["validation"] = validate_packing([], regions)
         _write_packing(paths.packing, payload)
         return EXIT_EMPTY
 

@@ -55,7 +55,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from trunkpack.catalog import ORIENTATIONS, oriented_extents
-from trunkpack.geometry import Point3
 from trunkpack.lp import (NumericalFailure, add_bb, add_bo, add_box,
                           build_lp, solve)
 
@@ -505,87 +504,63 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# independent validation
+# validation
 
 
 def _snap(value: float) -> Fraction:
     return Fraction(round(value * SNAP_GRID), SNAP_GRID)
 
 
-def _check_exact(placements: Sequence[Placement], regions: Dict[tuple, object],
-                 centers: List[tuple]) -> List[str]:
-    problems = []
-    extents = [tuple(Fraction(e) for e in
-                     oriented_extents(p.box.dims_mm, p.orientation))
-               for p in placements]
-    for i, p in enumerate(placements):
-        region = regions[(p.box.id, p.orientation)]
-        point = Point3(*centers[i])
-        if not region.hull.contains(point):
-            problems.append(f"placement {i} center outside hull")
-        for obstacle in region.obstacles:
-            if obstacle.strictly_contains(point):
-                problems.append(f"placement {i} center inside obstacle "
-                                f"{obstacle.id}")
-    for i in range(len(placements)):
-        for j in range(i + 1, len(placements)):
-            separated = any(
-                abs(centers[i][k] - centers[j][k])
-                >= (extents[i][k] + extents[j][k]) / 2
-                for k in range(3))
-            if not separated:
-                problems.append(f"placements {i} and {j} overlap")
-    return problems
+def _violations(placements: Sequence[Placement], regions: Dict[tuple, object],
+                centers: Sequence[tuple], tol: Fraction) -> List[str]:
+    """The packing's violations, decided exactly for exact rational
+    ``centers`` within a tolerance ``tol`` >= 0 (mm): a center outside its
+    hull by more than tol, a center deeper than tol inside an obstacle that
+    is not flat, or two boxes overlapping by more than tol on every axis."""
+    def past(h, c, side):
+        # more than tol beyond the facet plane on ``side`` (1: outside,
+        # -1: inside), compared squared: v^2 > tol^2 |n|^2
+        v = side * (h.a * c[0] + h.b * c[1] + h.c * c[2] - h.d)
+        return v > 0 and v * v > tol * tol * (h.a * h.a + h.b * h.b
+                                              + h.c * h.c)
 
-
-def _check_float(placements: Sequence[Placement], regions: Dict[tuple, object],
-                 tol: float) -> List[str]:
     problems = []
     extents = [oriented_extents(p.box.dims_mm, p.orientation)
                for p in placements]
-    for i, p in enumerate(placements):
+    for i, (p, c) in enumerate(zip(placements, centers)):
         region = regions[(p.box.id, p.orientation)]
-        c = p.center_mm
-        for h in region.hull.halfspaces:
-            norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
-            if (h.a * c[0] + h.b * c[1] + h.c * c[2] - h.d) / norm > tol:
-                problems.append(f"placement {i} outside hull by more than {tol}")
-                break
+        if any(past(h, c, 1) for h in region.hull.halfspaces):
+            problems.append(f"placement {i} outside hull by more than "
+                            f"{float(tol)}")
         for obstacle in region.obstacles:
-            inside = True
-            for h in obstacle.halfspaces:
-                norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
-                if (h.a * c[0] + h.b * c[1] + h.c * c[2] - h.d) / norm >= -tol:
-                    inside = False
-                    break
-            if inside:
-                problems.append(f"placement {i} inside obstacle {obstacle.id}")
+            if not obstacle.degenerate and all(
+                    past(h, c, -1) for h in obstacle.halfspaces):
+                problems.append(f"placement {i} inside obstacle "
+                                f"{obstacle.id}")
     for i in range(len(placements)):
         for j in range(i + 1, len(placements)):
-            separated = any(
-                abs(placements[i].center_mm[k] - placements[j].center_mm[k])
-                >= (extents[i][k] + extents[j][k]) / 2.0 - tol
-                for k in range(3))
-            if not separated:
+            if all(abs(centers[i][k] - centers[j][k])
+                   < Fraction(extents[i][k] + extents[j][k], 2) - tol
+                   for k in range(3)):
                 problems.append(f"placements {i} and {j} overlap")
     return problems
 
 
 def validate_packing(placements: Sequence[Placement],
                      regions: Dict[tuple, object]) -> dict:
-    """Independent check of a packing against the regions it was built from.
+    """Check a packing against the regions it was built from, exactly.
 
-    First the centers are snapped to the 1/2048 mm grid and every condition
+    The centers are snapped to the 1/2048 mm grid and the three conditions
     (hull membership, centers outside obstacle interiors, pairwise axis
-    separation) is verified in exact arithmetic.  If the snapped centers
-    fail — LP vertices need not be grid rationals — the raw floating-point
-    centers are checked against the same conditions with a documented
-    tolerance of ``FLOAT_TOL_MM`` (1e-6 mm).
+    separation) are decided on them with no tolerance: mode "exact".  If
+    that fails (LP vertices need not be grid rationals), the LP's own float
+    centers, converted exactly, are decided within ``FLOAT_TOL_MM``
+    (1e-6 mm): mode "float", with its violations.
     """
     snapped = [tuple(_snap(v) for v in p.center_mm) for p in placements]
-    exact_problems = _check_exact(placements, regions, snapped)
-    if not exact_problems:
+    if not _violations(placements, regions, snapped, Fraction(0)):
         return {"valid": True, "mode": "exact", "violations": []}
-    float_problems = _check_float(placements, regions, FLOAT_TOL_MM)
-    return {"valid": not float_problems, "mode": "float",
-            "violations": float_problems}
+    problems = _violations(placements, regions,
+                           [tuple(map(Fraction, p.center_mm))
+                            for p in placements], Fraction(FLOAT_TOL_MM))
+    return {"valid": not problems, "mode": "float", "violations": problems}

@@ -23,6 +23,10 @@ Oracles:
   than 1e-3 mm; an exact fit (overrun 0) is feasible with slack 0.
 * norms of halfspaces with coefficients near 2^40 (sums of squares past
   int64) are computed without overflow.
+* validation decides in exact arithmetic in both modes: a flat obstacle
+  holds no centre, and a float centre 1.001e-6 mm past a slanted hull facet
+  is outside by more than the 1e-6 mm tolerance, one 0.999e-6 mm past it
+  is not.
 """
 
 import dataclasses
@@ -35,7 +39,8 @@ import trunkpack.search as search_mod
 from trunkpack.catalog import BoxType, default_catalog, distinct_orientations
 from trunkpack.freespace import (Region, compute_feasible_region,
                                  parse_convex_json, raw_feasible_region)
-from trunkpack.geometry import (Halfspace, axis_aligned_box, fm_feasible,
+from trunkpack.geometry import (Halfspace, Point3, _degenerate_from_points,
+                                axis_aligned_box, fm_feasible,
                                 intersect_halfspaces)
 from trunkpack.lp import NumericalFailure, build_lp, solve
 from trunkpack.search import (Candidate, PackingResult, Placement,
@@ -389,6 +394,43 @@ def test_validate_packing_rejects_bad_placements():
                 Placement(box, "zyx", (35.0000000001, 15.0, 15.0))]
     out = validate_packing(touching, regions)
     assert out["valid"]  # snaps to the 1/2048 grid and passes exactly
+
+
+def test_float_fallback_ignores_flat_obstacles():
+    # the snap moves the boxes almost 1/2048 mm closer, so they overlap and
+    # the exact check fails; the LP's float centres are 0.9e-6 mm too close,
+    # within the tolerance.  A flat obstacle holds no centre in either mode.
+    box = cube_type()
+    hull = axis_aligned_box((10, 10, 10), (90, 90, 90), id="hull")
+    flat = _degenerate_from_points(
+        [Point3(70, 70, 70), Point3(80, 70, 70), Point3(70, 80, 70)], id="o0")
+    regions = {("K", "zyx"): region(hull, [flat], "K")}
+    x = 15 + 0.501 / 2048
+    placements = [Placement(box, "zyx", (x, 15.0, 15.0)),
+                  Placement(box, "zyx", (x + 20 - 0.9e-6, 15.0, 15.0))]
+    assert validate_packing(placements, regions) == {
+        "valid": True, "mode": "float", "violations": []}
+
+
+@pytest.mark.parametrize("past_mm, valid", [(1.001e-6, False),
+                                            (0.999e-6, True)])
+def test_float_fallback_tolerance_on_slanted_facet(past_mm, valid):
+    # the facet x + y <= 100.0005 lies off the 1/2048 grid: a centre just
+    # past it snaps further out, so the float centre decides, at 1e-6 mm
+    # measured along the facet's normal (|n| = 2000 sqrt 2)
+    box = cube_type()
+    facet = Halfspace((2000, 2000, 0), 200001)
+    hull = intersect_halfspaces([facet],
+                                axis_aligned_box((0, 0, 0), (100, 100, 100)),
+                                id="hull")
+    regions = {("K", "zyx"): region(hull, [], "K")}
+    y = 50.00025
+    x = 50.00025 + past_mm * 2 ** 0.5
+    assert (2000 * x + 2000 * y - 200001) / (2000 * 2 ** 0.5) == \
+        pytest.approx(past_mm, abs=1e-12)
+    out = validate_packing([Placement(box, "zyx", (x, y, 50.0))], regions)
+    assert out == {"valid": valid, "mode": "float", "violations": (
+        [] if valid else ["placement 0 outside hull by more than 1e-06"])}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every top-level import of a module must be used in that module or listed
 in its ``__all__`` (a re-export); ``from __future__`` imports are exempt.
 Every top-level private name (one leading underscore) that a module
 defines must be read somewhere in the package.  No module holds an
-``assert`` statement.
+``assert`` or a ``global`` statement.
 """
 
 import ast
@@ -125,3 +125,11 @@ def test_no_assert_statements(path):
     # ``python -O`` strips them: a library invariant raises an error instead
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_global_statements(path):
+    # module state set by a function is state a process pool does not share:
+    # work reaches a task through its arguments
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
