@@ -261,10 +261,12 @@ class ConvexPolytope:
     """
 
     # _unit_rows and _float_bbox: the float rows and bounding box
-    # trunkpack.lp derives from ``halfspaces`` and ``int_bbox()``, cached
-    # here (filled on first use) like _volume and _ibox
+    # trunkpack.lp derives from ``halfspaces`` and ``int_bbox()``, and
+    # _float_facets the float facets trunkpack.search measures depths
+    # with, cached here (filled on first use) like _volume and _ibox
     __slots__ = ("halfspaces", "vertices", "id", "degenerate", "_triangles",
-                 "_volume", "_ibox", "_unit_rows", "_float_bbox")
+                 "_volume", "_ibox", "_unit_rows", "_float_bbox",
+                 "_float_facets")
 
     def __init__(self, halfspaces, vertices, triangles=None, degenerate=False,
                  id: Optional[str] = None):
@@ -277,6 +279,7 @@ class ConvexPolytope:
         self._ibox = None
         self._unit_rows = None
         self._float_bbox = None
+        self._float_facets = None
 
     def with_id(self, id: Optional[str]) -> "ConvexPolytope":
         """The same polytope under another id: it shares this one's lists

@@ -25,8 +25,10 @@ the face where the slack is largest.  On axis-aligned rows (box-box order
 rows are difference constraints, axis-aligned hull and obstacle rows bound
 one coordinate) the centers at a fixed slack form a lattice, and its least
 element is the unique minimizer of every positive weighting, so the answer
-is exact and unique.  On slanted hulls it is unique for generic weights (a
-tie needs w to be orthogonal to an edge of the optimal face).  EPS is small
+is exact and unique; `trunkpack.search` computes it exactly from its
+order chains and builds an LP only for a node with a slanted row.  On
+slanted hulls it is unique for generic weights (a tie needs w to be
+orthogonal to an edge of the optimal face).  EPS is small
 enough that no center movement pays for lost slack: along an edge, a
 millimetre of slack would have to move the weighted centers by about 2^20
 mm.  A unique optimum is reached by every pivot path, so the answer does not
@@ -127,9 +129,9 @@ class LinearProgram:
     An LP made by ``extend_lp`` records the LP it extends (``base``) and
     where its inserted rows start (``at``); the shapes give how many rows
     and variables were inserted.  A pattern LP also carries its
-    ``pattern``, which the pattern steps read and the search reads as its
-    node's constraints.  An LP is not modified once returned, so an
-    extension shares the arrays it leaves unchanged."""
+    ``pattern``, which the pattern steps read and extend.  An LP is not
+    modified once returned, so an extension shares the arrays it leaves
+    unchanged."""
 
     num_vars: int
     A: np.ndarray
@@ -140,19 +142,75 @@ class LinearProgram:
     base: Optional["LinearProgram"] = field(default=None, repr=False,
                                             compare=False)
     at: int = 0
-    pattern: Optional["_Pattern"] = field(default=None, repr=False,
-                                          compare=False)
+    pattern: Optional["Pattern"] = field(default=None, repr=False,
+                                         compare=False)
 
 
-class _Pattern(NamedTuple):
-    """What a pattern LP's rows stand for: each box's region and oriented
-    extents, in pattern order, and the box-box and box-obstacle
-    constraints, in row order."""
+class Pattern(NamedTuple):
+    """A packing pattern: each box's region and oriented extents, in
+    pattern order, and the box-box and box-obstacle constraints, in row
+    order.  It is what a pattern LP's rows stand for, and what a search
+    node carries without an LP.  The pattern steps ``with_box``,
+    ``with_bb`` and ``with_bo`` check what they add; ``add_box``,
+    ``add_bb`` and ``add_bo`` take them with the rows."""
 
-    regions: tuple
-    extents: tuple
-    bb: tuple
-    bo: tuple
+    regions: tuple = ()
+    extents: tuple = ()
+    bb: tuple = ()
+    bo: tuple = ()
+
+    def with_box(self, regions: dict, box, orientation: str) -> "Pattern":
+        """The pattern with one more box, in its region for (box id,
+        orientation)."""
+        key = (box.id, orientation)
+        if key not in regions:
+            raise UnknownRegion(f"no feasible region for {key}")
+        return Pattern(self.regions + (regions[key],),
+                       self.extents + (oriented_extents(box.dims_mm,
+                                                        orientation),),
+                       self.bb, self.bo)
+
+    def with_bb(self, constraint: Tuple[int, int, int, int]) -> "Pattern":
+        """The pattern with one more box-box order (i, j, axis, order)."""
+        i, j, axis, order = constraint
+        n_boxes = len(self.regions)
+        if not (0 <= i < n_boxes and 0 <= j < n_boxes) or i == j \
+                or axis not in (0, 1, 2) or order not in (-1, 1):
+            raise InvalidConstraintReference(f"bad box-box constraint "
+                                             f"{(i, j, axis, order)}")
+        for (a, b, _, _) in self.bb:
+            if a in (i, j) and b in (i, j):
+                raise InvalidConstraintReference(
+                    f"duplicate box-box pair {(min(i, j), max(i, j))}")
+        return Pattern(self.regions, self.extents, self.bb + (constraint,),
+                       self.bo)
+
+    def obstacle(self, i: int, obstacle_id: str):
+        """Box i's obstacle with that id."""
+        if not 0 <= i < len(self.regions):
+            raise InvalidConstraintReference(f"bad box index {i}")
+        region = self.regions[i]
+        obstacle = next((o for o in region.obstacles if o.id == obstacle_id),
+                        None)
+        if obstacle is None:
+            raise InvalidConstraintReference(
+                f"region {region.box_id}:{region.orientation} has no "
+                f"obstacle {obstacle_id!r}")
+        return obstacle
+
+    def with_bo(self, constraint: Tuple[int, str, int]) -> "Pattern":
+        """The pattern with one more box-obstacle facet (i, obstacle id,
+        facet index)."""
+        i, obstacle_id, facet_idx = constraint
+        if not 0 <= facet_idx < len(self.obstacle(i,
+                                                  obstacle_id).halfspaces):
+            raise InvalidConstraintReference(
+                f"obstacle {obstacle_id} has no facet {facet_idx}")
+        if any((a, o) == (i, obstacle_id) for (a, o, _) in self.bo):
+            raise InvalidConstraintReference(
+                f"duplicate box-obstacle pair {(i, obstacle_id)}")
+        return Pattern(self.regions, self.extents, self.bb,
+                       self.bo + (constraint,))
 
 
 @dataclass
@@ -261,21 +319,15 @@ def add_box(lp: LinearProgram, regions: dict, box,
     """The pattern LP with one more box: three center columns before the
     slack, bounded by the box's region hull's bounding box, and the hull
     rows after the other boxes' hull rows."""
-    key = (box.id, orientation)
-    if key not in regions:
-        raise UnknownRegion(f"no feasible region for {key}")
-    region = regions[key]
-    pattern = lp.pattern
-    normals, offsets = _unit_rows(region.hull)
+    pattern = lp.pattern.with_box(regions, box, orientation)
+    hull = pattern.regions[-1].hull
+    normals, offsets = _unit_rows(hull)
     n = lp.num_vars + 3
     rows = np.zeros((len(offsets), n))
     rows[:, n - 4:n - 1] = normals
     child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bb) - len(pattern.bo),
-                      rows, offsets, *_float_bbox(region.hull))
-    child.pattern = _Pattern(
-        pattern.regions + (region,),
-        pattern.extents + (oriented_extents(box.dims_mm, orientation),),
-        pattern.bb, pattern.bo)
+                      rows, offsets, *_float_bbox(hull))
+    child.pattern = pattern
     return child
 
 
@@ -283,16 +335,8 @@ def add_bb(lp: LinearProgram, constraint: Tuple[int, int, int, int]
            ) -> LinearProgram:
     """The pattern LP with one more box-box order row (i, j, axis, order),
     after the other box-box rows."""
+    pattern = lp.pattern.with_bb(constraint)
     i, j, axis, order = constraint
-    pattern = lp.pattern
-    n_boxes = len(pattern.regions)
-    if not (0 <= i < n_boxes and 0 <= j < n_boxes) or i == j \
-            or axis not in (0, 1, 2) or order not in (-1, 1):
-        raise InvalidConstraintReference(f"bad box-box constraint "
-                                         f"{(i, j, axis, order)}")
-    if any(a in (i, j) and b in (i, j) for (a, b, _, _) in pattern.bb):
-        raise InvalidConstraintReference(
-            f"duplicate box-box pair {(min(i, j), max(i, j))}")
     lo, hi = (i, j) if order == 1 else (j, i)
     row = np.zeros((1, lp.num_vars))
     row[0, 3 * lo + axis] = 1.0
@@ -300,8 +344,7 @@ def add_bb(lp: LinearProgram, constraint: Tuple[int, int, int, int]
     row[0, -1] = 1.0
     gap = -(pattern.extents[lo][axis] + pattern.extents[hi][axis]) / 2.0
     child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bo), row, [gap])
-    child.pattern = _Pattern(pattern.regions, pattern.extents,
-                             pattern.bb + (constraint,), pattern.bo)
+    child.pattern = pattern
     return child
 
 
@@ -309,30 +352,14 @@ def add_bo(lp: LinearProgram, constraint: Tuple[int, str, int]
            ) -> LinearProgram:
     """The pattern LP with one more box-obstacle row (i, obstacle id,
     facet index), after the other box-obstacle rows."""
+    pattern = lp.pattern.with_bo(constraint)
     i, obstacle_id, facet_idx = constraint
-    pattern = lp.pattern
-    if not 0 <= i < len(pattern.regions):
-        raise InvalidConstraintReference(f"bad box index {i}")
-    region = pattern.regions[i]
-    obstacle = next((o for o in region.obstacles if o.id == obstacle_id),
-                    None)
-    if obstacle is None:
-        raise InvalidConstraintReference(
-            f"region {region.box_id}:{region.orientation} has no obstacle "
-            f"{obstacle_id!r}")
-    if not 0 <= facet_idx < len(obstacle.halfspaces):
-        raise InvalidConstraintReference(
-            f"obstacle {obstacle_id} has no facet {facet_idx}")
-    if any((a, o) == (i, obstacle_id) for (a, o, _) in pattern.bo):
-        raise InvalidConstraintReference(
-            f"duplicate box-obstacle pair {(i, obstacle_id)}")
-    normals, offsets = _unit_rows(obstacle)
+    normals, offsets = _unit_rows(pattern.obstacle(i, obstacle_id))
     row = np.zeros((1, lp.num_vars))
     row[0, 3 * i:3 * i + 3] = -normals[facet_idx]
     row[0, -1] = 1.0
     child = extend_lp(lp, len(lp.b) - 2, row, [-offsets[facet_idx]])
-    child.pattern = _Pattern(pattern.regions, pattern.extents, pattern.bb,
-                             pattern.bo + (constraint,))
+    child.pattern = pattern
     return child
 
 
@@ -363,7 +390,7 @@ def build_lp(placements: Sequence, regions: dict,
     lp = LinearProgram(1, np.array([[1.0], [-1.0]]),
                        np.array([DELTA_MM, 0.0]), np.array([1.0]),
                        np.array([0.0]), np.array([DELTA_MM]),
-                       pattern=_Pattern((), (), (), ()))
+                       pattern=Pattern())
     for box, orientation in placements:
         lp = add_box(lp, regions, box, orientation)
     for constraint in bb_constraints:

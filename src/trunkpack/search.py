@@ -5,23 +5,35 @@ canonical order (descending box volume, then type id, then orientation
 rank), so every multiset is explored exactly once.  Each search node carries
 the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
-constraints (which obstacle facet a center must stay outside of).  A node
-differs from the node it was made from by one delta (one box, one box-box
-order or one box-obstacle facet) and builds its state from its parent's by
-that delta alone.  Its box-box order constraints are decided first, exactly
-and without an LP (``order_chains_feasible``); only a box-box delta can
-rule a node out, by an overrun or a cycle on its one axis.  A node they rule
-out is skipped like one with an infeasible LP, together with its subtree,
-whose nodes keep the constraints.  Otherwise the node LP, its parent's
-extended by the delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``),
-maximizes the shared separation slack; it is warm-started from the
-parent's final tableau.  A root's LP extends the pattern LP of no box,
-built once per search, and a node below a failed LP extends the failed
-one; both are solved cold.  The node's constraints are those its LP
-records (``LinearProgram.pattern``).  A feasible assignment either
-certifies an intersection-free packing or exposes a conflict to branch on.
-The answer is the LP's canonical point (see ``trunkpack.lp``), the same
-from any start, so the tree does not depend on the solver's path:
+constraints (which obstacle facet a center must stay outside of), as an
+``lp.Pattern`` without LP arrays.  A node differs from the node it was made
+from by one delta (one box, one box-box order or one box-obstacle facet)
+and builds its state from its parent's by that delta alone.
+
+Every node asks one question: can its pattern be realized, and where?  The
+answer is the node LP's canonical point (see ``trunkpack.lp``): the largest
+separation slack up to ``DELTA_MM``, then the least centers.  It is the same
+from any start, so the tree does not depend on how it is computed.  On
+axis-aligned rows (box-box orders, hull and obstacle facets normal to an
+axis) the node splits per axis into difference constraints, and its order
+chains (``order_chains_feasible``), kept at slack 0 and at ``DELTA_MM``,
+decide and answer it exactly:
+
+* chains that fail at slack 0 (an overrun or a cycle) rule the node out,
+  together with its subtree, whose nodes keep the constraints;
+* a node whose rows are all axis-aligned and whose chains hold at
+  ``DELTA_MM`` is answered by them: each center its earliest position, the
+  exact rational rounded to a float;
+* one whose chains fail there is answered by Newton steps on its longest
+  paths (``_exact_answer``), which find the largest slack s* < ``DELTA_MM``.
+
+Slanted rows are left out of the chains, which keeps them a relaxation.  A
+node with a slanted row is answered by its LP: its parent's extended by the
+delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``) and warm-started from
+the parent's final tableau when the parent was answered by an LP, else
+assembled whole from the node's pattern (``lp.build_lp``) and solved cold.
+A feasible answer either certifies an intersection-free packing or exposes
+a conflict to branch on:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
@@ -40,7 +52,7 @@ the result is the same with pruning on or off, only the node count moves.
 
 LP numerical failures are counted and treated conservatively: the node is
 neither recorded nor branched on, but its extensions are still explored;
-their LPs extend the failed one and are solved cold.
+their LPs are assembled whole and solved cold.
 """
 
 from __future__ import annotations
@@ -55,8 +67,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from trunkpack.catalog import ORIENTATIONS, oriented_extents
-from trunkpack.lp import (NumericalFailure, add_bb, add_bo, add_box,
-                          build_lp, solve)
+from trunkpack.lp import (DELTA_MM, NumericalFailure, Pattern, add_bb,
+                          add_bo, add_box, build_lp, solve)
 
 _DEPTH_TOL = 1e-9
 SNAP_GRID = 2048
@@ -101,9 +113,11 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     """Search counters.  ``lp_calls`` counts the node LPs actually built and
-    solved: nodes pruned by the bound or ruled out by their order chains
-    make none.  ``pivots`` counts their dual simplex pivots, warm starts
-    included (a failed LP's are not counted)."""
+    solved: only nodes with a slanted row make one, and nodes pruned by the
+    bound or ruled out by their order chains make none; a node whose rows
+    are all axis-aligned is answered by its chains.  ``pivots`` counts the
+    LPs' dual simplex pivots, warm starts included (a failed LP's are not
+    counted)."""
 
     nodes: int = 0
     lp_calls: int = 0
@@ -171,6 +185,18 @@ def candidate_list(regions: Dict[tuple, object], catalog: Sequence) -> List[Cand
 # conflict detection
 
 
+def _float_facets(poly) -> list:
+    """(a, b, c, d, norm) of each of the polytope's facets as floats, the
+    norm that of the exact integer normal; computed once per polytope and
+    cached on it."""
+    if poly._float_facets is None:
+        poly._float_facets = [
+            (float(h.a), float(h.b), float(h.c), float(h.d),
+             math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c))
+            for h in poly.halfspaces]
+    return poly._float_facets
+
+
 def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
                          regions: Dict[tuple, object],
                          skip_bb=(), skip_bo=()):
@@ -210,14 +236,13 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
     bo = []
     for i, cand in enumerate(placed):
         region = regions[(cand.box.id, cand.orientation)]
+        x, y, z = centers[i]
         for obstacle in region.obstacles:
             if (i, obstacle.id) in skip_bo:
                 continue
             depth = None
-            for h in obstacle.halfspaces:
-                norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
-                dist = (float(h.d) - (h.a * centers[i][0] + h.b * centers[i][1]
-                                      + h.c * centers[i][2])) / norm
+            for a, b, c, d, norm in _float_facets(obstacle):
+                dist = (d - (a * x + b * y + c * z)) / norm
                 depth = dist if depth is None else min(depth, dist)
                 if depth <= _DEPTH_TOL:
                     break
@@ -228,28 +253,263 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# order chains: the axis-aligned rows of a node, decided and solved exactly
+
+# the slacks the chains are kept at, in doubled coordinates (the unit is
+# half a millimetre, so every gap is an integer): none, and DELTA_MM (1 mm)
+_SLACKS = (0, round(2 * DELTA_MM))
+# the chains of no box at one slack: (positions, upper bounds) per axis
+_NO_BOX = (((), (), ()), ((), (), ()))
+
+
+def _facet_axis(h) -> Optional[Tuple[int, int]]:
+    """(axis, coefficient) of a halfspace whose normal lies on one axis,
+    None for a slanted one."""
+    a, b, c = h.a, h.b, h.c
+    if b == 0 and c == 0:
+        return 0, a
+    if a == 0 and c == 0:
+        return 1, b
+    if a == 0 and b == 0:
+        return 2, c
+    return None
+
+
+def _with_box(chain, lo, hi, w):
+    """The chains at one slack with one more box, unconstrained: at the
+    lower corner of its hull's bounding box on every axis, bounded by the
+    upper corner."""
+    positions, uppers = chain
+    return (tuple(p + ((2 * v, w),) for p, v in zip(positions, lo)),
+            tuple(u + ((2 * v, w),) for u, v in zip(uppers, hi)))
+
+
+def _successors(bb, axis) -> dict:
+    """Each box's later boxes in the order constraints ``bb`` on ``axis``."""
+    succ = {}
+    for (a, b, a_axis, a_order) in bb:
+        if a_axis == axis:
+            u, v = (a, b) if a_order == 1 else (b, a)
+            succ.setdefault(u, []).append(v)
+    return succ
+
+
+def _raise(chain, succ, extents, slack, axis, box, num, den, stop=-1):
+    """The chains at one slack with ``box`` raised to at least num / den on
+    ``axis``, or None when that makes them infeasible.
+
+    ``succ`` holds the order constraints already in the chains on that axis
+    (``_successors``).  Each raised box raises its successors in turn, by
+    the half-extent sum plus the slack (incremental longest paths;
+    Ramalingam & Reps, J. Algorithms 21, 1996).  Every raised position is
+    checked against its box's upper bound, and a raise that reaches
+    ``stop`` fails: for a new order constraint, its earlier box, which the
+    raise of its later box reaches again exactly when the new constraint
+    closes a cycle."""
+    positions, uppers = chain
+    moved = list(positions[axis])
+    upper = uppers[axis]
+    work = [(box, num, den)]
+    while work:
+        u, num, den = work.pop()
+        u_num, u_den = moved[u]
+        if num * u_den <= u_num * den:
+            continue
+        hi_num, hi_den = upper[u]
+        if u == stop or num * hi_den > hi_num * den:
+            return None
+        moved[u] = (num, den)
+        for v in succ.get(u, ()):
+            work.append((v, num + (extents[u][axis] + extents[v][axis]
+                                   + slack) * den, den))
+    return positions[:axis] + (tuple(moved),) + positions[axis + 1:], uppers
+
+
+def _cap(chain, axis, box, num, den):
+    """The chains at one slack with ``box``'s upper bound on ``axis``
+    lowered to num / den, or None when its position lies beyond it."""
+    positions, uppers = chain
+    hi_num, hi_den = uppers[axis][box]
+    if num * hi_den >= hi_num * den:
+        return chain
+    p_num, p_den = positions[axis][box]
+    if p_num * den > num * p_den:
+        return None
+    capped = list(uppers[axis])
+    capped[box] = (num, den)
+    return positions, uppers[:axis] + (tuple(capped),) + uppers[axis + 1:]
+
+
+def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
+    """One pattern step (("box", (box, orientation)), ("bb", order
+    constraint) or ("bo", facet constraint)), checked by the ``Pattern``
+    step, with its effect on the order chains at both slacks and on
+    whether every row is axis-aligned.  Returns (pattern, chains,
+    aligned).
+
+    A box adds its hull's bounding box.  A box-box order raises its later
+    box to the earlier one's position plus the gap and the slack; only that
+    axis moves.  A facet on one axis, a * c_k >= d + slack * |a|, raises
+    the box's lower bound (a > 0) or lowers its upper bound (a < 0) on that
+    axis.  A slanted facet or hull row is left out, so the chains stay a
+    relaxation of the node's rows."""
+    if step == "box":
+        new = pattern.with_box(regions, *item)
+        hull = new.regions[-1].hull
+        lo, hi, w = hull.int_bbox()
+        return (new, tuple(c and _with_box(c, lo, hi, w) for c in chains),
+                aligned and all(_facet_axis(h) for h in hull.halfspaces))
+    at = []
+    if step == "bb":
+        new = pattern.with_bb(item)
+        i, j, axis, order = item
+        first, second = (i, j) if order == 1 else (j, i)
+        gap = new.extents[first][axis] + new.extents[second][axis]
+        succ = _successors(pattern.bb, axis)
+        for chain, slack in zip(chains, _SLACKS):
+            if chain is not None:
+                num, den = chain[0][axis][first]
+                chain = _raise(chain, succ, new.extents, slack, axis, second,
+                               num + (gap + slack) * den, den, first)
+            at.append(chain)
+        return new, tuple(at), aligned
+    new = pattern.with_bo(item)
+    i, obstacle_id, facet = item
+    h = new.obstacle(i, obstacle_id).halfspaces[facet]
+    found = _facet_axis(h)
+    if found is None:
+        return new, chains, False
+    axis, a = found
+    succ = _successors(new.bb, axis)
+    for chain, slack in zip(chains, _SLACKS):
+        if chain is not None:
+            num = 2 * h.d + slack * abs(a)
+            chain = (_raise(chain, succ, new.extents, slack, axis, i, num, a)
+                     if a > 0 else _cap(chain, axis, i, -num, -a))
+        at.append(chain)
+    return new, tuple(at), aligned
+
+
+def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
+                          bb_constraints: Sequence[Tuple[int, int, int, int]],
+                          bo_constraints: Sequence[Tuple[int, str, int]] = ()
+                          ) -> bool:
+    """Decide the order chains of a pattern, exactly.
+
+    The arguments are as for ``lp.build_lp``.  Every order constraint is a
+    difference constraint ``c_lo + gap <= c_hi`` on one axis (gap: the
+    half-extent sum), and every box-obstacle constraint on an axis-aligned
+    facet a lower or an upper bound on one coordinate, so each center has
+    an earliest position on each axis: the longest path to it from its
+    lower bounds, which start at the lower corner of its region hull's
+    bounding box (Cormen et al., Introduction to Algorithms, 24.4).  These
+    positions are the order chains, in doubled coordinates (integer gaps),
+    each an exact (num, den) with den > 0.  They are folded one constraint
+    at a time, as the search builds them along a branch (``_extend``).
+    Returns False when some earliest position lies strictly beyond its
+    box's upper bound (the hull's upper corner, or an axis-aligned facet),
+    or when the constraints on an axis form a cycle (every gap is
+    positive): then the pattern LP, which adds the slanted rows and the
+    slack to these constraints, is infeasible too, and so is every
+    extension of the node.  On a pattern whose rows are all axis-aligned
+    the chains are the whole LP at slack 0, so True means it is feasible.
+    """
+    pattern, chains, aligned = Pattern(), (_NO_BOX,), True
+    steps = ([("box", p) for p in placements]
+             + [("bb", c) for c in bb_constraints]
+             + [("bo", c) for c in bo_constraints])
+    for step, item in steps:
+        pattern, chains, aligned = _extend(pattern, chains, aligned, regions,
+                                           step, item)
+    return chains[0] is not None
+
+
+def _exact_answer(pattern: Pattern):
+    """The pattern LP's canonical answer when every row is axis-aligned and
+    the pattern is feasible at slack 0, in exact arithmetic: (s*, centers),
+    s* the largest slack up to DELTA_MM, centers the least point at s*
+    (3 per box, rounded to floats).
+
+    At slack s each coordinate's earliest position is a longest path, the
+    largest of linear functions of s, and its upper bound the least of
+    others.  Newton's method on their concave difference (Dinkelbach,
+    Management Science 13, 1967) starts at s = DELTA_MM: where some
+    coordinate overruns, the two active functions meet at a slack no
+    smaller than s*, the least such slack is the next s, and the first s
+    where nothing overruns is s*.  Each step takes a new linear piece, so
+    it stops after a few."""
+    n = len(pattern.regions)
+    # per coordinate 3 * box + axis: its lower and its upper bounds, each a
+    # (value at slack 0, slope in the slack)
+    lows, ups = [[] for _ in range(3 * n)], [[] for _ in range(3 * n)]
+    for i, region in enumerate(pattern.regions):
+        lo, hi, w = region.hull.int_bbox()
+        for axis in range(3):
+            lows[3 * i + axis].append((Fraction(lo[axis], w), 0))
+            ups[3 * i + axis].append((Fraction(hi[axis], w), 0))
+    for (i, obstacle_id, facet) in pattern.bo:
+        h = pattern.obstacle(i, obstacle_id).halfspaces[facet]
+        axis, a = _facet_axis(h)
+        if a > 0:
+            lows[3 * i + axis].append((Fraction(h.d, a), 1))
+        else:
+            ups[3 * i + axis].append((Fraction(h.d, a), -1))
+    edges = []
+    for (i, j, axis, order) in pattern.bb:
+        first, second = (i, j) if order == 1 else (j, i)
+        edges.append((3 * first + axis, 3 * second + axis,
+                      Fraction(pattern.extents[first][axis]
+                               + pattern.extents[second][axis], 2)))
+    s = Fraction(DELTA_MM)
+    while True:
+        # (value at s, value at 0, slope) of each coordinate's longest path;
+        # a path has fewer than n edges, so n rounds settle them
+        point = [max((v + k * s, v, k) for v, k in low) for low in lows]
+        for _ in range(n):
+            changed = False
+            for u, v, gap in edges:
+                value, base, slope = point[u]
+                if value + gap + s > point[v][0]:
+                    point[v] = (value + gap + s, base + gap, slope + 1)
+                    changed = True
+            if not changed:
+                break
+        roots = []
+        for (value, base, slope), up in zip(point, ups):
+            top, top_base, top_slope = min((v + k * s, v, k) for v, k in up)
+            if value > top:
+                roots.append((top_base - base) / (slope - top_slope))
+        if not roots:
+            return s, [float(value) for value, _, _ in point]
+        s = min(roots)
+
+
+# ---------------------------------------------------------------------------
 # search
 
 
 class PartialPattern(NamedTuple):
-    """One search node, one step on an LP that already exists.
+    """One search node: a pattern, and the one step that made it.
 
     ``indices`` are the candidate indices of the placed multiset
     (canonical, non-decreasing; extensions start at the last one).
-    ``base`` is the LP the node's own extends by ``delta`` (("box",
-    candidate index), ("bb", order constraint) or ("bo", facet
-    constraint)): the LP of the node it was made from, or at a root the
-    pattern LP of no box.  ``parent`` is the outcome of solving ``base``,
-    None at a root and below a failed LP, where the node's LP is solved
-    cold.  ``earliest`` holds the node's order chains (see
-    ``order_chains_feasible``), None when they rule the node out.  The
-    node's constraints are those of its LP's ``pattern``."""
+    ``pattern`` holds the node's boxes and constraints (``lp.Pattern``),
+    ``delta`` the step from the node it was made from: ("box", candidate
+    index), ("bb", order constraint) or ("bo", facet constraint).
+    ``parent`` is the outcome of that node's LP when it was solved by one
+    and feasible; the node's LP, if it needs one, then extends it by the
+    delta and is warm-started from it, and otherwise is assembled whole
+    and solved cold.  ``chains`` are the node's order chains at slack 0
+    and at DELTA_MM (see ``order_chains_feasible``), each None when it
+    rules the node out at that slack.  ``aligned`` tells whether every row
+    of the node is axis-aligned, so that its chains answer it."""
 
     indices: tuple
-    base: object
+    pattern: Pattern
     parent: object
     delta: object
-    earliest: object
+    chains: tuple
+    aligned: bool
 
 
 def branch(bb_conflicts, bo_conflicts):
@@ -269,85 +529,6 @@ def branch(bb_conflicts, bo_conflicts):
         return [(i, obstacle.id, f)
                 for f in range(len(obstacle.halfspaces))], "bo"
     return [], None
-
-
-def _add_chain(earliest, limit):
-    """The order chains with one more box, unconstrained: at the lower
-    corner of its hull's bounding box on every axis."""
-    (lo, _, w), _ = limit
-    return tuple(positions + ((2 * lo[axis], w),)
-                 for axis, positions in enumerate(earliest))
-
-
-def _add_order(earliest, bb, constraint, limits):
-    """The order chains after one more constraint, or None when they become
-    infeasible.
-
-    ``bb`` holds the constraints already in ``earliest``.  Only the
-    constraint's axis moves: its later box is raised to the earlier box's
-    position plus the gap, and each raised box raises its own successors in
-    turn (incremental longest paths; Ramalingam & Reps, J. Algorithms 21,
-    1996).  Every raised position is checked against its box's upper
-    bound.  A raise that reaches the earlier box again closes a cycle: the
-    chains were acyclic and held, so that happens exactly when the new
-    constraint lies on a cycle."""
-    i, j, axis, order = constraint
-    first, second = (i, j) if order == 1 else (j, i)
-    succ = {first: [second]}
-    for (a, b, a_axis, a_order) in bb:
-        if a_axis == axis:
-            u, v = (a, b) if a_order == 1 else (b, a)
-            succ.setdefault(u, []).append(v)
-    positions = list(earliest[axis])
-    work = [first]
-    while work:
-        u = work.pop()
-        num, den = positions[u]
-        for v in succ.get(u, ()):
-            start = num + (limits[u][1][axis] + limits[v][1][axis]) * den
-            v_num, v_den = positions[v]
-            if start * v_den <= v_num * den:
-                continue
-            (_, hi, w), _ = limits[v]
-            if v == first or start * w > 2 * hi[axis] * den:
-                return None
-            positions[v] = (start, den)
-            work.append(v)
-    return earliest[:axis] + (tuple(positions),) + earliest[axis + 1:]
-
-
-def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
-                          bb_constraints: Sequence[Tuple[int, int, int, int]]
-                          ) -> bool:
-    """Decide the box-box order constraints alone, exactly.
-
-    ``placements`` and ``bb_constraints`` are as for ``lp.build_lp``.  Every
-    constraint is a difference constraint ``c_lo + gap <= c_hi`` on one axis
-    (gap: the half-extent sum), so each center has an earliest position on
-    each axis: the longest path to it from the lower corners of the region
-    hulls' bounding boxes (Cormen et al., Introduction to Algorithms,
-    24.4).  These positions are the order chains, in doubled coordinates
-    (integer gaps), each an exact (num, den) with den > 0.  They are folded
-    one constraint at a time, as the search builds them along a branch
-    (``_add_order``).  Returns False when some earliest position lies
-    strictly beyond the box's upper bound, or when the constraints on an
-    axis form a cycle (every gap is positive).  Then the pattern LP, which
-    adds the hull rows, the slack and the obstacle rows to these
-    constraints, is infeasible too, and so is every extension of the node.
-    An exact fit (no overrun) is left to the LP.
-    """
-    limits = [(regions[(box.id, orientation)].hull.int_bbox(),
-               oriented_extents(box.dims_mm, orientation))
-              for box, orientation in placements]
-    earliest = ((), (), ())
-    for limit in limits:
-        earliest = _add_chain(earliest, limit)
-    for t, constraint in enumerate(bb_constraints):
-        earliest = _add_order(earliest, bb_constraints[:t], constraint,
-                              limits)
-        if earliest is None:
-            return False
-    return True
 
 
 def upper_bound(placed: Sequence[Candidate], catalog: Sequence,
@@ -379,30 +560,65 @@ def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
 
 def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
              regions: Dict[tuple, object]):
-    """The node's LP: its base extended by the delta."""
+    """The node's LP: its parent's extended by the delta when the parent
+    was solved by an LP, else assembled whole from its pattern."""
+    if node.parent is None:
+        return build_lp([(candidates[k].box, candidates[k].orientation)
+                         for k in node.indices], regions,
+                        node.pattern.bb, node.pattern.bo)
     step, item = node.delta
     if step == "box":
-        return add_box(node.base, regions, candidates[item].box,
+        return add_box(node.parent.lp, regions, candidates[item].box,
                        candidates[item].orientation)
     if step == "bb":
-        return add_bb(node.base, item)
-    return add_bo(node.base, item)
+        return add_bb(node.parent.lp, item)
+    return add_bo(node.parent.lp, item)
 
 
-def _child(node: PartialPattern, lp, outcome, delta, limits) -> PartialPattern:
-    """The node's child by one step ``delta`` on the node's LP ``lp``,
-    solved to ``outcome`` (None when it failed), with its order chains: a
-    box child adds the box's chains, a box-box child raises what its one
-    new constraint pushes, a box-obstacle child keeps the node's."""
+def _answer(node: PartialPattern, candidates: Sequence[Candidate],
+            regions: Dict[tuple, object], stats: SearchStats):
+    """The node's canonical answer, (centers, outcome): centers an n x 3
+    array, None when the node is infeasible; outcome the node's LP outcome,
+    None when no LP answered it.
+
+    The slack-0 chains rule a node out exactly.  A node whose rows are all
+    axis-aligned is answered from its chains: at DELTA_MM when they hold
+    there, each center the exact num / (2 den) rounded to a float, else by
+    ``_exact_answer``.  A node with a slanted row is answered by its LP,
+    whose NumericalFailure propagates."""
+    at_zero, at_delta = node.chains
+    if at_zero is None:
+        return None, None
+    if node.aligned:
+        if at_delta is not None:
+            flat = [num / (2 * den) for box in zip(*at_delta[0])
+                    for num, den in box]
+        else:
+            flat = _exact_answer(node.pattern)[1]
+        return np.array(flat).reshape(-1, 3), None
+    lp = _node_lp(node, candidates, regions)
+    stats.lp_calls += 1
+    outcome = solve(lp, node.parent)
+    stats.pivots += outcome.pivots
+    if not outcome.feasible:
+        return None, None
+    return outcome.assignment[:3 * len(node.indices)].reshape(-1, 3), outcome
+
+
+def _child(node: PartialPattern, outcome, delta,
+           candidates: Sequence[Candidate],
+           regions: Dict[tuple, object]) -> PartialPattern:
+    """The node's child by one step ``delta``.  ``outcome``, the node's
+    own LP outcome (None when no LP answered it, or its LP failed), is the
+    child's ``parent``."""
     step, item = delta
-    indices, earliest = node.indices, node.earliest
+    indices = node.indices
     if step == "box":
-        indices, earliest = indices + (item,), _add_chain(earliest,
-                                                         limits[item])
-    elif step == "bb":
-        earliest = _add_order(earliest, lp.pattern.bb, item,
-                              [limits[k] for k in indices])
-    return PartialPattern(indices, lp, outcome, delta, earliest)
+        indices += (item,)
+        item = (candidates[item].box, candidates[item].orientation)
+    pattern, chains, aligned = _extend(node.pattern, node.chains,
+                                       node.aligned, regions, step, item)
+    return PartialPattern(indices, pattern, outcome, delta, chains, aligned)
 
 
 def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
@@ -425,12 +641,10 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     deadline = (started + config.time_limit_s) if config.time_limit_s else None
     best_volume = 0
     best_placements: List[Placement] = []
-    limits = [(regions[(c.box.id, c.orientation)].hull.int_bbox(), c.extents)
-              for c in candidates]
-    # the node before every root: no box, on the pattern LP of no box
-    origin = PartialPattern((), None, None, None, ((), (), ()))
-    empty = build_lp([], regions)
-    stack = [_child(origin, empty, None, ("box", k), limits)
+    # the node before every root: no box
+    origin = PartialPattern((), Pattern(), None, None, (_NO_BOX, _NO_BOX),
+                            True)
+    stack = [_child(origin, None, ("box", k), candidates, regions)
              for k in reversed(range(len(candidates)))]
 
     while stack:
@@ -447,27 +661,20 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             stats.pruned += 1
             continue
 
-        # a node its order chains rule out is skipped like an infeasible LP
-        if node.earliest is None:
-            continue
-
-        lp = _node_lp(node, candidates, regions)
-        stats.lp_calls += 1
         try:
-            outcome = solve(lp, node.parent)
-            stats.pivots += outcome.pivots
+            centers, outcome = _answer(node, candidates, regions, stats)
         except NumericalFailure:
             stats.lp_failures += 1
-            outcome = None
+            centers = outcome = None
+        else:
+            # infeasible: skipped with its subtree
+            if centers is None:
+                continue
 
-        if outcome is not None and not outcome.feasible:
-            continue
-
-        if outcome is not None:
-            centers = outcome.assignment[:3 * len(placed)].reshape(-1, 3)
+        if centers is not None:
             skip_bb = {(min(i, j), max(i, j))
-                       for (i, j, _, _) in lp.pattern.bb}
-            skip_bo = {(i, oid) for (i, oid, _) in lp.pattern.bo}
+                       for (i, j, _, _) in node.pattern.bb}
+            skip_bo = {(i, oid) for (i, oid, _) in node.pattern.bo}
             bb_conf, bo_conf = detect_intersections(placed, centers, regions,
                                                     skip_bb, skip_bo)
             constraints, kind = branch(bb_conf, bo_conf)
@@ -476,8 +683,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                     stats.bb_branches += 1
                 else:
                     stats.bo_branches += 1
-                stack.extend(_child(node, lp, outcome, (kind, c), limits)
-                             for c in reversed(constraints))
+                stack.extend(_child(node, outcome, (kind, c), candidates,
+                                    regions)
+                              for c in reversed(constraints))
                 continue
             # intersection-free: record, then extend
             volume = sum(c.box.volume_mm3() for c in placed)
@@ -495,7 +703,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         addable = [k for k in range(node.indices[-1], len(candidates))
                    if used.get(candidates[k].box.id, 0)
                    < max_counts[candidates[k].box.id]]
-        stack.extend(_child(node, lp, outcome, ("box", k), limits)
+        stack.extend(_child(node, outcome, ("box", k), candidates, regions)
                      for k in reversed(addable))
 
     stats.wall_time_s = time.monotonic() - started

@@ -9,6 +9,7 @@ its log audit; packing counts and the prune-equivalence check) so the suite
 stays fast without weakening any check.
 """
 
+import collections
 import math
 import random
 import time
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-import trunkpack.lp as lp_mod
 import trunkpack.search as search_mod
 from trunkpack.catalog import (FULL_CATALOG, ORIENTATIONS, BoxType,
                                distinct_orientations, oriented_extents)
@@ -28,8 +28,9 @@ from trunkpack.freespace import (LATTICE_DEN, Region, classify_feasible,
                                  parse_mesh_json, raw_feasible_region,
                                  region_report_csv, sample_lattice_points)
 from trunkpack.geometry import (DegenerateInput, Halfspace, axis_aligned_box,
-                                convex_hull, minkowski_sum_convex)
-from trunkpack.lp import build_lp, maximize_direction, solve
+                                convex_hull, fm_feasible,
+                                minkowski_sum_convex)
+from trunkpack.lp import DELTA_MM, build_lp, maximize_direction, solve
 from trunkpack.pipeline import format_simplify_report, simplify_report_csv
 from trunkpack.search import SearchConfig, enumerate_patterns, validate_packing
 from trunkpack.simplify import (MergeParams, contractiveness_violations,
@@ -578,76 +579,99 @@ def test_criterion_09_branch_arity(monkeypatch):
         (15278, 2461, 0, 3407360),
         (5889, 921, 0, 1983600),
         (127, 8, 12, 70846188)]
-    # dual simplex pivots per search, warm starts included: the node counts
-    # pin the canonical answers, the pivots the route the solver takes
-    assert [r.stats.pivots for r in results] == [7260, 4062, 129]
+    # every node's rows are axis-aligned, so its order chains answer it and
+    # no search solves an LP (test_criterion_09_node_lps_equal_cold_assembly
+    # compares those answers with the LP's)
+    assert [(r.stats.lp_calls, r.stats.pivots) for r in results] \
+        == [(0, 0)] * 3
 
 
-def _same_lp(a, b) -> bool:
-    """Bit for bit the same rows, bounds and objective."""
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in ((a.A, b.A), (a.b, b.b), (a.lower, b.lower),
-                            (a.upper, b.upper), (a.objective, b.objective)))
+def _exact_node_rows(pattern):
+    """A node's rows at slack 0 in exact arithmetic, as ``fm_feasible``
+    takes them: each box's hull rows, its box-box orders and its
+    box-obstacle facets (the center outside the facet)."""
+    nv = 3 * len(pattern.regions)
+    rows = []
+
+    def row(i, coeffs, rhs):
+        full = [0] * nv
+        for k, v in coeffs.items():
+            full[3 * i + k] += v
+        rows.append((full, rhs))
+
+    for i, region in enumerate(pattern.regions):
+        for h in region.hull.halfspaces:
+            row(i, {0: h.a, 1: h.b, 2: h.c}, h.d)
+    for (i, j, axis, order) in pattern.bb:
+        first, second = (i, j) if order == 1 else (j, i)
+        full = [0] * nv
+        full[3 * first + axis], full[3 * second + axis] = 1, -1
+        rows.append((full, -Fraction(pattern.extents[first][axis]
+                                     + pattern.extents[second][axis], 2)))
+    for (i, obstacle_id, facet) in pattern.bo:
+        h = pattern.obstacle(i, obstacle_id).halfspaces[facet]
+        row(i, {0: -h.a, 1: -h.b, 2: -h.c}, -h.d)
+    return rows, nv
 
 
 def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
-    """Every node LP of the K-cube and L-trunk searches: the LP the search
-    makes from its parent's by one step is the LP ``build_lp`` assembles
-    whole from the node's placements and constraints, bit for bit, and its
-    warm-started answer is the cold one.  A warm outcome builds its final
-    tableau only when a child warm-starts from it (or when one pivot does
-    not finish it), so most feasible outcomes never build one."""
-    real_node_lp = search_mod._node_lp
-    made = []
-    feasible = []
+    """Every node of the three criterion-09 searches is answered from its
+    order chains, without an LP, and the answer is the LP's: the verdict is
+    that of ``solve(build_lp(...))`` on the node's pattern, and a feasible
+    node's centers are that LP's assignment bit for bit (every node of the
+    K-cube and the L-trunk, every tenth of the J-cube), at slack DELTA_MM.
+    On every fourth node of at most 3 boxes the verdict is also
+    Fourier-Motzkin's on the node's exact rows."""
+    real_answer = search_mod._answer
+    seen = collections.Counter()
 
-    def compared_node_lp(node, candidates, regions):
-        lp = real_node_lp(node, candidates, regions)
-        placements = [(candidates[k].box, candidates[k].orientation)
-                      for k in node.indices]
-        pattern = lp.pattern
-        whole = build_lp(placements, regions, pattern.bb, pattern.bo)
-        assert _same_lp(lp, whole), (node.indices, pattern.bb, pattern.bo)
-        made.append((lp, whole, node))
-        return lp
+    def compared_answer(node, candidates, regions, stats):
+        centers, outcome = real_answer(node, candidates, regions, stats)
+        assert outcome is None
+        seen["nodes"] += 1
+        feasible = centers is not None
+        seen["feasible"] += feasible
+        if seen["nodes"] % sample == 0:
+            placements = [(candidates[k].box, candidates[k].orientation)
+                          for k in node.indices]
+            pattern = node.pattern
+            lp = solve(build_lp(placements, regions, pattern.bb, pattern.bo))
+            assert lp.feasible == feasible, pattern
+            seen["lp"] += 1
+            if feasible:
+                assert lp.assignment[:-1].tobytes() \
+                    == centers.ravel().tobytes(), pattern
+                assert lp.value == DELTA_MM
+        # a feasible node's chains hold at DELTA_MM: no Newton step
+        seen["newton"] += feasible and node.chains[1] is None
+        if len(node.indices) <= 3 and seen["nodes"] % 4 == 0:
+            assert fm_feasible(*_exact_node_rows(node.pattern)) == feasible
+            seen["fm"] += 1
+        return centers, outcome
 
-    def compared_solve(lp, parent=None):
-        made_lp, whole, node = made[-1]
-        assert made_lp is lp and node.parent is parent
-        outcome = solve(lp, parent)
-        if parent is not None:
-            cold = solve(whole)
-            assert (outcome.feasible, outcome.value) \
-                == (cold.feasible, cold.value)
-            if cold.feasible:
-                assert np.array_equal(outcome.assignment, cold.assignment)
-        if outcome.feasible:
-            feasible.append(outcome)
-        return outcome
-
-    monkeypatch.setattr(search_mod, "_node_lp", compared_node_lp)
-    monkeypatch.setattr(search_mod, "solve", compared_solve)
+    monkeypatch.setattr(search_mod, "_answer", compared_answer)
+    j_box = BoxType("J", (88, 88, 88), 5)
     k_box = BoxType("K", (95, 87, 80), 3)
     searches = [
+        (_region_map(_convex_cuboid_trunk((200, 200, 200)), j_box,
+                     samples=2000, seed=5), j_box, False, 10),
         (_region_map(_convex_cuboid_trunk((210, 210, 210)), k_box,
-                     samples=2000, seed=5), k_box, False),
+                     samples=2000, seed=5), k_box, False, 1),
         (_pack_regions("double_stack"), _pack_params("double_stack")[2],
-         True)]
+         True, 1)]
     counts = []
-    for regions, box, prune in searches:
-        made.clear()
-        feasible.clear()
+    for regions, box, prune, sample in searches:
+        seen.clear()
         result = enumerate_patterns(regions, [box],
                                     config=SearchConfig(prune_enabled=prune))
-        assert result.stats.lp_failures == 0
-        assert len(made) == result.stats.lp_calls
-        # only the roots start cold
-        cold = [node for _, _, node in made if node.parent is None]
-        assert all(len(node.indices) == 1 for node in cold)
-        assert len(cold) <= len(regions)
-        unbuilt = sum(isinstance(o._final, lp_mod._Warm) for o in feasible)
-        counts.append((len(made), len(feasible), unbuilt))
-    assert counts == [(4425, 4425, 3372), (96, 24, 1)]
+        assert result.stats.lp_calls == 0
+        assert seen["nodes"] == result.stats.nodes - result.stats.pruned
+        counts.append((seen["nodes"], seen["feasible"], seen["lp"],
+                       seen["newton"], seen["fm"]))
+    # (nodes answered, feasible, compared with the LP, Newton steps,
+    # compared with Fourier-Motzkin)
+    assert counts == [(15278, 7772, 1527, 0, 21), (5889, 4425, 5889, 0, 1472),
+                      (115, 24, 115, 0, 14)]
 
 
 # ---------------------------------------------------------------------------

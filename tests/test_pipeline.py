@@ -166,9 +166,11 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
     # every region file, log and report byte for byte (paths included), as
     # written before points were stored as integer quadruples only; the
     # packing's search statistics are the ``SearchStats`` fields, dual
-    # simplex pivots included
+    # simplex pivots included (none here: every node's rows are
+    # axis-aligned, so no node builds an LP)
+    assert payload["stats"]["lp_calls"] == 0
     assert artifact_digest(out) == \
-        "e177b2b4a84731db125668faadd665db2cae9fec1f9a19f17945bc42e144b5ce"
+        "4afe53ef1cafb695c955219de0e4995a1643abf85ca3b6e47a5506fabbbf7105"
 
 
 class _TornFile:

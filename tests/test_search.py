@@ -21,6 +21,14 @@ Oracles:
   their exact verdict (Fourier-Motzkin on each axis) is the order-chain
   test's, and the node LP agrees with it whenever a chain overruns by more
   than 1e-3 mm; an exact fit (overrun 0) is feasible with slack 0.
+* three 20 mm cubes in a row on x, after a wall at x = 30 and before the
+  hull's x = 71, leave 1 mm of room for 3 slacks: s* = 1/3, with the least
+  centres 30 + 1/3, 50 + 2/3 and 71; two cubes in a row from the hull's
+  x = 10 to a wall at x = 31 leave s* = 1/2.  Newton steps find both
+  exactly, and the LP agrees within its tolerance.
+* a search whose only slanted row is one obstacle facet visits the same
+  tree, and finds the same packing, as one in which every node is answered
+  by its LP.
 * norms of halfspaces with coefficients near 2^40 (sums of squares past
   int64) are computed without overflow.
 * validation decides in exact arithmetic in both modes: a flat obstacle
@@ -29,20 +37,24 @@ Oracles:
   is not.
 """
 
+import collections
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import trunkpack.lp as lp_mod
 import trunkpack.search as search_mod
 from trunkpack.catalog import BoxType, default_catalog, distinct_orientations
 from trunkpack.freespace import (Region, compute_feasible_region,
                                  parse_convex_json, raw_feasible_region)
 from trunkpack.geometry import (Halfspace, Point3, _degenerate_from_points,
-                                axis_aligned_box, fm_feasible,
+                                axis_aligned_box, convex_hull, fm_feasible,
                                 intersect_halfspaces)
-from trunkpack.lp import NumericalFailure, build_lp, solve
+from trunkpack.lp import (DELTA_MM, FEAS_TOL, NumericalFailure, Pattern,
+                          build_lp, solve)
 from trunkpack.search import (Candidate, PackingResult, Placement,
                               SearchConfig, branch, candidate_list,
                               detect_intersections, enumerate_patterns,
@@ -102,13 +114,22 @@ def test_covered_hull_places_nothing_and_branches_per_facet():
     result = enumerate_patterns(regions, [box])
     assert result.placements == []
     assert result.volume_mm3 == 0
-    assert result.stats.bo_branches >= 1
-    # every box-obstacle branch fans out over all six facets of the blocker
-    assert result.stats.lp_calls >= 6
+    # the one box-obstacle branch fans out over all six facets of the
+    # blocker: the root and its six children are visited, and each child's
+    # chains rule it out without an LP (its facet bound passes the hull)
+    assert result.stats.bo_branches == 1
+    assert result.stats.nodes == 1 + 6
+    assert result.stats.lp_calls == 0
 
 
-def _pillar_instance(max_count=2):
+def _pillar_instance(max_count=2, slanted=False):
+    """Cubes around a pillar in an axis-aligned hull, or with ``slanted``
+    in that hull cut by x + y + z <= 260 near its far corner, so that every
+    node has a slanted row and is answered by its LP."""
     hull = axis_aligned_box((10, 10, 10), (90, 90, 90), id="hull")
+    if slanted:
+        hull = intersect_halfspaces([Halfspace((1, 1, 1), 260)], hull,
+                                    id="hull")
     pillar = axis_aligned_box((20, 20, 10), (80, 80, 90), id="o0")
     box = cube_type(max_count=max_count)
     return box, {("K", "zyx"): region(hull, [pillar], "K")}
@@ -131,12 +152,20 @@ def _same_lp(a, b) -> bool:
                             (a.upper, b.upper), (a.objective, b.objective)))
 
 
+def _one_step(pattern, base) -> bool:
+    """Whether ``pattern`` is ``base`` plus one box or one constraint."""
+    parts = [(pattern.regions, base.regions), (pattern.bb, base.bb),
+             (pattern.bo, base.bo)]
+    return (all(grown[:len(part)] == part for grown, part in parts)
+            and sum(len(grown) - len(part) for grown, part in parts) == 1)
+
+
 def _failing_search(monkeypatch, box, regions, fail_at, config=None):
     """Run the search with its ``fail_at``-th LP solve (counting from 0)
     raising NumericalFailure.  Returns the result, every (lp, parent) pair
-    solved, and the failed LP's children: the solved LPs that extend it,
-    each checked to start cold and to equal the LP ``build_lp`` assembles
-    whole from its pattern."""
+    solved, and the failed LP's children: the solved LPs whose pattern is
+    the failed one's plus one step, each checked to start cold and to equal
+    the LP ``build_lp`` assembles whole from its pattern."""
     real_solve = search_mod.solve
     solved = []
 
@@ -150,7 +179,8 @@ def _failing_search(monkeypatch, box, regions, fail_at, config=None):
     result = enumerate_patterns(regions, [box], config=config)
     assert result.stats.lp_failures == 1
     failed = solved[fail_at][0]
-    children = [(lp, parent) for lp, parent in solved if lp.base is failed]
+    children = [(lp, parent) for lp, parent in solved
+                if _one_step(lp.pattern, failed.pattern)]
     for lp, parent in children:
         assert parent is None
         pattern = lp.pattern
@@ -163,10 +193,11 @@ def _failing_search(monkeypatch, box, regions, fail_at, config=None):
 
 
 def test_failed_root_lp_leaves_its_children_to_cold_starts(monkeypatch):
-    box, regions = _pillar_instance()
+    box, regions = _pillar_instance(slanted=True)
     result, solved, children = _failing_search(monkeypatch, box, regions, 0)
-    # the root's one child (two cubes) extends the failed root LP and is
-    # solved cold; the nodes below it warm-start from their parents
+    # the root's one child (two cubes) has no LP outcome to extend, so its
+    # LP is assembled whole and solved cold; the nodes below it warm-start
+    # from their parents
     assert len(children) == 1 and children[0][0] is solved[1][0]
     assert solved[1][0].num_vars == 7
     assert all(parent is not None for _, parent in solved[2:])
@@ -176,7 +207,7 @@ def test_failed_root_lp_leaves_its_children_to_cold_starts(monkeypatch):
 
 def test_failed_lp_below_the_root_leaves_its_children_to_cold_starts(
         monkeypatch):
-    box, regions = _pillar_instance(max_count=3)
+    box, regions = _pillar_instance(max_count=3, slanted=True)
     result, solved, children = _failing_search(
         monkeypatch, box, regions, 1, SearchConfig(prune_enabled=False))
     # the failed two-cube node is not branched on: its one child adds the
@@ -551,6 +582,11 @@ def test_exact_fit_chain_is_left_to_the_lp():
     assert order_chains_feasible(two, regions, [(0, 1, 0, 1)])
     out = solve(build_lp(two, regions, [(0, 1, 0, 1)]))
     assert out.feasible and out.slack == 0.0
+    # the search answers it exactly, by Newton steps down to slack 0: the
+    # LP's answer
+    slack, centers = search_mod._exact_answer(
+        _pattern_of(two, regions, [(0, 1, 0, 1)], []))
+    assert slack == 0 and centers == out.assignment[:-1].tolist()
     # a third box in the same chain overruns by a whole box length
     three = [(box, "zyx")] * 3
     assert not order_chains_feasible(three, regions,
@@ -589,3 +625,445 @@ def test_norms_of_huge_coefficients_do_not_overflow():
     assert [e["facet"]["n"][:2] for e in dropped] == [[big + 1, big]]
     # the corner it cut off reaches 10 * 2^40 / |n| (about 7.07 mm) past it
     assert dropped[0]["growth_mm"] == pytest.approx(10 / 2 ** 0.5, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# exact node answers: the largest slack below DELTA_MM, by Newton steps
+
+
+def _row_instance(hull_hi_x, obstacles):
+    """Three 20 mm cubes in the hull [10, hull_hi_x] x [10, 90] x [10, 90]
+    with the given obstacles."""
+    box = cube_type(max_count=3)
+    hull = axis_aligned_box((10, 10, 10), (hull_hi_x, 90, 90), id="hull")
+    return box, {("K", "zyx"): region(hull, obstacles, "K")}
+
+
+def _facet(obstacle, normal):
+    """The index of the obstacle's facet with that normal."""
+    return next(f for f, h in enumerate(obstacle.halfspaces)
+                if h.normal == normal)
+
+
+def _pattern_of(placements, regions, bb, bo):
+    pattern = Pattern()
+    for box, orientation in placements:
+        pattern = pattern.with_box(regions, box, orientation)
+    for c in bb:
+        pattern = pattern.with_bb(c)
+    for c in bo:
+        pattern = pattern.with_bo(c)
+    return pattern
+
+
+def _exact_rows(pattern):
+    """The pattern's rows at slack 0 in exact arithmetic."""
+    nv = 3 * len(pattern.regions)
+    rows = []
+    for i, reg in enumerate(pattern.regions):
+        for h in reg.hull.halfspaces:
+            full = [0] * nv
+            full[3 * i:3 * i + 3] = h.a, h.b, h.c
+            rows.append((full, h.d))
+    for (i, j, axis, order) in pattern.bb:
+        first, second = (i, j) if order == 1 else (j, i)
+        full = [0] * nv
+        full[3 * first + axis], full[3 * second + axis] = 1, -1
+        rows.append((full, -F(pattern.extents[first][axis]
+                              + pattern.extents[second][axis], 2)))
+    for (i, obstacle_id, facet) in pattern.bo:
+        h = pattern.obstacle(i, obstacle_id).halfspaces[facet]
+        full = [0] * nv
+        full[3 * i:3 * i + 3] = -h.a, -h.b, -h.c
+        rows.append((full, -h.d))
+    return rows, nv
+
+
+def _check_slack_below_delta(regions, placements, bb, bo, slack, centers):
+    """The pattern's largest slack and least centers, exactly: from Newton
+    steps, from the search's own chains (which fail at DELTA_MM), and
+    within FEAS_TOL from the LP; its verdict is Fourier-Motzkin's."""
+    pattern = _pattern_of(placements, regions, bb, bo)
+    assert order_chains_feasible(placements, regions, bb, bo)
+    assert fm_feasible(*_exact_rows(pattern))
+    assert search_mod._exact_answer(pattern) == (slack, centers)
+    out = solve(build_lp(placements, regions, bb, bo))
+    assert out.feasible
+    assert out.value == pytest.approx(float(slack), abs=FEAS_TOL)
+    assert np.allclose(out.assignment[:-1], centers, rtol=0.0, atol=FEAS_TOL)
+    steps = ([("box", p) for p in placements] + [("bb", c) for c in bb]
+             + [("bo", c) for c in bo])
+    folded, chains, aligned = Pattern(), (search_mod._NO_BOX,) * 2, True
+    for step, item in steps:
+        folded, chains, aligned = search_mod._extend(
+            folded, chains, aligned, regions, step, item)
+    assert folded == pattern
+    assert aligned and chains[0] is not None and chains[1] is None
+    node = search_mod.PartialPattern(tuple(range(len(placements))), pattern,
+                                     None, None, chains, aligned)
+    got, outcome = search_mod._answer(node, None, regions,
+                                      search_mod.SearchStats())
+    assert outcome is None and got.ravel().tolist() == centers
+
+
+def test_largest_slack_below_delta_is_exact():
+    # box 0 stays right of the wall x <= 30 (c0 >= 30 + s), boxes 1 and 2
+    # follow it on x 20 mm apart (+ s each), and box 2 ends at the hull's
+    # x <= 71: 30 + 40 + 3 s <= 71, so s* = 1/3 < DELTA_MM, and the least
+    # point is c0 = 30 + 1/3, c1 = 50 + 2/3, c2 = 71 (y = z = 10)
+    wall = axis_aligned_box((-40, 0, 0), (30, 100, 100), id="o0")
+    box, regions = _row_instance(71, [wall])
+    _check_slack_below_delta(
+        regions, [(box, "zyx")] * 3, [(0, 1, 0, 1), (1, 2, 0, 1)],
+        [(0, "o0", _facet(wall, (1, 0, 0)))], F(1, 3),
+        [float(F(91, 3)), 10.0, 10.0, float(F(152, 3)), 10.0, 10.0,
+         71.0, 10.0, 10.0])
+
+
+def test_largest_slack_below_delta_under_an_upper_facet():
+    # box 1 follows box 0 (from the hull's x >= 10) by 20 mm + s on x and
+    # stays left of the wall x >= 31 (c1 <= 31 - s): 30 + s <= 31 - s, so
+    # s* = 1/2, with c0 = 10 and c1 = 30.5
+    wall = axis_aligned_box((31, 0, 0), (200, 100, 100), id="o0")
+    box, regions = _row_instance(90, [wall])
+    _check_slack_below_delta(
+        regions, [(box, "zyx")] * 2, [(0, 1, 0, 1)],
+        [(1, "o0", _facet(wall, (-1, 0, 0)))], F(1, 2),
+        [10.0, 10.0, 10.0, 30.5, 10.0, 10.0])
+
+
+@pytest.mark.parametrize("case", ["overrun", "capped", "cycle"])
+def test_slack_zero_overrun_and_cycle_are_ruled_out(case):
+    wall = axis_aligned_box((-40, 0, 0), (30, 100, 100), id="o0")
+    right = axis_aligned_box((29, 0, 0), (200, 100, 100), id="o1")
+    # the cycle's hull is long enough that no raise around it overruns
+    hull_hi_x = {"overrun": 69, "capped": 90, "cycle": 1000}[case]
+    box, regions = _row_instance(hull_hi_x, [wall, right])
+    placements = [(box, "zyx")] * 3
+    if case == "overrun":
+        # 30 + 40 > 69: the wall's lower bound pushes box 2 past the hull
+        bb = [(0, 1, 0, 1), (1, 2, 0, 1)]
+        bo = [(0, "o0", _facet(wall, (1, 0, 0)))]
+    elif case == "capped":
+        # box 1 must stay left of x >= 29 (c1 <= 29), but follows box 0 by
+        # 20 mm from the hull's x >= 10
+        bb = [(0, 1, 0, 1)]
+        bo = [(1, "o1", _facet(right, (-1, 0, 0)))]
+    else:
+        bb = [(0, 1, 0, 1), (1, 2, 0, 1), (0, 2, 0, -1)]
+        bo = [(0, "o0", _facet(wall, (1, 0, 0)))]
+    assert not order_chains_feasible(placements, regions, bb, bo)
+    assert not fm_feasible(*_exact_rows(_pattern_of(placements, regions, bb,
+                                                    bo)))
+    assert not solve(build_lp(placements, regions, bb, bo)).feasible
+
+
+# ---------------------------------------------------------------------------
+# mixed trees: exact answers where every row is axis-aligned, LPs elsewhere
+
+
+def _mixed_instance():
+    """Three 20 mm cubes in an axis-aligned hull whose low corner lies in
+    a pillar (x, y <= 50, every z) with its edge at x = y = 50 cut by the
+    slanted facet x + y <= 80."""
+    box = cube_type(max_count=3)
+    hull = axis_aligned_box((10, 10, 10), (90, 90, 90), id="hull")
+    pillar = intersect_halfspaces(
+        [Halfspace((1, 1, 0), 80)],
+        axis_aligned_box((0, 0, 0), (50, 50, 100)), id="o0")
+    assert any(search_mod._facet_axis(h) is None for h in pillar.halfspaces)
+    return box, {("K", "zyx"): region(hull, [pillar], "K")}
+
+
+def test_mixed_tree_equals_the_lp_only_tree(monkeypatch):
+    box, regions = _mixed_instance()
+    config = SearchConfig(prune_enabled=False)
+    solved = []
+    real_solve = search_mod.solve
+
+    def counted_solve(lp, parent=None):
+        solved.append(parent is not None)
+        return real_solve(lp, parent)
+
+    monkeypatch.setattr(search_mod, "solve", counted_solve)
+    mixed = enumerate_patterns(regions, [box], config=config)
+    mixed_solved = list(solved)
+    # the LP-only run: no row counts as axis-aligned, so every node is
+    # answered by its LP and its chains keep only the hull boxes and orders
+    monkeypatch.setattr(search_mod, "_facet_axis", lambda h: None)
+    solved.clear()
+    lp_only = enumerate_patterns(regions, [box], config=config)
+
+    def tree(result):
+        stats = result.stats
+        return (stats.nodes, stats.bb_branches, stats.bo_branches,
+                stats.improvements, result.volume_mm3)
+
+    assert tree(mixed) == tree(lp_only)
+    assert [p.as_dict() for p in mixed.placements] \
+        == [p.as_dict() for p in lp_only.placements]
+    assert len(mixed.placements) == 3
+    check = validate_packing(mixed.placements, regions)
+    assert check["valid"] and check["mode"] == "exact", check
+    # the mixed tree solves LPs only below the slanted facet, the first of
+    # them cold and their children warm
+    assert 0 < mixed.stats.lp_calls < lp_only.stats.lp_calls
+    assert len(solved) == lp_only.stats.lp_calls
+    assert False in mixed_solved and True in mixed_solved
+
+
+def _sphere_hull(seed, points, radius):
+    """The hull of integer points near a sphere: every facet slanted."""
+    rng = np.random.default_rng(seed)
+    pts = set()
+    while len(pts) < points:
+        v = rng.normal(size=3)
+        pts.add(tuple(int(round(t)) for t in v / np.linalg.norm(v) * radius))
+    return convex_hull(sorted(pts), id="hull")
+
+
+def test_slanted_search_lps_warm_start_to_the_cold_answer(monkeypatch):
+    """Every node LP of a search over a slanted hull: the LP the search
+    makes from its parent's by one step is the LP ``build_lp`` assembles
+    whole from the node's pattern, bit for bit, and its warm-started answer
+    is the cold one (within 1e-9 mm: on slanted rows the pivot path moves
+    the last bits).  Only roots start cold.  A warm outcome builds its
+    final tableau only when a child warm-starts from it (or when one pivot
+    does not finish it), so most feasible outcomes never build one."""
+    # three 140 mm cubes; the obstacle is centred on the hull's vertex
+    # (-52, -246, 68), where the first box's LP puts it
+    box = cube_type(edge=140, max_count=3)
+    obstacle = axis_aligned_box((-112, -306, 8), (8, -186, 128), id="o0")
+    regions = {("K", "zyx"): region(_sphere_hull(20261019, 10, 260),
+                                    [obstacle], "K")}
+    real_node_lp = search_mod._node_lp
+    made, feasible = [], []
+    compared = collections.Counter()
+
+    def compared_node_lp(node, candidates, regions):
+        lp = real_node_lp(node, candidates, regions)
+        placements = [(candidates[k].box, candidates[k].orientation)
+                      for k in node.indices]
+        pattern = node.pattern
+        assert lp.pattern == pattern
+        whole = build_lp(placements, regions, pattern.bb, pattern.bo)
+        assert _same_lp(lp, whole), (node.indices, pattern.bb, pattern.bo)
+        made.append((lp, whole, node))
+        return lp
+
+    def compared_solve(lp, parent=None):
+        made_lp, whole, node = made[-1]
+        assert made_lp is lp and node.parent is parent
+        outcome = solve(lp, parent)
+        if parent is not None:
+            cold = solve(whole)
+            assert outcome.feasible == cold.feasible
+            if cold.feasible:
+                # the pivot paths differ, so the last bits may too
+                assert np.allclose(outcome.assignment, cold.assignment,
+                                   rtol=0.0, atol=1e-9)
+                assert outcome.value == pytest.approx(cold.value, abs=1e-9)
+                compared["warm"] += 1
+        if outcome.feasible:
+            feasible.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(search_mod, "_node_lp", compared_node_lp)
+    monkeypatch.setattr(search_mod, "solve", compared_solve)
+    result = enumerate_patterns(regions, [box],
+                                config=SearchConfig(prune_enabled=False))
+    assert result.stats.lp_failures == 0
+    assert len(made) == result.stats.lp_calls
+    cold = [node for _, _, node in made if node.parent is None]
+    assert all(len(node.indices) == 1 for node in cold)
+    unbuilt = sum(isinstance(o._final, lp_mod._Warm) for o in feasible)
+    # the root's LP is the only cold one, and it is feasible
+    assert compared["warm"] == len(feasible) - 1
+    assert (len(made), len(cold), len(feasible), unbuilt,
+            result.stats.pivots) == (2784, 1, 2596, 573, 8771)
+    assert (result.stats.nodes, result.stats.bb_branches,
+            result.stats.bo_branches, len(result.placements)) \
+        == (3168, 317, 198, 3)
+
+
+# ---------------------------------------------------------------------------
+# conflict detection on cached facet floats
+
+
+def _reference_detect_intersections(placed, centers, regions, skip_bb=(),
+                                    skip_bo=()):
+    """``detect_intersections`` as it was before the facet floats were
+    cached: each facet's norm recomputed from its integers per call."""
+    n = len(placed)
+    extents = [c.extents for c in placed]
+    centers = centers.tolist()
+    bb = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in skip_bb:
+                continue
+            volume = 1.0
+            for k in range(3):
+                overlap = ((extents[i][k] + extents[j][k]) / 2.0
+                           - abs(centers[i][k] - centers[j][k]))
+                if overlap <= 1e-9:
+                    volume = 0.0
+                    break
+                volume *= overlap
+            if volume > 0.0:
+                bb.append((volume, i, j))
+    bb.sort(key=lambda t: (-t[0], t[1], t[2]))
+    bo = []
+    for i, cand in enumerate(placed):
+        reg = regions[(cand.box.id, cand.orientation)]
+        for obstacle in reg.obstacles:
+            if (i, obstacle.id) in skip_bo:
+                continue
+            depth = None
+            for h in obstacle.halfspaces:
+                norm = math.sqrt(h.a * h.a + h.b * h.b + h.c * h.c)
+                dist = (float(h.d) - (h.a * centers[i][0]
+                                      + h.b * centers[i][1]
+                                      + h.c * centers[i][2])) / norm
+                depth = dist if depth is None else min(depth, dist)
+                if depth <= 1e-9:
+                    break
+            if depth is not None and depth > 1e-9:
+                bo.append((depth, i, obstacle))
+    bo.sort(key=lambda t: (-t[0], t[1], t[2].id or ""))
+    return bb, bo
+
+
+def _criterion_09_searches():
+    """(regions, box, prune) of the three criterion-09 searches: the J and
+    K cubes and the L-trunk ``double_stack``."""
+    def cuboid(dims, cavities=()):
+        obj = {"shell": {"halfspaces": [
+            {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": dims[0]},
+            {"n": [0, -1, 0], "d": 0}, {"n": [0, 1, 0], "d": dims[1]},
+            {"n": [0, 0, -1], "d": 0}, {"n": [0, 0, 1], "d": dims[2]}]},
+            "cavities": [{"vertices": c} for c in cavities]}
+        return parse_convex_json(obj)
+
+    def regions_of(trunk, box, samples, seed):
+        found = {}
+        for orientation in distinct_orientations(box):
+            reg = compute_feasible_region(trunk, box, orientation,
+                                          samples=samples, seed=seed)
+            if reg is not None:
+                found[(box.id, orientation)] = reg
+        return found
+
+    j, k = BoxType("J", (88, 88, 88), 5), BoxType("K", (95, 87, 80), 3)
+    e = BoxType("E", (381, 229, 203), 4)
+    cavity = [[x, y, z] for x in (210, 800) for y in (0, 230)
+              for z in (210, 1000)]
+    return [(regions_of(cuboid((200, 200, 200)), j, 2000, 5), j, False),
+            (regions_of(cuboid((210, 210, 210)), k, 2000, 5), k, False),
+            (regions_of(cuboid((800, 230, 1000), [cavity]), e, 10000, 4242),
+             e, True)]
+
+
+def test_detect_intersections_matches_the_per_call_norms(monkeypatch):
+    real = search_mod.detect_intersections
+    calls = collections.Counter()
+
+    def compared(placed, centers, regions, skip_bb=(), skip_bo=()):
+        got = real(placed, centers, regions, skip_bb, skip_bo)
+        want = _reference_detect_intersections(placed, centers, regions,
+                                               skip_bb, skip_bo)
+        assert got[0] == want[0]
+        assert [(d, i, o.id) for d, i, o in got[1]] \
+            == [(d, i, o.id) for d, i, o in want[1]]
+        assert all(a[2] is b[2] for a, b in zip(got[1], want[1]))
+        calls["bo" if got[1] else "bb" if got[0] else "free"] += 1
+        return got
+
+    monkeypatch.setattr(search_mod, "detect_intersections", compared)
+    cases = _criterion_09_searches()
+    hull = axis_aligned_box((40, 40, 40), (60, 60, 60), id="hull")
+    blocker = axis_aligned_box((39, 39, 39), (61, 61, 61), id="o0")
+    cases.append(({("K", "zyx"): region(hull, [blocker], "K")}, cube_type(),
+                  True))
+    box, regions = _pillar_instance()
+    cases.append((regions, box, True))
+    tuples = []
+    for regions, box, prune in cases:
+        result = enumerate_patterns(regions, [box],
+                                    config=SearchConfig(prune_enabled=prune))
+        tuples.append((result.stats.nodes, result.stats.bb_branches,
+                       result.stats.bo_branches, result.volume_mm3))
+    # criterion 09's searches, as that criterion pins them
+    assert tuples[:3] == [(15278, 2461, 0, 3407360), (5889, 921, 0, 1983600),
+                          (127, 8, 12, 70846188)]
+    assert calls["bo"] >= 10 and calls["bb"] >= 1000 and calls["free"] >= 10
+
+
+def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
+    # 2-5 boxes, each in its own hull with half-millimetre corners, random
+    # orders and random facets of two axis-aligned obstacles; in every other
+    # pattern the first order's later box is left 0 to 2 mm of room beyond
+    # its gap, so that the largest slack often falls below DELTA_MM (to a
+    # power-of-two fraction of a millimetre here).  The chains' verdict is
+    # the LP's, and so is the answer, bit for bit; folded as the search
+    # folds them, the chains give the same answer
+    rng = np.random.default_rng(20261019)
+    obstacles = [axis_aligned_box((100, 50, 40), (180, 140, 120), id="o0"),
+                 axis_aligned_box((-60, -30, -20), (40, 60, 30), id="o1")]
+    seen = collections.Counter()
+    for trial in range(500):
+        placements, corners = [], []
+        for k in range(int(rng.integers(2, 6))):
+            box = BoxType(f"B{k}", tuple(int(v) for v in
+                                         rng.integers(30, 200, size=3)), 1)
+            placements.append((box, "xyz"))
+            lo = [F(int(v), 2) for v in rng.integers(-200, 200, size=3)]
+            corners.append((lo, [a + F(int(v), 2) for a, v in
+                                 zip(lo, rng.integers(1, 800, size=3))]))
+        n = len(placements)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rng.shuffle(pairs)
+        bb = [(i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
+              for (i, j) in pairs[:int(rng.integers(0, len(pairs) + 1))]]
+        bo = [(i, f"o{int(rng.integers(2))}", int(rng.integers(6)))
+              for i in range(n) if rng.random() < 0.3]
+        bo = list({(i, o): (i, o, f) for (i, o, f) in bo}.values())
+        if trial % 2 == 0 and bb:
+            i, j, axis, order = bb[0]
+            first, later = (i, j) if order == 1 else (j, i)
+            lo, hi = corners[later]
+            hi[axis] = (corners[first][0][axis] + F(int(rng.integers(17)), 8)
+                        + F(placements[first][0].dims_mm[axis]
+                            + placements[later][0].dims_mm[axis], 2))
+            lo[axis] = min(lo[axis], hi[axis] - F(1, 2))
+        regions = {(box.id, "xyz"): Region(box.id, "xyz",
+                                           axis_aligned_box(lo, hi,
+                                                            id="hull"),
+                                           obstacles)
+                   for (box, _), (lo, hi) in zip(placements, corners)}
+        lp = solve(build_lp(placements, regions, bb, bo))
+        verdict = order_chains_feasible(placements, regions, bb, bo)
+        assert verdict == lp.feasible, (trial, bb, bo)
+        if not verdict:
+            seen["infeasible"] += 1
+            continue
+        pattern = _pattern_of(placements, regions, bb, bo)
+        slack, centers = search_mod._exact_answer(pattern)
+        assert lp.value == slack
+        assert lp.assignment[:-1].tolist() == centers, trial
+        seen["delta" if slack == DELTA_MM else "below"] += 1
+        chains = (search_mod._NO_BOX,) * 2
+        folded, aligned = Pattern(), True
+        steps = ([("box", p) for p in placements] + [("bb", c) for c in bb]
+                 + [("bo", c) for c in bo])
+        for step, item in steps:
+            folded, chains, aligned = search_mod._extend(
+                folded, chains, aligned, regions, step, item)
+        assert folded == pattern and aligned
+        node = search_mod.PartialPattern(tuple(range(n)), folded, None, None,
+                                         chains, aligned)
+        got, _ = search_mod._answer(node, None, regions,
+                                    search_mod.SearchStats())
+        assert got.ravel().tolist() == centers
+    # a non-dyadic s* is test_largest_slack_below_delta_is_exact's case
+    assert min(seen["infeasible"], seen["delta"], seen["below"]) >= 20, seen
