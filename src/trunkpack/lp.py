@@ -64,38 +64,28 @@ rows: one extension step (`extend_lp`: k rows inserted at row p, 0 or 3
 columns just before the slack; `add_box`, `add_bb` and `add_bo` place and
 check them, and `build_lp` is their fold).  The child records its base and
 p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
-outcome's LP (ValueError otherwise), scales only the new rows (all of
-them in a cold solve) and expresses them in the parent's final basis, and
-continues the dual simplex from that dual feasible basis (Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, 1997, sec. 5.1).  The parent's tableau, copied into
-the child's layout in contiguous blocks with the new columns' reduced
-costs (<= 0: a new column is zero in every old row), is made once per
-parent and layout and shared by its children.
-
-Only new rows can be violated.  With none, the parent's basis is optimal;
-with one, its Bland pivot needs only that row and the entering column,
-which update x_b with the float operations of a full pivot.  The child's
-own final tableau is then built, bit for bit as a full pivot would leave
-it, only when it is read: when a child of its own warm-starts from it
-(the deferred update of the product form of the inverse; Dantzig &
-Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  Several violated rows,
-or a row still violated after the first pivot, build it at once and
-continue the dual simplex on it.  The residual check always runs at solve
-time.
+outcome's LP (ValueError otherwise) and continues the dual simplex from the
+parent's final basis, which stays dual feasible (Bertsimas & Tsitsiklis,
+Introduction to Linear Optimization, 1997, sec. 5.1).  The starting
+tableau is the parent's, copied into the child's layout in contiguous
+blocks, with the new columns' reduced costs (<= 0: a new column is zero in
+every old row) and the new rows, scaled (only they are) and expressed in
+the parent's basis.  The old rows hold at the parent's answer, so only new
+rows can be violated.  Every solve, cold or warm, builds its starting
+tableau this way and keeps its final one, which its children start from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from trunkpack.catalog import oriented_extents
 
 FEAS_TOL = 1e-7
-SLACK_ZERO = 1e-6
 DELTA_MM = 1.0
 _PIVOT_EPS = 1e-10
 _PRIMAL_EPS = 1e-9
@@ -217,7 +207,7 @@ class Pattern(NamedTuple):
 class LpOutcome:
     """``value`` is objective . assignment, without the tie-break terms.
     A feasible outcome keeps ``lp``, the LP it solved (the one its
-    children's LPs extend), and its final tableau, which a child LP
+    children's LPs extend), and its final ``tableau``, which a child LP
     warm-starts from."""
 
     feasible: bool
@@ -226,25 +216,8 @@ class LpOutcome:
     pivots: int = 0
     lp: Optional[LinearProgram] = field(default=None, repr=False,
                                         compare=False)
-    # the final tableau, or a warm start's pieces (`_Warm`) that build it
-    _final: Union["_Tableau", "_Warm", None] = field(default=None,
-                                                     repr=False,
-                                                     compare=False)
-
-    @property
-    def slack(self) -> float:
-        """Objective value read as the uniform separation slack; values
-        below SLACK_ZERO count as zero."""
-        return 0.0 if abs(self.value) < SLACK_ZERO else self.value
-
-    @property
-    def tableau(self) -> Optional["_Tableau"]:
-        """The final tableau, built from a warm start's pieces the first
-        time it is read; the pieces, and with them the outcome's hold on
-        its parent's tableau, are then dropped."""
-        if isinstance(self._final, _Warm):
-            self._final = _warm_tableau(self._final)
-        return self._final
+    tableau: Optional["_Tableau"] = field(default=None, repr=False,
+                                          compare=False)
 
 
 def _unit_rows(poly) -> Tuple[np.ndarray, np.ndarray]:
@@ -410,7 +383,7 @@ class _Tableau:
     costs, the basic variable of each row, the costs, origins and signs the
     variables are measured with, and the norms of the LP's rows."""
 
-    __slots__ = ("T", "basis", "cost", "origin", "sign", "norm", "frame")
+    __slots__ = ("T", "basis", "cost", "origin", "sign", "norm")
 
     def __init__(self, T, basis, cost, origin, sign, norm):
         self.T = T
@@ -419,41 +392,6 @@ class _Tableau:
         self.origin = origin
         self.sign = sign
         self.norm = norm
-        # the `_Frame` of the last layout its extensions were solved in
-        self.frame = None
-
-
-class _Frame(NamedTuple):
-    """A final tableau as every extension of its LP by k rows at row p and
-    c variables before the last sees it, shared by all of them: the layout
-    (p, k, c); the tableau in the extension's layout, the new rows zero
-    (its x_b column and reduced-cost row give the old rows' x_b and the
-    reduced costs); the basis, the new rows' slacks basic; the columns and
-    rows of the structural basic variables; the row norms, zero in the new
-    rows."""
-
-    layout: Tuple[int, int, int]
-    T: np.ndarray
-    basis: np.ndarray
-    cols: np.ndarray
-    held: np.ndarray
-    norm: np.ndarray
-
-
-@dataclass
-class _Warm:
-    """A warm-started LP's tableau, not yet built: the parent's `_Frame`
-    for the LP's layout, the new rows in that layout and the parent's
-    basis, the costs, origins, signs and row norms, and the first pivot
-    (row, column) or None."""
-
-    frame: _Frame
-    new: np.ndarray
-    cost: np.ndarray
-    origin: np.ndarray
-    sign: np.ndarray
-    norm: np.ndarray
-    pivot: Optional[Tuple[int, int]] = None
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, col: int) -> None:
@@ -520,15 +458,22 @@ def _scaled(A, b, origin):
     return rows, np.ldexp(b, shift) - rows @ origin, norm
 
 
-def _frame(parent: _Tableau, p: int, k: int, n: int,
-           cost: np.ndarray) -> _Frame:
-    """The parent's frame for its extensions by k rows at row p to n
-    variables.  Each new column gets its own reduced cost, -|cost| (<= 0:
-    it is zero in every old row).  A new variable has objective 0, so its
-    cost, the tie-break one, depends only on its index and is the same in
-    every such extension."""
+def _extended(parent: _Tableau, lp: LinearProgram, p: int) -> _Tableau:
+    """The dual feasible starting tableau of ``lp``, which extends the
+    parent's LP by one step (k rows inserted at row p, c variables just
+    before the last one): the parent's tableau in the child's layout, and
+    the new rows, scaled and expressed in the parent's basis.  Each new
+    column gets its own reduced cost, -|cost| (<= 0: it is zero in every old
+    row).  Each new row, with its own slack basic, is zero in every other
+    slack's column, so only the rows whose basic variable is one of the LP's
+    own contribute."""
     T0, m0, n0 = parent.T, len(parent.basis), len(parent.cost)
-    m, c = m0 + k, n - n0
+    m, n = lp.A.shape
+    k, c = m - m0, n - n0
+    if c:
+        cost, origin, sign = _costs(lp)
+    else:
+        cost, origin, sign = parent.cost, parent.origin, parent.sign
     # the parent's columns in three contiguous blocks: the variables before
     # the last; the last with the slacks of rows before p; the other slacks
     # with x_b.  The new variables' and slacks' columns go between them,
@@ -543,96 +488,26 @@ def _frame(parent: _Tableau, p: int, k: int, n: int,
         old[old >= n0 - 1] += c  # the last variable and the slacks
     old[old >= n + p] += k  # the slacks of rows p on
     basis = np.concatenate((old[:p], np.arange(n + p, n + p + k), old[p:]))
-    structural = (basis < n).nonzero()[0]
-    return _Frame((p, k, c), T, basis, basis[structural], T[structural],
-                  np.concatenate((parent.norm[:p], np.zeros(k),
-                                  parent.norm[p:])))
-
-
-def _warm_rows(parent: _Tableau, lp: LinearProgram, p: int) -> _Warm:
-    """The warm start of ``lp``, which extends the parent's LP by one step
-    (k rows inserted at row p, c variables just before the last one),
-    before its tableau is built.  Only the new rows are scaled; each, with
-    its own slack basic, is expressed in the parent's basis: it is zero in
-    every other slack's column, so only the rows whose basic variable is one
-    of the LP's own contribute."""
-    m0, n0 = len(parent.basis), len(parent.cost)
-    m, n = lp.A.shape
-    k = m - m0
-    if n > n0:
-        cost, origin, sign = _costs(lp)
-    else:
-        cost, origin, sign = parent.cost, parent.origin, parent.sign
-    frame = parent.frame
-    if frame is None or frame.layout != (p, k, n - n0):
-        frame = parent.frame = _frame(parent, p, k, n, cost)
     rows, rhs, norm = _scaled(lp.A[p:p + k], lp.b[p:p + k], origin)
-    width = n + m + 1
-    new = np.zeros((k, width))
+    new = T[p:p + k]  # a view: the new rows are filled in place
     np.multiply(rows, sign, out=new[:, :n])
-    new.flat[n + p::width + 1] = 1.0  # new[i, n + p + i], each row's slack
+    new[:, n + p:n + p + k] = np.eye(k)  # each row's slack
     new[:, -1] = rhs
-    new -= np.dot(new[:, frame.cols], frame.held)
-    full = frame.norm.copy()
-    full[p:p + k] = norm
-    return _Warm(frame, new, cost, origin, sign, full)
-
-
-def _warm_tableau(warm: _Warm) -> _Tableau:
-    """A warm start's final tableau: its frame's with the new rows, after
-    the first pivot."""
-    p, k, _ = warm.frame.layout
-    T = warm.frame.T.copy()
-    T[p:p + k] = warm.new
-    basis = warm.frame.basis.copy()
-    if warm.pivot is not None:
-        _pivot(T, basis, *warm.pivot)
-    return _Tableau(T, basis, warm.cost, warm.origin, warm.sign, warm.norm)
-
-
-def _warm_solve(warm: _Warm):
-    """Run the dual simplex from a warm start, building its tableau only
-    when one pivot does not finish it.  The old rows hold at the parent's
-    answer, so only new rows can be violated.  With none violated the
-    parent's basis is optimal; with one, its pivot needs only the pivot
-    row and the entering column, which update x_b with ``_pivot``'s float
-    operations.  Returns (status, pivots, x_b, basis, final), final the
-    built tableau or ``warm``."""
-    frame, new = warm.frame, warm.new
-    p, k, _ = frame.layout
-    m = len(frame.basis)
-    x_b = frame.T[:m, -1].copy()
-    x_b[p:p + k] = new[:, -1]
-    violated = (new[:, -1] < -_PRIMAL_EPS).nonzero()[0]
-    if not violated.size:
-        return "optimal", 0, x_b, frame.basis, warm
-    if violated.size == 1:
-        i = int(violated[0])
-        col = _entering(new[i, :-1], frame.T[m, :-1])
-        if col is None:
-            return "infeasible", 0, None, None, None
-        r = p + i
-        warm.pivot = (r, col)
-        f = frame.T[:m, col].copy()
-        f[p:p + k] = new[:, col]
-        step = new[i, -1] / new[i, col]
-        x_b -= f * step
-        x_b[r] = step
-        if not (x_b < -_PRIMAL_EPS).any():
-            basis = frame.basis.copy()
-            basis[r] = col
-            return "optimal", 1, x_b, basis, warm
-    final = _warm_tableau(warm)
-    status, pivots = _dual_simplex(final.T, final.basis)
-    return (status, pivots + (warm.pivot is not None), final.T[:m, -1],
-            final.basis, final)
+    # rows with a structural basic variable: old rows only
+    structural = (basis < n).nonzero()[0]
+    new -= np.dot(new[:, basis[structural]], T[structural])
+    return _Tableau(T, basis, cost, origin, sign,
+                    np.concatenate((parent.norm[:p], norm, parent.norm[p:])))
 
 
 def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
           ) -> LpOutcome:
     """Solve the LP, warm-started from ``parent`` when given: the feasible
     outcome of the LP that ``lp`` extends by one step (``extend_lp``);
-    ValueError for any other LP.  The result is checked against the
+    ValueError for any other LP.  Without a parent it starts from the LP
+    with no rows.  The starting tableau is that one extended by ``lp``'s
+    new rows and columns; the dual simplex runs on it, and the outcome
+    keeps it as its final tableau.  The result is checked against the
     unit-scaled rows and NumericalFailure is raised rather than ever
     guessing."""
     m, n = lp.A.shape
@@ -647,13 +522,14 @@ def solve(lp: LinearProgram, parent: Optional["LpOutcome"] = None
         if parent.lp is None or lp.base is not parent.lp:
             raise ValueError("the LP does not extend its parent's")
         start, at = parent.tableau, lp.at
-    status, pivots, x_b, basis, final = _warm_solve(_warm_rows(start, lp, at))
+    final = _extended(start, lp, at)
+    status, pivots = _dual_simplex(final.T, final.basis)
     if status == "stalled":
         raise NumericalFailure("simplex stalled")
     if status == "infeasible":
         return LpOutcome(False, pivots=pivots)
     shifted = np.zeros(n + m)
-    shifted[basis] = x_b
+    shifted[final.basis] = final.T[:m, -1]
     x = final.origin + final.sign * shifted[:n]
     residual = float(((lp.A @ x - lp.b) / final.norm).max(initial=0.0))
     if residual > FEAS_TOL:

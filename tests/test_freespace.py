@@ -6,10 +6,12 @@ compared against closed-form volumes within 3 standard errors.  Mesh parity
 is checked against hand-placed inside/outside/on-surface points.
 """
 
+import collections
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,8 @@ F = Fraction
 BOX_A = next(b for b in FULL_CATALOG if b.id == "A")
 BOX_B = next(b for b in FULL_CATALOG if b.id == "B")
 BOX_E = next(b for b in FULL_CATALOG if b.id == "E")
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def box_polytope(lo, hi):
@@ -283,6 +287,34 @@ def test_point_in_mesh_oracle():
     # on the plane of a face but outside the cube
     assert not point_in_mesh(Point3(0, 2000, 500), trunk)
     assert not point_in_mesh(Point3(2000, 0, 0), trunk)
+
+
+def test_wheel_housing_trunk_fixture():
+    """The paper's setting: a 1000 x 1000 x 550 mm box with two
+    400 x 200 x 300 mm wheel housings cut from the floor of the side walls
+    (x 300-700, y 0-200 and 800-1000, z 0-300), two outward triangles per
+    cell face on the grid x {0, 300, 700, 1000}, y {0, 200, 800, 1000},
+    z {0, 300, 550}."""
+    trunk = load_trunk(str(DATA_DIR / "wheel_housing_trunk.json"),
+                       "mesh-json")
+    assert len(trunk.triangles) == 92 and trunk.dropped_triangles == 0
+    corners = [tuple((v.x, v.y, v.z) for v in tri.vertices())
+               for tri in trunk.triangles]
+    # closed: every edge is met once in each direction
+    edges = collections.Counter((t[i], t[(i + 1) % 3]) for t in corners
+                                for i in range(3))
+    assert all(n == 1 and edges[(q, p)] == 1 for (p, q), n in edges.items())
+    # the exact enclosed volume, by the divergence theorem: six times it is
+    # the sum of a . (b x c), an integer on integer corners
+    six_volume = sum(a[0] * (b[1] * c[2] - b[2] * c[1])
+                     - a[1] * (b[0] * c[2] - b[2] * c[0])
+                     + a[2] * (b[0] * c[1] - b[1] * c[0])
+                     for a, b, c in corners)
+    assert six_volume == 6 * 502_000_000
+    assert trunk.seed == Point3(500, 500, 400)
+    assert point_in_mesh(trunk.seed, trunk)
+    for housing in ((500, 100, 150), (500, 900, 150)):
+        assert not point_in_mesh(Point3(*housing), trunk)
 
 
 def test_mesh_soundness_no_violations_on_cube():
