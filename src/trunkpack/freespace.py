@@ -868,6 +868,31 @@ def region_from_dict(obj: dict):
     return region
 
 
+def stored_region(region):
+    """The Region ``region_from_dict`` rebuilds from ``region_to_dict``'s
+    output, made without decoding: the hull renamed
+    ``<box>:<orientation>:hull``, obstacle i renamed ``o<i>`` (each
+    sharing its polytope's lists) and the volume fields as the file holds
+    them; None for None.  Stored polytopes are canonical hulls of their
+    vertices, so the decode rebuilds the same halfspaces and vertices.  A
+    flat polytope raises GeometryError, since its file does not decode."""
+    if region is None:
+        return None
+    if any(p.degenerate for p in (region.hull, *region.obstacles)):
+        raise GeometryError("a flat polytope does not decode")
+    out = Region(region.box_id, region.orientation,
+                 region.hull.with_id(
+                     f"{region.box_id}:{region.orientation}:hull"),
+                 [o.with_id(f"o{i}") for i, o in enumerate(region.obstacles)],
+                 bool(region.fattened))
+    if region.volume_mm3 is not None:
+        out.volume_mm3 = float(region.volume_mm3)
+        out.volume_stderr_mm3 = float(region.volume_stderr_mm3)
+        out.samples = int(region.samples)
+        out.seed = int(region.seed)
+    return out
+
+
 def region_json(region_or_none, box_id: str = None, orientation: str = None) -> str:
     if region_or_none is None:
         obj = empty_region_dict(box_id, orientation)

@@ -477,21 +477,32 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     if len(basis) < 4:
         raise DegenerateInput("all points are coplanar")
     i0, i1, i2, i3 = basis
+    # the tests run on integer coordinates over one common denominator w
+    # and on unreduced planes; only the facets that survive are reduced
+    X, w = _int_coords(pts)
 
-    # strictly interior reference point: average of the initial simplex
-    rx, ry, rz, rw = (pts[i0] + pts[i1] + pts[i2] + pts[i3])._h
-    ref = (rx, ry, rz, 4 * rw)
+    # strictly interior reference point: four times the average of the
+    # initial simplex
+    ref = [X[i0][k] + X[i1][k] + X[i2][k] + X[i3][k] for k in range(3)]
 
     def oriented(a, b, c):
-        pl = _plane_ints(H[a], H[b], H[c])
-        if pl is None:
+        """Facet (a, b, c) with its plane n . X <= d, n = (B - A) x (C - A)
+        up to sign, wound so that the reference point is inside."""
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = X[a], X[b], X[c]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        nx = uy * vz - uz * vy
+        ny = uz * vx - ux * vz
+        nz = ux * vy - uy * vx
+        if nx == 0 and ny == 0 and nz == 0:
             raise GeometryError("degenerate facet in hull construction")
-        s = _plane_eval(pl, ref)
+        d = nx * ax + ny * ay + nz * az
+        s = nx * ref[0] + ny * ref[1] + nz * ref[2] - 4 * d
         if s == 0:
             raise GeometryError("hull reference point on facet plane")
         if s > 0:
-            return (a, c, b, (-pl[0], -pl[1], -pl[2], -pl[3]))
-        return (a, b, c, pl)
+            return (a, c, b, (-nx, -ny, -nz, -d))
+        return (a, b, c, (nx, ny, nz, d))
 
     facets = [
         oriented(i0, i1, i2),
@@ -504,12 +515,12 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     for k in range(n):
         if k in simplex:
             continue
-        hx, hy, hz, hw = H[k]
+        x, y, z = X[k]
         visible = []
         rest = []
         for f in facets:
             a, b, c, d = f[3]
-            if a * hx + b * hy + c * hz > d * hw:
+            if a * x + b * y + c * z > d:
                 visible.append(f)
             else:
                 rest.append(f)
@@ -525,9 +536,13 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
             rest.append(oriented(u, v, k))
         facets = rest
 
+    # n . X <= d is (w n) . x <= d in the points' own coordinates
     plane_groups = {}
     point_planes = {}
-    for (a, b, c, pl) in facets:
+    for (a, b, c, (nx, ny, nz, d)) in facets:
+        nx, ny, nz = nx * w, ny * w, nz * w
+        g = _gcd4(nx, ny, nz, d)
+        pl = (nx // g, ny // g, nz // g, d // g)
         plane_groups.setdefault(pl, []).append((a, b, c))
         for idx in (a, b, c):
             point_planes.setdefault(idx, set()).add(pl)
@@ -535,7 +550,7 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     halfspaces = [Halfspace._from_ints(*pl) for pl in sorted(plane_groups)]
     # a point on three distinct facet planes of a convex polytope is a vertex
     extremes = [idx for idx, pls in point_planes.items() if len(pls) >= 3]
-    vertices = _sorted_points(pts[i] for i in extremes)
+    vertices = [pts[i] for i in sorted(extremes, key=X.__getitem__)]
     triangles = [(pts[a], pts[b], pts[c]) for (a, b, c, _pl) in facets]
 
     for hs in halfspaces:

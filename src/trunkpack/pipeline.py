@@ -31,9 +31,13 @@ recomputes only the missing stages; a rerun that only adds an OBJ export
 writes it from the placements stored in packing.json.  Region files are
 canonical JSON and byte-identical across runs and worker counts.  The
 region stages fan the (box, orientation) pairs out over a process pool; the
-enumeration stage is one sequential search.  Every stage decodes its
-region files with ``_read_region``, inside the pool tasks where there are
-any.
+enumeration stage is one sequential search.
+
+A run hands each region it writes on to the stage that reads it, in
+memory: it keeps the Region as ``region_from_dict`` would decode it,
+together with the bytes it wrote, and ``_read_region`` takes that Region
+while the file still holds those bytes.  A file the run did not write, or
+one changed since, is decoded, inside the pool tasks where there are any.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
@@ -65,7 +69,7 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         describe_region, estimate_volume, load_trunk,
                         raw_feasible_region, region_from_dict, region_json,
                         region_report_csv, region_report_rows, region_seed,
-                        format_region_report)
+                        format_region_report, stored_region)
 from .geometry import GeometryError, to_fraction
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
                        MergeParams, drop_facets, format_log, merge_obstacles)
@@ -305,21 +309,21 @@ def _simplify(region, box: BoxType, orientation: str, config: RunConfig):
 
 
 def _region_task(args):
-    """(stage name, box, orientation, input, run config) -> (region file
-    text, log texts, report row or None).  The input is the trunk for a
-    stage that reads no region file, else the path of its input region
-    file; an empty input region gives an empty one, empty logs and no
-    row."""
-    name, box, orientation, source, config = args
+    """(stage name, box, orientation, input, handed, run config) ->
+    (region file text, log texts, report row or None, region).  The input
+    is the trunk for a stage that reads no region file, else the path of
+    its input region file, read with ``_read_region(path, handed)``; an
+    empty input region gives an empty one, empty logs and no row."""
+    name, box, orientation, source, handed, config = args
     stage = _REGION_STAGES[name]
     if stage.reads is not None:
-        source = _read_region(source)
+        source = _read_region(source, handed)
     if source is None:
         region, logs, row = None, [() for _ in stage.logs], None
     else:
         region, logs, row = stage.work(source, box, orientation, config)
     return (region_json(region, box.id, orientation),
-            [format_log(entries) for entries in logs], row)
+            [format_log(entries) for entries in logs], row, region)
 
 
 def _run_tasks(task_args, workers: int):
@@ -482,23 +486,31 @@ def _combos(config: RunConfig, catalog: Sequence[BoxType]) -> list:
 
 
 def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
-                   combos) -> None:
+                   combos, handoff: dict) -> None:
     """Run one region stage over the (box, orientation) pairs and write
-    every file its table entry names; a GeometryError is exit 11."""
+    every file its table entry names; a GeometryError is exit 11.  Takes
+    each input's entry out of ``handoff`` and records each region file
+    written there (see ``_hand_off``)."""
     stage = _REGION_STAGES[name]
     trunk = _load_trunk_checked(config) if stage.reads is None else None
-    tasks = [(name, box, orient,
-              trunk if stage.reads is None
-              else paths.region(stage.reads, box.id, orient), config)
-             for box, orient in combos]
+    tasks = []
+    for box, orient in combos:
+        if stage.reads is None:
+            tasks.append((name, box, orient, trunk, None, config))
+        else:
+            path = paths.region(stage.reads, box.id, orient)
+            tasks.append((name, box, orient, path, handoff.pop(path, None),
+                          config))
     try:
         results = _run_tasks(tasks, config.workers)
     except GeometryError as exc:
         raise PipelineError(EXIT_MALFORMED, stage.failure.format(
             trunk=config.trunk) + f": {exc}")
     rows = []
-    for (box, orient), (text, logs, row) in zip(combos, results):
-        _write_atomic(paths.region(stage.writes, box.id, orient), text)
+    for (box, orient), (text, logs, row, region) in zip(combos, results):
+        path = paths.region(stage.writes, box.id, orient)
+        _write_atomic(path, text)
+        _hand_off(handoff, path, text, region)
         for kind, log in zip(stage.logs, logs):
             _write_atomic(paths.log(kind, box.id, orient), log)
         if row is not None:
@@ -507,25 +519,49 @@ def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
         _write_atomic(paths.report(stage.report, ext), format_rows(rows))
 
 
-def _read_region(path: Path):
-    """Decode a region file: a Region, or None for an empty marker.  Any
-    failure is exit 10 (unreadable input)."""
+def _hand_off(handoff: dict, path: Path, text: str, region) -> None:
+    """Record the region file just written at ``path``: its bytes and the
+    Region ``region_from_dict`` decodes from them.  The bytes themselves,
+    not a digest of them, are kept: they are exact, and far smaller than
+    the Region.  A region holding a flat polytope is not recorded, so its
+    reader decodes the file and reports it."""
     try:
-        return region_from_dict(_read_region_json(path))
+        handoff[path] = (text.encode("utf-8"), stored_region(region))
+    except GeometryError:
+        pass
+
+
+def _read_region(path: Path, handed: Optional[tuple] = None):
+    """Decode a region file: a Region, or None for an empty marker.
+    ``handed`` is the run's (bytes, Region) record of the file as it wrote
+    it: while the file still holds those bytes, the recorded Region is the
+    decode.  Any failure is exit 10 (unreadable input)."""
+    data = _read_region_bytes(path)
+    if handed is not None and handed[0] == data:
+        return handed[1]
+    try:
+        return region_from_dict(_region_object(path, data))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
 
 
-def _read_region_json(path: Path) -> dict:
+def _read_region_bytes(path: Path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        return path.read_bytes()
     except FileNotFoundError:
         raise PipelineError(EXIT_UNREADABLE,
                             f"missing stage input {path} (run the earlier "
                             "stages first)")
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise PipelineError(EXIT_UNREADABLE,
+                            f"cannot read region file {path}: {exc}")
+
+
+def _region_object(path: Path, data: bytes) -> dict:
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
     if not isinstance(obj, dict):
@@ -547,10 +583,10 @@ def _pick_region_files(paths: RunPaths, combos) -> list:
 
 
 def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
-                     combos) -> int:
+                     combos, handoff: dict) -> int:
     regions = {}
     for (box, orient), path in zip(combos, _pick_region_files(paths, combos)):
-        region = _read_region(path)
+        region = _read_region(path, handoff.pop(path, None))
         if region is not None:
             regions[(box.id, orient)] = region
 
@@ -623,8 +659,9 @@ def _enumerate_cached(config: RunConfig, paths: RunPaths, catalog) -> bool:
 def _all_feasible_empty(paths: RunPaths, combos) -> bool:
     # reads the empty marker only: decoding a region to learn that it is
     # not empty would rebuild every obstacle polytope
-    return all(_read_region_json(paths.region("feasible", box.id, orient))
-               .get("empty") for box, orient in combos)
+    files = [paths.region("feasible", box.id, orient) for box, orient in combos]
+    return all(_region_object(f, _read_region_bytes(f)).get("empty")
+               for f in files)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +676,7 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"cannot create the output directory: {exc}", file=sys.stderr)
         return 2
+    handoff = {}  # region file -> (bytes, Region): see _hand_off
     try:
         catalog = _load_catalog_checked(config)
         combos = _combos(config, catalog)
@@ -646,9 +684,10 @@ def run(config: RunConfig) -> int:
             if name == "enumerate":  # always the last stage
                 if _enumerate_cached(config, paths, catalog):
                     return EXIT_OK
-                return _stage_enumerate(config, paths, catalog, combos)
+                return _stage_enumerate(config, paths, catalog, combos,
+                                        handoff)
             if not all(f.exists() for f in stage_outputs(name, paths, combos)):
-                _stage_regions(name, config, paths, combos)
+                _stage_regions(name, config, paths, combos, handoff)
             if name == "describe" and _all_feasible_empty(paths, combos):
                 print("no feasible placements for any (box, orientation) "
                       "pair", file=sys.stderr)

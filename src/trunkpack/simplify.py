@@ -9,9 +9,11 @@ found afterwards is still valid in the original region):
 * ``merge_obstacles`` replaces touching obstacle pairs by their convex hull
   when the hull's volume overshoot stays under an absolute (mm^3) or
   relative (percent) budget and the facet count strictly decreases.  Touch
-  verdicts, candidate hulls and overlap volumes are kept per distinct
-  obstacle shape for the length of the call, so each is decided once, and
-  the overlap volume only when the budget test needs it.
+  verdicts (an int8 matrix over shape numbers), candidate hulls and overlap
+  volumes are kept per distinct obstacle shape for the length of the call,
+  so each is decided once, and the overlap volume only when the budget
+  test needs it.  A sweep's touching pairs are two index arrays, visited
+  in seeded shuffled order without a list of pair tuples.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -28,6 +30,7 @@ import dataclasses
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -46,6 +49,10 @@ DEFAULT_REL_PCT = 10.0
 DEFAULT_ABS_MM3 = 10000.0
 DEFAULT_DROP_MM = 1.0
 _LP_FILTER_SLOP = 1e-6
+# touch verdicts of content pairs in merge_obstacles, and the number of
+# pairs it makes at a time from a sweep's shuffled pair order
+_UNDECIDED, _APART, _TOUCH = 0, 1, 2
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,19 @@ def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fract
     return Fraction(0) if inter is None else inter.volume()
 
 
+def _shuffled_pairs(rng: random.Random, left: np.ndarray, right: np.ndarray):
+    """The pairs ``zip(left, right)`` in the order ``rng.shuffle`` puts a
+    list of them.  The shuffle permutes an index sequence of the same
+    length, which draws the same numbers, and the pairs are made a chunk at
+    a time, so no list of them is ever held."""
+    order = array("q", range(len(left)))
+    rng.shuffle(order)
+    order = np.frombuffer(order, dtype=np.int64)
+    for start in range(0, len(order), _CHUNK):
+        chunk = order[start:start + _CHUNK]
+        yield from zip(left[chunk].tolist(), right[chunk].tolist())
+
+
 def merge_obstacles(region, params: MergeParams):
     """Greedy randomized merging of touching obstacle pairs.
 
@@ -97,9 +117,12 @@ def merge_obstacles(region, params: MergeParams):
     Each exact question is decided once per distinct shape.  An obstacle's
     content is its vertex list (sorted, so canonical, in every hull and
     row-built polytope), interned to a number when it enters the live list.
-    Touch verdicts and overlap volumes are kept per unordered content pair,
-    candidate hulls per ordered pair (so a repeat has the same
-    triangulation); a sweep runs the touch test only on a memo miss.  The
+    Touch verdicts are kept in an int8 matrix indexed by content number,
+    overlap volumes per unordered content pair and candidate hulls per
+    ordered pair (so a repeat has the same triangulation).  A sweep runs
+    the touch test only on the undecided content pairs among its live
+    obstacles, reads its touching pairs off the matrix as two index arrays
+    and walks them in shuffled order without a list of pair tuples.  The
     overlap is computed only for a hull that passes the budget at overlap
     zero: a larger overlap raises the growth and lowers the base.  The
     budget test is not kept, since base volumes are bookkeeping, not
@@ -113,11 +136,12 @@ def merge_obstacles(region, params: MergeParams):
         return growth <= abs_bound or growth * 100 <= rel * base
 
     # live holds (obstacle, content number) in pair-list order: the
-    # survivors of a sweep in their order, then its merged hulls.  The memos
-    # key a pair of content numbers (a, b) as the int a << 32 | b, smaller
-    # than a tuple; an unordered pair puts the smaller number first.
+    # survivors of a sweep in their order, then its merged hulls.  Touch
+    # verdicts sit in an int8 matrix indexed by content numbers, the other
+    # memos key a pair of content numbers (a, b) as the int a << 32 | b,
+    # smaller than a tuple; an unordered pair puts the smaller number first.
     interned = {}
-    touch_memo = {}
+    verdicts = np.zeros((0, 0), dtype=np.int8)
     hull_memo = {}
     overlap_memo = {}
 
@@ -130,20 +154,28 @@ def merge_obstacles(region, params: MergeParams):
     log: List[dict] = []
     next_id = 0
     while True:
-        pairs = []
-        for i, (first, ci) in enumerate(live):
-            for j, (second, cj) in enumerate(live[i + 1:], i + 1):
-                key = ci << 32 | cj if ci <= cj else cj << 32 | ci
-                touch = touch_memo.get(key)
-                if touch is None:
-                    touch = touch_memo[key] = polytopes_touch(
-                        first.polytope, second.polytope)
-                if touch:
-                    pairs.append((i, j))
-        rng.shuffle(pairs)
+        if len(verdicts) < len(interned):
+            grown = np.zeros((2 * len(interned),) * 2, dtype=np.int8)
+            grown[:len(verdicts), :len(verdicts)] = verdicts
+            verdicts = grown
+        contents = np.array([c for _, c in live], dtype=np.intp)
+        # the undecided content pairs among the live obstacles: two shapes,
+        # or one shape that two of them share; each tested on its first slots
+        shapes, slot, count = np.unique(contents, return_index=True,
+                                        return_counts=True)
+        undecided = np.triu(verdicts[np.ix_(shapes, shapes)] == _UNDECIDED)
+        undecided[np.diag_indices_from(undecided)] &= count > 1
+        for a, b in zip(*np.nonzero(undecided)):
+            ci, cj = shapes[a], shapes[b]
+            verdicts[ci, cj] = verdicts[cj, ci] = (
+                _TOUCH if polytopes_touch(live[slot[a]][0].polytope,
+                                          live[slot[b]][0].polytope)
+                else _APART)
+        left, right = np.nonzero(np.triu(
+            verdicts[np.ix_(contents, contents)] == _TOUCH, 1))
         consumed = set()
         merged = []
-        for (i, j) in pairs:
+        for (i, j) in _shuffled_pairs(rng, left, right):
             if i in consumed or j in consumed:
                 continue
             (first, ci), (second, cj) = live[i], live[j]

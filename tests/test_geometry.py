@@ -344,6 +344,94 @@ def test_hull_closed_oriented_surface():
         assert seen.get((v, u)) == 1
 
 
+def _reference_hull(points):
+    """The hull kernel as it was before its tests moved to integer
+    coordinates over one denominator: every plane reduced by its gcd as it
+    is made, every point tested in its own homogeneous coordinates.
+    Returns (halfspace keys, vertex quadruples, triangle quadruples)."""
+    pts = list(dict.fromkeys(geometry._as_point(raw) for raw in points))
+    H = [p._h for p in pts]
+    i0, i1, i2, i3 = geometry._affine_basis(H)
+    rx, ry, rz, rw = (pts[i0] + pts[i1] + pts[i2] + pts[i3])._h
+    ref = (rx, ry, rz, 4 * rw)
+
+    def oriented(a, b, c):
+        pl = geometry._plane_ints(H[a], H[b], H[c])
+        if geometry._plane_eval(pl, ref) > 0:
+            return (a, c, b, (-pl[0], -pl[1], -pl[2], -pl[3]))
+        return (a, b, c, pl)
+
+    facets = [oriented(i0, i1, i2), oriented(i0, i1, i3),
+              oriented(i0, i2, i3), oriented(i1, i2, i3)]
+    for k in range(len(pts)):
+        if k in (i0, i1, i2, i3):
+            continue
+        visible = [f for f in facets if geometry._plane_eval(f[3], H[k]) > 0]
+        if not visible:
+            continue
+        facets = [f for f in facets if f not in visible]
+        edges = {e for (a, b, c, _pl) in visible
+                 for e in ((a, b), (b, c), (c, a))}
+        for (u, v) in sorted(e for e in edges if e[::-1] not in edges):
+            facets.append(oriented(u, v, k))
+    point_planes = {}
+    for (a, b, c, pl) in facets:
+        for idx in (a, b, c):
+            point_planes.setdefault(idx, set()).add(pl)
+    vertices = geometry._sorted_points(
+        pts[i] for i, pls in point_planes.items() if len(pls) >= 3)
+    return (sorted({pl for (_a, _b, _c, pl) in facets}),
+            [v._h for v in vertices],
+            [(H[a], H[b], H[c]) for (a, b, c, _pl) in facets])
+
+
+def _hull_cases():
+    """Seeded point sets: integer and half-integer clouds (small ranges,
+    so many points lie on shared facet planes), integer grids whose facets
+    are all coplanar triangle pairs, and the 24 points of a triangle plus
+    the corners of a box, the raw obstacles of a mesh trunk."""
+    rng = random.Random(2023)
+    cases = []
+    for unit in (1, F(1, 2)):
+        for _ in range(12):
+            span = rng.randint(2, 6)
+            cases.append([tuple(unit * rng.randint(-span, span)
+                                for _ in range(3))
+                          for _ in range(rng.randint(5, 40))])
+        for _ in range(3):
+            size = [rng.randint(1, 3) for _ in range(3)]
+            cases.append([(unit * x, unit * y, unit * z)
+                          for x in range(size[0] + 1)
+                          for y in range(size[1] + 1)
+                          for z in range(size[2] + 1)])
+    for _ in range(12):
+        unit = rng.choice((1, F(1, 2)))
+        tri = [[unit * rng.randint(-20, 20) for _ in range(3)]
+               for _ in range(3)]
+        if rng.random() < 0.5:  # a triangle in an axis plane
+            for corner in tri:
+                corner[2] = tri[0][2]
+        half = [F(rng.randint(1, 40), 2) for _ in range(3)]
+        cases.append([tuple(c + s * h for c, s, h in zip(corner, signs, half))
+                      for corner in tri
+                      for signs in [(sx, sy, sz) for sx in (-1, 1)
+                                    for sy in (-1, 1) for sz in (-1, 1)]])
+    return cases
+
+
+def test_hull_matches_the_reduce_as_you_go_kernel():
+    coplanar_facets = 0
+    for k, points in enumerate(_hull_cases()):
+        expect = _reference_hull(points)
+        hull = convex_hull(points)
+        assert [h.key() for h in hull.halfspaces] == expect[0], k
+        assert [v._h for v in hull.vertices] == expect[1], k
+        assert [tuple(p._h for p in t) for t in hull._triangles] == expect[2], k
+        coplanar_facets += len(hull._triangles) > len(hull.halfspaces)
+    # most hulls have a facet made of several coplanar triangles
+    assert coplanar_facets > 30
+
+
 # ---------------------------------------------------------------------------
 # support function
 

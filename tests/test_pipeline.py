@@ -21,7 +21,7 @@ import pytest
 
 from trunkpack import freespace, pipeline, simplify
 from trunkpack.catalog import ORIENTATIONS, load_catalog
-from trunkpack.geometry import GeometryError
+from trunkpack.geometry import GeometryError, Halfspace, _polytope_from_rows
 from trunkpack.pipeline import (EXIT_EMPTY, EXIT_MALFORMED, EXIT_OK,
                                 EXIT_TIMEOUT, EXIT_UNREADABLE, RunConfig,
                                 RunPaths, STAGES, detect_trunk_format,
@@ -321,6 +321,166 @@ def test_worker_counts_yield_identical_artifacts(tmp_path):
             continue
         assert a[rel] == b[rel], f"{rel} differs between worker counts"
     assert load_packing(serial) == load_packing(pooled)
+
+
+# ---------------------------------------------------------------------------
+# regions handed from stage to stage in memory
+
+
+def l_prism_mesh_obj():
+    """20-triangle prism over the L-shaped polygon (0,0) (600,0) (600,300)
+    (300,300) (300,600) (0,600), 300 mm tall, wound outward."""
+    poly = [(0, 0), (600, 0), (600, 300), (300, 300), (300, 600), (0, 600)]
+    lo = [[x, y, 0] for x, y in poly]
+    hi = [[x, y, 300] for x, y in poly]
+    tris = []
+    for a, b, c in ((0, 1, 2), (0, 2, 3), (0, 3, 5), (3, 4, 5)):
+        tris += [[lo[a], lo[c], lo[b]], [hi[a], hi[b], hi[c]]]
+    for i in range(6):
+        j = (i + 1) % 6
+        tris += [[lo[i], lo[j], hi[j]], [lo[i], hi[j], hi[i]]]
+    return {"triangles": tris, "seed": [100, 100, 100]}
+
+
+def _record_hand_offs(monkeypatch):
+    """path -> the (bytes, Region) record the run keeps of each region file
+    it writes (None when it keeps none)."""
+    recorded = {}
+
+    def recording(handoff, path, text, region, _real=pipeline._hand_off):
+        _real(handoff, path, text, region)
+        recorded[path] = handoff.get(path)
+
+    monkeypatch.setattr(pipeline, "_hand_off", recording)
+    return recorded
+
+
+def _count_decodes(monkeypatch):
+    """The Regions (or None) each ``region_from_dict`` call of the pipeline
+    returns, in call order."""
+    decoded = []
+
+    def counted(obj, _real=freespace.region_from_dict):
+        decoded.append(_real(obj))
+        return decoded[-1]
+
+    monkeypatch.setattr(pipeline, "region_from_dict", counted)
+    return decoded
+
+
+def _region_fields(region):
+    if region is None:
+        return None
+    return (region.box_id, region.orientation, region.fattened,
+            region.volume_mm3, region.volume_stderr_mm3, region.samples,
+            region.seed,
+            [(p.id, [h.key() for h in p.halfspaces],
+              [v._h for v in p.vertices])
+             for p in (region.hull, *region.obstacles)])
+
+
+@pytest.mark.parametrize("trunk_obj,dims,orientations", [
+    # merged m<k> hulls in the simplified regions
+    (subdivided_cube_mesh_obj(700, 2), [610, 483, 458], "xyz,yxz,zxy"),
+    # describe discards obstacles, so the kept ones have gaps in their ids;
+    # zxy does not fit and is an empty marker
+    (l_prism_mesh_obj(), [500, 250, 250], "xyz,yxz,zxy"),
+], ids=["mesh-cube", "l-prism"])
+def test_handed_off_regions_equal_their_decoded_files(tmp_path, monkeypatch,
+                                                      trunk_obj, dims,
+                                                      orientations):
+    recorded = _record_hand_offs(monkeypatch)
+    trunk = write_json(tmp_path / "trunk.json", trunk_obj)
+    catalog = write_json(tmp_path / "catalog.json",
+                         [{"id": "T", "dims_mm": dims, "max_count": 2}])
+    out = tmp_path / "out"
+    assert main(["--trunk", trunk, "--catalog", catalog, "--out", str(out),
+                 "--orientations", orientations,
+                 "--mc-samples", "400"]) == EXIT_OK
+    files = sorted((out / "regions").iterdir())
+    assert len(files) == 9 and set(recorded) == set(files)
+    for path in files:
+        data, region = recorded[path]
+        assert data == path.read_bytes()
+        assert _region_fields(region) == _region_fields(
+            freespace.region_from_dict(json.loads(data)))
+    regions = {p.name: json.loads(p.read_bytes()) for p in files}
+    if trunk_obj["seed"] == [100, 100, 100]:
+        assert regions["raw_T_zxy.json"].get("empty")
+        assert (len(regions["feasible_T_xyz.json"]["obstacles"])
+                < len(regions["raw_T_xyz.json"]["obstacles"]))
+    else:
+        assert any(read_log(out / "logs" / f"merge_T_{o}.jsonl")
+                   for o in orientations.split(","))
+
+
+def test_region_file_rewritten_after_its_write_is_decoded(tmp_path,
+                                                          monkeypatch):
+    # the feasible file is rewritten between the describe stage's write and
+    # the simplify stage's read: simplify decodes the new bytes
+    target = tmp_path / "out" / "regions" / "feasible_T_xyz.json"
+    real = pipeline._hand_off
+
+    def rewriting(handoff, path, text, region):
+        real(handoff, path, text, region)
+        if path == target:
+            obj = json.loads(text)
+            obj["volume_mm3"] *= 2
+            write_json(path, obj)
+
+    monkeypatch.setattr(pipeline, "_hand_off", rewriting)
+    decoded = _count_decodes(monkeypatch)
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    assert main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+                 "--out", str(tmp_path / "out"), "--orientations", "xyz,yxz",
+                 "--mc-samples", "400"]) == EXIT_OK
+    assert len(decoded) == 1
+    assert decoded[0].volume_mm3 == json.loads(target.read_text())["volume_mm3"]
+    rows = (tmp_path / "out" / "reports" / "simplify.csv").read_text()
+    ratios = {r.split(",")[1]: r.split(",")[2] for r in rows.splitlines()[1:3]}
+    assert ratios == {"xyz": "50.0", "yxz": "100.0"}
+
+
+def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
+                                                      capsys):
+    # a region holding a flat obstacle is written as before, but not handed
+    # on: its reader decodes the file and refuses it
+    real = pipeline.describe_region
+
+    def with_flat_obstacle(raw, **kw):
+        region = real(raw, **kw)
+        flat = _polytope_from_rows(
+            [Halfspace(h["n"], h["d"]) for h in _FLAT_CUBE["halfspaces"]])
+        assert flat.degenerate
+        region.obstacles.append(flat)
+        return region
+
+    monkeypatch.setattr(pipeline, "describe_region", with_flat_obstacle)
+    recorded = _record_hand_offs(monkeypatch)
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    rc = main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+               "--out", str(tmp_path / "out"), "--orientations", "xyz",
+               "--mc-samples", "400"])
+    assert rc == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "feasible_T_xyz.json" in err
+    assert recorded[tmp_path / "out" / "regions" / "feasible_T_xyz.json"] is None
+
+
+def test_full_run_decodes_no_region_file(tmp_path, monkeypatch):
+    decoded = _count_decodes(monkeypatch)
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    catalog = make_box_t_catalog(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--trunk", trunk, "--catalog", catalog, "--out", str(out),
+                 "--mc-samples", "400"]) == EXIT_OK
+    assert decoded == []
+    # a later run has nothing in memory: it decodes what it reads, once
+    for path in (out / "regions").glob("simplified_*.json"):
+        path.unlink()
+    assert main(["--trunk", trunk, "--catalog", catalog, "--out", str(out),
+                 "--stages", "simplify"]) == EXIT_OK
+    assert len(decoded) == len(ORIENTATIONS)
 
 
 def test_exit_code_unreadable_input(tmp_path):

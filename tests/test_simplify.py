@@ -30,7 +30,11 @@ from typing import List
 import numpy as np
 import pytest
 
-from trunkpack.freespace import Region, classify_feasible, sample_lattice_points
+from trunkpack.catalog import BoxType
+from trunkpack.freespace import (DEFAULT_SEED, Region, classify_feasible,
+                                 describe_region, parse_mesh_json,
+                                 raw_feasible_region, region_seed,
+                                 sample_lattice_points)
 from trunkpack import simplify
 from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
                                 convex_hull, polytopes_touch, to_fraction)
@@ -420,6 +424,48 @@ def test_chain_of_three_sweeps_matches_the_oracle():
         assert len(got_region.obstacles) == 1 and len(got_log) == 7
         assert got_log == expect_log
         assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles)
+
+
+def _mesh_cube_feasible_region(edge, cells):
+    """The feasible region of box T (610 x 483 x 458, orientation xyz) in
+    a mesh cube whose faces are cut into cells x cells squares of two
+    triangles each."""
+    step = edge // cells
+    tris = []
+    for axis in range(3):
+        u, v = [k for k in range(3) if k != axis]
+        for side in (0, edge):
+            def at(i, j):
+                p = [0, 0, 0]
+                p[axis], p[u], p[v] = side, i * step, j * step
+                return p
+            for i in range(cells):
+                for j in range(cells):
+                    tris.append([at(i, j), at(i + 1, j), at(i + 1, j + 1)])
+                    tris.append([at(i, j), at(i + 1, j + 1), at(i, j + 1)])
+    trunk = parse_mesh_json({"triangles": tris, "seed": [edge // 2] * 3})
+    raw = raw_feasible_region(trunk, BoxType("T", (610, 483, 458), 1), "xyz")
+    return describe_region(raw, samples=100, seed=1)
+
+
+def test_mesh_cube_merge_matches_the_oracle(monkeypatch):
+    # the 4 x 4 mesh cube: one obstacle per triangle, many of one shape,
+    # merged with the command line's seed over several sweeps
+    r = _mesh_cube_feasible_region(700, 4)
+    params = MergeParams(rng_seed=region_seed(DEFAULT_SEED, "T", "xyz"))
+    sweeps = []
+
+    def counted(*args, _real=simplify._shuffled_pairs):
+        sweeps.append(len(args[1]))
+        return _real(*args)
+
+    monkeypatch.setattr(simplify, "_shuffled_pairs", counted)
+    expect_region, expect_log = oracle_merge_obstacles(r, params)
+    got_region, got_log = merge_obstacles(r, params)
+    assert len(r.obstacles) == 192 and len(got_log) == 185
+    assert len(sweeps) == 6 and sweeps[-1] > 0
+    assert got_log == expect_log
+    assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles)
 
 
 @pytest.mark.parametrize("rel, abs_mm3", [
