@@ -10,6 +10,7 @@ the box with 483 mm along x, 610 mm along y and 229 mm along z.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -20,6 +21,9 @@ ORIENTATIONS = ("zyx", "zxy", "yzx", "xzy", "yxz", "xyz")
 # orientation -> the box dimension that lies along world x, y and z
 _DIM_ALONG_AXIS = {name: tuple(name.index(axis) for axis in "xyz")
                    for name in ORIENTATIONS}
+
+# a box id names region and log files, so it must be a plain file-name part
+_BOX_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _whole_number(value, box_id, field: str) -> int:
@@ -40,7 +44,6 @@ class BoxType:
     id: str
     dims_mm: tuple
     max_count: int
-    phase: str = "primary"
 
     def volume_mm3(self) -> int:
         a, b, c = self.dims_mm
@@ -51,12 +54,16 @@ class BoxType:
             "id": self.id,
             "dims_mm": list(self.dims_mm),
             "max_count": self.max_count,
-            "phase": self.phase,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoxType":
-        box_id = obj.get("id")
+        """A box from its catalog object; keys other than id, dims_mm and
+        max_count are ignored."""
+        box_id = obj["id"]
+        if not (isinstance(box_id, str) and _BOX_ID.fullmatch(box_id)):
+            raise ValueError(f"box id {box_id!r} must be a string of "
+                             f"letters, digits, '_' or '-'")
         dims = tuple(_whole_number(v, box_id, "dims_mm")
                      for v in obj["dims_mm"])
         if len(dims) != 3 or any(v <= 0 for v in dims):
@@ -64,41 +71,33 @@ class BoxType:
         max_count = _whole_number(obj["max_count"], box_id, "max_count")
         if max_count < 0:
             raise ValueError(f"box {box_id!r}: max_count must be >= 0")
-        return cls(
-            id=str(obj["id"]),
-            dims_mm=dims,
-            max_count=max_count,
-            phase=str(obj.get("phase", "primary")),
-        )
+        return cls(id=box_id, dims_mm=dims, max_count=max_count)
 
 
-# luggage set: six everyday cases packed in the main phase, a golf bag and a
-# small parts box reserved for dedicated phases
-FULL_CATALOG = (
-    BoxType("A", (610, 483, 229), 4, "primary"),
-    BoxType("B", (457, 330, 165), 4, "primary"),
-    BoxType("C", (660, 406, 229), 2, "primary"),
-    BoxType("D", (533, 457, 216), 2, "primary"),
-    BoxType("E", (381, 229, 203), 2, "primary"),
-    BoxType("F", (533, 356, 178), 2, "primary"),
-    BoxType("G", (1143, 204, 204), 2, "golf"),
-    BoxType("H", (325, 152, 114), 20, "hbox"),
+# the luggage set: six everyday cases, packed by default ...
+_EVERYDAY = (
+    BoxType("A", (610, 483, 229), 4),
+    BoxType("B", (457, 330, 165), 4),
+    BoxType("C", (660, 406, 229), 2),
+    BoxType("D", (533, 457, 216), 2),
+    BoxType("E", (381, 229, 203), 2),
+    BoxType("F", (533, 356, 178), 2),
+)
+# ... and a golf bag and a small parts box
+FULL_CATALOG = _EVERYDAY + (
+    BoxType("G", (1143, 204, 204), 2),
+    BoxType("H", (325, 152, 114), 20),
 )
 
 
-def builtin_catalog() -> list:
-    """The complete built-in luggage set (all phases, A through H)."""
-    return list(FULL_CATALOG)
-
-
 def default_catalog() -> list:
-    """The boxes packed by default: the primary phase of the full catalog."""
-    return [b for b in FULL_CATALOG if b.phase == "primary"]
+    """The boxes packed by default: the everyday cases A through F."""
+    return list(_EVERYDAY)
 
 
 def load_catalog(path: str) -> list:
     """Read a catalog override: a JSON array of box objects
-    ({id, dims_mm, max_count, phase})."""
+    ({id, dims_mm, max_count})."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:

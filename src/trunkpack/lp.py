@@ -59,20 +59,20 @@ solving guards against silent numerical drift (NumericalFailure, never
 misreported as infeasible).
 
 **Warm start.**  A search node's LP is its parent's plus one box-box or
-box-obstacle row, or plus one box's three center columns and its hull
-rows: one extension step (`extend_lp`: k rows inserted at row p, 0 or 3
-columns just before the slack; `add_box`, `add_bb` and `add_bo` place and
-check them, and `build_lp` is their fold).  The child records its base and
+box-obstacle row, or plus one box's three center columns and its hull rows:
+one extension step (`extend_lp`: k rows inserted at row p, 0 or 3 columns
+just before the slack; `add_step` places them for a pattern checked one
+step further, and `build_lp` is its fold).  The child records its base and
 p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
 outcome's LP (ValueError otherwise) and continues the dual simplex from the
 parent's final basis, which stays dual feasible (Bertsimas & Tsitsiklis,
-Introduction to Linear Optimization, 1997, sec. 5.1).  The starting
-tableau is the parent's, copied into the child's layout in contiguous
-blocks, with the new columns' reduced costs (<= 0: a new column is zero in
-every old row) and the new rows, scaled (only they are) and expressed in
-the parent's basis.  The old rows hold at the parent's answer, so only new
-rows can be violated.  Every solve, cold or warm, builds its starting
-tableau this way and keeps its final one, which its children start from.
+Introduction to Linear Optimization, 1997, sec. 5.1).  The starting tableau
+is the parent's, copied into the child's layout in contiguous blocks, with
+the new columns' reduced costs (<= 0: a new column is zero in every old
+row) and the new rows, scaled (only they are) and expressed in the parent's
+basis.  The old rows hold at the parent's answer, so only new rows can be
+violated.  Every solve, cold or warm, builds its starting tableau this way
+and keeps its final one, which its children start from.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class LinearProgram:
     An LP made by ``extend_lp`` records the LP it extends (``base``) and
     where its inserted rows start (``at``); the shapes give how many rows
     and variables were inserted.  A pattern LP also carries its
-    ``pattern``, which the pattern steps read and extend.  An LP is not
+    ``pattern``, the one ``add_step`` extends.  An LP is not
     modified once returned, so an extension shares the arrays it leaves
     unchanged."""
 
@@ -141,8 +141,8 @@ class Pattern(NamedTuple):
     pattern order, and the box-box and box-obstacle constraints, in row
     order.  It is what a pattern LP's rows stand for, and what a search
     node carries without an LP.  The pattern steps ``with_box``,
-    ``with_bb`` and ``with_bo`` check what they add; ``add_box``,
-    ``add_bb`` and ``add_bo`` take them with the rows."""
+    ``with_bb`` and ``with_bo`` check what they add; ``add_step`` reads
+    the checked step off the pattern into an LP's rows."""
 
     regions: tuple = ()
     extents: tuple = ()
@@ -287,51 +287,39 @@ def extend_lp(lp: LinearProgram, at: int, rows, rhs, lower=(),
                          objective, lower, upper, base=lp, at=at)
 
 
-def add_box(lp: LinearProgram, regions: dict, box,
-            orientation: str) -> LinearProgram:
-    """The pattern LP with one more box: three center columns before the
-    slack, bounded by the box's region hull's bounding box, and the hull
-    rows after the other boxes' hull rows."""
-    pattern = lp.pattern.with_box(regions, box, orientation)
-    hull = pattern.regions[-1].hull
-    normals, offsets = _unit_rows(hull)
-    n = lp.num_vars + 3
-    rows = np.zeros((len(offsets), n))
-    rows[:, n - 4:n - 1] = normals
-    child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bb) - len(pattern.bo),
-                      rows, offsets, *_float_bbox(hull))
-    child.pattern = pattern
-    return child
-
-
-def add_bb(lp: LinearProgram, constraint: Tuple[int, int, int, int]
-           ) -> LinearProgram:
-    """The pattern LP with one more box-box order row (i, j, axis, order),
-    after the other box-box rows."""
-    pattern = lp.pattern.with_bb(constraint)
-    i, j, axis, order = constraint
-    lo, hi = (i, j) if order == 1 else (j, i)
-    row = np.zeros((1, lp.num_vars))
-    row[0, 3 * lo + axis] = 1.0
-    row[0, 3 * hi + axis] = -1.0
-    row[0, -1] = 1.0
-    gap = -(pattern.extents[lo][axis] + pattern.extents[hi][axis]) / 2.0
-    child = extend_lp(lp, len(lp.b) - 2 - len(pattern.bo), row, [gap])
-    child.pattern = pattern
-    return child
-
-
-def add_bo(lp: LinearProgram, constraint: Tuple[int, str, int]
-           ) -> LinearProgram:
-    """The pattern LP with one more box-obstacle row (i, obstacle id,
-    facet index), after the other box-obstacle rows."""
-    pattern = lp.pattern.with_bo(constraint)
-    i, obstacle_id, facet_idx = constraint
-    normals, offsets = _unit_rows(pattern.obstacle(i, obstacle_id))
-    row = np.zeros((1, lp.num_vars))
-    row[0, 3 * i:3 * i + 3] = -normals[facet_idx]
-    row[0, -1] = 1.0
-    child = extend_lp(lp, len(lp.b) - 2, row, [-offsets[facet_idx]])
+def add_step(lp: LinearProgram, pattern: Pattern) -> LinearProgram:
+    """The LP of ``pattern``, a checked pattern one step past
+    ``lp.pattern`` (``Pattern.with_box``, ``with_bb`` or ``with_bo``),
+    which it keeps as its ``pattern``.  A new box adds three center columns
+    before the slack, bounded by its region hull's bounding box, and its
+    hull rows after the other boxes' hull rows; a new box-box order
+    (i, j, axis, order) or box-obstacle facet (i, obstacle id, facet index)
+    adds its row after the other rows of its kind."""
+    old = lp.pattern
+    if len(pattern.regions) > len(old.regions):
+        hull = pattern.regions[-1].hull
+        normals, offsets = _unit_rows(hull)
+        n = lp.num_vars + 3
+        rows = np.zeros((len(offsets), n))
+        rows[:, n - 4:n - 1] = normals
+        child = extend_lp(lp, len(lp.b) - 2 - len(old.bb) - len(old.bo),
+                          rows, offsets, *_float_bbox(hull))
+    elif len(pattern.bb) > len(old.bb):
+        i, j, axis, order = pattern.bb[-1]
+        lo, hi = (i, j) if order == 1 else (j, i)
+        row = np.zeros((1, lp.num_vars))
+        row[0, 3 * lo + axis] = 1.0
+        row[0, 3 * hi + axis] = -1.0
+        row[0, -1] = 1.0
+        gap = -(pattern.extents[lo][axis] + pattern.extents[hi][axis]) / 2.0
+        child = extend_lp(lp, len(lp.b) - 2 - len(old.bo), row, [gap])
+    else:
+        i, obstacle_id, facet_idx = pattern.bo[-1]
+        normals, offsets = _unit_rows(pattern.obstacle(i, obstacle_id))
+        row = np.zeros((1, lp.num_vars))
+        row[0, 3 * i:3 * i + 3] = -normals[facet_idx]
+        row[0, -1] = 1.0
+        child = extend_lp(lp, len(lp.b) - 2, row, [-offsets[facet_idx]])
     child.pattern = pattern
     return child
 
@@ -354,10 +342,11 @@ def build_lp(placements: Sequence, regions: dict,
     slack cap and the slack floor.  Bounds: each center's region hull's
     bounding box, the slack's [0, DELTA_MM].
 
-    The LP is the fold of ``add_box``, ``add_bb`` and ``add_bo`` from the
-    pattern LP of no box, so it equals, entry for entry, any LP those steps
-    reach with the same placements and constraints.  It is assembled
-    whole: it records no base to warm-start from.
+    The LP is the fold of ``add_step`` over the pattern's steps, each
+    checked by its ``Pattern`` step, from the pattern LP of no box, so it
+    equals, entry for entry, any LP those steps reach with the same
+    placements and constraints.  It is assembled whole: it records no base
+    to warm-start from.
     """
     # the pattern LP of no box: the slack alone, with its cap and floor
     lp = LinearProgram(1, np.array([[1.0], [-1.0]]),
@@ -365,11 +354,11 @@ def build_lp(placements: Sequence, regions: dict,
                        np.array([0.0]), np.array([DELTA_MM]),
                        pattern=Pattern())
     for box, orientation in placements:
-        lp = add_box(lp, regions, box, orientation)
+        lp = add_step(lp, lp.pattern.with_box(regions, box, orientation))
     for constraint in bb_constraints:
-        lp = add_bb(lp, constraint)
+        lp = add_step(lp, lp.pattern.with_bb(constraint))
     for constraint in bo_constraints:
-        lp = add_bo(lp, constraint)
+        lp = add_step(lp, lp.pattern.with_bo(constraint))
     lp.base, lp.at = None, 0
     return lp
 

@@ -33,11 +33,13 @@ canonical JSON and byte-identical across runs and worker counts.  The
 region stages fan the (box, orientation) pairs out over a process pool; the
 enumeration stage is one sequential search.
 
-A run hands each region it writes on to the stage that reads it, in
-memory: it keeps the Region as ``region_from_dict`` would decode it,
-together with the bytes it wrote, and ``_read_region`` takes that Region
-while the file still holds those bytes.  A file the run did not write, or
-one changed since, is decoded, inside the pool tasks where there are any.
+A run without a process pool hands each region it writes on to the stage
+that reads it, in memory: it keeps the Region as ``region_from_dict``
+would decode it, together with the bytes it wrote, and ``_read_region``
+takes that Region while the file still holds those bytes.  A file the run
+did not write, or one changed since, is decoded.  Pool tasks return no
+Region, which would pass through the parent process, so their files are
+decoded where they are read.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
@@ -326,14 +328,10 @@ def _region_task(args):
             [format_log(entries) for entries in logs], row, region)
 
 
-def _run_tasks(task_args, workers: int):
-    """Run ``_region_task`` on each task inline or on a process pool;
-    results come back in task order either way, so downstream files are
-    identical."""
-    if workers <= 1 or len(task_args) <= 1:
-        return [_region_task(a) for a in task_args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(task_args))) as pool:
-        return list(pool.map(_region_task, task_args))
+def _pool_task(args):
+    """``_region_task`` in a pool worker, less the region it would pickle
+    back through the parent process."""
+    return _region_task(args)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -488,29 +486,39 @@ def _combos(config: RunConfig, catalog: Sequence[BoxType]) -> list:
 def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
                    combos, handoff: dict) -> None:
     """Run one region stage over the (box, orientation) pairs and write
-    every file its table entry names; a GeometryError is exit 11.  Takes
-    each input's entry out of ``handoff`` and records each region file
-    written there (see ``_hand_off``)."""
+    every file its table entry names; a GeometryError is exit 11.  The
+    tasks run inline, one at a time, each taking its input's entry out of
+    ``handoff`` as it starts (so it is released once the task has run) and
+    recording the region file it writes there (see ``_hand_off``), or on a
+    process pool, whose tasks return no region: nothing is handed on.
+    Results come in task order either way, so the files are identical."""
     stage = _REGION_STAGES[name]
     trunk = _load_trunk_checked(config) if stage.reads is None else None
-    tasks = []
-    for box, orient in combos:
-        if stage.reads is None:
-            tasks.append((name, box, orient, trunk, None, config))
-        else:
-            path = paths.region(stage.reads, box.id, orient)
-            tasks.append((name, box, orient, path, handoff.pop(path, None),
-                          config))
+
+    def tasks():
+        for box, orient in combos:
+            if stage.reads is None:
+                yield name, box, orient, trunk, None, config
+            else:
+                path = paths.region(stage.reads, box.id, orient)
+                yield name, box, orient, path, handoff.pop(path, None), config
+
+    workers = min(config.workers, len(combos))
     try:
-        results = _run_tasks(tasks, config.workers)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_pool_task, tasks()))
+        else:
+            results = [_region_task(task) for task in tasks()]
     except GeometryError as exc:
         raise PipelineError(EXIT_MALFORMED, stage.failure.format(
             trunk=config.trunk) + f": {exc}")
     rows = []
-    for (box, orient), (text, logs, row, region) in zip(combos, results):
+    for (box, orient), (text, logs, row, *region) in zip(combos, results):
         path = paths.region(stage.writes, box.id, orient)
         _write_atomic(path, text)
-        _hand_off(handoff, path, text, region)
+        if region:
+            _hand_off(handoff, path, text, *region)
         for kind, log in zip(stage.logs, logs):
             _write_atomic(paths.log(kind, box.id, orient), log)
         if row is not None:

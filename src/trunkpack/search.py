@@ -6,9 +6,11 @@ rank), so every multiset is explored exactly once.  Each search node carries
 the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
 constraints (which obstacle facet a center must stay outside of), as an
-``lp.Pattern`` without LP arrays.  A node differs from the node it was made
-from by one delta (one box, one box-box order or one box-obstacle facet)
-and builds its state from its parent's by that delta alone.
+``lp.Pattern`` without LP arrays: the one record of what the node places
+and constrains.  A node differs from the node it was made from by one step
+(one box, one box-box order or one box-obstacle facet), checked once when
+the node is made, and builds its state from its parent's by that step
+alone.
 
 Every node asks one question: can its pattern be realized, and where?  The
 answer is the node LP's canonical point (see ``trunkpack.lp``): the largest
@@ -29,11 +31,12 @@ decide and answer it exactly:
 
 Slanted rows are left out of the chains, which keeps them a relaxation.  A
 node with a slanted row is answered by its LP: its parent's extended by the
-delta (``lp.add_box``, ``lp.add_bb``, ``lp.add_bo``) and warm-started from
-the parent's final tableau when the parent was answered by an LP, else
-assembled whole from the node's pattern (``lp.build_lp``) and solved cold.
+node's pattern (``lp.add_step``) and warm-started from the parent's final
+tableau when the parent was answered by an LP, else assembled whole from
+the node's placements and constraints (``lp.build_lp``) and solved cold.
 A feasible answer either certifies an intersection-free packing or exposes
-a conflict to branch on:
+a conflict to branch on, which ``detect_intersections`` reads off the
+pattern's boxes and constraints:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
@@ -60,15 +63,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from trunkpack.catalog import ORIENTATIONS, oriented_extents
-from trunkpack.lp import (DELTA_MM, NumericalFailure, Pattern, add_bb,
-                          add_bo, add_box, build_lp, solve)
+from trunkpack.lp import (DELTA_MM, NumericalFailure, Pattern, add_step,
+                          build_lp, solve)
 
 _DEPTH_TOL = 1e-9
 SNAP_GRID = 2048
@@ -86,11 +88,6 @@ class Candidate:
     def key(self) -> tuple:
         return (-self.box.volume_mm3(), self.box.id,
                 ORIENTATIONS.index(self.orientation))
-
-    @cached_property
-    def extents(self) -> Tuple[int, int, int]:
-        """The box's extents along x, y and z in this orientation."""
-        return oriented_extents(self.box.dims_mm, self.orientation)
 
 
 @dataclass(frozen=True)
@@ -197,10 +194,9 @@ def _float_facets(poly) -> list:
     return poly._float_facets
 
 
-def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
-                         regions: Dict[tuple, object],
-                         skip_bb=(), skip_bo=()):
-    """Find box-box overlaps and centers strictly inside obstacles.
+def detect_intersections(pattern: Pattern, centers: np.ndarray):
+    """Find the pattern's box-box overlaps and centers strictly inside
+    obstacles, with ``centers`` an n x 3 array, one row per box.
 
     Returns (bb_conflicts, bo_conflicts), sorted by decreasing measure with
     index ties broken ascending.  A box pair conflicts when the boxes
@@ -209,11 +205,13 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
     center satisfies every obstacle facet strictly; its measure is the
     penetration depth (distance to the nearest facet plane).  The two kinds
     are never compared against each other.  bb entries are (volume, i, j);
-    bo entries are (depth, i, obstacle).  Pairs listed in ``skip_bb`` /
-    ``skip_bo`` (already separated by a constraint) are ignored.
+    bo entries are (depth, i, obstacle).  Pairs a constraint of the
+    pattern already separates are ignored.
     """
-    n = len(placed)
-    extents = [c.extents for c in placed]
+    extents = pattern.extents
+    n = len(extents)
+    skip_bb = {(min(i, j), max(i, j)) for (i, j, _, _) in pattern.bb}
+    skip_bo = {(i, oid) for (i, oid, _) in pattern.bo}
     # Python floats: the same IEEE arithmetic, without a numpy scalar per
     # operation
     centers = centers.tolist()
@@ -234,8 +232,7 @@ def detect_intersections(placed: Sequence[Candidate], centers: np.ndarray,
                 bb.append((volume, i, j))
     bb.sort(key=lambda t: (-t[0], t[1], t[2]))
     bo = []
-    for i, cand in enumerate(placed):
-        region = regions[(cand.box.id, cand.orientation)]
+    for i, region in enumerate(pattern.regions):
         x, y, z = centers[i]
         for obstacle in region.obstacles:
             if (i, obstacle.id) in skip_bo:
@@ -489,17 +486,16 @@ def _exact_answer(pattern: Pattern):
 
 
 class PartialPattern(NamedTuple):
-    """One search node: a pattern, and the one step that made it.
+    """One search node.
 
     ``indices`` are the candidate indices of the placed multiset
     (canonical, non-decreasing; extensions start at the last one).
     ``pattern`` holds the node's boxes and constraints (``lp.Pattern``),
-    ``delta`` the step from the node it was made from: ("box", candidate
-    index), ("bb", order constraint) or ("bo", facet constraint).
-    ``parent`` is the outcome of that node's LP when it was solved by one
-    and feasible; the node's LP, if it needs one, then extends it by the
-    delta and is warm-started from it, and otherwise is assembled whole
-    and solved cold.  ``chains`` are the node's order chains at slack 0
+    one step past the pattern of the node it was made from.  ``parent`` is
+    the outcome of that node's LP when it was solved by one and feasible;
+    the node's LP, if it needs one, then extends it by the node's pattern
+    and is warm-started from it, and otherwise is assembled whole and
+    solved cold.  ``chains`` are the node's order chains at slack 0
     and at DELTA_MM (see ``order_chains_feasible``), each None when it
     rules the node out at that slack.  ``aligned`` tells whether every row
     of the node is axis-aligned, so that its chains answer it."""
@@ -507,7 +503,6 @@ class PartialPattern(NamedTuple):
     indices: tuple
     pattern: Pattern
     parent: object
-    delta: object
     chains: tuple
     aligned: bool
 
@@ -560,19 +555,13 @@ def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
 
 def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
              regions: Dict[tuple, object]):
-    """The node's LP: its parent's extended by the delta when the parent
-    was solved by an LP, else assembled whole from its pattern."""
+    """The node's LP: its parent's extended by the node's pattern when the
+    parent was solved by an LP, else assembled whole."""
     if node.parent is None:
         return build_lp([(candidates[k].box, candidates[k].orientation)
                          for k in node.indices], regions,
                         node.pattern.bb, node.pattern.bo)
-    step, item = node.delta
-    if step == "box":
-        return add_box(node.parent.lp, regions, candidates[item].box,
-                       candidates[item].orientation)
-    if step == "bb":
-        return add_bb(node.parent.lp, item)
-    return add_bo(node.parent.lp, item)
+    return add_step(node.parent.lp, node.pattern)
 
 
 def _answer(node: PartialPattern, candidates: Sequence[Candidate],
@@ -605,20 +594,20 @@ def _answer(node: PartialPattern, candidates: Sequence[Candidate],
     return outcome.assignment[:3 * len(node.indices)].reshape(-1, 3), outcome
 
 
-def _child(node: PartialPattern, outcome, delta,
+def _child(node: PartialPattern, outcome, step: str, item,
            candidates: Sequence[Candidate],
            regions: Dict[tuple, object]) -> PartialPattern:
-    """The node's child by one step ``delta``.  ``outcome``, the node's
-    own LP outcome (None when no LP answered it, or its LP failed), is the
-    child's ``parent``."""
-    step, item = delta
+    """The node's child by one step: ("box", candidate index), ("bb",
+    order constraint) or ("bo", facet constraint).  ``outcome``, the
+    node's own LP outcome (None when no LP answered it, or its LP failed),
+    is the child's ``parent``."""
     indices = node.indices
     if step == "box":
         indices += (item,)
         item = (candidates[item].box, candidates[item].orientation)
     pattern, chains, aligned = _extend(node.pattern, node.chains,
                                        node.aligned, regions, step, item)
-    return PartialPattern(indices, pattern, outcome, delta, chains, aligned)
+    return PartialPattern(indices, pattern, outcome, chains, aligned)
 
 
 def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
@@ -642,9 +631,8 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     best_volume = 0
     best_placements: List[Placement] = []
     # the node before every root: no box
-    origin = PartialPattern((), Pattern(), None, None, (_NO_BOX, _NO_BOX),
-                            True)
-    stack = [_child(origin, None, ("box", k), candidates, regions)
+    origin = PartialPattern((), Pattern(), None, (_NO_BOX, _NO_BOX), True)
+    stack = [_child(origin, None, "box", k, candidates, regions)
              for k in reversed(range(len(candidates)))]
 
     while stack:
@@ -672,20 +660,16 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                 continue
 
         if centers is not None:
-            skip_bb = {(min(i, j), max(i, j))
-                       for (i, j, _, _) in node.pattern.bb}
-            skip_bo = {(i, oid) for (i, oid, _) in node.pattern.bo}
-            bb_conf, bo_conf = detect_intersections(placed, centers, regions,
-                                                    skip_bb, skip_bo)
+            bb_conf, bo_conf = detect_intersections(node.pattern, centers)
             constraints, kind = branch(bb_conf, bo_conf)
             if kind is not None:
                 if kind == "bb":
                     stats.bb_branches += 1
                 else:
                     stats.bo_branches += 1
-                stack.extend(_child(node, outcome, (kind, c), candidates,
+                stack.extend(_child(node, outcome, kind, c, candidates,
                                     regions)
-                              for c in reversed(constraints))
+                             for c in reversed(constraints))
                 continue
             # intersection-free: record, then extend
             volume = sum(c.box.volume_mm3() for c in placed)
@@ -703,7 +687,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
         addable = [k for k in range(node.indices[-1], len(candidates))
                    if used.get(candidates[k].box.id, 0)
                    < max_counts[candidates[k].box.id]]
-        stack.extend(_child(node, outcome, ("box", k), candidates, regions)
+        stack.extend(_child(node, outcome, "box", k, candidates, regions)
                      for k in reversed(addable))
 
     stats.wall_time_s = time.monotonic() - started

@@ -11,7 +11,6 @@ from trunkpack.catalog import (
     FULL_CATALOG,
     ORIENTATIONS,
     BoxType,
-    builtin_catalog,
     default_catalog,
     distinct_orientations,
     half_extents,
@@ -28,21 +27,20 @@ def by_id(cid):
 
 def test_catalog_dimensions_and_counts():
     expected = {
-        "A": ((610, 483, 229), 4, "primary"),
-        "B": ((457, 330, 165), 4, "primary"),
-        "C": ((660, 406, 229), 2, "primary"),
-        "D": ((533, 457, 216), 2, "primary"),
-        "E": ((381, 229, 203), 2, "primary"),
-        "F": ((533, 356, 178), 2, "primary"),
-        "G": ((1143, 204, 204), 2, "golf"),
-        "H": ((325, 152, 114), 20, "hbox"),
+        "A": ((610, 483, 229), 4),
+        "B": ((457, 330, 165), 4),
+        "C": ((660, 406, 229), 2),
+        "D": ((533, 457, 216), 2),
+        "E": ((381, 229, 203), 2),
+        "F": ((533, 356, 178), 2),
+        "G": ((1143, 204, 204), 2),
+        "H": ((325, 152, 114), 20),
     }
-    assert len(FULL_CATALOG) == len(expected)
-    for cid, (dims, count, phase) in expected.items():
+    assert [b.id for b in FULL_CATALOG] == list(expected)
+    for cid, (dims, count) in expected.items():
         box = by_id(cid)
         assert box.dims_mm == dims
         assert box.max_count == count
-        assert box.phase == phase
 
 
 def test_catalog_volumes_exact():
@@ -54,19 +52,14 @@ def test_catalog_volumes_exact():
     assert by_id("F").volume_mm3() == 33775144
 
 
-def test_default_catalog_is_primary_phase():
+def test_default_catalog_is_boxes_a_to_f():
     boxes = default_catalog()
+    assert boxes == list(FULL_CATALOG[:6])
     assert [b.id for b in boxes] == ["A", "B", "C", "D", "E", "F"]
     # everything-placed bound for the default set
     assert upper_bound([], boxes) == 700341734
-
-
-def test_builtin_catalog_lists_all_boxes():
-    boxes = builtin_catalog()
-    assert [b.id for b in boxes] == ["A", "B", "C", "D", "E", "F", "G", "H"]
-    assert boxes == list(FULL_CATALOG)
     boxes.pop()  # callers get their own list
-    assert len(builtin_catalog()) == 8
+    assert len(default_catalog()) == 6
 
 
 def test_orientation_assigns_dims_to_named_axes():
@@ -115,7 +108,27 @@ def test_catalog_file_round_trip(tmp_path):
     loaded = load_catalog(str(path))
     assert loaded == list(FULL_CATALOG)
     raw = json.loads(path.read_text())
-    assert raw[0].keys() == {"id", "dims_mm", "max_count", "phase"}
+    assert raw[0].keys() == {"id", "dims_mm", "max_count"}
+    # a phase key, once written with every box, is ignored like any other
+    raw[0]["phase"] = "golf"
+    path.write_text(json.dumps(raw))
+    assert load_catalog(str(path)) == list(FULL_CATALOG)
+
+
+@pytest.mark.parametrize("box_id", ["", "a/b", "../A", "A B", "A.json",
+                                    "Ä", None, 7, True])
+def test_box_ids_must_be_file_name_parts(box_id):
+    # a box id names every region and log file of the box; a JSON null,
+    # number or boolean is no id, not the id "None", "7" or "True"
+    with pytest.raises(ValueError, match="box id"):
+        BoxType.from_dict({"id": box_id, "dims_mm": [1, 2, 3],
+                           "max_count": 1})
+
+
+def test_box_ids_of_letters_digits_dash_and_underscore_load():
+    box = BoxType.from_dict({"id": "golf_bag-2", "dims_mm": [1, 2, 3],
+                             "max_count": 1})
+    assert box.id == "golf_bag-2"
 
 
 def test_catalog_file_validation(tmp_path):

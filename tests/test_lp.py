@@ -30,8 +30,8 @@ from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
                                 fm_feasible)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
                           LinearProgram, LpOutcome, NumericalFailure,
-                          UnknownRegion, add_bb, add_bo, add_box, build_lp,
-                          extend_lp, maximize_direction, solve)
+                          UnknownRegion, add_step, build_lp, extend_lp,
+                          maximize_direction, solve)
 
 F = fractions.Fraction
 
@@ -463,17 +463,22 @@ def _child(rng, hull, placements, regions, bb, bo):
 
 
 def _extended(lp, pattern, child):
-    """The child pattern's LP made from the parent's LP by its one step, or
-    None when the child adds nothing."""
+    """The child pattern's LP made from the parent's LP by its one step,
+    checked by the ``Pattern`` step, or None when the child adds
+    nothing."""
     placements, _, bb, bo = pattern
     child_placements, child_regions, child_bb, child_bo = child
     if len(child_placements) > len(placements):
-        return add_box(lp, child_regions, *child_placements[-1])
-    if len(child_bb) > len(bb):
-        return add_bb(lp, child_bb[-1])
-    if len(child_bo) > len(bo):
-        return add_bo(lp, child_bo[-1])
-    return None
+        step = lp.pattern.with_box(child_regions, *child_placements[-1])
+    elif len(child_bb) > len(bb):
+        step = lp.pattern.with_bb(child_bb[-1])
+    elif len(child_bo) > len(bo):
+        step = lp.pattern.with_bo(child_bo[-1])
+    else:
+        return None
+    child_lp = add_step(lp, step)
+    assert child_lp.pattern is step
+    return child_lp
 
 
 def _same_lp(a, b):

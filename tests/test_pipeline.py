@@ -483,6 +483,20 @@ def test_full_run_decodes_no_region_file(tmp_path, monkeypatch):
     assert len(decoded) == len(ORIENTATIONS)
 
 
+def test_pool_tasks_hand_no_region_to_the_parent(tmp_path, monkeypatch):
+    # with a pool, every Region stays in the worker that made it: the
+    # parent records no hand-off, and the enumeration decodes each file
+    recorded = _record_hand_offs(monkeypatch)
+    decoded = _count_decodes(monkeypatch)
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    out = tmp_path / "out"
+    assert main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+                 "--out", str(out), "--orientations", "xyz,yxz",
+                 "--mc-samples", "400", "--workers", "2"]) == EXIT_OK
+    assert recorded == {} and len(decoded) == 2
+    assert len(list((out / "regions").iterdir())) == 6
+
+
 def test_exit_code_unreadable_input(tmp_path):
     rc = run(RunConfig(trunk=str(tmp_path / "missing.json"),
                        out_dir=str(tmp_path / "out")))
@@ -514,6 +528,23 @@ def test_exit_code_catalog_with_fractional_numbers(tmp_path, capsys, box):
     assert rc == EXIT_UNREADABLE
     err = capsys.readouterr().err
     assert "cannot read catalog" in err and "'T'" in err
+
+
+@pytest.mark.parametrize("box_id", ["a/b", ""])
+def test_exit_code_catalog_id_that_is_no_file_name(tmp_path, capsys, box_id):
+    # the id names every region and log file of the box: a path separator
+    # or an empty id is refused before any file is written
+    trunk = write_json(tmp_path / "c.json", convex_cube_obj(700))
+    catalog = write_json(tmp_path / "catalog.json",
+                         [{"id": box_id, "dims_mm": [610, 483, 458],
+                           "max_count": 2}])
+    out = tmp_path / "out"
+    rc = main(["--trunk", trunk, "--catalog", catalog, "--out", str(out)])
+    assert rc == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read catalog" in err and f"box id {box_id!r}" in err
+    assert not any((out / "regions").iterdir())
 
 
 def test_exit_code_malformed_trunk(tmp_path, capsys):

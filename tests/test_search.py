@@ -69,7 +69,7 @@ def region(hull, obstacles, box_id, orientation="zyx"):
 
 
 def cube_type(id="K", edge=20, max_count=2):
-    return BoxType(id, (edge, edge, edge), max_count, "primary")
+    return BoxType(id, (edge, edge, edge), max_count)
 
 
 def exact_fit_regions():
@@ -325,31 +325,32 @@ def test_detect_intersections_measures_and_order():
     reg = region(hull, [axis_aligned_box((40, 40, 40), (60, 60, 60), id="o0")],
                  "K")
     regions = {("K", "zyx"): reg}
-    placed = [Candidate(box, "zyx")] * 3
+    placed = [(box, "zyx")] * 3
     centers = np.array([[50.0, 50.0, 50.0],   # inside obstacle
                         [52.0, 50.0, 50.0],   # inside obstacle, overlaps 0
                         [10.0, 10.0, 10.0]])  # clear
-    bb, bo = detect_intersections(placed, centers, regions)
+    bb, bo = detect_intersections(_pattern_of(placed, regions, (), ()),
+                                  centers)
     assert [(i, j) for _, i, j in bb] == [(0, 1)]
     # overlap volume: (20 - 2) * 20 * 20
     assert bb[0][0] == pytest.approx(18.0 * 20.0 * 20.0)
     assert [i for _, i, _ in bo] == [0, 1]
     assert bo[0][0] == pytest.approx(10.0)  # center to the nearest facet
     assert bo[1][0] == pytest.approx(8.0)
-    # already-constrained pairs are skipped
-    bb2, bo2 = detect_intersections(placed, centers, regions,
-                                    skip_bb={(0, 1)},
-                                    skip_bo={(0, "o0"), (1, "o0")})
+    # pairs the pattern's constraints separate are skipped
+    constrained = _pattern_of(placed, regions, [(1, 0, 0, -1)],
+                              [(0, "o0", 0), (1, "o0", 3)])
+    bb2, bo2 = detect_intersections(constrained, centers)
     assert bb2 == [] and bo2 == []
 
 
 def test_unit_boxes_half_apart_overlap_half():
-    unit = BoxType("U", (1, 1, 1), 2, "primary")
+    unit = BoxType("U", (1, 1, 1), 2)
     hull = axis_aligned_box((0, 0, 0), (10, 10, 10), id="hull")
     regions = {("U", "zyx"): region(hull, [], "U")}
-    placed = [Candidate(unit, "zyx")] * 2
+    pattern = _pattern_of([(unit, "zyx")] * 2, regions, (), ())
     centers = np.array([[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]])
-    bb, _ = detect_intersections(placed, centers, regions)
+    bb, _ = detect_intersections(pattern, centers)
     assert bb[0][0] == pytest.approx(0.5)
 
 
@@ -609,8 +610,8 @@ def test_norms_of_huge_coefficients_do_not_overflow():
     box = cube_type()
     regions = {("K", "zyx"): region(hull, [obstacle], "K")}
 
-    _, bo = detect_intersections([Candidate(box, "zyx")],
-                                 np.array([[500.0, 500.0, 500.0]]), regions)
+    _, bo = detect_intersections(_pattern_of([(box, "zyx")], regions, (), ()),
+                                 np.array([[500.0, 500.0, 500.0]]))
     assert [(i, o.id) for (_, i, o) in bo] == [(0, "o0")]
     assert bo[0][0] == pytest.approx(100.0)
 
@@ -699,7 +700,7 @@ def _check_slack_below_delta(regions, placements, bb, bo, slack, centers):
     assert folded == pattern
     assert aligned and chains[0] is not None and chains[1] is None
     node = search_mod.PartialPattern(tuple(range(len(placements))), pattern,
-                                     None, None, chains, aligned)
+                                     None, chains, aligned)
     got, outcome = search_mod._answer(node, None, regions,
                                       search_mod.SearchStats())
     assert outcome is None and got.ravel().tolist() == centers
@@ -831,6 +832,15 @@ def _tableau_assignment(outcome):
     return tableau.origin + tableau.sign * shifted[:n]
 
 
+def _slanted_instance():
+    """Three 140 mm cubes in a slanted hull; the obstacle is centred on the
+    hull's vertex (-52, -246, 68), where the first box's LP puts it."""
+    box = cube_type(edge=140, max_count=3)
+    obstacle = axis_aligned_box((-112, -306, 8), (8, -186, 128), id="o0")
+    return box, {("K", "zyx"): region(_sphere_hull(20261019, 10, 260),
+                                      [obstacle], "K")}
+
+
 def test_slanted_search_lps_warm_start_to_the_cold_answer(monkeypatch):
     """Every node LP of a search over a slanted hull: the LP the search
     makes from its parent's by one step is the LP ``build_lp`` assembles
@@ -838,12 +848,7 @@ def test_slanted_search_lps_warm_start_to_the_cold_answer(monkeypatch):
     is the cold one (within 1e-9 mm: on slanted rows the pivot path moves
     the last bits).  Only roots start cold.  Every feasible outcome's final
     tableau holds its answer bit for bit."""
-    # three 140 mm cubes; the obstacle is centred on the hull's vertex
-    # (-52, -246, 68), where the first box's LP puts it
-    box = cube_type(edge=140, max_count=3)
-    obstacle = axis_aligned_box((-112, -306, 8), (8, -186, 128), id="o0")
-    regions = {("K", "zyx"): region(_sphere_hull(20261019, 10, 260),
-                                    [obstacle], "K")}
+    box, regions = _slanted_instance()
     real_node_lp = search_mod._node_lp
     made, feasible = [], []
     compared = collections.Counter()
@@ -895,16 +900,61 @@ def test_slanted_search_lps_warm_start_to_the_cold_answer(monkeypatch):
         == (3168, 317, 198, 3)
 
 
+def test_each_node_checks_its_pattern_step_once(monkeypatch):
+    """Over the slanted search, the ``Pattern`` steps run once per child
+    made, and again only where an LP is assembled whole (``build_lp``
+    checks every step of its pattern): a warm-started LP keeps its node's
+    pattern object instead of stepping a copy of it."""
+    box, regions = _slanted_instance()
+    seen = collections.Counter()
+
+    def counting(name):
+        real = getattr(Pattern, name)
+
+        def counted(self, *args):
+            seen["steps"] += 1
+            return real(self, *args)
+        monkeypatch.setattr(Pattern, name, counted)
+
+    for name in ("with_box", "with_bb", "with_bo"):
+        counting(name)
+    real_child, real_node_lp = search_mod._child, search_mod._node_lp
+
+    def counted_child(*args):
+        seen["children"] += 1
+        return real_child(*args)
+
+    def checked_node_lp(node, candidates, regions):
+        lp = real_node_lp(node, candidates, regions)
+        if node.parent is None:
+            pattern = node.pattern
+            seen["cold"] += 1
+            seen["cold steps"] += (len(pattern.regions) + len(pattern.bb)
+                                   + len(pattern.bo))
+        else:
+            assert lp.pattern is node.pattern
+            seen["warm"] += 1
+        return lp
+
+    monkeypatch.setattr(search_mod, "_child", counted_child)
+    monkeypatch.setattr(search_mod, "_node_lp", checked_node_lp)
+    result = enumerate_patterns(regions, [box],
+                                config=SearchConfig(prune_enabled=False))
+    assert seen["children"] == result.stats.nodes == 3168
+    assert (seen["warm"], seen["cold"], seen["cold steps"]) == (2783, 1, 1)
+    assert seen["steps"] == seen["children"] + seen["cold steps"]
+
+
 # ---------------------------------------------------------------------------
 # conflict detection on cached facet floats
 
 
-def _reference_detect_intersections(placed, centers, regions, skip_bb=(),
-                                    skip_bo=()):
+def _reference_detect_intersections(extents, box_regions, centers,
+                                    skip_bb=(), skip_bo=()):
     """``detect_intersections`` as it was before the facet floats were
-    cached: each facet's norm recomputed from its integers per call."""
-    n = len(placed)
-    extents = [c.extents for c in placed]
+    cached, on each box's extents and region: each facet's norm recomputed
+    from its integers per call."""
+    n = len(extents)
     centers = centers.tolist()
     bb = []
     for i in range(n):
@@ -923,8 +973,7 @@ def _reference_detect_intersections(placed, centers, regions, skip_bb=(),
                 bb.append((volume, i, j))
     bb.sort(key=lambda t: (-t[0], t[1], t[2]))
     bo = []
-    for i, cand in enumerate(placed):
-        reg = regions[(cand.box.id, cand.orientation)]
+    for i, reg in enumerate(box_regions):
         for obstacle in reg.obstacles:
             if (i, obstacle.id) in skip_bo:
                 continue
@@ -977,10 +1026,13 @@ def test_detect_intersections_matches_the_per_call_norms(monkeypatch):
     real = search_mod.detect_intersections
     calls = collections.Counter()
 
-    def compared(placed, centers, regions, skip_bb=(), skip_bo=()):
-        got = real(placed, centers, regions, skip_bb, skip_bo)
-        want = _reference_detect_intersections(placed, centers, regions,
-                                               skip_bb, skip_bo)
+    def compared(pattern, centers):
+        got = real(pattern, centers)
+        # the pairs the pattern's constraints separate
+        skip_bb = {(min(i, j), max(i, j)) for (i, j, _, _) in pattern.bb}
+        skip_bo = {(i, oid) for (i, oid, _) in pattern.bo}
+        want = _reference_detect_intersections(
+            pattern.extents, pattern.regions, centers, skip_bb, skip_bo)
         assert got[0] == want[0]
         assert [(d, i, o.id) for d, i, o in got[1]] \
             == [(d, i, o.id) for d, i, o in want[1]]
@@ -1069,7 +1121,7 @@ def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
             folded, chains, aligned = search_mod._extend(
                 folded, chains, aligned, regions, step, item)
         assert folded == pattern and aligned
-        node = search_mod.PartialPattern(tuple(range(n)), folded, None, None,
+        node = search_mod.PartialPattern(tuple(range(n)), folded, None,
                                          chains, aligned)
         got, _ = search_mod._answer(node, None, regions,
                                     search_mod.SearchStats())
