@@ -161,6 +161,8 @@ def parse_convex_json(obj: dict) -> ConvexTrunk:
         raise DegenerateTrunk("shell is empty or not full-dimensional")
     cavities = []
     for i, cav in enumerate(obj.get("cavities", [])):
+        if "vertices" not in cav:
+            raise TrunkFormatError(f"cavity {i} needs a 'vertices' array")
         pts = [Point3(*v) for v in cav["vertices"]]
         for p in pts:
             if not shell.contains(p):
@@ -349,12 +351,13 @@ def clip_obstacle(obstacle_halfspaces: Iterable[Halfspace],
 def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
                     seed: int = DEFAULT_SEED) -> Optional[Region]:
     """Stage 2: clip obstacles, discard the ones that miss the hull, and
-    estimate the free volume.  Returns None when no sampled center is free
-    (the emptiness probe) — exact emptiness is not decided."""
+    estimate the free volume.  The kept obstacles are named ``o<i>`` in
+    order.  Returns None when no sampled center is free (the emptiness
+    probe) — exact emptiness is not decided."""
     margin = enlarged_hull(raw.hull)
     kept = []
     for obs in raw.obstacles:
-        clipped = clip_obstacle(obs.halfspaces, margin, id=obs.id)
+        clipped = clip_obstacle(obs.halfspaces, margin, id=f"o{len(kept)}")
         if clipped is None or clipped.degenerate or \
                 not polytopes_touch(clipped, raw.hull):
             # discarding must not change the represented set
@@ -866,31 +869,6 @@ def region_from_dict(obj: dict):
         region.samples = int(obj["samples"])
         region.seed = int(obj["seed"])
     return region
-
-
-def stored_region(region):
-    """The Region ``region_from_dict`` rebuilds from ``region_to_dict``'s
-    output, made without decoding: the hull renamed
-    ``<box>:<orientation>:hull``, obstacle i renamed ``o<i>`` (each
-    sharing its polytope's lists) and the volume fields as the file holds
-    them; None for None.  Stored polytopes are canonical hulls of their
-    vertices, so the decode rebuilds the same halfspaces and vertices.  A
-    flat polytope raises GeometryError, since its file does not decode."""
-    if region is None:
-        return None
-    if any(p.degenerate for p in (region.hull, *region.obstacles)):
-        raise GeometryError("a flat polytope does not decode")
-    out = Region(region.box_id, region.orientation,
-                 region.hull.with_id(
-                     f"{region.box_id}:{region.orientation}:hull"),
-                 [o.with_id(f"o{i}") for i, o in enumerate(region.obstacles)],
-                 bool(region.fattened))
-    if region.volume_mm3 is not None:
-        out.volume_mm3 = float(region.volume_mm3)
-        out.volume_stderr_mm3 = float(region.volume_stderr_mm3)
-        out.samples = int(region.samples)
-        out.seed = int(region.seed)
-    return out
 
 
 def region_json(region_or_none, box_id: str = None, orientation: str = None) -> str:

@@ -34,12 +34,13 @@ region stages fan the (box, orientation) pairs out over a process pool; the
 enumeration stage is one sequential search.
 
 A run without a process pool hands each region it writes on to the stage
-that reads it, in memory: it keeps the Region as ``region_from_dict``
-would decode it, together with the bytes it wrote, and ``_read_region``
-takes that Region while the file still holds those bytes.  A file the run
-did not write, or one changed since, is decoded.  Pool tasks return no
-Region, which would pass through the parent process, so their files are
-decoded where they are read.
+that reads it, in memory: each stage's Region is the one
+``region_from_dict`` decodes from its file (obstacles ``o<i>`` in order),
+so the run keeps it with the bytes it wrote, and ``_read_region`` takes
+that Region while the file still holds those bytes.  A file the run did
+not write, or one changed since, is decoded.  Pool tasks return no Region,
+which would pass through the parent process, so their files are decoded
+where they are read.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing or does not decode), 11 malformed trunk model
@@ -71,7 +72,7 @@ from .freespace import (DEFAULT_MC_SAMPLES, DEFAULT_SEED, ConvexTrunk,
                         describe_region, estimate_volume, load_trunk,
                         raw_feasible_region, region_from_dict, region_json,
                         region_report_csv, region_report_rows, region_seed,
-                        format_region_report, stored_region)
+                        format_region_report)
 from .geometry import GeometryError, to_fraction
 from .simplify import (DEFAULT_ABS_MM3, DEFAULT_DROP_MM, DEFAULT_REL_PCT,
                        MergeParams, drop_facets, format_log, merge_obstacles)
@@ -286,11 +287,13 @@ def _simplify(region, box: BoxType, orientation: str, config: RunConfig):
 
     # Refresh the stored volume estimate from the same sample set the
     # describe stage used (simplification keeps the hull), so before/after
-    # numbers are paired.
+    # numbers are paired; name the obstacles o<i> once drop has logged them.
     vol_after, stderr = estimate_volume(final.hull, final.obstacles,
                                         region.samples, region.seed)
-    final = dataclasses.replace(final, volume_mm3=vol_after,
-                                volume_stderr_mm3=stderr)
+    final = dataclasses.replace(
+        final, obstacles=[o.with_id(f"o{i}")
+                          for i, o in enumerate(final.obstacles)],
+        volume_mm3=vol_after, volume_stderr_mm3=stderr)
 
     fc_before = region.facet_count()
     fc_after = final.facet_count()
@@ -529,14 +532,13 @@ def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
 
 def _hand_off(handoff: dict, path: Path, text: str, region) -> None:
     """Record the region file just written at ``path``: its bytes and the
-    Region ``region_from_dict`` decodes from them.  The bytes themselves,
-    not a digest of them, are kept: they are exact, and far smaller than
-    the Region.  A region holding a flat polytope is not recorded, so its
-    reader decodes the file and reports it."""
-    try:
-        handoff[path] = (text.encode("utf-8"), stored_region(region))
-    except GeometryError:
-        pass
+    stage's Region, the one ``region_from_dict`` decodes from them.  The
+    bytes themselves, not a digest, are kept: they are exact, and far
+    smaller than the Region.  A region holding a flat polytope is not
+    recorded, so its reader decodes the file and reports it."""
+    if region is None or not any(
+            p.degenerate for p in (region.hull, *region.obstacles)):
+        handoff[path] = (text.encode("utf-8"), region)
 
 
 def _read_region(path: Path, handed: Optional[tuple] = None):
@@ -683,6 +685,10 @@ def run(config: RunConfig) -> int:
         paths.ensure_dirs()
     except OSError as exc:
         print(f"cannot create the output directory: {exc}", file=sys.stderr)
+        return 2
+    obj = Path(config.export_obj) if config.export_obj else None
+    if obj and (obj.is_dir() or not os.access(obj.parent, os.W_OK)):
+        print(f"cannot write --export-obj {obj}", file=sys.stderr)
         return 2
     handoff = {}  # region file -> (bytes, Region): see _hand_off
     try:

@@ -46,12 +46,12 @@ pops the largest boxes first, at the roots as in every extension.  An
 intersection-free node replaces the incumbent only when its volume is
 larger, so the result is the first packing of maximum volume in visiting
 order; the node is then extended by one more placement with a key no
-smaller than its last one.  An exact integer upper bound (placed volume
-plus all still-addable box volumes) prunes every subtree whose bound is at
-most the incumbent.  Until the first maximum-volume node is found the
-incumbent is below the maximum and that node's bound is at least the
-maximum, so pruning never skips it and never reorders the nodes it keeps:
-the result is the same with pruning on or off, only the node count moves.
+smaller than its last one.  An exact integer bound read off the node
+(``_bound``) prunes every subtree whose bound is at most the incumbent.
+Until the first maximum-volume node is found the incumbent is below the
+maximum and that node's bound is at least the maximum, so pruning never
+skips it and never reorders the nodes it keeps: the result is the same
+with pruning on or off, only the node count moves.
 
 LP numerical failures are counted and treated conservatively: the node is
 neither recorded nor branched on, but its extensions are still explored;
@@ -114,7 +114,10 @@ class SearchStats:
     bound or ruled out by their order chains make none; a node whose rows
     are all axis-aligned is answered by its chains.  ``pivots`` counts the
     LPs' dual simplex pivots, warm starts included (a failed LP's are not
-    counted)."""
+    counted).  ``bound_mm3`` bounds the optimum: every popped node is
+    pruned, ruled out or expanded onto the stack, so it is the largest of
+    the best volume, the bounds left on the stack and the placed volume of
+    a node whose LP failed (its own pattern is never decided)."""
 
     nodes: int = 0
     lp_calls: int = 0
@@ -124,6 +127,7 @@ class SearchStats:
     bo_branches: int = 0
     improvements: int = 0
     pruned: int = 0
+    bound_mm3: int = 0
     wall_time_s: float = 0.0
     timed_out: bool = False
 
@@ -490,6 +494,8 @@ class PartialPattern(NamedTuple):
 
     ``indices`` are the candidate indices of the placed multiset
     (canonical, non-decreasing; extensions start at the last one).
+    ``volume`` (mm^3, placed) and ``room`` (boxes of the last placed type
+    still addable) are set by the box step that makes the node.
     ``pattern`` holds the node's boxes and constraints (``lp.Pattern``),
     one step past the pattern of the node it was made from.  ``parent`` is
     the outcome of that node's LP when it was solved by one and feasible;
@@ -501,6 +507,8 @@ class PartialPattern(NamedTuple):
     of the node is axis-aligned, so that its chains answer it."""
 
     indices: tuple
+    volume: int
+    room: int
     pattern: Pattern
     parent: object
     chains: tuple
@@ -526,31 +534,31 @@ def branch(bb_conflicts, bo_conflicts):
     return [], None
 
 
-def upper_bound(placed: Sequence[Candidate], catalog: Sequence,
-                addable_type_ids=None) -> int:
-    """Volume bound in mm^3: placed volume plus every still-addable box at
-    its full count (container capacity deliberately ignored).  When
-    ``addable_type_ids`` is given, only those types count as addable."""
-    used: Dict[str, int] = {}
-    total = 0
-    for c in placed:
-        used[c.box.id] = used.get(c.box.id, 0) + 1
-        total += c.box.volume_mm3()
-    for box in catalog:
-        if addable_type_ids is not None and box.id not in addable_type_ids:
-            continue
-        total += (box.max_count - used.get(box.id, 0)) * box.volume_mm3()
-    return total
+def _type_blocks(candidates: Sequence[Candidate]) -> List[tuple]:
+    """Per candidate index: (end of its type's block, its box volume, every
+    later type's volume at full count); each type's block is contiguous."""
+    blocks = []
+    end, later = len(candidates), 0
+    for k in reversed(range(len(candidates))):
+        box = candidates[k].box
+        if k + 1 < len(candidates) and candidates[k + 1].box.id != box.id:
+            nxt = candidates[k + 1].box
+            end, later = k + 1, later + nxt.max_count * nxt.volume_mm3()
+        blocks.append((end, box.volume_mm3(), later))
+    return blocks[::-1]
 
 
-def _suffix_types(candidates: Sequence[Candidate]) -> List[dict]:
-    """suffix_types[i]: {type id: volume} for types placeable at index >= i."""
-    out = [dict() for _ in range(len(candidates) + 1)]
-    for i in range(len(candidates) - 1, -1, -1):
-        acc = dict(out[i + 1])
-        acc[candidates[i].box.id] = candidates[i].box.volume_mm3()
-        out[i] = acc
-    return out
+def _bound(node: PartialPattern, blocks: Sequence[tuple]) -> int:
+    """Placed volume plus every box the subtree can still add, in mm^3
+    (container capacity deliberately ignored)."""
+    _, unit, later = blocks[node.indices[-1]]
+    return node.volume + node.room * unit + later
+
+
+def _extensions(node: PartialPattern, blocks: Sequence[tuple]) -> range:
+    """Candidates from the node's last on, skipping a full type's block."""
+    last = node.indices[-1]
+    return range(last if node.room else blocks[last][0], len(blocks))
 
 
 def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
@@ -601,13 +609,18 @@ def _child(node: PartialPattern, outcome, step: str, item,
     order constraint) or ("bo", facet constraint).  ``outcome``, the
     node's own LP outcome (None when no LP answered it, or its LP failed),
     is the child's ``parent``."""
-    indices = node.indices
+    indices, volume, room = node.indices, node.volume, node.room
     if step == "box":
-        indices += (item,)
-        item = (candidates[item].box, candidates[item].orientation)
+        box = candidates[item].box
+        if not indices or candidates[indices[-1]].box.id != box.id:
+            room = box.max_count
+        indices, volume, room = (indices + (item,),
+                                 volume + box.volume_mm3(), room - 1)
+        item = (box, candidates[item].orientation)
     pattern, chains, aligned = _extend(node.pattern, node.chains,
                                        node.aligned, regions, step, item)
-    return PartialPattern(indices, pattern, outcome, chains, aligned)
+    return PartialPattern(indices, volume, room, pattern, outcome, chains,
+                          aligned)
 
 
 def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
@@ -624,14 +637,14 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
     config = config or SearchConfig()
     started = time.monotonic()
     candidates = candidate_list(regions, catalog)
-    max_counts = {box.id: box.max_count for box in catalog}
-    suffix = _suffix_types(candidates)
+    blocks = _type_blocks(candidates)
     stats = SearchStats()
     deadline = (started + config.time_limit_s) if config.time_limit_s else None
-    best_volume = 0
+    best_volume = failed_volume = 0
     best_placements: List[Placement] = []
     # the node before every root: no box
-    origin = PartialPattern((), Pattern(), None, (_NO_BOX, _NO_BOX), True)
+    origin = PartialPattern((), 0, 0, Pattern(), None, (_NO_BOX, _NO_BOX),
+                            True)
     stack = [_child(origin, None, "box", k, candidates, regions)
              for k in reversed(range(len(candidates)))]
 
@@ -641,11 +654,9 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             break
         node = stack.pop()
         stats.nodes += 1
-        placed = [candidates[k] for k in node.indices]
 
         # at most the incumbent: the subtree cannot replace it
-        if config.prune_enabled and upper_bound(
-                placed, catalog, suffix[node.indices[-1]]) <= best_volume:
+        if config.prune_enabled and _bound(node, blocks) <= best_volume:
             stats.pruned += 1
             continue
 
@@ -653,6 +664,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
             centers, outcome = _answer(node, candidates, regions, stats)
         except NumericalFailure:
             stats.lp_failures += 1
+            failed_volume = max(failed_volume, node.volume)
             centers = outcome = None
         else:
             # infeasible: skipped with its subtree
@@ -672,24 +684,19 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                              for c in reversed(constraints))
                 continue
             # intersection-free: record, then extend
-            volume = sum(c.box.volume_mm3() for c in placed)
-            if volume > best_volume:
+            if node.volume > best_volume:
                 stats.improvements += 1
-                best_volume = volume
+                best_volume = node.volume
                 best_placements = [
-                    Placement(c.box, c.orientation,
+                    Placement(candidates[k].box, candidates[k].orientation,
                               tuple(map(float, centers[i])))
-                    for i, c in enumerate(placed)]
+                    for i, k in enumerate(node.indices)]
 
-        used: Dict[str, int] = {}
-        for c in placed:
-            used[c.box.id] = used.get(c.box.id, 0) + 1
-        addable = [k for k in range(node.indices[-1], len(candidates))
-                   if used.get(candidates[k].box.id, 0)
-                   < max_counts[candidates[k].box.id]]
         stack.extend(_child(node, outcome, "box", k, candidates, regions)
-                     for k in reversed(addable))
+                     for k in reversed(_extensions(node, blocks)))
 
+    stats.bound_mm3 = max([best_volume, failed_volume]
+                          + [_bound(node, blocks) for node in stack])
     stats.wall_time_s = time.monotonic() - started
     return PackingResult(best_placements, best_volume, stats,
                          timed_out=stats.timed_out)

@@ -584,6 +584,9 @@ def test_criterion_09_branch_arity(monkeypatch):
     # compares those answers with the LP's)
     assert [(r.stats.lp_calls, r.stats.pivots) for r in results] \
         == [(0, 0)] * 3
+    # finished without an LP failure: the proven bound is the optimum
+    assert [r.stats.bound_mm3 for r in results] \
+        == [r.volume_mm3 for r in results]
 
 
 def _exact_node_rows(pattern):

@@ -166,11 +166,12 @@ def test_full_pipeline_mesh_cube_one_box(tmp_path):
     # every region file, log and report byte for byte (paths included), as
     # written before points were stored as integer quadruples only; the
     # packing's search statistics are the ``SearchStats`` fields, dual
-    # simplex pivots included (none here: every node's rows are
-    # axis-aligned, so no node builds an LP)
+    # simplex pivots (none here: every node's rows are axis-aligned, so no
+    # node builds an LP) and the proven bound included
     assert payload["stats"]["lp_calls"] == 0
+    assert payload["stats"]["bound_mm3"] == TEST_BOX_VOLUME_MM3
     assert artifact_digest(out) == \
-        "4afe53ef1cafb695c955219de0e4995a1643abf85ca3b6e47a5506fabbbf7105"
+        "d22355509f3bdc0c6cc2e8a45d8d266a3468170825f8a0629937acc51131542e"
 
 
 class _TornFile:
@@ -578,19 +579,56 @@ def test_exit_code_malformed_trunk(tmp_path, capsys):
     null_corner = cube_mesh_obj(700)
     null_corner["triangles"][0][0] = [0, 0, None]
     cavity_of_lists = convex_cube_obj(700, [[[[1], 2, 3]]])
+    # and every other malformed-trunk branch of the readers
+    mesh = cube_mesh_obj(700)
+    short_triangle = dict(mesh, triangles=[mesh["triangles"][0][:2]])
+    no_seed = {"triangles": mesh["triangles"]}
+    three_triangles = dict(mesh, triangles=mesh["triangles"][:3])
+    # four triangles on z = 0, the seed above them
+    flat_mesh = {"triangles": [[[0, 0, 0], [700, 0, 0], [700, 700, 0]],
+                               [[0, 0, 0], [700, 700, 0], [0, 700, 0]],
+                               [[0, 0, 0], [0, 700, 0], [-700, 0, 0]],
+                               [[0, 0, 0], [-700, 0, 0], [0, -700, 0]]],
+                 "seed": [0, 0, 5]}
+    facet = "facet normal 0 0 1\nouter loop\n{}endloop\nendfacet\n"
+    two_vertices = facet.format("vertex 0 0 0\nvertex 1 0 0\n")
+    no_d = {"shell": {"halfspaces": [{"n": [1, 0, 0]}]}}
+    flat_shell = {"shell": _FLAT_CUBE}
+    no_vertices = dict(convex_cube_obj(700), cavities=[{"faces": []}])
     catalog = make_box_t_catalog(tmp_path)
     for name, obj, fmt, message in [
             ("offset", bad_offset, "convex-json", "not a finite rational"),
             ("seed", bad_seed, "mesh-json", "not a finite rational"),
             ("inf", infinite_seed, "mesh-json", "not a finite rational"),
             ("null", null_corner, "mesh-json", "cannot interpret None"),
-            ("lists", cavity_of_lists, "convex-json", "cannot interpret [1]")]:
-        trunk = write_json(tmp_path / f"{name}.json", obj)
+            ("lists", cavity_of_lists, "convex-json", "cannot interpret [1]"),
+            ("no-triangles", {"seed": [1, 2, 3]}, "mesh-json",
+             "needs a 'triangles' array"),
+            ("short", short_triangle, "mesh-json", "exactly 3 vertices"),
+            ("no-seed", no_seed, "mesh-json", "needs a seed point"),
+            ("binary", "\x00\x01binary", "stl", "only ASCII STL"),
+            ("vertex", "solid t\nvertex 0 0\n", "stl", "bad vertex line"),
+            ("two", "solid t\n" + two_vertices, "stl",
+             "facet without exactly 3 vertices"),
+            ("dangling", "solid t\nvertex 0 0 0\n", "stl",
+             "dangling vertices"),
+            ("no-d", no_d, "convex-json", "bad shell description"),
+            ("flat-shell", flat_shell, "convex-json",
+             "empty or not full-dimensional"),
+            ("no-vertices", no_vertices, "convex-json",
+             "cavity 0 needs a 'vertices' array"),
+            ("three", three_triangles, "mesh-json", "at least 4"),
+            ("coplanar", flat_mesh, "mesh-json", "coplanar")]:
+        if isinstance(obj, str):
+            (tmp_path / f"{name}.stl").write_text(obj, encoding="utf-8")
+            trunk = str(tmp_path / f"{name}.stl")
+        else:
+            trunk = write_json(tmp_path / f"{name}.json", obj)
         assert run(RunConfig(trunk=trunk, trunk_format=fmt,
                              catalog_path=catalog,
                              out_dir=str(tmp_path / name))) == EXIT_MALFORMED
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
+        assert err.count("\n") == 1 and message in err, name
 
 
 _UNBOUNDED_REGION = {"box": "T", "fattened": False,
@@ -1030,6 +1068,21 @@ def test_detect_trunk_format(tmp_path):
     listed = tmp_path / "list.json"
     write_json(listed, [{"shell": []}])
     assert detect_trunk_format(str(listed)) == "mesh-json"
+
+
+@pytest.mark.parametrize("target", ["missing/scene.obj", "folder"])
+def test_exit_code_unwritable_export_obj(tmp_path, capsys, target):
+    # an OBJ path under a missing directory, or one that is a directory, is
+    # refused before any stage runs: the search result is never lost
+    (tmp_path / "folder").mkdir()
+    trunk = write_json(tmp_path / "c.json", convex_cube_obj(700))
+    out = tmp_path / "out"
+    rc = main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+               "--out", str(out), "--export-obj", str(tmp_path / target)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--export-obj" in err
+    assert not any(out.rglob("*.*"))
 
 
 def test_export_obj_without_trunk(tmp_path):

@@ -54,11 +54,10 @@ from trunkpack.geometry import (Halfspace, Point3, _degenerate_from_points,
                                 intersect_halfspaces)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, NumericalFailure, Pattern,
                           build_lp, solve)
-from trunkpack.search import (Candidate, PackingResult, Placement,
+from trunkpack.search import (PackingResult, Placement,
                               SearchConfig, branch, candidate_list,
                               detect_intersections, enumerate_patterns,
-                              order_chains_feasible, upper_bound,
-                              validate_packing)
+                              order_chains_feasible, validate_packing)
 from trunkpack.simplify import drop_facets
 
 F = Fraction
@@ -236,13 +235,18 @@ def test_zero_count_type_is_never_placed():
         assert result.placements == [] and result.volume_mm3 == 0
 
 
-def test_prune_toggle_preserves_results():
+def _two_type_pillar():
+    """(regions, catalog): the pillar instance with 10 mm cubes too."""
     big, regions = _pillar_instance()
     small = cube_type(id="L", edge=10, max_count=2)
     hull = regions[("K", "zyx")].hull
     pillar = regions[("K", "zyx")].obstacles[0]
     regions[("L", "zyx")] = region(hull, [pillar], "L")
-    catalog = [big, small]
+    return regions, [big, small]
+
+
+def test_prune_toggle_preserves_results():
+    regions, catalog = _two_type_pillar()
     with_prune = enumerate_patterns(regions, catalog,
                                     config=SearchConfig(prune_enabled=True))
     without = enumerate_patterns(regions, catalog,
@@ -256,10 +260,9 @@ def test_prune_toggle_preserves_results():
     assert without.stats.pruned == 0
 
 
-def test_many_box_types_finish_with_every_box_placed():
-    # the paper's setting: several box types in one search.  A 700 mm cube
-    # holds two each of A, B and E (220,130,934 mm^3, the whole catalog);
-    # the first-found rule proves it without visiting every equal packing
+def _abe_cube():
+    """(regions, catalog): boxes A, B and E at two each in a 700 mm cube,
+    which holds them all (220,130,934 mm^3)."""
     trunk = parse_convex_json({"shell": {"halfspaces": [
         {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": 700},
         {"n": [0, -1, 0], "d": 0}, {"n": [0, 1, 0], "d": 700},
@@ -273,13 +276,123 @@ def test_many_box_types_finish_with_every_box_placed():
                                             samples=200, seed=1)
             if found is not None:
                 regions[(box.id, orientation)] = found
+    return regions, catalog
+
+
+def test_many_box_types_finish_with_every_box_placed():
+    # the paper's setting: several box types in one search.  A 700 mm cube
+    # holds two each of A, B and E (220,130,934 mm^3, the whole catalog);
+    # the first-found rule proves it without visiting every equal packing
+    regions, catalog = _abe_cube()
     result = enumerate_patterns(regions, catalog,
                                 config=SearchConfig(time_limit_s=20))
     assert not result.timed_out
     assert result.volume_mm3 == 220130934
+    assert result.stats.bound_mm3 == result.volume_mm3
     assert len(result.placements) == 6
     check = validate_packing(result.placements, regions)
     assert check["valid"] and check["mode"] == "exact", check
+
+
+def _recounted_bound(placed, catalog, addable_type_ids):
+    """The node bound as the search once recounted it at every node: the
+    placed volume plus every box of the addable types not yet placed."""
+    used = collections.Counter(c.box.id for c in placed)
+    return (sum(c.box.volume_mm3() for c in placed)
+            + sum((box.max_count - used[box.id]) * box.volume_mm3()
+                  for box in catalog if box.id in addable_type_ids))
+
+
+# (nodes, pruned, nodes extended, volume) of the A/B/E cube, the L-trunk
+# and the two-type pillar; the nodes, prunes and packings are as they were
+# with the bound recounted at every node
+_BOUND_TALLIES = [(197, 103, 6, 220130934), (127, 12, 4, 70846188),
+                  (42, 32, 4, 18000)]
+
+
+def test_node_bounds_and_extensions_equal_the_recounted_ones(monkeypatch):
+    """On the prune-on searches (the A/B/E cube, the L-trunk and the
+    two-type pillar), every popped node's bound is the one recounted from
+    its placed boxes over the types at or after its last candidate, and its
+    extensions are the candidates from its last on whose type has room."""
+    real_bound, real_extensions = search_mod._bound, search_mod._extensions
+    l_regions, l_box, _ = _l_trunk_search()
+    tallies = []
+    for regions, catalog in (_abe_cube(), (l_regions, [l_box]),
+                             _two_type_pillar()):
+        candidates = candidate_list(regions, catalog)
+        counts = {box.id: box.max_count for box in catalog}
+        seen = collections.Counter()
+
+        def bound(node, blocks):
+            got = real_bound(node, blocks)
+            placed = [candidates[k] for k in node.indices]
+            later = {c.box.id for c in candidates[node.indices[-1]:]}
+            assert got == _recounted_bound(placed, catalog, later)
+            seen["bounds"] += 1
+            return got
+
+        def extensions(node, blocks):
+            got = real_extensions(node, blocks)
+            used = collections.Counter(candidates[k].box.id
+                                       for k in node.indices)
+            assert list(got) == [
+                k for k in range(node.indices[-1], len(candidates))
+                if used[candidates[k].box.id] < counts[candidates[k].box.id]]
+            seen["extensions"] += 1
+            return got
+
+        monkeypatch.setattr(search_mod, "_bound", bound)
+        monkeypatch.setattr(search_mod, "_extensions", extensions)
+        result = enumerate_patterns(regions, catalog)
+        # finished: every bound read was a popped node's
+        assert seen["bounds"] == result.stats.nodes
+        assert result.stats.bound_mm3 == result.volume_mm3
+        tallies.append((result.stats.nodes, result.stats.pruned,
+                        seen["extensions"], result.volume_mm3))
+    assert tallies == _BOUND_TALLIES
+    # one A of the default catalog placed: 4 A + 4 B + 2 (C + D + E + F)
+    # are still counted
+    boxes = default_catalog()
+    blocks = search_mod._type_blocks(
+        candidate_list({(b.id, "xyz"): object() for b in boxes}, boxes))
+    root = search_mod.PartialPattern((0,), boxes[0].volume_mm3(), 3, None,
+                                     None, None, True)
+    assert real_bound(root, blocks) == 700341734
+
+
+class _TickingClock:
+    """A stand-in for ``search.time`` whose clock ticks one second per
+    reading, so that a time limit of n seconds is a budget of n nodes."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
+
+
+def test_search_cut_short_bounds_the_optimum(monkeypatch):
+    # the A/B/E cube's proven optimum is 220,130,934 mm^3 (the whole
+    # catalog): every cut-short search must report a bound of at least that
+    regions, catalog = _abe_cube()
+    for budget in (1, 20, 100):
+        monkeypatch.setattr(search_mod, "time", _TickingClock())
+        result = enumerate_patterns(regions, catalog,
+                                    config=SearchConfig(time_limit_s=budget))
+        assert result.timed_out and result.stats.nodes == budget
+        assert result.stats.bound_mm3 >= 220130934 >= result.volume_mm3
+
+
+def test_failed_lp_counts_its_placed_volume_in_the_bound(monkeypatch):
+    # the one-cube root's LP fails and its full type has no extension:
+    # nothing is packed, but the root's own pattern was never decided, so
+    # the bound keeps its cube
+    box, regions = _pillar_instance(max_count=1, slanted=True)
+    result, _, children = _failing_search(monkeypatch, box, regions, 0)
+    assert result.volume_mm3 == 0 and children == []
+    assert result.stats.bound_mm3 == 8000
 
 
 def test_search_is_deterministic():
@@ -352,20 +465,6 @@ def test_unit_boxes_half_apart_overlap_half():
     centers = np.array([[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]])
     bb, _ = detect_intersections(pattern, centers)
     assert bb[0][0] == pytest.approx(0.5)
-
-
-def test_upper_bound_full_catalog_example():
-    boxes = default_catalog()
-    # 4*A + 4*B + 2*(C + D + E + F), every box addable
-    assert upper_bound([], boxes) == 700341734
-    a = next(b for b in boxes if b.id == "A")
-    placed = [Candidate(a, "zyx")]
-    assert upper_bound(placed, boxes) == 700341734
-    assert upper_bound(placed, boxes, addable_type_ids={"A"}) \
-        == 4 * a.volume_mm3()
-    exhausted = [Candidate(a, "zyx")] * 4
-    assert upper_bound(exhausted, boxes, addable_type_ids=set()) \
-        == 4 * a.volume_mm3()
 
 
 def test_branch_children_shapes():
@@ -699,8 +798,8 @@ def _check_slack_below_delta(regions, placements, bb, bo, slack, centers):
             folded, chains, aligned, regions, step, item)
     assert folded == pattern
     assert aligned and chains[0] is not None and chains[1] is None
-    node = search_mod.PartialPattern(tuple(range(len(placements))), pattern,
-                                     None, chains, aligned)
+    node = search_mod.PartialPattern(tuple(range(len(placements))), 0, 0,
+                                     pattern, None, chains, aligned)
     got, outcome = search_mod._answer(node, None, regions,
                                       search_mod.SearchStats())
     assert outcome is None and got.ravel().tolist() == centers
@@ -992,34 +1091,40 @@ def _reference_detect_intersections(extents, box_regions, centers,
     return bb, bo
 
 
-def _criterion_09_searches():
-    """(regions, box, prune) of the three criterion-09 searches: the J and
-    K cubes and the L-trunk ``double_stack``."""
-    def cuboid(dims, cavities=()):
-        obj = {"shell": {"halfspaces": [
-            {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": dims[0]},
-            {"n": [0, -1, 0], "d": 0}, {"n": [0, 1, 0], "d": dims[1]},
-            {"n": [0, 0, -1], "d": 0}, {"n": [0, 0, 1], "d": dims[2]}]},
-            "cavities": [{"vertices": c} for c in cavities]}
-        return parse_convex_json(obj)
+def _cuboid(dims, cavities=()):
+    return parse_convex_json({"shell": {"halfspaces": [
+        {"n": [-1, 0, 0], "d": 0}, {"n": [1, 0, 0], "d": dims[0]},
+        {"n": [0, -1, 0], "d": 0}, {"n": [0, 1, 0], "d": dims[1]},
+        {"n": [0, 0, -1], "d": 0}, {"n": [0, 0, 1], "d": dims[2]}]},
+        "cavities": [{"vertices": c} for c in cavities]})
 
-    def regions_of(trunk, box, samples, seed):
-        found = {}
-        for orientation in distinct_orientations(box):
-            reg = compute_feasible_region(trunk, box, orientation,
-                                          samples=samples, seed=seed)
-            if reg is not None:
-                found[(box.id, orientation)] = reg
-        return found
 
-    j, k = BoxType("J", (88, 88, 88), 5), BoxType("K", (95, 87, 80), 3)
+def _regions_of(trunk, box, samples, seed):
+    found = {}
+    for orientation in distinct_orientations(box):
+        reg = compute_feasible_region(trunk, box, orientation,
+                                      samples=samples, seed=seed)
+        if reg is not None:
+            found[(box.id, orientation)] = reg
+    return found
+
+
+def _l_trunk_search():
+    """(regions, box, prune) of criterion 09's L-trunk ``double_stack``."""
     e = BoxType("E", (381, 229, 203), 4)
     cavity = [[x, y, z] for x in (210, 800) for y in (0, 230)
               for z in (210, 1000)]
-    return [(regions_of(cuboid((200, 200, 200)), j, 2000, 5), j, False),
-            (regions_of(cuboid((210, 210, 210)), k, 2000, 5), k, False),
-            (regions_of(cuboid((800, 230, 1000), [cavity]), e, 10000, 4242),
-             e, True)]
+    return (_regions_of(_cuboid((800, 230, 1000), [cavity]), e, 10000, 4242),
+            e, True)
+
+
+def _criterion_09_searches():
+    """(regions, box, prune) of the three criterion-09 searches: the J and
+    K cubes and the L-trunk ``double_stack``."""
+    j, k = BoxType("J", (88, 88, 88), 5), BoxType("K", (95, 87, 80), 3)
+    return [(_regions_of(_cuboid((200, 200, 200)), j, 2000, 5), j, False),
+            (_regions_of(_cuboid((210, 210, 210)), k, 2000, 5), k, False),
+            _l_trunk_search()]
 
 
 def test_detect_intersections_matches_the_per_call_norms(monkeypatch):
@@ -1121,8 +1226,8 @@ def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
             folded, chains, aligned = search_mod._extend(
                 folded, chains, aligned, regions, step, item)
         assert folded == pattern and aligned
-        node = search_mod.PartialPattern(tuple(range(n)), folded, None,
-                                         chains, aligned)
+        node = search_mod.PartialPattern(tuple(range(n)), 0, 0, folded,
+                                         None, chains, aligned)
         got, _ = search_mod._answer(node, None, regions,
                                     search_mod.SearchStats())
         assert got.ravel().tolist() == centers
