@@ -11,11 +11,14 @@ computed as an eroded convex hull minus a list of convex obstacles:
 A center is feasible when it lies in the hull and is not strictly inside any
 obstacle.  All polytopes are exact; the Monte Carlo volume estimate
 (``estimate_volume``) and its reporting are the only float quantities.  The
-estimate classifies exact lattice points (``classify_feasible``): an integer
-sort-and-sweep over the points' coordinates culls each obstacle to the points
-strictly inside its bounding box, then every halfspace sign is certified (a
-float screen, re-evaluated exactly near zero).  A flat obstacle has no
-interior and forbids nothing.
+estimate classifies exact lattice points (``classify_feasible``): an
+axis-aligned halfspace is decided by integer comparisons of one numerator
+column with a floor and a ceiling threshold, and a slanted one by a
+certified float screen, re-evaluated exactly near zero.  An integer
+sort-and-sweep over the points' coordinates, built only once an obstacle's
+bounding box meets the points inside the hull, culls each obstacle to the
+points strictly inside its bounding box.  A flat obstacle has no interior and
+forbids nothing.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
 hull halfspace pushed outward by at least 1 mm).  Within the true hull the
@@ -394,21 +397,24 @@ def region_seed(global_seed: int, box_id: str, orientation: str) -> int:
 class LatticePoints:
     """Random sample points stored exactly.
 
-    Coordinates are num / LATTICE_DEN with int64 numerators; ``max_abs``,
+    Coordinates are num / LATTICE_DEN with int64 numerators below 2**62 in
+    magnitude; ``bound`` is the largest numerator magnitude and ``max_abs``,
     the largest coordinate magnitude rounded to a float, bounds the
     vectorized float screen.  All classifications are certified: float
     comparisons are trusted only outside a conservative error bound and
     re-done exactly inside it.
     """
 
-    __slots__ = ("num", "max_abs")
+    __slots__ = ("num", "bound", "max_abs")
 
     def __init__(self, num):
         if num.dtype != np.int64:
             raise GeometryError("lattice numerators must be int64")
         self.num = num
-        self.max_abs = max(-int(num.min(initial=0)),
-                           int(num.max(initial=0))) / LATTICE_DEN
+        self.bound = max(-int(num.min(initial=0)), int(num.max(initial=0)))
+        if self.bound >= 2 ** 62:
+            raise GeometryError("lattice numerators would overflow int64")
+        self.max_abs = self.bound / LATTICE_DEN
 
     def __len__(self) -> int:
         return self.num.shape[0]
@@ -452,13 +458,17 @@ def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
     (``_sample_box``), exact: 2*_LATTICE lattice positions per axis."""
     lo, hi = _sample_box(bbox)
     rng = np.random.default_rng(seed)
-    r = rng.integers(0, _LATTICE, size=(n, 3), dtype=np.int64)
-    num = np.empty((n, 3), dtype=np.int64)
+    num = rng.integers(0, _LATTICE, size=(n, 3), dtype=np.int64)
     for axis, (a, b) in enumerate(zip(lo, hi)):
-        # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN
+        # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN, in place over the
+        # draws r
         if abs(a) * 2 * _LATTICE + (2 * _LATTICE + 1) * (b - a) >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-        num[:, axis] = a * 2 * _LATTICE + (2 * r[:, axis] + 1) * (b - a)
+        col = num[:, axis]
+        col *= 2
+        col += 1
+        col *= b - a
+        col += a * 2 * _LATTICE
     return LatticePoints(num)
 
 
@@ -468,11 +478,35 @@ def _sample_volume(bbox) -> Fraction:
     return math.prod(b - a for a, b in zip(lo, hi)) * _GRID ** 3
 
 
+def _cut(num: int, den: int, first: int, last: int) -> Tuple[int, int]:
+    """floor and ceil of t = num * LATTICE_DEN / den (den != 0), each
+    clamped to [first - 1, last + 1].  For an integer n in [first, last],
+    n > t exactly when n > floor and n < t exactly when n < ceil, and both
+    thresholds fit int64 when the range does."""
+    t = num * LATTICE_DEN
+    return (min(max(t // den, first - 1), last + 1),
+            min(max(-(-t // den), first - 1), last + 1))
+
+
 def halfspace_signs(h: Halfspace, pts: LatticePoints,
                     idx: Optional[np.ndarray] = None) -> np.ndarray:
     """Certified sign of (normal . p - offset) per point: -1, 0, +1.  With
-    ``idx``, only for the points at those indices, in that order."""
+    ``idx``, only for the points at those indices, in that order.
+
+    An axis-aligned row a * x_k <= d is decided exactly on the one
+    numerator column: a * x_k - d has the sign of a * (num_k - t) with
+    t = d * LATTICE_DEN / a, and num_k > t, num_k < t are integer
+    comparisons with floor(t) and ceil(t) (``_cut``).  A slanted row gets
+    a float screen, re-evaluated in Fractions near zero."""
     rows = slice(None) if idx is None else idx
+    found = h.axis()
+    if found is not None:
+        k, a = found
+        below, above = _cut(h.d, a, -pts.bound, pts.bound)
+        col = pts.num[rows, k]
+        more = (col > below).view(np.int8)
+        less = (col < above).view(np.int8)
+        return more - less if a > 0 else less - more
     vals = pts.num[rows, 0] * (h.a / LATTICE_DEN)
     vals += pts.num[rows, 1] * (h.b / LATTICE_DEN)
     vals += pts.num[rows, 2] * (h.c / LATTICE_DEN)
@@ -503,25 +537,16 @@ class _AxisSweep:
             self.order.append(subset[perm])
             self.keys.append(col[perm])
             del col, perm  # before the next axis allocates its own
+        self.ranges = [(int(keys[0]), int(keys[-1])) for keys in self.keys]
 
     def in_box(self, int_bbox) -> np.ndarray:
         """Indices of the subset's points strictly inside the integer box
-        (lo, hi, w) of ``ConvexPolytope.int_bbox()``.  For an integer
-        numerator, lo_k/w < num_k/D < hi_k/w (D = LATTICE_DEN) is exactly
-        floor(lo_k*D/w) < num_k < ceil(hi_k*D/w): integer floor
-        divisions, no float and no Fraction.  Binary search on the axis with
-        the fewest points in range, then a filter on the other two."""
-        lo, hi, w = int_bbox
-        limits = []
-        for k in range(3):
-            # thresholds clamped to the points' range, so they fit int64
-            keys = self.keys[k]
-            first, last = int(keys[0]), int(keys[-1])
-            below = max(lo[k] * LATTICE_DEN // w, first - 1)
-            above = min(-(-hi[k] * LATTICE_DEN // w), last + 1)
-            if below >= above - 1:
-                return self.order[k][:0]
-            limits.append((below, above))
+        (lo, hi, w) of ``ConvexPolytope.int_bbox()`` (``_box_limits``).
+        Binary search on the axis with the fewest points in range, then a
+        filter on the other two."""
+        limits = _box_limits(int_bbox, self.ranges)
+        if limits is None:
+            return self.order[0][:0]
         spans = [(np.searchsorted(self.keys[k], limits[k][0], side="right"),
                   np.searchsorted(self.keys[k], limits[k][1], side="left"))
                  for k in range(3)]
@@ -534,30 +559,68 @@ class _AxisSweep:
         return cand
 
 
+def _box_limits(int_bbox, ranges) -> Optional[list]:
+    """Per axis k, the integer thresholds (below, above) between which a
+    numerator in ``ranges[k]`` = (first, last) lies strictly inside the
+    integer box (lo, hi, w) of ``ConvexPolytope.int_bbox()``: for an
+    integer numerator, lo_k/w < num_k/D < hi_k/w (D = LATTICE_DEN) is
+    exactly floor(lo_k*D/w) < num_k < ceil(hi_k*D/w), with the thresholds
+    clamped to the range (``_cut``).  None when on some axis no numerator
+    in range lies strictly inside."""
+    lo, hi, w = int_bbox
+    limits = []
+    for k, (first, last) in enumerate(ranges):
+        below = _cut(lo[k], w, first, last)[0]
+        above = _cut(hi[k], w, first, last)[1]
+        if below >= above - 1:
+            return None
+        limits.append((below, above))
+    return limits
+
+
 def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
                       obstacles: Sequence[ConvexPolytope]) -> np.ndarray:
     """Feasibility mask: inside the closed hull and not strictly inside any
     obstacle.
 
-    Each hull halfspace is tested only on the points still inside the hull.
-    An obstacle is tested only on the still-feasible points strictly inside
+    The hull halfspaces are tested on whole columns while every point is
+    still inside the hull, then each only on the points still inside.  An
+    obstacle is tested only on the still-feasible points strictly inside
     its bounding box, found by an exact integer sort-and-sweep over the
     lattice numerators, and each of its halfspaces only on the points
-    strictly inside the ones before.  Every sign is certified
-    (``halfspace_signs``).  A flat (degenerate) obstacle has no interior and
-    forbids nothing."""
-    inside = np.arange(len(pts), dtype=np.int32)
+    strictly inside the ones before.  The sweep's sort index is built when
+    the first obstacle's bounding box meets the range of the points inside
+    the hull; an obstacle that only touches the hull's boundary never needs
+    it.  Every sign is certified (``halfspace_signs``; exact integer
+    comparisons on axis-aligned rows).  A flat (degenerate) obstacle has no
+    interior and forbids nothing."""
+    inside = None  # every point, until a hull row leaves one out
     for h in hull.halfspaces:
-        inside = inside[halfspace_signs(h, pts, inside) <= 0]
+        keep = halfspace_signs(h, pts, inside) <= 0
+        if inside is None:
+            if keep.all():
+                continue
+            inside = np.arange(len(pts), dtype=np.int32)
+        inside = inside[keep]
         if inside.size == 0:
             break
-    feasible = np.zeros(len(pts), dtype=bool)
-    feasible[inside] = True
+    feasible = np.full(len(pts), inside is None)
+    if inside is not None:
+        feasible[inside] = True
     solid = [obs for obs in obstacles if not obs.degenerate]
-    if inside.size == 0 or not solid:
+    if not solid or not feasible.any():
         return feasible
-    sweep = _AxisSweep(pts.num, inside)
+    rows = slice(None) if inside is None else inside
+    ranges = [(int(pts.num[rows, k].min()), int(pts.num[rows, k].max()))
+              for k in range(3)]
+    sweep = None
     for obs in solid:
+        if sweep is None:
+            if _box_limits(obs.int_bbox(), ranges) is None:
+                continue
+            if inside is None:
+                inside = np.arange(len(pts), dtype=np.int32)
+            sweep = _AxisSweep(pts.num, inside)
         cand = sweep.in_box(obs.int_bbox())
         cand = cand[feasible[cand]]
         for h in obs.halfspaces:
@@ -871,12 +934,50 @@ def region_from_dict(obj: dict):
     return region
 
 
+def _list_json(items: Sequence[str], depth: int) -> str:
+    """A list of written items, its opening bracket at nesting depth
+    ``depth``, laid out as ``json.dumps(indent=1)`` does."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+
+
+def _polytope_json(p: ConvexPolytope, depth: int) -> str:
+    """``_polytope_to_dict(p)`` as ``json.dumps(indent=1)`` writes it with
+    its opening brace at nesting depth ``depth``: one ``%d`` template for
+    every halfspace."""
+    pad = [" " * (depth + i) for i in range(5)]
+    row = ("{\n" + pad[3] + '"d": %d,\n' + pad[3] + '"n": [\n'
+           + pad[4] + "%d,\n" + pad[4] + "%d,\n" + pad[4] + "%d\n"
+           + pad[3] + "]\n" + pad[2] + "}")
+    rows = [row % (h.d, h.a, h.b, h.c) for h in p.halfspaces]
+    return ("{\n" + pad[1] + '"halfspaces": ' + _list_json(rows, depth + 1)
+            + "\n" + pad[0] + "}")
+
+
 def region_json(region_or_none, box_id: str = None, orientation: str = None) -> str:
+    """The region file: ``json.dumps(obj, sort_keys=True, indent=1)`` plus a
+    newline, for obj the empty marker (None) or ``region_to_dict(region)``,
+    written directly: every halfspace through one template, scalars
+    through ``json.dumps``, keys in sorted order."""
     if region_or_none is None:
-        obj = empty_region_dict(box_id, orientation)
-    else:
-        obj = region_to_dict(region_or_none)
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        return json.dumps(empty_region_dict(box_id, orientation),
+                          sort_keys=True, indent=1) + "\n"
+    r = region_or_none
+    fields = [("box", json.dumps(r.box_id)),
+              ("fattened", json.dumps(r.fattened)),
+              ("hull", _polytope_json(r.hull, 1)),
+              ("obstacles", _list_json(
+                  [_polytope_json(o, 2) for o in r.obstacles], 1)),
+              ("orientation", json.dumps(r.orientation))]
+    if r.volume_mm3 is not None:
+        fields += [("samples", json.dumps(r.samples)),
+                   ("seed", json.dumps(r.seed)),
+                   ("volume_mm3", json.dumps(r.volume_mm3)),
+                   ("volume_stderr_mm3", json.dumps(r.volume_stderr_mm3))]
+    return ("{\n" + ",\n".join(f' "{key}": {text}' for key, text in fields)
+            + "\n}\n")
 
 
 def region_report_rows(regions: Sequence[Region]) -> list:

@@ -208,6 +208,18 @@ class Halfspace:
     def key(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
+    def axis(self) -> Optional[tuple]:
+        """(axis, coefficient) when the normal lies on one axis, None for a
+        slanted halfspace."""
+        a, b, c = self.a, self.b, self.c
+        if b == 0 and c == 0:
+            return 0, a
+        if a == 0 and c == 0:
+            return 1, b
+        if a == 0 and b == 0:
+            return 2, c
+        return None
+
     def contains(self, p: Point3) -> bool:
         hx, hy, hz, w = p._h
         return self.a * hx + self.b * hy + self.c * hz <= self.d * w

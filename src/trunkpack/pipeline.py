@@ -60,7 +60,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -509,6 +508,9 @@ def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
     workers = min(config.workers, len(combos))
     try:
         if workers > 1:
+            # imported here, so that a run with one worker does not pay
+            # for importing the pool module
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_pool_task, tasks()))
         else:

@@ -263,19 +263,6 @@ _SLACKS = (0, round(2 * DELTA_MM))
 _NO_BOX = (((), (), ()), ((), (), ()))
 
 
-def _facet_axis(h) -> Optional[Tuple[int, int]]:
-    """(axis, coefficient) of a halfspace whose normal lies on one axis,
-    None for a slanted one."""
-    a, b, c = h.a, h.b, h.c
-    if b == 0 and c == 0:
-        return 0, a
-    if a == 0 and c == 0:
-        return 1, b
-    if a == 0 and b == 0:
-        return 2, c
-    return None
-
-
 def _with_box(chain, lo, hi, w):
     """The chains at one slack with one more box, unconstrained: at the
     lower corner of its hull's bounding box on every axis, bounded by the
@@ -359,7 +346,7 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
         hull = new.regions[-1].hull
         lo, hi, w = hull.int_bbox()
         return (new, tuple(c and _with_box(c, lo, hi, w) for c in chains),
-                aligned and all(_facet_axis(h) for h in hull.halfspaces))
+                aligned and all(h.axis() for h in hull.halfspaces))
     at = []
     if step == "bb":
         new = pattern.with_bb(item)
@@ -377,7 +364,7 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
     new = pattern.with_bo(item)
     i, obstacle_id, facet = item
     h = new.obstacle(i, obstacle_id).halfspaces[facet]
-    found = _facet_axis(h)
+    found = h.axis()
     if found is None:
         return new, chains, False
     axis, a = found
@@ -450,7 +437,7 @@ def _exact_answer(pattern: Pattern):
             ups[3 * i + axis].append((Fraction(hi[axis], w), 0))
     for (i, obstacle_id, facet) in pattern.bo:
         h = pattern.obstacle(i, obstacle_id).halfspaces[facet]
-        axis, a = _facet_axis(h)
+        axis, a = h.axis()
         if a > 0:
             lows[3 * i + axis].append((Fraction(h.d, a), 1))
         else:

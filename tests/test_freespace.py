@@ -20,6 +20,7 @@ from trunkpack import freespace
 from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
                                oriented_extents)
 from trunkpack.freespace import (
+    DEFAULT_SEED,
     LATTICE_DEN,
     ConvexTrunk,
     DegenerateTrunk,
@@ -28,6 +29,7 @@ from trunkpack.freespace import (
     Region,
     TrunkFormatError,
     _AxisSweep,
+    _cut,
     _sample_box,
     classify_feasible,
     compute_feasible_region,
@@ -65,6 +67,7 @@ from trunkpack.geometry import (
     fm_feasible,
     minkowski_sum_convex,
 )
+from trunkpack.simplify import MergeParams, drop_facets, merge_obstacles
 
 F = Fraction
 
@@ -670,6 +673,97 @@ def test_sweep_in_box_matches_fraction_comparison():
     assert found
 
 
+def test_axis_rows_match_fraction_predicates():
+    # rows a * x_k <= d with a in +-1, +-2, +-3 and odd d: the lattice points
+    # on the plane (a = +-1, +-2) or on either side of it (a = +-3), and one
+    # and two steps beyond, at negative and positive coordinates; every
+    # sign is decided by the integer comparison, no float and no Fraction
+    den = LATTICE_DEN
+    rows, planes = [], []
+    for k in range(3):
+        for a in (1, -1, 2, -2, 3, -3):
+            for d in (-7, -1, 1, 5, 601):
+                normal = [0, 0, 0]
+                normal[k] = a
+                h = Halfspace(normal, d)
+                assert h.axis() == (k, a) and (h.a, h.b, h.c, h.d)[k] == a
+                planes.append(h)
+                t = F(d * den, a)
+                for base in {math.floor(t), math.ceil(t)}:
+                    for step in (-2, -1, 0, 1, 2):
+                        row = [-3 * den + 5, 2 * den, -1]
+                        row[k] = base + step
+                        rows.append(row)
+    pts = LatticePoints(np.array(rows, dtype=np.int64))
+    for h in planes:
+        signs = halfspace_signs(h, pts)
+        picked = np.arange(0, len(pts), 3)
+        assert (halfspace_signs(h, pts, picked) == signs[picked]).all()
+        for i in range(len(pts)):
+            p = pts.point(i)
+            v = h.value(p)
+            assert signs[i] == (v > 0) - (v < 0)
+            assert (signs[i] <= 0) == h.contains(p)  # hull: a . x <= d
+            assert (signs[i] < 0) == h.strictly_inside(p)  # obstacle: < d
+    assert {int(v) for h in planes for v in halfspace_signs(h, pts)} == \
+        {-1, 0, 1}
+
+
+def test_axis_row_thresholds_beyond_int64():
+    # planes far past the points: the floor and ceil thresholds are clamped
+    # to one step past the points' range, so they fit int64
+    den = LATTICE_DEN
+    pts = LatticePoints(np.array([[-5 * den, 0, 7], [3, -(1 << 40), 9 * den]],
+                                 dtype=np.int64))
+    far = 1 << 80
+    assert _cut(far + 1, 3, -pts.bound, pts.bound) == (pts.bound + 1,) * 2
+    assert _cut(far + 1, -3, -pts.bound, pts.bound) == (-pts.bound - 1,) * 2
+    assert _cut(-7, 3, -(1 << 40), 1 << 40) == (
+        math.floor(F(-7 * den, 3)), math.ceil(F(-7 * den, 3)))
+    for a in (1, -1, 2, -3):
+        for d in (far + 1, -far - 1):
+            for k in range(3):
+                normal = [0, 0, 0]
+                normal[k] = a
+                h = Halfspace(normal, d)
+                expect = [1 if h.value(pts.point(i)) > 0 else -1
+                          for i in range(len(pts))]
+                assert halfspace_signs(h, pts).tolist() == expect
+
+
+def _sweeps_built(monkeypatch, trunk, box, orientation):
+    """The region of the box in the trunk and the subset size of every
+    ``_AxisSweep`` its describe stage built."""
+    built = []
+    real = freespace._AxisSweep
+
+    def counting(num, subset):
+        built.append(len(subset))
+        return real(num, subset)
+
+    monkeypatch.setattr(freespace, "_AxisSweep", counting)
+    region = compute_feasible_region(trunk, box, orientation, samples=3000,
+                                     seed=6)
+    monkeypatch.undo()
+    return region, built
+
+
+def test_sweep_index_built_only_when_an_obstacle_meets_the_samples(
+        monkeypatch):
+    # the mesh cube's triangle obstacles only touch its eroded hull's
+    # boundary: no sort index is built
+    region, built = _sweeps_built(monkeypatch, cube_mesh(1000), BOX_B, "xyz")
+    assert region.obstacles and built == []
+    # the L-trunk's corner cavity reaches into the hull: one index, over
+    # every sample inside the hull
+    cavity = [(x, y, z) for x in (210, 800) for y in (0, 230)
+              for z in (210, 1000)]
+    trunk = parse_convex_json(shell_json((0, 0, 0), (800, 230, 1000),
+                                         cavities=[cavity]))
+    region, built = _sweeps_built(monkeypatch, trunk, BOX_E, "xyz")
+    assert len(region.obstacles) == 1 and built == [3000]
+
+
 def test_flat_obstacle_forbids_nothing():
     hull = box_polytope((0, 0, 0), (10, 10, 10))
     flat = _degenerate_from_points([Point3(0, 0, 0), Point3(10, 0, 10),
@@ -764,6 +858,38 @@ def test_raw_region_json_round_trip():
     assert reloaded.volume_mm3 is None
     assert region_json(reloaded) == text
     assert reloaded.obstacles[0].bbox() == ((40, 0, 0), (80, 50, 50))
+
+
+def test_region_json_is_the_sorted_indented_dump():
+    def dumped(region):
+        return json.dumps(region_to_dict(region), sort_keys=True,
+                          indent=1) + "\n"
+
+    cavity = [(x, y, z) for x in (210, 800) for y in (0, 230)
+              for z in (210, 1000)]
+    l_trunk = parse_convex_json(shell_json((0, 0, 0), (800, 230, 1000),
+                                           cavities=[cavity]))
+    raw = raw_feasible_region(l_trunk, BOX_E, "zyx")
+    feasible = describe_region(raw, samples=2000, seed=3)
+    merged, _ = merge_obstacles(
+        feasible, MergeParams(rng_seed=region_seed(DEFAULT_SEED, "E", "zyx")))
+    simplified, _ = drop_facets(merged)
+    mesh = compute_feasible_region(cube_mesh(1000, origin=(-40, 3, -900)),
+                                   BOX_B, "yzx", samples=2000, seed=5)
+    fattened = compute_feasible_region(
+        parse_convex_json(shell_json((0, 0, 0), (458, 483, 610))), BOX_A,
+        "zyx", samples=1000, seed=1)
+    free = compute_feasible_region(
+        parse_convex_json(shell_json((-7, 0, 0), (900, 700, 800))), BOX_A,
+        "xyz", samples=1000, seed=2)
+    regions = [raw, feasible, simplified, mesh, fattened, free]
+    assert fattened.fattened and not free.obstacles and mesh.obstacles
+    assert raw.volume_mm3 is None and simplified.volume_mm3 is not None
+    for region in regions:
+        assert region_json(region) == dumped(region)
+    assert region_json(None, "A", "xyz") == json.dumps(
+        {"box": "A", "orientation": "xyz", "empty": True}, sort_keys=True,
+        indent=1) + "\n"
 
 
 def test_repeated_obstacles_decode_once_each(monkeypatch):

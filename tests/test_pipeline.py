@@ -16,6 +16,9 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +325,18 @@ def test_worker_counts_yield_identical_artifacts(tmp_path):
             continue
         assert a[rel] == b[rel], f"{rel} differs between worker counts"
     assert load_packing(serial) == load_packing(pooled)
+
+
+def test_pipeline_import_leaves_the_process_pool_out():
+    # the pool module is imported by a run with more than one worker only
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, trunkpack.pipeline; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -870,7 +870,7 @@ def _mixed_instance():
     pillar = intersect_halfspaces(
         [Halfspace((1, 1, 0), 80)],
         axis_aligned_box((0, 0, 0), (50, 50, 100)), id="o0")
-    assert any(search_mod._facet_axis(h) is None for h in pillar.halfspaces)
+    assert any(h.axis() is None for h in pillar.halfspaces)
     return box, {("K", "zyx"): region(hull, [pillar], "K")}
 
 
@@ -889,7 +889,7 @@ def test_mixed_tree_equals_the_lp_only_tree(monkeypatch):
     mixed_solved = list(solved)
     # the LP-only run: no row counts as axis-aligned, so every node is
     # answered by its LP and its chains keep only the hull boxes and orders
-    monkeypatch.setattr(search_mod, "_facet_axis", lambda h: None)
+    monkeypatch.setattr(Halfspace, "axis", lambda h: None)
     solved.clear()
     lp_only = enumerate_patterns(regions, [box], config=config)
 
