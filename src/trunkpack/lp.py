@@ -3,9 +3,10 @@
 The only floating-point corner of the package.  `build_lp` assembles the
 feasibility LP of a partial packing pattern: three center coordinates per
 placed box plus one shared slack variable, maximized.  Hull-membership rows
-carry no slack; every separation row (box-box order, box-obstacle facet)
-includes the slack, so a positive optimum certifies a placement with that
-many millimetres of clearance in every separating constraint.  The slack is
+and the tie rows of identical boxes (``Pattern.tied``) carry no slack; every
+separation row (box-box order, box-obstacle facet) includes the slack, so a
+positive optimum certifies a placement with that many millimetres of
+clearance in every separating constraint.  The slack is
 capped (DELTA_MM) to keep the LP bounded and non-negative so that a feasible
 outcome always corresponds to a genuinely non-overlapping placement.  Every
 LP also carries `lower` and `upper` bounds that its rows imply: for a
@@ -22,12 +23,12 @@ at zero, by adding -EPS * w_k to their costs (EPS = 2^-20, w_k = 1 + k/1024,
 both exact in binary).  For a pattern LP the solved objective is
 s - EPS * sum w_k x_k over the centers: the answer is the least point of
 the face where the slack is largest.  On axis-aligned rows (box-box order
-rows are difference constraints, axis-aligned hull and obstacle rows bound
-one coordinate) the centers at a fixed slack form a lattice, and its least
-element is the unique minimizer of every positive weighting, so the answer
-is exact and unique; `trunkpack.search` computes it exactly from its
-order chains and builds an LP only for a node with a slanted row.  On
-slanted hulls it is unique for generic weights (a tie needs w to be
+and tie rows are difference constraints, axis-aligned hull and obstacle
+rows bound one coordinate) the centers at a fixed slack form a lattice, and
+its least element is the unique minimizer of every positive weighting, so
+the answer is exact and unique; `trunkpack.search` computes it exactly
+from its order chains and builds an LP only for a node with a slanted row.
+On slanted hulls it is unique for generic weights (a tie needs w to be
 orthogonal to an edge of the optimal face).  EPS is small
 enough that no center movement pays for lost slack: along an edge, a
 millimetre of slack would have to move the weighted centers by about 2^20
@@ -59,20 +60,21 @@ solving guards against silent numerical drift (NumericalFailure, never
 misreported as infeasible).
 
 **Warm start.**  A search node's LP is its parent's plus one box-box or
-box-obstacle row, or plus one box's three center columns and its hull rows:
-one extension step (`extend_lp`: k rows inserted at row p, 0 or 3 columns
-just before the slack; `add_step` places them for a pattern checked one
-step further, and `build_lp` is its fold).  The child records its base and
-p, so `solve(lp, parent)` checks by identity that `lp` extends the parent
-outcome's LP (ValueError otherwise) and continues the dual simplex from the
-parent's final basis, which stays dual feasible (Bertsimas & Tsitsiklis,
-Introduction to Linear Optimization, 1997, sec. 5.1).  The starting tableau
-is the parent's, copied into the child's layout in contiguous blocks, with
-the new columns' reduced costs (<= 0: a new column is zero in every old
-row) and the new rows, scaled (only they are) and expressed in the parent's
-basis.  The old rows hold at the parent's answer, so only new rows can be
-violated.  Every solve, cold or warm, builds its starting tableau this way
-and keeps its final one, which its children start from.
+box-obstacle row, or plus one box's three center columns, its hull rows and
+its tie row, if any: one extension step (`extend_lp`: k rows inserted at
+row p, 0 or 3 columns just before the slack; `add_step` places them for a
+pattern checked one step further, and `build_lp` is its fold).  The child
+records its base and p, so `solve(lp, parent)` checks by identity that
+`lp` extends the parent outcome's LP (ValueError otherwise) and continues
+the dual simplex from the parent's final basis, which stays dual
+feasible (Bertsimas & Tsitsiklis, Introduction to Linear Optimization,
+1997, sec. 5.1).  The starting tableau is the parent's, copied into the
+child's layout in contiguous blocks, with the new columns' reduced costs
+(<= 0: a new column is zero in every old row) and the new rows, scaled
+(only they are) and expressed in the parent's basis.  The old rows hold at
+the parent's answer, so only new rows can be violated.  Every solve, cold
+or warm, builds its starting tableau this way and keeps its final one,
+which its children start from.
 """
 
 from __future__ import annotations
@@ -174,6 +176,16 @@ class Pattern(NamedTuple):
                     f"duplicate box-box pair {(min(i, j), max(i, j))}")
         return Pattern(self.regions, self.extents, self.bb + (constraint,),
                        self.bo)
+
+    def tied(self, i: int) -> bool:
+        """Whether box i has the (box id, orientation) of box i - 1.  Then
+        the pattern ties them, ``x_{i-1} <= x_i``: any packing can be
+        relabelled to meet that, so a packing of identical boxes is one
+        pattern, not one per relabelling."""
+        if i == 0:
+            return False
+        a, b = self.regions[i - 1], self.regions[i]
+        return (a.box_id, a.orientation) == (b.box_id, b.orientation)
 
     def obstacle(self, i: int, obstacle_id: str):
         """Box i's obstacle with that id."""
@@ -292,9 +304,11 @@ def add_step(lp: LinearProgram, pattern: Pattern) -> LinearProgram:
     ``lp.pattern`` (``Pattern.with_box``, ``with_bb`` or ``with_bo``),
     which it keeps as its ``pattern``.  A new box adds three center columns
     before the slack, bounded by its region hull's bounding box, and its
-    hull rows after the other boxes' hull rows; a new box-box order
-    (i, j, axis, order) or box-obstacle facet (i, obstacle id, facet index)
-    adds its row after the other rows of its kind."""
+    hull rows after the other boxes' hull rows, followed by its tie row
+    ``x_prev - x_new <= 0`` (no slack) when it is tied to the box before it
+    (``Pattern.tied``); a new box-box order (i, j, axis, order) or
+    box-obstacle facet (i, obstacle id, facet index) adds its row after the
+    other rows of its kind."""
     old = lp.pattern
     if len(pattern.regions) > len(old.regions):
         hull = pattern.regions[-1].hull
@@ -302,6 +316,11 @@ def add_step(lp: LinearProgram, pattern: Pattern) -> LinearProgram:
         n = lp.num_vars + 3
         rows = np.zeros((len(offsets), n))
         rows[:, n - 4:n - 1] = normals
+        if pattern.tied(len(old.regions)):
+            # the tie x_prev - x_new <= 0, with no slack
+            tie = np.zeros((1, n))
+            tie[0, n - 7], tie[0, n - 4] = 1.0, -1.0
+            rows, offsets = np.vstack((rows, tie)), np.append(offsets, 0.0)
         child = extend_lp(lp, len(lp.b) - 2 - len(old.bb) - len(old.bo),
                           rows, offsets, *_float_bbox(hull))
     elif len(pattern.bb) > len(old.bb):
@@ -338,9 +357,11 @@ def build_lp(placements: Sequence, regions: dict,
     outside that facet of that obstacle, with slack.
 
     Rows, in order: each box's hull rows (boxes in pattern order, facets in
-    hull order), the box-box and the box-obstacle rows as given, then the
-    slack cap and the slack floor.  Bounds: each center's region hull's
-    bounding box, the slack's [0, DELTA_MM].
+    hull order), each followed by the box's tie row when it has the (box
+    id, orientation) of the box before it (``Pattern.tied``; no slack), the
+    box-box and the box-obstacle rows as given, then the slack cap and the
+    slack floor.  Bounds: each center's region hull's bounding box, the
+    slack's [0, DELTA_MM].
 
     The LP is the fold of ``add_step`` over the pattern's steps, each
     checked by its ``Pattern`` step, from the pattern LP of no box, so it

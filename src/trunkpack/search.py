@@ -2,24 +2,30 @@
 
 A pattern is a multiset of (box type, orientation) placements kept in a
 canonical order (descending box volume, then type id, then orientation
-rank), so every multiset is explored exactly once.  Each search node carries
+rank), so every multiset is explored exactly once.  Identical boxes are
+ordered too: a box with the (box type, orientation) of the box before it
+lies no further left, ``x_{i-1} <= x_i`` (``Pattern.tied``).  Any packing
+can be relabelled to meet that, so no packing is lost, and a packing of k
+identical boxes is searched once rather than once per relabelling (a
+symmetry-breaking order; Margot, "Symmetry in integer linear programming",
+in 50 Years of Integer Programming, 2010).  Each search node carries
 the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
 constraints (which obstacle facet a center must stay outside of), as an
 ``lp.Pattern`` without LP arrays: the one record of what the node places
 and constrains.  A node differs from the node it was made from by one step
-(one box, one box-box order or one box-obstacle facet), checked once when
-the node is made, and builds its state from its parent's by that step
-alone.
+(one box with its tie, one box-box order or one box-obstacle facet),
+checked once when the node is made, and builds its state from its parent's
+by that step alone.
 
 Every node asks one question: can its pattern be realized, and where?  The
 answer is the node LP's canonical point (see ``trunkpack.lp``): the largest
 separation slack up to ``DELTA_MM``, then the least centers.  It is the same
 from any start, so the tree does not depend on how it is computed.  On
-axis-aligned rows (box-box orders, hull and obstacle facets normal to an
-axis) the node splits per axis into difference constraints, and its order
-chains (``order_chains_feasible``), kept at slack 0 and at ``DELTA_MM``,
-decide and answer it exactly:
+axis-aligned rows (box-box orders, ties, hull and obstacle facets normal
+to an axis) the node splits per axis into difference constraints, and its
+order chains (``order_chains_feasible``), kept at slack 0 and at
+``DELTA_MM``, decide and answer it exactly:
 
 * chains that fail at slack 0 (an overrun or a cycle) rule the node out,
   together with its subtree, whose nodes keep the constraints;
@@ -272,24 +278,32 @@ def _with_box(chain, lo, hi, w):
             tuple(u + ((2 * v, w),) for u, v in zip(uppers, hi)))
 
 
-def _successors(bb, axis) -> dict:
-    """Each box's later boxes in the order constraints ``bb`` on ``axis``."""
+def _successors(pattern: Pattern, axis, slack) -> dict:
+    """Each box's later boxes on ``axis`` at one slack, with the weight of
+    the edge to each: for an order constraint of the pattern the half-extent
+    sum plus the slack, for a tie (x only, ``Pattern.tied``) 0."""
     succ = {}
-    for (a, b, a_axis, a_order) in bb:
+    for (a, b, a_axis, a_order) in pattern.bb:
         if a_axis == axis:
             u, v = (a, b) if a_order == 1 else (b, a)
-            succ.setdefault(u, []).append(v)
+            succ.setdefault(u, []).append(
+                (v, pattern.extents[u][axis] + pattern.extents[v][axis]
+                 + slack))
+    if axis == 0:
+        for v in range(1, len(pattern.regions)):
+            if pattern.tied(v):
+                succ.setdefault(v - 1, []).append((v, 0))
     return succ
 
 
-def _raise(chain, succ, extents, slack, axis, box, num, den, stop=-1):
+def _raise(chain, succ, axis, box, num, den, stop=-1):
     """The chains at one slack with ``box`` raised to at least num / den on
     ``axis``, or None when that makes them infeasible.
 
-    ``succ`` holds the order constraints already in the chains on that axis
-    (``_successors``).  Each raised box raises its successors in turn, by
-    the half-extent sum plus the slack (incremental longest paths;
-    Ramalingam & Reps, J. Algorithms 21, 1996).  Every raised position is
+    ``succ`` holds the edges already in the chains on that axis at that
+    slack (``_successors``).  Each raised box raises its successors in
+    turn, by the edge's weight (incremental longest paths; Ramalingam &
+    Reps, J. Algorithms 21, 1996).  Every raised position is
     checked against its box's upper bound, and a raise that reaches
     ``stop`` fails: for a new order constraint, its earlier box, which the
     raise of its later box reaches again exactly when the new constraint
@@ -307,9 +321,8 @@ def _raise(chain, succ, extents, slack, axis, box, num, den, stop=-1):
         if u == stop or num * hi_den > hi_num * den:
             return None
         moved[u] = (num, den)
-        for v in succ.get(u, ()):
-            work.append((v, num + (extents[u][axis] + extents[v][axis]
-                                   + slack) * den, den))
+        for v, weight in succ.get(u, ()):
+            work.append((v, num + weight * den, den))
     return positions[:axis] + (tuple(moved),) + positions[axis + 1:], uppers
 
 
@@ -335,17 +348,25 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
     whether every row is axis-aligned.  Returns (pattern, chains,
     aligned).
 
-    A box adds its hull's bounding box.  A box-box order raises its later
-    box to the earlier one's position plus the gap and the slack; only that
-    axis moves.  A facet on one axis, a * c_k >= d + slack * |a|, raises
-    the box's lower bound (a > 0) or lowers its upper bound (a < 0) on that
-    axis.  A slanted facet or hull row is left out, so the chains stay a
-    relaxation of the node's rows."""
+    A box adds its hull's bounding box, and a box tied to the box before it
+    (``Pattern.tied``) is raised to that box's x; it has no successors yet,
+    so nothing else moves.  A box-box order raises its later box to the
+    earlier one's position plus the gap and the slack; only that axis
+    moves, and the raise follows the order and tie edges on it.  A facet on
+    one axis, a * c_k >= d + slack * |a|, raises the box's lower bound
+    (a > 0) or lowers its upper bound (a < 0) on that axis.  A slanted
+    facet or hull row is left out, so the chains stay a relaxation of the
+    node's rows."""
     if step == "box":
         new = pattern.with_box(regions, *item)
         hull = new.regions[-1].hull
         lo, hi, w = hull.int_bbox()
-        return (new, tuple(c and _with_box(c, lo, hi, w) for c in chains),
+        chains = tuple(c and _with_box(c, lo, hi, w) for c in chains)
+        last = len(new.regions) - 1
+        if new.tied(last):
+            chains = tuple(c and _raise(c, {}, 0, last, *c[0][0][last - 1])
+                           for c in chains)
+        return (new, chains,
                 aligned and all(h.axis() for h in hull.halfspaces))
     at = []
     if step == "bb":
@@ -353,12 +374,11 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
         i, j, axis, order = item
         first, second = (i, j) if order == 1 else (j, i)
         gap = new.extents[first][axis] + new.extents[second][axis]
-        succ = _successors(pattern.bb, axis)
         for chain, slack in zip(chains, _SLACKS):
             if chain is not None:
                 num, den = chain[0][axis][first]
-                chain = _raise(chain, succ, new.extents, slack, axis, second,
-                               num + (gap + slack) * den, den, first)
+                chain = _raise(chain, _successors(pattern, axis, slack), axis,
+                               second, num + (gap + slack) * den, den, first)
             at.append(chain)
         return new, tuple(at), aligned
     new = pattern.with_bo(item)
@@ -368,11 +388,11 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
     if found is None:
         return new, chains, False
     axis, a = found
-    succ = _successors(new.bb, axis)
     for chain, slack in zip(chains, _SLACKS):
         if chain is not None:
             num = 2 * h.d + slack * abs(a)
-            chain = (_raise(chain, succ, new.extents, slack, axis, i, num, a)
+            chain = (_raise(chain, _successors(new, axis, slack), axis, i,
+                            num, a)
                      if a > 0 else _cap(chain, axis, i, -num, -a))
         at.append(chain)
     return new, tuple(at), aligned
@@ -386,7 +406,9 @@ def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
 
     The arguments are as for ``lp.build_lp``.  Every order constraint is a
     difference constraint ``c_lo + gap <= c_hi`` on one axis (gap: the
-    half-extent sum), and every box-obstacle constraint on an axis-aligned
+    half-extent sum), so is every tie ``x_{i-1} <= x_i`` of a box with the
+    (box id, orientation) of the box before it (gap 0, on x, no slack;
+    ``Pattern.tied``), and every box-obstacle constraint on an axis-aligned
     facet a lower or an upper bound on one coordinate, so each center has
     an earliest position on each axis: the longest path to it from its
     lower bounds, which start at the lower corner of its region hull's
@@ -396,11 +418,13 @@ def order_chains_feasible(placements: Sequence, regions: Dict[tuple, object],
     at a time, as the search builds them along a branch (``_extend``).
     Returns False when some earliest position lies strictly beyond its
     box's upper bound (the hull's upper corner, or an axis-aligned facet),
-    or when the constraints on an axis form a cycle (every gap is
-    positive): then the pattern LP, which adds the slanted rows and the
-    slack to these constraints, is infeasible too, and so is every
-    extension of the node.  On a pattern whose rows are all axis-aligned
-    the chains are the whole LP at slack 0, so True means it is feasible.
+    or when the constraints on an axis form a cycle (an order gap is
+    positive, a tie's is 0, and ties only run from box i - 1 to box i, so
+    every cycle holds an order and has positive weight): then the pattern
+    LP, which adds the slanted rows and the slack to these constraints, is
+    infeasible too, and so is every extension of the node.  On a pattern
+    whose rows are all axis-aligned the chains are the whole LP at slack 0,
+    so True means it is feasible.
     """
     pattern, chains, aligned = Pattern(), (_NO_BOX,), True
     steps = ([("box", p) for p in placements]
@@ -442,12 +466,15 @@ def _exact_answer(pattern: Pattern):
             lows[3 * i + axis].append((Fraction(h.d, a), 1))
         else:
             ups[3 * i + axis].append((Fraction(h.d, a), -1))
+    # (from, to, gap, slope in the slack): the orders, then the ties on x
     edges = []
     for (i, j, axis, order) in pattern.bb:
         first, second = (i, j) if order == 1 else (j, i)
         edges.append((3 * first + axis, 3 * second + axis,
                       Fraction(pattern.extents[first][axis]
-                               + pattern.extents[second][axis], 2)))
+                               + pattern.extents[second][axis], 2), 1))
+    edges += [(3 * (i - 1), 3 * i, 0, 0) for i in range(1, n)
+              if pattern.tied(i)]
     s = Fraction(DELTA_MM)
     while True:
         # (value at s, value at 0, slope) of each coordinate's longest path;
@@ -455,10 +482,10 @@ def _exact_answer(pattern: Pattern):
         point = [max((v + k * s, v, k) for v, k in low) for low in lows]
         for _ in range(n):
             changed = False
-            for u, v, gap in edges:
+            for u, v, gap, k in edges:
                 value, base, slope = point[u]
-                if value + gap + s > point[v][0]:
-                    point[v] = (value + gap + s, base + gap, slope + 1)
+                if value + gap + k * s > point[v][0]:
+                    point[v] = (value + gap + k * s, base + gap, slope + k)
                     changed = True
             if not changed:
                 break

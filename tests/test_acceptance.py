@@ -571,19 +571,30 @@ def test_criterion_09_branch_arity(monkeypatch):
     assert len(result.placements) == expected
     results.append(result)
 
+    # and six J cubes in the J cube: the tie of identical boxes searches
+    # each packing once, so the three searches above make about 8,400
+    # nodes, and this one makes up the churn
+    box = BoxType("J", (88, 88, 88), 6)
+    regions = _region_map(_convex_cuboid_trunk((200, 200, 200)), box,
+                          samples=2000, seed=5)
+    results.append(enumerate_patterns(
+        regions, [box], config=SearchConfig(prune_enabled=False)))
+
     assert seen["bb"] > 0 and seen["bo"] > 0
     assert sum(r.stats.nodes for r in results) >= 10000
-    # the exact search: J 5 * 88^3, K 3 * 95*87*80, L 4 * 381*229*203
+    # the exact search: J 5 * 88^3, K 3 * 95*87*80, L 4 * 381*229*203,
+    # J 6 * 88^3
     assert [(r.stats.nodes, r.stats.bb_branches, r.stats.bo_branches,
              r.volume_mm3) for r in results] == [
-        (15278, 2461, 0, 3407360),
-        (5889, 921, 0, 1983600),
-        (127, 8, 12, 70846188)]
+        (3063, 482, 0, 3407360),
+        (5196, 809, 0, 1983600),
+        (110, 7, 10, 70846188),
+        (9067, 1394, 0, 4088832)]
     # every node's rows are axis-aligned, so its order chains answer it and
     # no search solves an LP (test_criterion_09_node_lps_equal_cold_assembly
     # compares those answers with the LP's)
     assert [(r.stats.lp_calls, r.stats.pivots) for r in results] \
-        == [(0, 0)] * 3
+        == [(0, 0)] * 4
     # finished without an LP failure: the proven bound is the optimum
     assert [r.stats.bound_mm3 for r in results] \
         == [r.volume_mm3 for r in results]
@@ -591,8 +602,9 @@ def test_criterion_09_branch_arity(monkeypatch):
 
 def _exact_node_rows(pattern):
     """A node's rows at slack 0 in exact arithmetic, as ``fm_feasible``
-    takes them: each box's hull rows, its box-box orders and its
-    box-obstacle facets (the center outside the facet)."""
+    takes them: each box's hull rows and its tie to the box before it
+    (x_{i-1} <= x_i when both have one (box id, orientation)), its box-box
+    orders and its box-obstacle facets (the center outside the facet)."""
     nv = 3 * len(pattern.regions)
     rows = []
 
@@ -605,6 +617,12 @@ def _exact_node_rows(pattern):
     for i, region in enumerate(pattern.regions):
         for h in region.hull.halfspaces:
             row(i, {0: h.a, 1: h.b, 2: h.c}, h.d)
+        before = pattern.regions[i - 1] if i else None
+        if before is not None and (before.box_id, before.orientation) \
+                == (region.box_id, region.orientation):
+            full = [0] * nv
+            full[3 * (i - 1)], full[3 * i] = 1, -1
+            rows.append((full, 0))
     for (i, j, axis, order) in pattern.bb:
         first, second = (i, j) if order == 1 else (j, i)
         full = [0] * nv
@@ -621,9 +639,8 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
     """Every node of the three criterion-09 searches is answered from its
     order chains, without an LP, and the answer is the LP's: the verdict is
     that of ``solve(build_lp(...))`` on the node's pattern, and a feasible
-    node's centers are that LP's assignment bit for bit (every node of the
-    K-cube and the L-trunk, every tenth of the J-cube), at slack DELTA_MM.
-    On every fourth node of at most 3 boxes the verdict is also
+    node's centers are that LP's assignment bit for bit, at slack
+    DELTA_MM.  On every fourth node of at most 3 boxes the verdict is also
     Fourier-Motzkin's on the node's exact rows."""
     real_answer = search_mod._answer
     seen = collections.Counter()
@@ -657,7 +674,7 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
     k_box = BoxType("K", (95, 87, 80), 3)
     searches = [
         (_region_map(_convex_cuboid_trunk((200, 200, 200)), j_box,
-                     samples=2000, seed=5), j_box, False, 10),
+                     samples=2000, seed=5), j_box, False, 1),
         (_region_map(_convex_cuboid_trunk((210, 210, 210)), k_box,
                      samples=2000, seed=5), k_box, False, 1),
         (_pack_regions("double_stack"), _pack_params("double_stack")[2],
@@ -673,8 +690,8 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
                        seen["newton"], seen["fm"]))
     # (nodes answered, feasible, compared with the LP, Newton steps,
     # compared with Fourier-Motzkin)
-    assert counts == [(15278, 7772, 1527, 0, 21), (5889, 4425, 5889, 0, 1472),
-                      (115, 24, 115, 0, 14)]
+    assert counts == [(3063, 1184, 3063, 0, 15), (5196, 3786, 5196, 0, 1299),
+                      (102, 22, 102, 0, 21)]
 
 
 # ---------------------------------------------------------------------------

@@ -225,17 +225,21 @@ def test_build_lp_row_structure():
     lp = build_lp([(box, "zyx"), (box, "zyx")], regions,
                   bb_constraints=[(0, 1, 0, 1)],
                   bo_constraints=[(1, "o0", 0)])
-    # rows in build_lp's documented order: hull rows per box, box-box rows,
+    # rows in build_lp's documented order: hull rows per box, the second
+    # box's tie to the first (the same box and orientation), box-box rows,
     # box-obstacle rows, slack cap, slack floor
     s = 6
     k = len(region.hull.halfspaces)
-    bb, bo, cap, floor = 2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3
-    assert lp.A.shape == (2 * k + 4, 7)
+    tie, bb, bo, cap, floor = 2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3, 2 * k + 4
+    assert lp.A.shape == (2 * k + 5, 7)
     for i in range(2 * k):
         box_cols = slice(3 * (i // k), 3 * (i // k) + 3)
         assert lp.A[i, s] == 0.0
         assert np.linalg.norm(lp.A[i, box_cols]) == pytest.approx(1.0)
         assert np.count_nonzero(lp.A[i]) == np.count_nonzero(lp.A[i, box_cols])
+    # x_0 - x_1 <= 0, with no slack
+    assert lp.A[tie].tolist() == [1.0, 0, 0, -1.0, 0, 0, 0]
+    assert lp.b[tie] == 0.0
     assert lp.A[bb, s] == lp.A[bo, s] == 1.0
     assert lp.A[cap, s] == 1.0 and lp.b[cap] == DELTA_MM
     assert lp.A[floor, s] == -1.0 and lp.b[floor] == 0.0

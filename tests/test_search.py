@@ -26,6 +26,11 @@ Oracles:
   centres 30 + 1/3, 50 + 2/3 and 71; two cubes in a row from the hull's
   x = 10 to a wall at x = 31 leave s* = 1/2.  Newton steps find both
   exactly, and the LP agrees within its tolerance.
+* a box with the (box id, orientation) of the box before it lies no
+  further left on x.  Box 0 right of a wall at x = 30 and its copy box 1
+  left of a wall at x = 31 leave s* = 1/2, both centres at x = 30.5; with
+  the walls at 30 and 29 the tie overruns.  Ties lose no packing: searches
+  with and without them find the same best volume.
 * a search whose only slanted row is one obstacle facet visits the same
   tree, and finds the same packing, as one in which every node is answered
   by its LP.
@@ -306,8 +311,8 @@ def _recounted_bound(placed, catalog, addable_type_ids):
 # (nodes, pruned, nodes extended, volume) of the A/B/E cube, the L-trunk
 # and the two-type pillar; the nodes, prunes and packings are as they were
 # with the bound recounted at every node
-_BOUND_TALLIES = [(197, 103, 6, 220130934), (127, 12, 4, 70846188),
-                  (42, 32, 4, 18000)]
+_BOUND_TALLIES = [(191, 100, 6, 220130934), (110, 8, 5, 70846188),
+                  (30, 22, 4, 18000)]
 
 
 def test_node_bounds_and_extensions_equal_the_recounted_ones(monkeypatch):
@@ -567,11 +572,22 @@ def test_float_fallback_tolerance_on_slanted_facet(past_mm, valid):
 # order chains: box-box order constraints decided without an LP
 
 
-def _axis_rows(placements, regions, bb, axis, slack_mm=0, bounded=True):
-    """The order constraints on one axis plus the hull-box bounds of every
-    center (upper bounds raised by ``slack_mm``), as exact rows."""
+def _axis_rows(placements, regions, bb, axis, slack_mm=0, bounded=True,
+               tied=True):
+    """The order constraints on one axis, with ``tied`` the ties on x (a
+    box with the (box id, orientation) of the box before it lies no further
+    left), plus the hull-box bounds of every center (upper bounds raised by
+    ``slack_mm``), as exact rows."""
     n = len(placements)
     rows = []
+    for k in range(1, n):
+        (box, orientation), (before, before_orientation) = \
+            placements[k], placements[k - 1]
+        if tied and axis == 0 and (box.id, orientation) == (
+                before.id, before_orientation):
+            coeffs = [0] * n
+            coeffs[k - 1], coeffs[k] = 1, -1
+            rows.append((coeffs, 0))
     for (i, j, a, order) in bb:
         if a == axis:
             lo, hi = (i, j) if order == 1 else (j, i)
@@ -594,7 +610,9 @@ def _chain_instance(rng, trial):
     with 1/8 mm corners, and a random set of order constraints; every fourth
     set gets a three-box cycle, and every third a near fit: the first
     constrained pair's later box is given exactly the room it needs, or
-    1e-4 mm less."""
+    1e-4 mm less.  In every fifth set from the second on, box 1 is box 0
+    again, tied to it on x, and in every other one of those the pair gets
+    the order on x against the tie."""
     n = int(rng.integers(2, 6))
     placements, regions = [], {}
     for k in range(n):
@@ -603,8 +621,11 @@ def _chain_instance(rng, trial):
         lo = [F(int(v), 8) for v in rng.integers(0, 800, size=3)]
         hi = [a + F(int(v), 8) for a, v in zip(lo, rng.integers(1, 2400,
                                                                 size=3))]
+        if k == 1 and trial % 5 == 1:
+            box = placements[0][0]
+        else:
+            regions[(box.id, "xyz")] = [lo, hi]
         placements.append((box, "xyz"))
-        regions[(box.id, "xyz")] = [lo, hi]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     bb = {(i, j): (i, j, int(rng.integers(3)), int(rng.choice([-1, 1])))
@@ -615,15 +636,18 @@ def _chain_instance(rng, trial):
         bb[(a, b)] = (a, b, axis, 1)
         bb[(b, c)] = (b, c, axis, 1)
         bb[(a, c)] = (a, c, axis, -1)
+    if trial % 10 == 1:
+        # box 1 before its copy, box 0, on x: a cycle through the tie
+        bb[(0, 1)] = (0, 1, 0, -1)
     bb = list(bb.values())
     if trial % 3 == 0:
         i, j, axis, order = bb[0]
         first, later = (i, j) if order == 1 else (j, i)
         gap = F(placements[first][0].dims_mm[axis]
                 + placements[later][0].dims_mm[axis], 2)
-        room = regions[(f"B{first}", "xyz")][0][axis] + gap
+        room = regions[(placements[first][0].id, "xyz")][0][axis] + gap
         room -= F(1, 10000) * int(rng.integers(2))
-        later_lo, later_hi = regions[(f"B{later}", "xyz")]
+        later_lo, later_hi = regions[(placements[later][0].id, "xyz")]
         later_hi[axis] = max(room, later_lo[axis] + F(1, 8))
     for key, (lo, hi) in regions.items():
         regions[key] = region(axis_aligned_box(lo, hi, id="hull"), [],
@@ -635,6 +659,7 @@ def test_order_chains_match_exact_elimination_and_the_lp():
     rng = np.random.default_rng(20261018)
     seen = {"cycle": 0, "overrun": 0, "near_fit": 0, "feasible": 0}
     prefixes = {True: 0, False: 0}
+    tie_decides = 0
     for trial in range(400):
         placements, regions, bb = _chain_instance(rng, trial)
         n = len(placements)
@@ -650,6 +675,11 @@ def test_order_chains_match_exact_elimination_and_the_lp():
         exact = all(fm_feasible(_axis_rows(placements, regions, bb, axis), n)
                     for axis in range(3))
         assert chains == exact, (trial, bb)
+        # a tied instance that only its tie rules out
+        tie_decides += not exact and fm_feasible(
+            _axis_rows(placements, regions, bb, 0, tied=False), n) and all(
+            fm_feasible(_axis_rows(placements, regions, bb, axis), n)
+            for axis in (1, 2))
         cycle = not all(fm_feasible(_axis_rows(placements, regions, bb, axis,
                                                bounded=False), n)
                         for axis in range(3))
@@ -673,6 +703,7 @@ def test_order_chains_match_exact_elimination_and_the_lp():
         seen["feasible"] += chains
     assert min(seen.values()) >= 20, seen
     assert min(prefixes.values()) >= 200, prefixes
+    assert tie_decides >= 10
 
 
 def test_exact_fit_chain_is_left_to_the_lp():
@@ -756,7 +787,9 @@ def _pattern_of(placements, regions, bb, bo):
 
 
 def _exact_rows(pattern):
-    """The pattern's rows at slack 0 in exact arithmetic."""
+    """The pattern's rows at slack 0 in exact arithmetic: each box's hull
+    rows and its tie to the box before it (x_{i-1} <= x_i when both have
+    one (box id, orientation)), the orders and the facets."""
     nv = 3 * len(pattern.regions)
     rows = []
     for i, reg in enumerate(pattern.regions):
@@ -764,6 +797,12 @@ def _exact_rows(pattern):
             full = [0] * nv
             full[3 * i:3 * i + 3] = h.a, h.b, h.c
             rows.append((full, h.d))
+        before = pattern.regions[i - 1] if i else None
+        if before is not None and (before.box_id, before.orientation) \
+                == (reg.box_id, reg.orientation):
+            full = [0] * nv
+            full[3 * (i - 1)], full[3 * i] = 1, -1
+            rows.append((full, 0))
     for (i, j, axis, order) in pattern.bb:
         first, second = (i, j) if order == 1 else (j, i)
         full = [0] * nv
@@ -993,10 +1032,10 @@ def test_slanted_search_lps_warm_start_to_the_cold_answer(monkeypatch):
     # the root's LP is the only cold one, and it is feasible
     assert compared["warm"] == len(feasible) - 1
     assert (len(made), len(cold), len(feasible), result.stats.pivots) \
-        == (2784, 1, 2596, 8771)
+        == (651, 1, 584, 2514)
     assert (result.stats.nodes, result.stats.bb_branches,
             result.stats.bo_branches, len(result.placements)) \
-        == (3168, 317, 198, 3)
+        == (804, 88, 39, 3)
 
 
 def test_each_node_checks_its_pattern_step_once(monkeypatch):
@@ -1039,8 +1078,8 @@ def test_each_node_checks_its_pattern_step_once(monkeypatch):
     monkeypatch.setattr(search_mod, "_node_lp", checked_node_lp)
     result = enumerate_patterns(regions, [box],
                                 config=SearchConfig(prune_enabled=False))
-    assert seen["children"] == result.stats.nodes == 3168
-    assert (seen["warm"], seen["cold"], seen["cold steps"]) == (2783, 1, 1)
+    assert seen["children"] == result.stats.nodes == 804
+    assert (seen["warm"], seen["cold"], seen["cold steps"]) == (650, 1, 1)
     assert seen["steps"] == seen["children"] + seen["cold steps"]
 
 
@@ -1160,8 +1199,8 @@ def test_detect_intersections_matches_the_per_call_norms(monkeypatch):
         tuples.append((result.stats.nodes, result.stats.bb_branches,
                        result.stats.bo_branches, result.volume_mm3))
     # criterion 09's searches, as that criterion pins them
-    assert tuples[:3] == [(15278, 2461, 0, 3407360), (5889, 921, 0, 1983600),
-                          (127, 8, 12, 70846188)]
+    assert tuples[:3] == [(3063, 482, 0, 3407360), (5196, 809, 0, 1983600),
+                          (110, 7, 10, 70846188)]
     assert calls["bo"] >= 10 and calls["bb"] >= 1000 and calls["free"] >= 10
 
 
@@ -1233,3 +1272,195 @@ def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
         assert got.ravel().tolist() == centers
     # a non-dyadic s* is test_largest_slack_below_delta_is_exact's case
     assert min(seen["infeasible"], seen["delta"], seen["below"]) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# ties: a box with the (box id, orientation) of the box before it lies no
+# further left on x, so a packing of identical boxes is searched once
+
+
+def _untied(monkeypatch):
+    """Remove the tie step from the pattern, the chains and the LP."""
+    monkeypatch.setattr(Pattern, "tied", lambda self, i: False)
+
+
+def _folded_answer(regions, steps):
+    """The search's answer of the pattern folded from ``steps``, in that
+    order, as its nodes fold them: (chains, centers)."""
+    pattern, chains, aligned = Pattern(), (search_mod._NO_BOX,) * 2, True
+    for step, item in steps:
+        pattern, chains, aligned = search_mod._extend(
+            pattern, chains, aligned, regions, step, item)
+    node = search_mod.PartialPattern(tuple(range(len(pattern.regions))), 0, 0,
+                                     pattern, None, chains, aligned)
+    centers, _ = search_mod._answer(node, None, regions,
+                                    search_mod.SearchStats())
+    return chains, centers
+
+
+def test_a_tie_raises_the_boxes_after_it_in_the_delta_chains(monkeypatch):
+    # box 0 stays right of the wall x <= 30 (c0 >= 31 at DELTA_MM); boxes
+    # 1 and 2 are box 0 again, so they start no further left: x = 31 for
+    # all three, whether the wall comes before the later boxes (the box
+    # step raises them) or after them (the wall's raise follows the ties)
+    wall = axis_aligned_box((-40, 0, 0), (30, 100, 100), id="o0")
+    box, regions = _row_instance(90, [wall])
+    placements = [(box, "zyx")] * 3
+    bo = [(0, "o0", _facet(wall, (1, 0, 0)))]
+    want = [31.0, 10.0, 10.0] * 3
+    for steps in ([("box", p) for p in placements] + [("bo", bo[0])],
+                  [("box", placements[0]), ("bo", bo[0])]
+                  + [("box", p) for p in placements[1:]]):
+        chains, centers = _folded_answer(regions, steps)
+        assert chains[1] is not None
+        assert centers.ravel().tolist() == want
+    out = solve(build_lp(placements, regions, (), bo))
+    assert out.value == DELTA_MM and out.assignment[:-1].tolist() == want
+    assert fm_feasible(*_exact_rows(_pattern_of(placements, regions, (),
+                                                bo)))
+    # untied, the later boxes stay at the hull's corner
+    _untied(monkeypatch)
+    _, centers = _folded_answer(regions, [("box", p) for p in placements]
+                                + [("bo", bo[0])])
+    assert centers[:, 0].tolist() == [31.0, 10.0, 10.0]
+
+
+def test_a_tie_below_delta_is_answered_exactly(monkeypatch):
+    # box 0 right of x <= 30 (c0 >= 30 + s), its copy box 1 left of
+    # x >= 31 (c1 <= 31 - s), and c0 <= c1: 30 + s <= 31 - s, so s* = 1/2
+    # and both centers lie at x = 30.5.  Newton steps find it, and the LP
+    # and Fourier-Motzkin agree
+    wall = axis_aligned_box((-40, 0, 0), (30, 100, 100), id="o0")
+    right = axis_aligned_box((31, 0, 0), (200, 100, 100), id="o1")
+    box, regions = _row_instance(90, [wall, right])
+    placements = [(box, "zyx")] * 2
+    bo = [(0, "o0", _facet(wall, (1, 0, 0))),
+          (1, "o1", _facet(right, (-1, 0, 0)))]
+    _check_slack_below_delta(regions, placements, [], bo, F(1, 2),
+                             [30.5, 10.0, 10.0, 30.5, 10.0, 10.0])
+    # untied, both walls keep 1 mm: c0 = 31, c1 = 10
+    _untied(monkeypatch)
+    assert search_mod._exact_answer(
+        _pattern_of(placements, regions, [], bo)) \
+        == (F(DELTA_MM), [31.0, 10.0, 10.0, 10.0, 10.0, 10.0])
+
+
+@pytest.mark.parametrize("case", ["overrun", "cycle"])
+def test_a_tie_that_closes_an_overrun_or_a_cycle_is_ruled_out(case,
+                                                              monkeypatch):
+    wall = axis_aligned_box((-40, 0, 0), (30, 100, 100), id="o0")
+    right = axis_aligned_box((29, 0, 0), (200, 100, 100), id="o1")
+    box, regions = _row_instance(1000, [wall, right])
+    placements = [(box, "zyx")] * 2
+    if case == "overrun":
+        # c0 >= 30 and its copy c1 <= 29: the tie c0 <= c1 overruns
+        bb = []
+        bo = [(0, "o0", _facet(wall, (1, 0, 0))),
+              (1, "o1", _facet(right, (-1, 0, 0)))]
+    else:
+        # box 1 before box 0 on x, c1 + 20 <= c0, against the tie
+        bb, bo = [(0, 1, 0, -1)], []
+    steps = ([("box", p) for p in placements] + [("bb", c) for c in bb]
+             + [("bo", c) for c in bo])
+    pattern = _pattern_of(placements, regions, bb, bo)
+    chains, centers = _folded_answer(regions, steps)
+    assert chains[0] is None and centers is None
+    assert not order_chains_feasible(placements, regions, bb, bo)
+    assert not fm_feasible(*_exact_rows(pattern))
+    assert not solve(build_lp(placements, regions, bb, bo)).feasible
+    # untied, the pattern is feasible
+    _untied(monkeypatch)
+    assert order_chains_feasible(placements, regions, bb, bo)
+    assert solve(build_lp(placements, regions, bb, bo)).feasible
+
+
+def test_a_tie_holds_in_the_lp_on_a_slanted_hull(monkeypatch):
+    """On the slanted hull the tie row holds at the LP's answer: for two
+    or three copies of one cube ordered on z, and at every feasible node LP
+    of the slanted search.  Untied, the ordered pattern's answer puts box 0
+    right of box 1."""
+    box, regions = _slanted_instance()
+    for n in (2, 3):
+        out = solve(build_lp([(box, "zyx")] * n, regions, [(0, 1, 2, 1)]))
+        assert out.feasible and out.value == pytest.approx(DELTA_MM)
+        xs = out.assignment[:-1:3]
+        assert all(a <= b + FEAS_TOL for a, b in zip(xs, xs[1:])), xs
+    real_solve = search_mod.solve
+    checked = collections.Counter()
+
+    def checked_solve(lp, parent=None):
+        outcome = real_solve(lp, parent)
+        if outcome.feasible:
+            xs = outcome.assignment[:-1:3]
+            assert all(a <= b + FEAS_TOL for a, b in zip(xs, xs[1:])), xs
+            checked[len(xs)] += 1
+        return outcome
+
+    monkeypatch.setattr(search_mod, "solve", checked_solve)
+    result = enumerate_patterns(regions, [box],
+                                config=SearchConfig(prune_enabled=False))
+    assert len(result.placements) == 3
+    # the feasible LPs of test_slanted_search_lps_warm_start_to_the_cold_
+    # answer, by their number of boxes
+    assert checked == {1: 6, 2: 45, 3: 533}
+    monkeypatch.undo()
+    _untied(monkeypatch)
+    xs = solve(build_lp([(box, "zyx")] * 2, regions,
+                        [(0, 1, 2, 1)])).assignment[:-1:3]
+    assert xs[0] > xs[1] + 100
+
+
+def test_no_packing_is_lost_to_the_ties(monkeypatch):
+    """Prune-off searches of the J and K cubes, the L-trunk and the
+    two-type pillar, and the A/B/E cube with pruning on (off, it visits
+    13.5 million nodes; the result is the same either way), find the same
+    best volume and box count with and without the ties, in fewer nodes
+    with them."""
+    cases = [(regions, [box], False)
+             for regions, box, _ in _criterion_09_searches()]
+    cases += [(*_two_type_pillar(), False), (*_abe_cube(), True)]
+    found = []
+    for untie in (False, True):
+        if untie:
+            _untied(monkeypatch)
+        found.append([
+            (r.volume_mm3, len(r.placements), r.stats.nodes, r.timed_out)
+            for r in (enumerate_patterns(
+                regions, catalog, config=SearchConfig(prune_enabled=prune))
+                for regions, catalog, prune in cases)])
+    tied, untied = found
+    assert [t[:2] for t in tied] == [u[:2] for u in untied] == [
+        (3407360, 5), (1983600, 3), (70846188, 4), (18000, 4),
+        (220130934, 6)]
+    assert all(t[2] < u[2] for t, u in zip(tied, untied))
+    assert not any(t[3] or u[3] for t, u in zip(tied, untied))
+
+
+def test_each_packing_of_the_j_cubes_repeats_less(monkeypatch):
+    """The J cube of criterion 09, prune off: the conflict-free nodes with
+    all five cubes placed, their distinct labelled placements and their
+    distinct sets of centers.  Untied, each set of centers is reached by
+    200 nodes (up to 5! relabellings of each); tied, by 19."""
+    regions, box, _ = _criterion_09_searches()[0]
+    real = search_mod.detect_intersections
+    counts = []
+
+    def counted(pattern, centers):
+        bb, bo = real(pattern, centers)
+        if len(pattern.regions) == 5 and not bb and not bo:
+            placed = tuple(map(tuple, centers.tolist()))
+            seen["nodes"] += 1
+            seen["labelled"].add(placed)
+            seen["sets"].add(tuple(sorted(placed)))
+        return bb, bo
+
+    monkeypatch.setattr(search_mod, "detect_intersections", counted)
+    for untie in (False, True):
+        if untie:
+            _untied(monkeypatch)
+        seen = {"nodes": 0, "labelled": set(), "sets": set()}
+        enumerate_patterns(regions, [box],
+                           config=SearchConfig(prune_enabled=False))
+        counts.append((seen["nodes"], len(seen["labelled"]),
+                       len(seen["sets"])))
+    assert counts == [(532, 296, 28), (4800, 2004, 24)]
