@@ -18,7 +18,8 @@ certified float screen, re-evaluated exactly near zero.  An integer
 sort-and-sweep over the points' coordinates, built only once an obstacle's
 bounding box meets the points inside the hull, culls each obstacle to the
 points strictly inside its bounding box.  A flat obstacle has no interior and
-forbids nothing.
+forbids nothing.  The estimate draws and classifies its points a fixed-size
+block at a time, so its memory does not grow with the sample count.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
 hull halfspace pushed outward by at least 1 mm).  Within the true hull the
@@ -66,6 +67,7 @@ DEFAULT_SEED = 12345
 _GRID = FATTEN_EPS  # sample boxes are rounded outward to this grid
 _LATTICE = 1 << 20
 LATTICE_DEN = 2 * _LATTICE * _GRID.denominator  # denominator of every sample
+_SAMPLE_BLOCK = 1 << 14  # sample rows drawn and classified at a time
 # float screening: trust a sign when |value| exceeds magnitude_bound * 2^-40
 # (true rounding error is below magnitude_bound * 2^-49); smaller values are
 # re-evaluated exactly
@@ -355,12 +357,20 @@ def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
                     seed: int = DEFAULT_SEED) -> Optional[Region]:
     """Stage 2: clip obstacles, discard the ones that miss the hull, and
     estimate the free volume.  The kept obstacles are named ``o<i>`` in
-    order.  Returns None when no sampled center is free (the emptiness
-    probe) — exact emptiness is not decided."""
+    order; those of one clipped shape (the same vertices) are copies of the
+    first under their own ids, sharing its lists as ``region_from_dict``
+    shares a decoded file's.  Returns None when no sampled center is free
+    (the emptiness probe) — exact emptiness is not decided."""
     margin = enlarged_hull(raw.hull)
     kept = []
+    shapes = {}  # vertex content -> the first kept obstacle of that shape
     for obs in raw.obstacles:
         clipped = clip_obstacle(obs.halfspaces, margin, id=f"o{len(kept)}")
+        key = (None if clipped is None
+               else tuple(v._h for v in clipped.vertices))
+        if key in shapes:
+            kept.append(shapes[key].with_id(clipped.id))
+            continue
         if clipped is None or clipped.degenerate or \
                 not polytopes_touch(clipped, raw.hull):
             # discarding must not change the represented set
@@ -368,7 +378,7 @@ def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
                 raise GeometryError("discard filter would drop an obstacle "
                                     "that meets the hull")
             continue
-        kept.append(clipped)
+        kept.append(shapes.setdefault(key, clipped))
     vol, stderr = estimate_volume(raw.hull, kept, samples, seed)
     if vol == 0.0:
         return None
@@ -453,22 +463,39 @@ def _sample_box(bbox) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             tuple(math.ceil(b / _GRID) for b in hi))
 
 
-def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
-    """n random points inside the box rounded outward to the grid
-    (``_sample_box``), exact: 2*_LATTICE lattice positions per axis."""
+def _lattice_blocks(bbox, n: int, seed: int):
+    """The numerators of n random points inside the box rounded outward to
+    the grid (``_sample_box``), exact: 2*_LATTICE lattice positions per
+    axis.  They come as consecutive int64 blocks of at most _SAMPLE_BLOCK
+    rows from one generator; PCG64 keeps the unused half of a 64-bit output
+    in its state, so the blocks continue one n-row draw exactly.  The
+    numerator bound depends on the box only and is checked before any draw."""
     lo, hi = _sample_box(bbox)
-    rng = np.random.default_rng(seed)
-    num = rng.integers(0, _LATTICE, size=(n, 3), dtype=np.int64)
-    for axis, (a, b) in enumerate(zip(lo, hi)):
-        # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN, in place over the
-        # draws r
+    for a, b in zip(lo, hi):
         if abs(a) * 2 * _LATTICE + (2 * _LATTICE + 1) * (b - a) >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-        col = num[:, axis]
-        col *= 2
-        col += 1
-        col *= b - a
-        col += a * 2 * _LATTICE
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, n - start)
+        num = rng.integers(0, _LATTICE, size=(rows, 3), dtype=np.int64)
+        for axis, (a, b) in enumerate(zip(lo, hi)):
+            # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN, in place over
+            # the draws r
+            col = num[:, axis]
+            col *= 2
+            col += 1
+            col *= b - a
+            col += a * 2 * _LATTICE
+        yield num
+
+
+def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
+    """All n points of ``_lattice_blocks(bbox, n, seed)`` at once."""
+    num = np.empty((n, 3), dtype=np.int64)
+    start = 0
+    for block in _lattice_blocks(bbox, n, seed):
+        num[start:start + len(block)] = block
+        start += len(block)
     return LatticePoints(num)
 
 
@@ -593,7 +620,9 @@ def classify_feasible(pts: LatticePoints, hull: ConvexPolytope,
     the hull; an obstacle that only touches the hull's boundary never needs
     it.  Every sign is certified (``halfspace_signs``; exact integer
     comparisons on axis-aligned rows).  A flat (degenerate) obstacle has no
-    interior and forbids nothing."""
+    interior and forbids nothing.  The masks, index subsets and sort index
+    take a few bytes per point; ``estimate_volume`` passes one block of
+    samples at a time."""
     inside = None  # every point, until a hull row leaves one out
     for h in hull.halfspaces:
         keep = halfspace_signs(h, pts, inside) <= 0
@@ -635,9 +664,20 @@ def estimate_volume(hull: ConvexPolytope, obstacles: Sequence[ConvexPolytope],
                     samples: int, seed: int) -> Tuple[float, float]:
     """Monte Carlo free volume of hull minus obstacles, with its standard
     error: the volume of the hull's bounding box rounded out to the grid
-    times the share of ``samples`` seeded lattice points in it that are free."""
-    pts = sample_lattice_points(hull.bbox(), samples, seed)
-    hits = int(classify_feasible(pts, hull, obstacles).sum())
+    times the share of ``samples`` seeded lattice points in it that are free.
+
+    The points of ``sample_lattice_points`` are classified a block at a
+    time (``_lattice_blocks``) and only their hits are kept, so memory does
+    not grow with ``samples``.  Obstacles that are flat, or whose bounding
+    box holds no lattice point of the hull's strictly inside, forbid no
+    sample; they are dropped once, before the first block."""
+    lo, hi, w = hull.int_bbox()
+    ranges = [(-(-lo[k] * LATTICE_DEN // w), hi[k] * LATTICE_DEN // w)
+              for k in range(3)]
+    solid = [obs for obs in obstacles if not obs.degenerate
+             and _box_limits(obs.int_bbox(), ranges) is not None]
+    hits = sum(int(classify_feasible(LatticePoints(num), hull, solid).sum())
+               for num in _lattice_blocks(hull.bbox(), samples, seed))
     return _hit_volume(_sample_volume(hull.bbox()), hits, samples)
 
 

@@ -12,8 +12,9 @@ found afterwards is still valid in the original region):
   verdicts (an int8 matrix over shape numbers), candidate hulls and overlap
   volumes are kept per distinct obstacle shape for the length of the call,
   so each is decided once, and the overlap volume only when the budget
-  test needs it.  A sweep's touching pairs are two index arrays, visited
-  in seeded shuffled order without a list of pair tuples.
+  test needs it.  A sweep's touching pairs are two int32 index arrays, read
+  off the matrix a row at a time and visited in seeded shuffled order
+  without a list of pair tuples.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -90,14 +91,27 @@ def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fract
     return Fraction(0) if inter is None else inter.volume()
 
 
+def _touching_pairs(verdicts: np.ndarray, contents: np.ndarray):
+    """The index pairs (i, j), i < j, of live obstacles whose contents
+    ``verdicts`` marks as touching, as two int32 arrays in row-major order.
+    Each row is read off its content's matrix row, so no live x live
+    temporary is made."""
+    rows = [(np.flatnonzero(verdicts[c, contents[i + 1:]] == _TOUCH)
+             + (i + 1)).astype(np.int32) for i, c in enumerate(contents)]
+    left = np.repeat(np.arange(len(rows), dtype=np.int32),
+                     [len(row) for row in rows])
+    right = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+    return left, right
+
+
 def _shuffled_pairs(rng: random.Random, left: np.ndarray, right: np.ndarray):
     """The pairs ``zip(left, right)`` in the order ``rng.shuffle`` puts a
     list of them.  The shuffle permutes an index sequence of the same
     length, which draws the same numbers, and the pairs are made a chunk at
     a time, so no list of them is ever held."""
-    order = array("q", range(len(left)))
+    order = array("i", range(len(left)))
     rng.shuffle(order)
-    order = np.frombuffer(order, dtype=np.int64)
+    order = np.frombuffer(order, dtype=np.intc)
     for start in range(0, len(order), _CHUNK):
         chunk = order[start:start + _CHUNK]
         yield from zip(left[chunk].tolist(), right[chunk].tolist())
@@ -121,8 +135,9 @@ def merge_obstacles(region, params: MergeParams):
     overlap volumes per unordered content pair and candidate hulls per
     ordered pair (so a repeat has the same triangulation).  A sweep runs
     the touch test only on the undecided content pairs among its live
-    obstacles, reads its touching pairs off the matrix as two index arrays
-    and walks them in shuffled order without a list of pair tuples.  The
+    obstacles, reads its touching pairs off the matrix a live obstacle's
+    row at a time into two int32 index arrays (``_touching_pairs``) and
+    walks them in shuffled order without a list of pair tuples.  The
     overlap is computed only for a hull that passes the budget at overlap
     zero: a larger overlap raises the growth and lowers the base.  The
     budget test is not kept, since base volumes are bookkeeping, not
@@ -171,11 +186,10 @@ def merge_obstacles(region, params: MergeParams):
                 _TOUCH if polytopes_touch(live[slot[a]][0].polytope,
                                           live[slot[b]][0].polytope)
                 else _APART)
-        left, right = np.nonzero(np.triu(
-            verdicts[np.ix_(contents, contents)] == _TOUCH, 1))
         consumed = set()
         merged = []
-        for (i, j) in _shuffled_pairs(rng, left, right):
+        for (i, j) in _shuffled_pairs(rng, *_touching_pairs(verdicts,
+                                                            contents)):
             if i in consumed or j in consumed:
                 continue
             (first, ci), (second, cj) = live[i], live[j]

@@ -10,6 +10,7 @@ import collections
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from trunkpack.freespace import (
     describe_region,
     enlarged_hull,
     erode_hull,
+    estimate_volume,
     format_region_report,
     halfspace_signs,
     halfspaces_bounded,
@@ -565,6 +567,130 @@ def test_sample_box_rounds_outward_to_grid():
                    for k, c in enumerate(pts.exact(i)))
 
 
+def _one_draw(bbox, n, seed):
+    """The numerators of one n-row draw from ``default_rng(seed)``, made
+    as the sampler made them before it drew in blocks."""
+    lo, hi = _sample_box(bbox)
+    num = np.random.default_rng(seed).integers(0, freespace._LATTICE, (n, 3),
+                                               dtype=np.int64)
+    for axis, (a, b) in enumerate(zip(lo, hi)):
+        col = num[:, axis]
+        col *= 2
+        col += 1
+        col *= b - a
+        col += a * 2 * freespace._LATTICE
+    return num
+
+
+@pytest.mark.parametrize("n, block", [
+    (200000, 16383),  # 3 * 16383 draws of 32 bits: an odd count per block
+    (1000, None),     # below one block of the module's size
+])
+def test_lattice_blocks_continue_one_draw(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(freespace, "_SAMPLE_BLOCK", block)
+    bbox = ((F(-3, 2), 0, F(-1, 1024)), (600, F(301, 4), F(1025, 1024)))
+    blocks = list(freespace._lattice_blocks(bbox, n, 77))
+    assert [len(b) for b in blocks[:-1]] == \
+        [freespace._SAMPLE_BLOCK] * (len(blocks) - 1)
+    assert len(blocks) == -(-n // freespace._SAMPLE_BLOCK)
+    expect = _one_draw(bbox, n, 77)
+    assert (np.concatenate(blocks) == expect).all()
+    assert (sample_lattice_points(bbox, n, 77).num == expect).all()
+
+
+def test_sampler_checks_its_overflow_bound_before_drawing(monkeypatch):
+    # x and y are near the origin; only z, the last axis converted, is far
+    # enough out for its numerators to overflow int64
+    far = 1 << 41
+    hull = box_polytope((0, 0, far), (1, 1, far + 1))
+
+    def no_draws(seed):
+        raise AssertionError("drew samples for a box that cannot be sampled")
+
+    monkeypatch.setattr(freespace.np.random, "default_rng", no_draws)
+    with pytest.raises(GeometryError,
+                       match="lattice numerators would overflow int64"):
+        sample_lattice_points(hull.bbox(), 10, seed=1)
+    with pytest.raises(GeometryError,
+                       match="lattice numerators would overflow int64"):
+        estimate_volume(hull, [], 10, seed=1)
+
+
+def l_trunk():
+    """A shell with one corner cavity, which reaches into the eroded hull
+    of box E (``xyz``)."""
+    cavity = [(x, y, z) for x in (210, 800) for y in (0, 230)
+              for z in (210, 1000)]
+    return parse_convex_json(shell_json((0, 0, 0), (800, 230, 1000),
+                                        cavities=[cavity]))
+
+
+def _l_trunk_region():
+    return compute_feasible_region(l_trunk(), BOX_E, "xyz", samples=3000,
+                                   seed=6)
+
+
+def test_streamed_volume_matches_one_classification(monkeypatch):
+    mesh = compute_feasible_region(cube_mesh(1000), BOX_B, "xyz",
+                                   samples=500, seed=2)
+    trunk = _l_trunk_region()
+    # a slanted facet far from the origin: the float screen's band is wider
+    # than the lattice step, so some signs are decided exactly
+    far = 1 << 28
+    slanted = convex_hull([(far, far, far), (far + 2, far, far),
+                           (far, far + 2, far), (far, far, far + 2)])
+    cube = box_polytope((0, 0, 0), (10, 10, 10))
+    flat = _degenerate_from_points([Point3(0, 0, 0), Point3(10, 0, 10),
+                                    Point3(0, 10, 10)])
+    cases = [(mesh.hull, mesh.obstacles), (trunk.hull, trunk.obstacles),
+             (slanted, []), (cube, [flat, box_polytope((2, 2, 2), (6, 6, 6))])]
+    exact_reads = []
+    real_exact = LatticePoints.exact
+
+    def counted(self, idx):
+        exact_reads.append(idx)
+        return real_exact(self, idx)
+
+    n = 3 * freespace._SAMPLE_BLOCK + 1234
+    for hull, obstacles in cases:
+        whole = classify_feasible(sample_lattice_points(hull.bbox(), n, 9),
+                                  hull, obstacles)
+        assert 0 < whole.sum() <= n
+        monkeypatch.setattr(LatticePoints, "exact", counted)
+        exact_reads.clear()
+        got = estimate_volume(hull, obstacles, n, seed=9)
+        monkeypatch.undo()
+        assert got == freespace._hit_volume(
+            freespace._sample_volume(hull.bbox()), int(whole.sum()), n)
+        if hull is slanted:
+            assert exact_reads
+    assert mesh.obstacles and len(trunk.obstacles) == 1
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of the memory ``tracemalloc`` traced while fn(*args) ran,
+    over what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_volume_estimate_memory_does_not_grow_with_samples():
+    # the L-trunk region builds the sweep's sort index, the largest
+    # per-sample structure
+    region = _l_trunk_region()
+    estimate_volume(region.hull, region.obstacles, 1000, 1)  # warm caches
+    small, large = (_traced_peak(estimate_volume, region.hull,
+                                 region.obstacles, n, 1)
+                    for n in (40000, 400000))
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_classify_matches_pure_fraction_predicate():
     hull = box_polytope((0, 0, 0), (10, 10, 10))
     obstacle = box_polytope((2, 2, 2), (6, 6, 6))
@@ -756,11 +882,7 @@ def test_sweep_index_built_only_when_an_obstacle_meets_the_samples(
     assert region.obstacles and built == []
     # the L-trunk's corner cavity reaches into the hull: one index, over
     # every sample inside the hull
-    cavity = [(x, y, z) for x in (210, 800) for y in (0, 230)
-              for z in (210, 1000)]
-    trunk = parse_convex_json(shell_json((0, 0, 0), (800, 230, 1000),
-                                         cavities=[cavity]))
-    region, built = _sweeps_built(monkeypatch, trunk, BOX_E, "xyz")
+    region, built = _sweeps_built(monkeypatch, l_trunk(), BOX_E, "xyz")
     assert len(region.obstacles) == 1 and built == [3000]
 
 

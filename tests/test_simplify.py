@@ -24,6 +24,7 @@ Oracles stated up front (all volumes exact):
 import dataclasses
 import json
 import random
+from array import array
 from fractions import Fraction
 from typing import List
 
@@ -32,8 +33,10 @@ import pytest
 
 from trunkpack.catalog import BoxType
 from trunkpack.freespace import (DEFAULT_SEED, Region, classify_feasible,
-                                 describe_region, parse_mesh_json,
-                                 raw_feasible_region, region_seed,
+                                 clip_obstacle, describe_region,
+                                 enlarged_hull, estimate_volume,
+                                 parse_mesh_json, raw_feasible_region,
+                                 region_from_dict, region_json, region_seed,
                                  sample_lattice_points)
 from trunkpack import simplify
 from trunkpack.geometry import (ConvexPolytope, Halfspace, axis_aligned_box,
@@ -426,10 +429,10 @@ def test_chain_of_three_sweeps_matches_the_oracle():
         assert _shapes(got_region.obstacles) == _shapes(expect_region.obstacles)
 
 
-def _mesh_cube_feasible_region(edge, cells):
-    """The feasible region of box T (610 x 483 x 458, orientation xyz) in
-    a mesh cube whose faces are cut into cells x cells squares of two
-    triangles each."""
+def _mesh_cube_raw_region(edge, cells):
+    """The raw region of box T (610 x 483 x 458, orientation xyz) in a mesh
+    cube whose faces are cut into cells x cells squares of two triangles
+    each."""
     step = edge // cells
     tris = []
     for axis in range(3):
@@ -444,8 +447,95 @@ def _mesh_cube_feasible_region(edge, cells):
                     tris.append([at(i, j), at(i + 1, j), at(i + 1, j + 1)])
                     tris.append([at(i, j), at(i + 1, j + 1), at(i, j + 1)])
     trunk = parse_mesh_json({"triangles": tris, "seed": [edge // 2] * 3})
-    raw = raw_feasible_region(trunk, BoxType("T", (610, 483, 458), 1), "xyz")
-    return describe_region(raw, samples=100, seed=1)
+    return raw_feasible_region(trunk, BoxType("T", (610, 483, 458), 1), "xyz")
+
+
+def _mesh_cube_feasible_region(edge, cells):
+    """The described region of ``_mesh_cube_raw_region(edge, cells)``."""
+    return describe_region(_mesh_cube_raw_region(edge, cells), samples=100,
+                           seed=1)
+
+
+def _describe_unshared(raw, samples, seed):
+    """``describe_region`` as it was before it shared the lists of
+    obstacles with the same clipped shape: every kept obstacle is its own
+    clip."""
+    margin = enlarged_hull(raw.hull)
+    kept = []
+    for obs in raw.obstacles:
+        clipped = clip_obstacle(obs.halfspaces, margin, id=f"o{len(kept)}")
+        if clipped is not None and not clipped.degenerate and \
+                polytopes_touch(clipped, raw.hull):
+            kept.append(clipped)
+    vol, stderr = estimate_volume(raw.hull, kept, samples, seed)
+    return Region(raw.box_id, raw.orientation, raw.hull, kept, raw.fattened,
+                  vol, stderr, samples, seed)
+
+
+def _sharing(obstacles):
+    """Per obstacle, the index of the first obstacle whose vertex and
+    halfspace lists it holds."""
+    first = {}
+    out = []
+    for i, o in enumerate(obstacles):
+        k = first.setdefault(id(o.vertices), i)
+        assert o.halfspaces is obstacles[k].halfspaces
+        out.append(k)
+    return out
+
+
+def test_describe_shares_lists_per_clipped_shape():
+    raw = _mesh_cube_raw_region(700, 4)
+    got = describe_region(raw, samples=100, seed=1)
+    unshared = _describe_unshared(raw, 100, 1)
+    text = region_json(got)
+    assert text == region_json(unshared)
+    assert [o.id for o in got.obstacles] == \
+        [f"o{i}" for i in range(len(got.obstacles))]
+    # one list per distinct shape, shared by exactly that shape's obstacles
+    first = {}
+    expect = [first.setdefault(_content(o), i)
+              for i, o in enumerate(unshared.obstacles)]
+    assert _sharing(got.obstacles) == expect
+    assert len(got.obstacles) == 192 and len(first) < len(got.obstacles)
+    # a decoded file shares the same way
+    assert _sharing(region_from_dict(json.loads(text)).obstacles) == expect
+
+
+def _old_touching_pairs(verdicts, contents):
+    """The sweep's touching pairs as the merge built them before: the
+    int64 ``np.nonzero`` of the upper triangle of the live x live matrix."""
+    return np.nonzero(np.triu(
+        verdicts[np.ix_(contents, contents)] == simplify._TOUCH, 1))
+
+
+def _old_shuffled_pairs(rng, left, right):
+    """``_shuffled_pairs`` as it was over int64 index arrays."""
+    order = array("q", range(len(left)))
+    rng.shuffle(order)
+    order = np.frombuffer(order, dtype=np.int64)
+    return list(zip(left[order].tolist(), right[order].tolist()))
+
+
+def test_int32_pair_lists_keep_the_pair_order():
+    rng = np.random.default_rng(5)
+    lengths = set()
+    for trial in range(60):
+        shapes = int(rng.integers(1, 30))
+        # a symmetric verdict matrix with room to grow, as the merge keeps
+        # it, and live obstacles that repeat shapes
+        verdicts = rng.integers(0, 3, size=(2 * shapes,) * 2).astype(np.int8)
+        verdicts = np.triu(verdicts) + np.triu(verdicts, 1).T
+        contents = rng.integers(0, shapes, size=int(rng.integers(0, 200)))
+        left, right = simplify._touching_pairs(verdicts, contents)
+        old_left, old_right = _old_touching_pairs(verdicts, contents)
+        assert left.dtype == right.dtype == np.int32
+        assert (left == old_left).all() and (right == old_right).all()
+        got = list(simplify._shuffled_pairs(random.Random(trial), left, right))
+        assert got == _old_shuffled_pairs(random.Random(trial), old_left,
+                                          old_right)
+        lengths.add(len(got) > simplify._CHUNK)
+    assert lengths == {False, True}
 
 
 def test_mesh_cube_merge_matches_the_oracle(monkeypatch):
