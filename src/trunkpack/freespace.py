@@ -54,9 +54,10 @@ from trunkpack.geometry import (
     axis_aligned_box,
     convex_hull,
     cross3,
+    cutting_rows,
     dot3,
     intersect_halfspaces,
-    minkowski_sum_convex,
+    minkowski_sums,
     polytopes_touch,
     to_fraction,
 )
@@ -303,7 +304,10 @@ def _triangle_polytope(tri: Triangle3, id: str) -> ConvexPolytope:
 
 def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[Region]:
     """Stage 1: eroded hull (fattened if flat) plus per-concavity obstacles,
-    not yet clipped.  None when the box cannot fit inside the outer hull."""
+    not yet clipped.  None when the box cannot fit inside the outer hull.
+    The obstacles are built by ``minkowski_sums``: one hull per concavity
+    shape, moved to each concavity of that shape (a mesh's triangles are
+    translates of few shapes)."""
     b = inverted_box(box, orientation)
     if isinstance(trunk, ConvexTrunk):
         outer = trunk.shell
@@ -329,8 +333,8 @@ def raw_feasible_region(trunk, box: BoxType, orientation: str) -> Optional[Regio
         fattened = True
     else:
         hull.id = f"{region_id}:hull"
-    obstacles = [minkowski_sum_convex(src, b, id=f"o{i}")
-                 for i, src in enumerate(sources)]
+    obstacles = minkowski_sums(sources, b,
+                               [f"o{i}" for i in range(len(sources))])
     return Region(box.id, orientation, hull, obstacles, fattened)
 
 
@@ -356,20 +360,27 @@ def clip_obstacle(obstacle_halfspaces: Iterable[Halfspace],
 def describe_region(raw: Region, samples: int = DEFAULT_MC_SAMPLES,
                     seed: int = DEFAULT_SEED) -> Optional[Region]:
     """Stage 2: clip obstacles, discard the ones that miss the hull, and
-    estimate the free volume.  The kept obstacles are named ``o<i>`` in
-    order; those of one clipped shape (the same vertices) are copies of the
-    first under their own ids, sharing its lists as ``region_from_dict``
-    shares a decoded file's.  Returns None when no sampled center is free
-    (the emptiness probe) — exact emptiness is not decided."""
+    estimate the free volume.  Each obstacle is clipped with only its rows
+    that cut the margin (``cutting_rows``; the others hold the whole
+    margin), once per distinct list of such rows.  The kept obstacles are
+    named ``o<i>`` in order; those of one clipped shape (the same vertices)
+    are copies of the first under their own ids, sharing its lists as
+    ``region_from_dict`` shares a decoded file's.  Returns None when no
+    sampled center is free (the emptiness probe) — exact emptiness is not
+    decided."""
     margin = enlarged_hull(raw.hull)
     kept = []
+    clips = {}  # cutting rows -> their clip
     shapes = {}  # vertex content -> the first kept obstacle of that shape
     for obs in raw.obstacles:
-        clipped = clip_obstacle(obs.halfspaces, margin, id=f"o{len(kept)}")
+        rows = tuple(cutting_rows(obs.halfspaces, margin))
+        if rows not in clips:
+            clips[rows] = clip_obstacle(rows, margin, id=f"o{len(kept)}")
+        clipped = clips[rows]
         key = (None if clipped is None
                else tuple(v._h for v in clipped.vertices))
         if key in shapes:
-            kept.append(shapes[key].with_id(clipped.id))
+            kept.append(shapes[key].with_id(f"o{len(kept)}"))
             continue
         if clipped is None or clipped.degenerate or \
                 not polytopes_touch(clipped, raw.hull):

@@ -70,10 +70,6 @@ def to_fraction(value: Rational) -> Fraction:
     return Fraction(number)
 
 
-def _gcd4(a: int, b: int, c: int, d: int) -> int:
-    return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
-
-
 def _scaled_ints(values: Sequence[Rational]) -> tuple:
     """Rationals as integers over their least common denominator w > 0:
     (list of numerators, w).  Plain ints pass through with w = 1."""
@@ -101,7 +97,7 @@ class Point3:
         """The point (x/w, y/w, z/w) from integers with w != 0."""
         if w < 0:
             x, y, z, w = -x, -y, -z, -w
-        g = _gcd4(x, y, z, w)
+        g = gcd(x, y, z, w)
         obj = object.__new__(cls)
         obj._h = (x // g, y // g, z // g, w // g)
         return obj
@@ -195,7 +191,7 @@ class Halfspace:
     def _assign(self, a: int, b: int, c: int, d: int) -> None:
         if a == 0 and b == 0 and c == 0:
             raise GeometryError("halfspace normal must be nonzero")
-        g = _gcd4(a, b, c, d)
+        g = gcd(a, b, c, d)
         self.a = a // g
         self.b = b // g
         self.c = c // g
@@ -301,6 +297,29 @@ class ConvexPolytope:
             setattr(obj, name, getattr(self, name))
         obj.id = id
         return obj
+
+    def translated(self, offset: Point3,
+                   id: Optional[str] = None) -> "ConvexPolytope":
+        """This polytope moved by ``offset``.  The vertices and boundary
+        triangles keep their order, which translation does not change; each
+        halfspace n . x <= d becomes n . x <= d + n . offset, reduced again
+        (its gcd includes the offset) and sorted again, as ``convex_hull``
+        sorts its rows."""
+        tx, ty, tz, tw = offset._h
+        moved = {}
+        for p in (*self.vertices, *(q for tri in self._triangles for q in tri)):
+            if p not in moved:
+                x, y, z, w = p._h
+                moved[p] = Point3._from_h(x * tw + tx * w, y * tw + ty * w,
+                                          z * tw + tz * w, w * tw)
+        rows = [Halfspace._from_ints(h.a * tw, h.b * tw, h.c * tw,
+                                     h.d * tw + h.a * tx + h.b * ty + h.c * tz)
+                for h in self.halfspaces]
+        return ConvexPolytope(sorted(rows, key=Halfspace.key),
+                              [moved[p] for p in self.vertices],
+                              [(moved[a], moved[b], moved[c])
+                               for (a, b, c) in self._triangles],
+                              self.degenerate, id)
 
     def volume(self) -> Fraction:
         """Exact volume, from the divergence theorem over the boundary
@@ -408,7 +427,7 @@ def _plane_ints(P, Q, R):
     b = ay * pw
     c = az * pw
     d = ax * px + ay * py + az * pz
-    g = _gcd4(a, b, c, d)
+    g = gcd(a, b, c, d)
     return (a // g, b // g, c // g, d // g)
 
 
@@ -553,7 +572,7 @@ def convex_hull(points: Iterable, id: Optional[str] = None) -> ConvexPolytope:
     point_planes = {}
     for (a, b, c, (nx, ny, nz, d)) in facets:
         nx, ny, nz = nx * w, ny * w, nz * w
-        g = _gcd4(nx, ny, nz, d)
+        g = gcd(nx, ny, nz, d)
         pl = (nx // g, ny // g, nz // g, d // g)
         plane_groups.setdefault(pl, []).append((a, b, c))
         for idx in (a, b, c):
@@ -593,6 +612,50 @@ def minkowski_sum_convex(p: ConvexPolytope, q: ConvexPolytope,
     """
     verts = [a + b for a in p.vertices for b in q.vertices]
     return convex_hull(verts, id=id)
+
+
+def minkowski_sums(sources: Sequence[ConvexPolytope], b: ConvexPolytope,
+                   ids: Iterable[str]) -> list:
+    """``minkowski_sum_convex(s, b, id=i)`` for each source ``s`` and id
+    ``i``, building one hull per source shape.
+
+    A sum commutes with translation, (S + t) + B = (S + B) + t, so a source
+    whose sorted vertices are an earlier source's moved by t gets that
+    source's sum moved by t (``ConvexPolytope.translated``).  The moved sum
+    then passes the self-check ``convex_hull`` makes: every sum of a vertex
+    of its own source and a vertex of ``b`` satisfies every moved halfspace.
+    That is decided in integers per halfspace n . x <= d, as
+    max n . s + max n . v <= d over the source's vertices s and b's v.
+    """
+    ids = list(ids)
+    first = {}  # shape: vertices less the first one -> (index, first one, sum)
+    shapes = []
+    for k, (src, id) in enumerate(zip(sources, ids)):
+        v0 = src.vertices[0]
+        shape = tuple((v - v0)._h for v in src.vertices[1:])
+        if shape not in first:
+            first[shape] = (k, v0, minkowski_sum_convex(src, b, id=id))
+        shapes.append(shape)
+    # the translates are made in a pass of their own, after every hull: a
+    # pass that mixed them with the hulls' garbage raised the peak resident
+    # size of the later stages by a megabyte on a 768-triangle mesh
+    B, bw = _int_coords(b.vertices)
+    sums = []
+    for k, (src, id, shape) in enumerate(zip(sources, ids, shapes)):
+        index, u0, hull = first[shape]
+        if k == index:
+            sums.append(hull)
+            continue
+        moved = hull.translated(src.vertices[0] - u0, id=id)
+        S, sw = _int_coords(src.vertices)
+        for h in moved.halfspaces:
+            top_s, top_b = (max(h.a * x + h.b * y + h.c * z for (x, y, z) in X)
+                            for X in (S, B))
+            if top_s * bw + top_b * sw > h.d * sw * bw:
+                raise GeometryError("translated sum self-check failed: a "
+                                    "vertex sum lies outside")
+        sums.append(moved)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +755,8 @@ def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
 
     Integer bounding boxes (compared by cross-multiplying their common
     denominators), vertex containment and separating facet planes settle
-    most pairs; the rest are decided exactly by vertex enumeration of the
-    combined halfspace system.
+    most pairs; the rest are decided exactly by vertex enumeration of q's
+    rows and the rows of p that cut q.
     """
     if p.degenerate or q.degenerate:
         raise GeometryError("touch test needs full-dimensional polytopes")
@@ -715,9 +778,21 @@ def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
     for h in q.halfspaces:
         if all(not h.contains(v) for v in p.vertices):
             return False
-    # the combined system is bounded, so it is feasible exactly when it has
-    # a vertex
-    return bool(_row_vertices(p.halfspaces + q.halfspaces))
+    # the system of q's rows and p's rows that cut q is bounded and has the
+    # same solutions as both bodies' rows, so it is feasible exactly when it
+    # has a vertex
+    return bool(_row_vertices(cutting_rows(p.halfspaces, q) + q.halfspaces))
+
+
+def cutting_rows(halfspaces: Iterable[Halfspace],
+                 other: ConvexPolytope) -> list:
+    """The halfspaces, in their order, that some vertex of the bounded
+    polytope ``other`` lies strictly outside of.  Every other halfspace holds
+    all of ``other``, so dropping it leaves the intersection with ``other``
+    unchanged: P meets Q in the points of Q that satisfy P's cutting rows."""
+    X, w = _int_coords(other.vertices)
+    return [h for h in halfspaces
+            if max(h.a * x + h.b * y + h.c * z for (x, y, z) in X) > h.d * w]
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +802,7 @@ def polytopes_touch(p: ConvexPolytope, q: ConvexPolytope) -> bool:
 
 
 def _reduce_row(coeffs, rhs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(rhs))
+    g = gcd(*coeffs, rhs)
     return tuple(c // g for c in coeffs), rhs // g
 
 

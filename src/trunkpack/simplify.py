@@ -12,9 +12,11 @@ found afterwards is still valid in the original region):
   verdicts (an int8 matrix over shape numbers), candidate hulls and overlap
   volumes are kept per distinct obstacle shape for the length of the call,
   so each is decided once, and the overlap volume only when the budget
-  test needs it.  A sweep's touching pairs are two int32 index arrays, read
-  off the matrix a row at a time and visited in seeded shuffled order
-  without a list of pair tuples.
+  test needs it, on the rows of one obstacle that cut the other.  A sweep's
+  touching pairs are two int32 index arrays, read off the matrix a row at a
+  time and visited in seeded shuffled order (``random.Random.shuffle``'s
+  loop, inlined) without a list of pair tuples; pairs whose obstacles have
+  merged are dropped a chunk at a time.
 * ``drop_facets`` removes individual obstacle facets when the forbidden set
   inside the trunk hull grows by at most a given distance (mm), measured as
   the optimum of a small LP and confirmed in exact arithmetic.
@@ -41,9 +43,9 @@ import numpy as np
 from trunkpack.freespace import (_sample_volume, classify_feasible,
                                  enlarged_hull, sample_lattice_points)
 from trunkpack.geometry import (ConvexPolytope, Halfspace, convex_hull,
-                                cross3, intersect_halfspaces, polytopes_touch,
-                                to_fraction, _polytope_from_rows,
-                                _row_vertices)
+                                cross3, cutting_rows, intersect_halfspaces,
+                                polytopes_touch, to_fraction,
+                                _polytope_from_rows, _row_vertices)
 from trunkpack.lp import NumericalFailure, maximize_direction
 
 DEFAULT_REL_PCT = 10.0
@@ -87,7 +89,7 @@ class MergedObstacle:
 
 
 def _pairwise_intersection_volume(a: ConvexPolytope, b: ConvexPolytope) -> Fraction:
-    inter = _polytope_from_rows(list(a.halfspaces) + list(b.halfspaces))
+    inter = _polytope_from_rows(cutting_rows(a.halfspaces, b) + b.halfspaces)
     return Fraction(0) if inter is None else inter.volume()
 
 
@@ -104,17 +106,42 @@ def _touching_pairs(verdicts: np.ndarray, contents: np.ndarray):
     return left, right
 
 
-def _shuffled_pairs(rng: random.Random, left: np.ndarray, right: np.ndarray):
+def _shuffle(rng: random.Random, items) -> None:
+    """``rng.shuffle(items)`` for a ``random.Random``, inlined: CPython's
+    Fisher-Yates loop (Durstenfeld, CACM 7(7), 1964) drawing each index
+    below i + 1 by rejection from ``getrandbits`` of its bit length, so the
+    permutation and the generator's state afterwards are the same."""
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        # the indices i whose i + 1 has k bits run down to 2^(k-1) - 1
+        k = (top + 1).bit_length()
+        stop = (1 << (k - 1)) - 2
+        for i in range(top, stop, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        top = stop
+
+
+def _shuffled_pairs(rng: random.Random, left: np.ndarray, right: np.ndarray,
+                    alive: bytearray):
     """The pairs ``zip(left, right)`` in the order ``rng.shuffle`` puts a
-    list of them.  The shuffle permutes an index sequence of the same
-    length, which draws the same numbers, and the pairs are made a chunk at
-    a time, so no list of them is ever held."""
+    list of them, less those with a slot that ``alive`` marks dead.  The
+    shuffle permutes an index sequence of the same length, which draws the
+    same numbers.  The pairs are made a chunk at a time, so no list of them
+    is ever held, and each chunk drops its dead pairs in one array step;
+    a pair whose slot dies during its chunk is still yielded."""
     order = array("i", range(len(left)))
-    rng.shuffle(order)
+    _shuffle(rng, order)
     order = np.frombuffer(order, dtype=np.intc)
+    live = np.frombuffer(alive, dtype=np.bool_)
     for start in range(0, len(order), _CHUNK):
         chunk = order[start:start + _CHUNK]
-        yield from zip(left[chunk].tolist(), right[chunk].tolist())
+        i, j = left[chunk], right[chunk]
+        keep = live[i] & live[j]
+        yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
 def merge_obstacles(region, params: MergeParams):
@@ -137,11 +164,14 @@ def merge_obstacles(region, params: MergeParams):
     the touch test only on the undecided content pairs among its live
     obstacles, reads its touching pairs off the matrix a live obstacle's
     row at a time into two int32 index arrays (``_touching_pairs``) and
-    walks them in shuffled order without a list of pair tuples.  The
-    overlap is computed only for a hull that passes the budget at overlap
-    zero: a larger overlap raises the growth and lowers the base.  The
-    budget test is not kept, since base volumes are bookkeeping, not
-    content.  Each accepted hull is a fresh ``m<k>`` copy of the kept one.
+    walks them in shuffled order without a list of pair tuples, marking
+    merged slots dead in ``alive`` so that each chunk of pairs drops its
+    dead ones at once (``_shuffled_pairs``).  An input obstacle's volume
+    is computed once per content.  The overlap is computed only for a hull
+    that passes the budget at overlap zero: a larger overlap raises the
+    growth and lowers the base.  The budget test is not kept, since base
+    volumes are bookkeeping, not content.  Each accepted hull is a fresh
+    ``m<k>`` copy of the kept one.
     """
     rel = to_fraction(params.rel_bound_pct)
     abs_bound = to_fraction(params.abs_bound_mm3)
@@ -160,12 +190,17 @@ def merge_obstacles(region, params: MergeParams):
     hull_memo = {}
     overlap_memo = {}
 
-    def entry(obstacle: MergedObstacle):
-        return obstacle, interned.setdefault(
-            tuple(v._h for v in obstacle.polytope.vertices), len(interned))
+    def content(polytope: ConvexPolytope) -> int:
+        return interned.setdefault(tuple(v._h for v in polytope.vertices),
+                                   len(interned))
 
-    live = [entry(MergedObstacle(o, o.volume(), (o.id or f"o{i}",)))
-            for i, o in enumerate(region.obstacles)]
+    # an input obstacle's volume is read off the first of its shape
+    firsts = {}
+    live = []
+    for i, o in enumerate(region.obstacles):
+        c = content(o)
+        live.append((MergedObstacle(o, firsts.setdefault(c, o).volume(),
+                                    (o.id or f"o{i}",)), c))
     log: List[dict] = []
     next_id = 0
     while True:
@@ -186,11 +221,11 @@ def merge_obstacles(region, params: MergeParams):
                 _TOUCH if polytopes_touch(live[slot[a]][0].polytope,
                                           live[slot[b]][0].polytope)
                 else _APART)
-        consumed = set()
+        alive = bytearray(b"\x01") * len(live)
         merged = []
-        for (i, j) in _shuffled_pairs(rng, *_touching_pairs(verdicts,
-                                                            contents)):
-            if i in consumed or j in consumed:
+        for (i, j) in _shuffled_pairs(rng, *_touching_pairs(verdicts, contents),
+                                      alive):
+            if not (alive[i] and alive[j]):
                 continue
             (first, ci), (second, cj) = live[i], live[j]
             hull = hull_memo.get(ci << 32 | cj)
@@ -233,13 +268,13 @@ def merge_obstacles(region, params: MergeParams):
                 "facets_after": len(hull.halfspaces),
                 "base_approximate": approximate,
             })
-            merged.append(entry(MergedObstacle(hull, base, members,
-                                               approximate)))
-            consumed.update((i, j))
+            merged.append((MergedObstacle(hull, base, members, approximate),
+                           content(hull)))
+            alive[i] = alive[j] = 0
             next_id += 1
         if not merged:
             break
-        live = [e for k, e in enumerate(live) if k not in consumed] + merged
+        live = [e for e, a in zip(live, alive) if a] + merged
     obstacles = [m.polytope for m, _ in live]
     return dataclasses.replace(region, obstacles=obstacles), log
 

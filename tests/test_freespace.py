@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trunkpack import freespace
+from trunkpack import freespace, geometry
 from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
                                oriented_extents)
 from trunkpack.freespace import (
@@ -33,6 +33,7 @@ from trunkpack.freespace import (
     _cut,
     _sample_box,
     classify_feasible,
+    clip_obstacle,
     compute_feasible_region,
     describe_region,
     enlarged_hull,
@@ -66,8 +67,10 @@ from trunkpack.geometry import (
     _degenerate_from_points,
     axis_aligned_box,
     convex_hull,
+    cutting_rows,
     fm_feasible,
     minkowski_sum_convex,
+    minkowski_sums,
 )
 from trunkpack.simplify import MergeParams, drop_facets, merge_obstacles
 
@@ -1118,3 +1121,103 @@ def test_enlarged_hull_margin_at_least_1mm():
     grown = enlarged_hull(oblique)
     # the oblique face moves out by 3/|n| = sqrt(3) mm >= 1
     assert grown.support((1, 1, 1)) == 6
+
+
+def _subdivided_cube_mesh(edge, cells, offset=(0, 0, 0)):
+    """A cube mesh whose faces are cut into cells x cells squares of two
+    triangles each, moved by ``offset``."""
+    step = F(edge, cells)
+    tris = []
+    for axis in range(3):
+        u, v = [k for k in range(3) if k != axis]
+        for side in (0, edge):
+            def at(i, j):
+                p = [0, 0, 0]
+                p[axis], p[u], p[v] = side, i * step, j * step
+                return Point3(*(c + t for c, t in zip(p, offset)))
+            for i in range(cells):
+                for j in range(cells):
+                    tris.append(Triangle3(at(i, j), at(i + 1, j),
+                                          at(i + 1, j + 1)))
+                    tris.append(Triangle3(at(i, j), at(i + 1, j + 1),
+                                          at(i, j + 1)))
+    return MeshTrunk(tris, Point3(*(edge // 2 + t for t in offset)))
+
+
+def _triangle_sources(mesh):
+    return [_degenerate_from_points(list(tri.vertices()))
+            for tri in mesh.triangles]
+
+
+def _as_ints(p):
+    return ([h.key() for h in p.halfspaces], [v._h for v in p.vertices],
+            [[q._h for q in tri] for tri in p._triangles], p.degenerate)
+
+
+@pytest.mark.parametrize("offset", [(0, 0, 0), (F(1, 2), F(-7, 2), F(5, 2))],
+                         ids=["origin", "half-integer"])
+def test_translated_sums_equal_their_own_hulls(monkeypatch, offset):
+    # 768 triangles on a grid of 87.5 mm cells: per axis, translates of the
+    # two halves of one cell
+    sources = _triangle_sources(_subdivided_cube_mesh(700, 8, offset))
+    box = inverted_box(BOX_A, "xyz")
+    built = []
+
+    def counted(p, q, id=None, _real=minkowski_sum_convex):
+        built.append(id)
+        return _real(p, q, id=id)
+
+    monkeypatch.setattr(geometry, "minkowski_sum_convex", counted)
+    ids = [f"o{i}" for i in range(len(sources))]
+    sums = minkowski_sums(sources, box, ids)
+    assert len(sources) == 768 and len(built) == 6
+    for src, got, id in zip(sources, sums, ids):
+        want = minkowski_sum_convex(src, box, id=id)
+        assert got.id == id
+        assert _as_ints(got) == _as_ints(want)
+        assert got.volume() == want.volume()
+
+
+def test_a_tampered_offset_fails_the_sum_self_check(monkeypatch):
+    sources = _triangle_sources(_subdivided_cube_mesh(700, 2))
+    real = ConvexPolytope.translated
+    nudge = Point3(0, 0, F(1, 1024))
+    monkeypatch.setattr(ConvexPolytope, "translated",
+                        lambda self, t, id=None: real(self, t + nudge, id))
+    with pytest.raises(GeometryError, match="self-check"):
+        minkowski_sums(sources, inverted_box(BOX_A, "xyz"),
+                       [f"o{i}" for i in range(len(sources))])
+
+
+@pytest.mark.parametrize("case", ["mesh-cube", "l-trunk", "slanted"])
+def test_clips_on_cutting_rows_equal_clips_on_all_rows(case):
+    # the 8 x 8 mesh cube (half-integer cells), the L-trunk's cavity, and a
+    # slanted hull whose cavity reaches past the margin
+    if case == "mesh-cube":
+        raw = raw_feasible_region(_subdivided_cube_mesh(700, 8), BOX_A, "xyz")
+    elif case == "l-trunk":
+        raw = raw_feasible_region(l_trunk(), BOX_E, "xyz")
+    else:
+        rng = random.Random(7)
+        shell = convex_hull([(rng.randint(0, 1200), rng.randint(0, 1200),
+                              rng.randint(0, 1200)) for _ in range(40)])
+        cavity = [v for v in shell.vertices[:6]] + [Point3(600, 600, 600)]
+        raw = raw_feasible_region(ConvexTrunk(shell, [convex_hull(cavity)]),
+                                  BOX_E, "xyz")
+    margin = enlarged_hull(raw.hull)
+    kinds = set()
+    for obs in raw.obstacles:
+        rows = cutting_rows(obs.halfspaces, margin)
+        got = clip_obstacle(rows, margin, id="c")
+        want = clip_obstacle(obs.halfspaces, margin, id="c")
+        assert (got is None) == (want is None)
+        if got is None:
+            kinds.add("empty")
+            continue
+        assert got.degenerate == want.degenerate
+        assert [v._h for v in got.vertices] == [v._h for v in want.vertices]
+        assert [h.key() for h in got.halfspaces] == \
+            [h.key() for h in want.halfspaces]
+        kinds.add("flat" if got.degenerate
+                  else "cut" if len(rows) < len(obs.halfspaces) else "all")
+    assert "cut" in kinds

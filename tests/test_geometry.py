@@ -21,8 +21,10 @@ from trunkpack.geometry import (
     Point3,
     ZeroDirection,
     _polytope_from_rows,
+    _row_vertices,
     axis_aligned_box,
     convex_hull,
+    cutting_rows,
     fm_feasible,
     intersect_halfspaces,
     minkowski_sum_convex,
@@ -894,3 +896,70 @@ def test_flat_intersection_vertices_are_extreme_points():
             assert all(_fraction_satisfies(h, v) for v in flat.vertices)
         kinds.add(min(len(got), 3))
     assert kinds == {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# one Minkowski hull per source shape, and rows that cut a body
+
+
+def test_translated_polytope_reduces_and_resorts_its_rows():
+    # x + 2y <= 1 moved by (1/2, 0, 0) is 2x + 4y <= 3; moved by (1, 0, 0)
+    # it is x + 2y <= 2, so the rows of a body can change order
+    tet = convex_hull([(0, 0, 0), (1, 0, 0), (0, F(1, 2), 0), (0, 0, 1)])
+    for t in ((F(1, 2), 0, 0), (1, -3, 2), (F(-5, 3), F(7, 2), F(1, 6))):
+        moved = tet.translated(Point3(*t), id="m")
+        want = convex_hull([v + Point3(*t) for v in tet.vertices], id="m")
+        assert [h.key() for h in moved.halfspaces] == \
+            [h.key() for h in want.halfspaces]
+        assert moved.vertices == want.vertices
+        assert moved.volume() == tet.volume()
+
+
+def _full_rows(p, q):
+    return p.halfspaces + q.halfspaces
+
+
+def test_touch_and_overlap_on_cutting_rows_match_all_rows():
+    rng = random.Random(29)
+    pairs = _random_touch_pairs(rng)
+    # a slanted hull against boxes inside it, across it and around it
+    slanted = convex_hull([(rng.randint(-40, 40), rng.randint(-40, 40),
+                            rng.randint(-40, 40)) for _ in range(30)])
+    pairs += [(slanted, axis_aligned_box((a, a, a), (a + 9, a + 9, a + 9)))
+              for a in (-60, -20, -4, 10, 35)]
+    pairs.append((slanted, axis_aligned_box((-99,) * 3, (99,) * 3)))
+    culled = 0
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            rows = cutting_rows(a.halfspaces, b)
+            assert set(rows) <= set(a.halfspaces)
+            culled += len(a.halfspaces) - len(rows)
+            got = _polytope_from_rows(rows + b.halfspaces)
+            want = _polytope_from_rows(_full_rows(a, b))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.degenerate == want.degenerate
+                assert got.vertices == want.vertices
+                assert got.halfspaces == want.halfspaces
+                assert got.volume() == want.volume()
+            assert bool(_row_vertices(rows + b.halfspaces)) == \
+                bool(_row_vertices(_full_rows(a, b)))
+    assert culled > 0
+
+
+def test_cutting_rows_of_a_body_around_another_are_none():
+    outer = axis_aligned_box((0, 0, 0), (10, 10, 10))
+    inner = axis_aligned_box((2, 2, 2), (3, 3, 3))
+    assert cutting_rows(outer.halfspaces, inner) == []
+    assert intersect_halfspaces([], inner).vertices == inner.vertices
+    # a face contact gives a flat clip, a gap an empty one, whichever rows
+    flush = axis_aligned_box((3, 2, 2), (5, 3, 3))
+    rows = cutting_rows(flush.halfspaces, inner)
+    assert len(rows) == 1
+    flat = intersect_halfspaces(rows, inner)
+    assert flat.degenerate
+    assert flat.vertices == intersect_halfspaces(flush.halfspaces,
+                                                 inner).vertices
+    apart = axis_aligned_box((4, 2, 2), (5, 3, 3))
+    assert intersect_halfspaces(cutting_rows(apart.halfspaces, inner),
+                                inner) is None

@@ -531,11 +531,56 @@ def test_int32_pair_lists_keep_the_pair_order():
         old_left, old_right = _old_touching_pairs(verdicts, contents)
         assert left.dtype == right.dtype == np.int32
         assert (left == old_left).all() and (right == old_right).all()
-        got = list(simplify._shuffled_pairs(random.Random(trial), left, right))
+        alive = bytearray(b"\x01") * len(contents)
+        got = list(simplify._shuffled_pairs(random.Random(trial), left, right,
+                                            alive))
         assert got == _old_shuffled_pairs(random.Random(trial), old_left,
                                           old_right)
         lengths.add(len(got) > simplify._CHUNK)
     assert lengths == {False, True}
+
+
+def test_inlined_shuffle_is_random_shuffle():
+    for seed in (0, 1, 29, 12345, 2 ** 40 + 3):
+        for n in range(301):
+            expect, got = random.Random(seed), random.Random(seed)
+            items = list(range(n))
+            expect.shuffle(items)
+            order = array("i", range(n))
+            simplify._shuffle(got, order)
+            assert list(order) == items, (seed, n)
+            assert got.getstate() == expect.getstate(), (seed, n)
+
+
+def test_alive_filter_accepts_the_pairs_of_the_set_walk():
+    rng = np.random.default_rng(29)
+    sizes = set()
+    for trial in range(40):
+        shapes = int(rng.integers(1, 30))
+        verdicts = rng.integers(0, 3, size=(2 * shapes,) * 2).astype(np.int8)
+        verdicts = np.triu(verdicts) + np.triu(verdicts, 1).T
+        contents = rng.integers(0, shapes, size=int(rng.integers(0, 200)))
+        left, right = simplify._touching_pairs(verdicts, contents)
+        # a pair is accepted by a fixed seeded verdict of its own
+        accept = rng.random((len(contents),) * 2) < 0.3
+
+        alive = bytearray(b"\x01") * len(contents)
+        got = []
+        for i, j in simplify._shuffled_pairs(random.Random(trial), left,
+                                             right, alive):
+            if alive[i] and alive[j] and accept[i, j]:
+                got.append((i, j))
+                alive[i] = alive[j] = 0
+        consumed = set()
+        expect = []
+        for i, j in _old_shuffled_pairs(random.Random(trial), left, right):
+            if i in consumed or j in consumed or not accept[i, j]:
+                continue
+            expect.append((i, j))
+            consumed.update((i, j))
+        assert got == expect, trial
+        sizes.add(len(left) > simplify._CHUNK)
+    assert sizes == {False, True}
 
 
 def test_mesh_cube_merge_matches_the_oracle(monkeypatch):
