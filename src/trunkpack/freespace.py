@@ -19,7 +19,10 @@ sort-and-sweep over the points' coordinates, built only once an obstacle's
 bounding box meets the points inside the hull, culls each obstacle to the
 points strictly inside its bounding box.  A flat obstacle has no interior and
 forbids nothing.  The estimate draws and classifies its points a fixed-size
-block at a time, so its memory does not grow with the sample count.
+block at a time, so its memory does not grow with the sample count.  The
+draws are numpy's ``default_rng(seed)`` PCG64 stream, computed in this
+module (``_Pcg64``) so that no run imports numpy's random module, and pinned
+to numpy's own draws by the tests.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
 hull halfspace pushed outward by at least 1 mm).  Within the true hull the
@@ -69,6 +72,7 @@ _GRID = FATTEN_EPS  # sample boxes are rounded outward to this grid
 _LATTICE = 1 << 20
 LATTICE_DEN = 2 * _LATTICE * _GRID.denominator  # denominator of every sample
 _SAMPLE_BLOCK = 1 << 14  # sample rows drawn and classified at a time
+_LANES = 1 << 13  # generator states advanced at a time by bulk draws
 # float screening: trust a sign when |value| exceeds magnitude_bound * 2^-40
 # (true rounding error is below magnitude_bound * 2^-49); smaller values are
 # re-evaluated exactly
@@ -474,21 +478,212 @@ def _sample_box(bbox) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             tuple(math.ceil(b / _GRID) for b in hi))
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
+
+
+def _seed_state(seed: int) -> Tuple[int, int]:
+    """PCG64's (state, increment) for ``SeedSequence(seed)``, seed >= 0:
+    the seed's little-endian 32-bit words hashed into a pool of 4 words,
+    ``generate_state(4, uint64)`` read off the pool, and PCG64's
+    ``srandom_r`` on its two 128-bit halves."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = []
+    hash_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    state0, state1, seq0, seq1 = (out[i] | out[i + 1] << 32
+                                  for i in range(0, 8, 2))
+    inc = ((seq0 << 64 | seq1) << 1 | 1) & _MASK128
+    state = (inc + (state0 << 64 | state1)) & _MASK128  # one step from 0
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _affine(hi, lo, a: int, c: int):
+    """(a * s + c) mod 2**128 for the 128-bit states s = hi * 2**64 + lo
+    (uint64 arrays), as (hi, lo): 64-bit products wrap, and the high half
+    of lo times a's low word is summed from 32-bit halves."""
+    m0, m1 = np.uint64(a & _MASK32), np.uint64(a >> 32 & _MASK32)
+    c_lo = np.uint64(c & _MASK64)
+    low = lo & _MASK32
+    high = lo >> 32
+    p01 = low * m1
+    p10 = high * m0
+    low *= m0
+    low >>= 32
+    low += p01 & _MASK32
+    low += p10 & _MASK32
+    low >>= 32  # the carry out of the low word's middle
+    high *= m1
+    high += p01 >> 32
+    high += p10 >> 32
+    high += low  # the high half of lo * (a mod 2**64)
+    new_lo = lo * np.uint64(a & _MASK64)
+    new_lo += c_lo
+    high += new_lo < c_lo
+    high += hi * np.uint64(a & _MASK64)
+    high += lo * np.uint64(a >> 64)
+    high += np.uint64(c >> 64)
+    return high, new_lo
+
+
+class _Pcg64:
+    """The stream of numpy's ``default_rng(seed)``, computed here: PCG64
+    XSL-RR (O'Neill 2014) seeded through ``SeedSequence``, 32-bit draws as
+    the low and then the high half of each 64-bit output (the unused half
+    is kept, as PCG64's ``has_uint32`` keeps it), and bounded integers by
+    Lemire's method (2019).  The tests pin it to numpy's own draws.
+
+    Bulk draws (``bounded``) read the outputs of up to ``_LANES``
+    consecutive states at a time: the next states, as uint64 arrays, move
+    on by one jump of the LCG as many steps as they are (Brown 1994), so no
+    Python step runs per draw."""
+
+    __slots__ = ("state", "inc", "half", "lanes", "jump")
+
+    def __init__(self, seed: int):
+        self.state, self.inc = _seed_state(seed)
+        self.half = None  # the unused high half of the last output
+        self.lanes = None  # (hi, lo) of the next states, once a bulk draw ran
+        self.jump = None  # the LCG's lane-width-step map (A, C): s -> A s + C
+
+    def _next64(self) -> int:
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        self.lanes = None
+        hi, rot = state >> 64, state >> 122
+        x = hi ^ (state & _MASK64)
+        return (x >> rot | x << (-rot & 63)) & _MASK64
+
+    def next_uint32(self) -> int:
+        if self.half is not None:
+            out, self.half = self.half, None
+            return out
+        x = self._next64()
+        self.half = x >> 32
+        return x & _MASK32
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``: an int in [low, high), for a
+        range of at most 2**32, by Lemire's method with its rejections."""
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError("range must hold 1 to 2**32 integers")
+        if span == 1:
+            return low  # numpy draws nothing
+        m = self.next_uint32() * span
+        threshold = (1 << 32) % span
+        while m & _MASK32 < threshold:
+            m = self.next_uint32() * span
+        return low + (m >> 32)
+
+    def _fill_lanes(self, width: int) -> None:
+        """The next ``width`` (a power of two) states by doubling: the first
+        k stepped k times at once are the next k."""
+        state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        hi = np.empty(width, dtype=np.uint64)
+        lo = np.empty(width, dtype=np.uint64)
+        hi[0], lo[0] = state >> 64, state & _MASK64
+        a, c = _PCG_MULT, self.inc  # the k-step map
+        k = 1
+        while k < width:
+            hi[k:2 * k], lo[k:2 * k] = _affine(hi[:k], lo[:k], a, c)
+            a, c = a * a & _MASK128, (a * c + c) & _MASK128
+            k *= 2
+        self.lanes, self.jump = (hi, lo), (a, c)
+
+    def _outputs(self, r: int) -> np.ndarray:
+        """The next r 64-bit outputs, at most one lane width of them, as
+        uint64.  The lanes are refilled when missing or narrower than r:
+        r rounded up to a power of two, at most _LANES."""
+        want = min(_LANES, 1 << (r - 1).bit_length())
+        if self.lanes is None or len(self.lanes[0]) < want:
+            self._fill_lanes(want)
+        width = len(self.lanes[0])
+        r = min(r, width)
+        hi, lo = (lane[:r] for lane in self.lanes)
+        self.state = int(hi[-1]) << 64 | int(lo[-1])
+        rot = hi >> 58
+        x = hi ^ lo
+        out = x << (-rot & 63)
+        x >>= rot
+        out |= x
+        ahead = _affine(hi, lo, *self.jump)
+        if r < width:
+            ahead = [np.concatenate((lane[r:], new))
+                     for lane, new in zip(self.lanes, ahead)]
+        self.lanes = tuple(ahead)
+        return out
+
+    def bounded(self, n: int, span: int) -> np.ndarray:
+        """n draws of ``integers(0, span)`` for a power-of-two span <= 2**32,
+        as int64: Lemire's threshold is 0, so each draw is the top
+        log2(span) bits of a 32-bit one."""
+        if span < 2 or span > 1 << 32 or span & (span - 1):
+            raise ValueError("bulk draws need a power-of-two range")
+        shift = 33 - span.bit_length()
+        out = np.empty(n, dtype=np.int64)
+        done = 0
+        if self.half is not None and n:
+            out[0], self.half, done = self.half >> shift, None, 1
+        while done < n:
+            words = self._outputs((n - done + 1) // 2)
+            words = words.astype("<u8", copy=False).view("<u4")  # low, high
+            take = min(len(words), n - done)
+            out[done:done + take] = words[:take] >> shift
+            if take < len(words):
+                self.half = int(words[-1])
+            done += take
+        return out
+
+
 def _lattice_blocks(bbox, n: int, seed: int):
     """The numerators of n random points inside the box rounded outward to
     the grid (``_sample_box``), exact: 2*_LATTICE lattice positions per
-    axis.  They come as consecutive int64 blocks of at most _SAMPLE_BLOCK
-    rows from one generator; PCG64 keeps the unused half of a 64-bit output
-    in its state, so the blocks continue one n-row draw exactly.  The
+    axis.  The draws are those of numpy's ``default_rng(seed).integers(0,
+    _LATTICE, (n, 3))``, computed in-package (``_Pcg64``) and pinned to
+    numpy's by the tests.  They come as consecutive int64 blocks of at most
+    _SAMPLE_BLOCK rows from one stream, which keeps the unused half of a
+    64-bit output, so the blocks continue one n-row draw exactly.  The
     numerator bound depends on the box only and is checked before any draw."""
     lo, hi = _sample_box(bbox)
     for a, b in zip(lo, hi):
         if abs(a) * 2 * _LATTICE + (2 * _LATTICE + 1) * (b - a) >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     for start in range(0, n, _SAMPLE_BLOCK):
         rows = min(_SAMPLE_BLOCK, n - start)
-        num = rng.integers(0, _LATTICE, size=(rows, 3), dtype=np.int64)
+        num = rng.bounded(3 * rows, _LATTICE).reshape(rows, 3)
         for axis, (a, b) in enumerate(zip(lo, hi)):
             # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN, in place over
             # the draws r
@@ -815,9 +1010,9 @@ def _fresh_anchor(trunk: MeshTrunk, depth: int) -> Point3:
     the anchor must avoid every triangle plane."""
     if depth > 40:
         raise GeometryError("could not find a clean parity anchor")
-    rng = np.random.default_rng(1000 + depth)
+    rng = _Pcg64(1000 + depth)
     for _ in range(50):
-        off = Point3(*[Fraction(int(rng.integers(-64, 65)) * 2 + 1, 1 << 14)
+        off = Point3(*[Fraction(rng.integers(-64, 65) * 2 + 1, 1 << 14)
                        for _ in range(3)])
         cand = trunk.seed + off
         clean = True
@@ -967,7 +1162,9 @@ def region_from_dict(obj: dict):
     Each distinct stored obstacle is decoded and enumerated once per call,
     and each distinct set of normals bounds-checked once; a repeat becomes
     its own polytope ``o<i>`` sharing the first one's lists, so a bad
-    obstacle is still reported at its first index."""
+    obstacle is still reported at its first index.  A stored sample count
+    must be an int of at least 1 and a seed an int of at least 0; anything
+    else raises ValueError."""
     if obj.get("empty"):
         return None
     memo = {}
@@ -980,9 +1177,19 @@ def region_from_dict(obj: dict):
     if "volume_mm3" in obj:
         region.volume_mm3 = float(obj["volume_mm3"])
         region.volume_stderr_mm3 = float(obj.get("volume_stderr_mm3", 0.0))
-        region.samples = int(obj["samples"])
-        region.seed = int(obj["seed"])
+        region.samples = _stored_count(obj, "samples", 1)
+        region.seed = _stored_count(obj, "seed", 0)
     return region
+
+
+def _stored_count(obj: dict, key: str, least: int) -> int:
+    """The integer ``obj[key]``, at least ``least``: a float, a bool or a
+    smaller value raises ValueError."""
+    value = obj[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"stored {key} must be an integer >= {least}, "
+                         f"not {value!r}")
+    return value
 
 
 def _list_json(items: Sequence[str], depth: int) -> str:

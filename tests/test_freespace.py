@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from trunkpack import freespace, geometry
-from trunkpack.catalog import (FULL_CATALOG, BoxType, half_extents,
-                               oriented_extents)
+from trunkpack.catalog import (FULL_CATALOG, ORIENTATIONS, BoxType,
+                               half_extents, oriented_extents)
 from trunkpack.freespace import (
     DEFAULT_SEED,
     LATTICE_DEN,
@@ -602,6 +602,51 @@ def test_lattice_blocks_continue_one_draw(monkeypatch, n, block):
     assert (sample_lattice_points(bbox, n, 77).num == expect).all()
 
 
+# the seeds of the paper-catalog regions at the default seed, and seeds
+# with one, two and three 32-bit entropy words
+_STREAM_SEEDS = sorted({region_seed(DEFAULT_SEED, box.id, orient)
+                        for box in FULL_CATALOG for orient in ORIENTATIONS}
+                       | {0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3})
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_bulk_draws_equal_numpys_stream(seed):
+    for n in (1, 2, 16383, 16384, 16385, 200000):
+        expect = np.random.default_rng(seed).integers(
+            0, freespace._LATTICE, (n, 3), dtype=np.int64)
+        got = freespace._Pcg64(seed).bounded(3 * n, freespace._LATTICE)
+        assert got.dtype == np.int64
+        assert (got.reshape(n, 3) == expect).all(), n
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 1001, 1040, 2 ** 32, 2 ** 64 + 3])
+def test_scalar_draws_equal_numpys_stream(seed):
+    # the anchor range, one that rejects a quarter of its 32-bit draws, the
+    # full 32-bit range and a one-integer range (no draw), interleaved; then
+    # bulk and scalar draws in turn on one stream
+    ours = freespace._Pcg64(seed)
+    numpys = np.random.default_rng(seed)
+    ranges = [(-64, 65), (0, 3 * 2 ** 30), (-64, 65), (0, 2 ** 32), (7, 8)]
+    for i in range(1100):
+        low, high = ranges[i % len(ranges)]
+        assert ours.integers(low, high) == numpys.integers(low, high)
+    for n in (5, 1, 8192 * 2 + 3, 4, 2):
+        got = ours.bounded(n, 2 ** 20)
+        assert (got == numpys.integers(0, 2 ** 20, n, dtype=np.int64)).all()
+        assert ours.integers(-64, 65) == numpys.integers(-64, 65)
+
+
+def test_stream_refuses_what_numpy_refuses():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        freespace._Pcg64(-1)
+    rng = freespace._Pcg64(1)
+    for span in (1, 3, 2 ** 20 + 1, 2 ** 33):
+        with pytest.raises(ValueError):
+            rng.bounded(10, span)
+
+
 def test_sampler_checks_its_overflow_bound_before_drawing(monkeypatch):
     # x and y are near the origin; only z, the last axis converted, is far
     # enough out for its numerators to overflow int64
@@ -611,7 +656,7 @@ def test_sampler_checks_its_overflow_bound_before_drawing(monkeypatch):
     def no_draws(seed):
         raise AssertionError("drew samples for a box that cannot be sampled")
 
-    monkeypatch.setattr(freespace.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(freespace, "_Pcg64", no_draws)
     with pytest.raises(GeometryError,
                        match="lattice numerators would overflow int64"):
         sample_lattice_points(hull.bbox(), 10, seed=1)

@@ -483,6 +483,40 @@ def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
     assert recorded[tmp_path / "out" / "regions" / "feasible_T_xyz.json"] is None
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", -1), ("samples", 0), ("samples", -1), ("samples", 1.5),
+    ("seed", 1.5), ("samples", True), ("seed", "7"),
+], ids=["seed-negative", "samples-zero", "samples-negative",
+        "samples-fraction", "seed-fraction", "samples-bool", "seed-string"])
+def test_hand_edited_sample_fields_are_exit_10(tmp_path, capsys, key, value):
+    # the stored sample count must be an int >= 1 and the seed an int >= 0;
+    # the simplify stage re-samples with them
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    argv = ["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+            "--out", str(tmp_path / "out"), "--orientations", "xyz",
+            "--mc-samples", "400"]
+    assert main(argv + ["--stages", "freespace,describe"]) == EXIT_OK
+    target = tmp_path / "out" / "regions" / "feasible_T_xyz.json"
+    write_json(target, dict(json.loads(target.read_text()), **{key: value}))
+    capsys.readouterr()
+    assert main(argv + ["--stages", "simplify"]) == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read region file" in err and f"stored {key}" in err
+
+
+def test_smallest_stored_sample_fields_are_read(tmp_path):
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    argv = ["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+            "--out", str(tmp_path / "out"), "--orientations", "xyz",
+            "--mc-samples", "400"]
+    assert main(argv + ["--stages", "freespace,describe"]) == EXIT_OK
+    target = tmp_path / "out" / "regions" / "feasible_T_xyz.json"
+    write_json(target, dict(json.loads(target.read_text()), samples=1,
+                            seed=0))
+    assert main(argv + ["--stages", "simplify"]) == EXIT_OK
+
+
 def test_full_run_decodes_no_region_file(tmp_path, monkeypatch):
     decoded = _count_decodes(monkeypatch)
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))

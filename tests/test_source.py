@@ -4,10 +4,14 @@ Every top-level import of a module must be used in that module or listed
 in its ``__all__`` (a re-export); ``from __future__`` imports are exempt.
 Every top-level private name (one leading underscore) that a module
 defines must be read somewhere in the package.  No module holds an
-``assert`` or a ``global`` statement.
+``assert`` or a ``global`` statement.  No module names numpy's random
+module, and a region build imports neither it nor OpenSSL's hashing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +137,67 @@ def test_no_global_statements(path):
     # work reaches a task through its arguments
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Global)]
+
+
+def numpy_random_names(source: str) -> list:
+    """Line numbers at which a module names numpy's random module: the
+    attribute ``random`` of ``np`` or ``numpy``, or an import of it."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr == "random" and \
+                isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy"):
+            lines.append(n.lineno)
+        elif isinstance(n, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in n.names):
+            lines.append(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and n.module and (
+                n.module.startswith("numpy.random") or
+                (n.module == "numpy"
+                 and any(a.name == "random" for a in n.names))):
+            lines.append(n.lineno)
+    return lines
+
+
+def test_checker_flags_numpy_random_names():
+    source = ("import numpy as np\n"
+              "import random\n"
+              "from numpy import random as r\n"
+              "import numpy.random\n"
+              "from numpy.random import default_rng\n"
+              "x = np.random.default_rng(1)\n"
+              "y = random.random(), np.uint64(3)\n")
+    assert numpy_random_names(source) == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_numpy_random(path):
+    # the samples come from the package's own PCG64 stream
+    text = path.read_text(encoding="utf-8")
+    assert numpy_random_names(text) == []
+    assert "np.random" not in text and "numpy.random" not in text
+
+
+def test_region_build_imports_no_numpy_random_or_openssl():
+    script = (
+        "import sys\n"
+        "import trunkpack.pipeline\n"
+        "from trunkpack import freespace\n"
+        "from trunkpack.catalog import BoxType\n"
+        "rows = [{'n': n, 'd': d} for k in range(3) for n, d in\n"
+        "        (([int(i == k) for i in range(3)], 100),\n"
+        "         ([-int(i == k) for i in range(3)], 0))]\n"
+        "trunk = freespace.parse_convex_json({'shell': {'halfspaces': rows}})\n"
+        "box = BoxType.from_dict({'id': 'J', 'dims_mm': [50, 40, 30],\n"
+        "                         'max_count': 1})\n"
+        "region = freespace.compute_feasible_region(trunk, box, 'xyz',\n"
+        "                                           samples=1000, seed=3)\n"
+        "assert region.volume_mm3 == 50 * 60 * 70, region.volume_mm3\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib')\n"
+        "             if m in sys.modules))\n")
+    src = str(SOURCES[0].parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
