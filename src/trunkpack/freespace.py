@@ -21,7 +21,7 @@ points strictly inside its bounding box.  A flat obstacle has no interior and
 forbids nothing.  The estimate draws and classifies its points a fixed-size
 block at a time, so its memory does not grow with the sample count.  The
 draws are numpy's ``default_rng(seed)`` PCG64 stream, computed in this
-module (``_Pcg64``) so that no run imports numpy's random module, and pinned
+module (``_draws``) so that no run imports numpy's random module, and pinned
 to numpy's own draws by the tests.
 
 Obstacles are clipped for storage against a slightly enlarged hull (every
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,10 +70,11 @@ FATTEN_EPS = Fraction(1, 1024)
 DEFAULT_MC_SAMPLES = 200000
 DEFAULT_SEED = 12345
 _GRID = FATTEN_EPS  # sample boxes are rounded outward to this grid
-_LATTICE = 1 << 20
+_LATTICE_BITS = 20
+_LATTICE = 1 << _LATTICE_BITS
 LATTICE_DEN = 2 * _LATTICE * _GRID.denominator  # denominator of every sample
 _SAMPLE_BLOCK = 1 << 14  # sample rows drawn and classified at a time
-_LANES = 1 << 13  # generator states advanced at a time by bulk draws
+_LANES = 1 << 13  # generator states advanced at a time
 # float screening: trust a sign when |value| exceeds magnitude_bound * 2^-40
 # (true rounding error is below magnitude_bound * 2^-49); smaller values are
 # re-evaluated exactly
@@ -558,132 +560,74 @@ def _affine(hi, lo, a: int, c: int):
     return high, new_lo
 
 
-class _Pcg64:
-    """The stream of numpy's ``default_rng(seed)``, computed here: PCG64
-    XSL-RR (O'Neill 2014) seeded through ``SeedSequence``, 32-bit draws as
-    the low and then the high half of each 64-bit output (the unused half
-    is kept, as PCG64's ``has_uint32`` keeps it), and bounded integers by
-    Lemire's method (2019).  The tests pin it to numpy's own draws.
-
-    Bulk draws (``bounded``) read the outputs of up to ``_LANES``
-    consecutive states at a time: the next states, as uint64 arrays, move
-    on by one jump of the LCG as many steps as they are (Brown 1994), so no
-    Python step runs per draw."""
-
-    __slots__ = ("state", "inc", "half", "lanes", "jump")
-
-    def __init__(self, seed: int):
-        self.state, self.inc = _seed_state(seed)
-        self.half = None  # the unused high half of the last output
-        self.lanes = None  # (hi, lo) of the next states, once a bulk draw ran
-        self.jump = None  # the LCG's lane-width-step map (A, C): s -> A s + C
-
-    def _next64(self) -> int:
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        self.lanes = None
-        hi, rot = state >> 64, state >> 122
-        x = hi ^ (state & _MASK64)
-        return (x >> rot | x << (-rot & 63)) & _MASK64
-
-    def next_uint32(self) -> int:
-        if self.half is not None:
-            out, self.half = self.half, None
-            return out
-        x = self._next64()
-        self.half = x >> 32
-        return x & _MASK32
-
-    def integers(self, low: int, high: int) -> int:
-        """``Generator.integers(low, high)``: an int in [low, high), for a
-        range of at most 2**32, by Lemire's method with its rejections."""
-        span = high - low
-        if not 1 <= span <= 1 << 32:
-            raise ValueError("range must hold 1 to 2**32 integers")
-        if span == 1:
-            return low  # numpy draws nothing
-        m = self.next_uint32() * span
-        threshold = (1 << 32) % span
-        while m & _MASK32 < threshold:
-            m = self.next_uint32() * span
-        return low + (m >> 32)
-
-    def _fill_lanes(self, width: int) -> None:
-        """The next ``width`` (a power of two) states by doubling: the first
-        k stepped k times at once are the next k."""
-        state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        hi = np.empty(width, dtype=np.uint64)
-        lo = np.empty(width, dtype=np.uint64)
-        hi[0], lo[0] = state >> 64, state & _MASK64
-        a, c = _PCG_MULT, self.inc  # the k-step map
-        k = 1
-        while k < width:
-            hi[k:2 * k], lo[k:2 * k] = _affine(hi[:k], lo[:k], a, c)
-            a, c = a * a & _MASK128, (a * c + c) & _MASK128
-            k *= 2
-        self.lanes, self.jump = (hi, lo), (a, c)
-
-    def _outputs(self, r: int) -> np.ndarray:
-        """The next r 64-bit outputs, at most one lane width of them, as
-        uint64.  The lanes are refilled when missing or narrower than r:
-        r rounded up to a power of two, at most _LANES."""
-        want = min(_LANES, 1 << (r - 1).bit_length())
-        if self.lanes is None or len(self.lanes[0]) < want:
-            self._fill_lanes(want)
-        width = len(self.lanes[0])
-        r = min(r, width)
-        hi, lo = (lane[:r] for lane in self.lanes)
-        self.state = int(hi[-1]) << 64 | int(lo[-1])
+def _pcg64_outputs(seed: int):
+    """The PCG64 XSL-RR (O'Neill 2014) outputs of numpy's ``default_rng``,
+    ``_LANES`` at a time as little-endian uint64 arrays: the first lanes by
+    doubling (the first k states stepped k times are the next k), then each
+    lane moved on by one LCG jump of ``_LANES`` steps (Brown 1994)."""
+    state, inc = _seed_state(seed)
+    state = (state * _PCG_MULT + inc) & _MASK128
+    hi, lo = np.empty((2, _LANES), dtype=np.uint64)
+    hi[0], lo[0] = state >> 64, state & _MASK64
+    a, c = _PCG_MULT, inc  # the k-step map s -> a s + c
+    k = 1
+    while k < _LANES:
+        hi[k:2 * k], lo[k:2 * k] = _affine(hi[:k], lo[:k], a, c)
+        a, c = a * a & _MASK128, (a * c + c) & _MASK128
+        k *= 2
+    while True:
         rot = hi >> 58
-        x = hi ^ lo
-        out = x << (-rot & 63)
-        x >>= rot
+        out = hi ^ lo
+        x = out >> rot
+        np.negative(rot, out=rot)
+        rot &= 63
+        out <<= rot
         out |= x
-        ahead = _affine(hi, lo, *self.jump)
-        if r < width:
-            ahead = [np.concatenate((lane[r:], new))
-                     for lane, new in zip(self.lanes, ahead)]
-        self.lanes = tuple(ahead)
-        return out
+        del rot, x  # freed while the caller works on the outputs
+        yield out.astype("<u8", copy=False)
+        hi, lo = _affine(hi, lo, a, c)
 
-    def bounded(self, n: int, span: int) -> np.ndarray:
-        """n draws of ``integers(0, span)`` for a power-of-two span <= 2**32,
-        as int64: Lemire's threshold is 0, so each draw is the top
-        log2(span) bits of a 32-bit one."""
-        if span < 2 or span > 1 << 32 or span & (span - 1):
-            raise ValueError("bulk draws need a power-of-two range")
-        shift = 33 - span.bit_length()
+
+def _draws(seed: int, counts: Iterable[int], bits: int):
+    """numpy's ``default_rng(seed).integers(0, 2**bits, n)`` as int64 for
+    each n of ``counts`` in turn, 1 <= bits <= 32: the top bits of 32-bit
+    draws (Lemire's method (2019) rejects none for a power-of-two range),
+    each 64-bit output's low half and then its high half, so an odd count
+    leaves a half over for the next n, as PCG64's ``has_uint32`` does."""
+    if not 1 <= bits <= 32:
+        raise ValueError("draws need a range of 2**1 to 2**32 integers")
+    outputs = _pcg64_outputs(seed)
+    words = np.empty(0, dtype="<u4")
+    for n in counts:
         out = np.empty(n, dtype=np.int64)
         done = 0
-        if self.half is not None and n:
-            out[0], self.half, done = self.half >> shift, None, 1
         while done < n:
-            words = self._outputs((n - done + 1) // 2)
-            words = words.astype("<u8", copy=False).view("<u4")  # low, high
-            take = min(len(words), n - done)
-            out[done:done + take] = words[:take] >> shift
-            if take < len(words):
-                self.half = int(words[-1])
+            if not len(words):
+                words = next(outputs).view("<u4")
+            take = min(n - done, len(words))
+            out[done:done + take] = words[:take] >> (32 - bits)
+            words = words[take:]
             done += take
-        return out
+        yield out
 
 
 def _lattice_blocks(bbox, n: int, seed: int):
     """The numerators of n random points inside the box rounded outward to
     the grid (``_sample_box``), exact: 2*_LATTICE lattice positions per
     axis.  The draws are those of numpy's ``default_rng(seed).integers(0,
-    _LATTICE, (n, 3))``, computed in-package (``_Pcg64``) and pinned to
+    _LATTICE, (n, 3))``, computed in-package (``_draws``) and pinned to
     numpy's by the tests.  They come as consecutive int64 blocks of at most
-    _SAMPLE_BLOCK rows from one stream, which keeps the unused half of a
-    64-bit output, so the blocks continue one n-row draw exactly.  The
-    numerator bound depends on the box only and is checked before any draw."""
+    _SAMPLE_BLOCK rows from one stream, so the blocks continue one n-row
+    draw exactly.  The numerator bound depends on the box only and is
+    checked before any draw."""
     lo, hi = _sample_box(bbox)
     for a, b in zip(lo, hi):
         if abs(a) * 2 * _LATTICE + (2 * _LATTICE + 1) * (b - a) >= 2 ** 62:
             raise GeometryError("lattice numerators would overflow int64")
-    rng = _Pcg64(seed)
-    for start in range(0, n, _SAMPLE_BLOCK):
-        rows = min(_SAMPLE_BLOCK, n - start)
-        num = rng.bounded(3 * rows, _LATTICE).reshape(rows, 3)
+    counts = (3 * min(_SAMPLE_BLOCK, n - start)
+              for start in range(0, n, _SAMPLE_BLOCK))
+    for num in _draws(seed, counts, _LATTICE_BITS):
+        num = num.reshape(-1, 3)
         for axis, (a, b) in enumerate(zip(lo, hi)):
             # x = (a*2*_LATTICE + (2r+1)*(b-a)) / LATTICE_DEN, in place over
             # the draws r
@@ -698,10 +642,9 @@ def _lattice_blocks(bbox, n: int, seed: int):
 def sample_lattice_points(bbox, n: int, seed: int) -> LatticePoints:
     """All n points of ``_lattice_blocks(bbox, n, seed)`` at once."""
     num = np.empty((n, 3), dtype=np.int64)
-    start = 0
-    for block in _lattice_blocks(bbox, n, seed):
+    for start, block in zip(range(0, n, _SAMPLE_BLOCK),
+                            _lattice_blocks(bbox, n, seed)):
         num[start:start + len(block)] = block
-        start += len(block)
     return LatticePoints(num)
 
 
@@ -1007,32 +950,26 @@ def point_in_mesh(p: Point3, trunk: MeshTrunk, _anchor: Optional[Point3] = None,
 def _fresh_anchor(trunk: MeshTrunk, depth: int) -> Point3:
     """An alternate anchor provably in the same component as the seed: the
     connecting segment must cross no triangle and meet no degeneracy, and
-    the anchor must avoid every triangle plane."""
-    if depth > 40:
-        raise GeometryError("could not find a clean parity anchor")
-    rng = _Pcg64(1000 + depth)
-    for _ in range(50):
-        off = Point3(*[Fraction(rng.integers(-64, 65) * 2 + 1, 1 << 14)
-                       for _ in range(3)])
-        cand = trunk.seed + off
-        clean = True
-        for tri in trunk.triangles:
-            pl = _tri_plane(tri)
-            ec = _plane_eval(pl, cand._h)
-            es = _plane_eval(pl, trunk.seed._h)
-            if ec == 0:
-                clean = False  # insist on anchors off every plane
-                break
-            if es == 0:
-                # seed on the plane but never on the triangle (validated at
-                # load): the open segment cannot meet this triangle
-                continue
-            if _segment_triangle_crossing(trunk.seed, cand, tri) != "none":
-                clean = False
-                break
-        if clean:
-            return cand
-    return _fresh_anchor(trunk, depth + 1)
+    the anchor must avoid every triangle plane.  Each depth up to 40 tries
+    50 odd offsets of at most 127/2**14 mm per axis from stream 1000+depth."""
+    for depth in range(depth, 41):
+        draws = next(_draws(1000 + depth, [150], 7)).reshape(50, 3)
+        for off in draws * 2 - 127:
+            cand = trunk.seed + Point3(*(Fraction(int(v), 1 << 14)
+                                         for v in off))
+            for tri in trunk.triangles:
+                pl = _tri_plane(tri)
+                if _plane_eval(pl, cand._h) == 0:
+                    break  # insist on anchors off every plane
+                # a seed on the plane is never on the triangle (validated
+                # at load): the open segment cannot meet this triangle
+                if (_plane_eval(pl, trunk.seed._h) != 0
+                        and _segment_triangle_crossing(trunk.seed, cand,
+                                                       tri) != "none"):
+                    break
+            else:
+                return cand
+    raise GeometryError("could not find a clean parity anchor")
 
 
 def soundness_check_mesh(trunk: MeshTrunk, centers: LatticePoints,
@@ -1163,8 +1100,9 @@ def region_from_dict(obj: dict):
     and each distinct set of normals bounds-checked once; a repeat becomes
     its own polytope ``o<i>`` sharing the first one's lists, so a bad
     obstacle is still reported at its first index.  A stored sample count
-    must be an int of at least 1 and a seed an int of at least 0; anything
-    else raises ValueError."""
+    must be an int of at least 1, a seed an int of at least 0, and a volume
+    and its standard error finite numbers of at least 0; anything else
+    raises ValueError."""
     if obj.get("empty"):
         return None
     memo = {}
@@ -1175,20 +1113,22 @@ def region_from_dict(obj: dict):
     region = Region(obj["box"], obj["orientation"], hull, obstacles,
                     bool(obj.get("fattened", False)))
     if "volume_mm3" in obj:
-        region.volume_mm3 = float(obj["volume_mm3"])
-        region.volume_stderr_mm3 = float(obj.get("volume_stderr_mm3", 0.0))
-        region.samples = _stored_count(obj, "samples", 1)
-        region.seed = _stored_count(obj, "seed", 0)
+        region.volume_mm3, region.volume_stderr_mm3 = (
+            float(_stored(obj, key, 0, (int, float)))
+            for key in ("volume_mm3", "volume_stderr_mm3"))
+        region.samples = _stored(obj, "samples", 1)
+        region.seed = _stored(obj, "seed", 0)
     return region
 
 
-def _stored_count(obj: dict, key: str, least: int) -> int:
-    """The integer ``obj[key]``, at least ``least``: a float, a bool or a
-    smaller value raises ValueError."""
+def _stored(obj: dict, key: str, least: int, kinds=(int,)):
+    """``obj[key]``, of a type in ``kinds`` (a bool is none of them), from
+    ``least`` up to the largest float: anything else, NaN and the
+    infinities included, raises ValueError."""
     value = obj[key]
-    if type(value) is not int or value < least:
-        raise ValueError(f"stored {key} must be an integer >= {least}, "
-                         f"not {value!r}")
+    if type(value) not in kinds or not least <= value <= sys.float_info.max:
+        raise ValueError(f"stored {key} must be a finite "
+                         f"{kinds[-1].__name__} >= {least}, not {value!r}")
     return value
 
 

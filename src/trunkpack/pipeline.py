@@ -43,12 +43,12 @@ which would pass through the parent process, so their files are decoded
 where they are read.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
-region file that is missing or does not decode), 11 malformed trunk model
-(or one too large for the describe stage's exact sampling lattice, which
-holds coordinates up to about 2^30 mm, or any geometric failure in a
-region stage), 12 no feasible placement for any (box, orientation) pair,
-13 timed out before finding any packing (an empty packing.json is still
-written).
+region file that is missing, does not decode or is labelled with another
+(box, orientation) than the run reads it for), 11 malformed trunk model (or
+one too large for the describe stage's exact sampling lattice, which holds
+coordinates up to about 2^30 mm, or any geometric failure in a region
+stage), 12 no feasible placement for any (box, orientation) pair, 13 timed
+out before finding any packing (an empty packing.json is still written).
 """
 
 from __future__ import annotations
@@ -316,12 +316,12 @@ def _region_task(args):
     """(stage name, box, orientation, input, handed, run config) ->
     (region file text, log texts, report row or None, region).  The input
     is the trunk for a stage that reads no region file, else the path of
-    its input region file, read with ``_read_region(path, handed)``; an
+    its input region file, read with ``_read_region``; an
     empty input region gives an empty one, empty logs and no row."""
     name, box, orientation, source, handed, config = args
     stage = _REGION_STAGES[name]
     if stage.reads is not None:
-        source = _read_region(source, handed)
+        source = _read_region(source, (box.id, orientation), handed)
     if source is None:
         region, logs, row = None, [() for _ in stage.logs], None
     else:
@@ -543,16 +543,16 @@ def _hand_off(handoff: dict, path: Path, text: str, region) -> None:
         handoff[path] = (text.encode("utf-8"), region)
 
 
-def _read_region(path: Path, handed: Optional[tuple] = None):
-    """Decode a region file: a Region, or None for an empty marker.
-    ``handed`` is the run's (bytes, Region) record of the file as it wrote
-    it: while the file still holds those bytes, the recorded Region is the
-    decode.  Any failure is exit 10 (unreadable input)."""
+def _read_region(path: Path, labels: tuple, handed: Optional[tuple] = None):
+    """Decode the region file of ``labels`` (box id, orientation): a Region,
+    or None for an empty marker.  ``handed`` is the run's (bytes, Region)
+    record of the file as it wrote it: while the file still holds those
+    bytes, the recorded Region is the decode.  Any failure is exit 10."""
     data = _read_region_bytes(path)
     if handed is not None and handed[0] == data:
         return handed[1]
     try:
-        return region_from_dict(_region_object(path, data))
+        return region_from_dict(_region_object(path, data, labels))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
@@ -570,15 +570,15 @@ def _read_region_bytes(path: Path) -> bytes:
                             f"cannot read region file {path}: {exc}")
 
 
-def _region_object(path: Path, data: bytes) -> dict:
+def _region_object(path: Path, data: bytes, labels: tuple) -> dict:
     try:
         obj = json.loads(data.decode("utf-8"))
+        if not (isinstance(obj, dict)
+                and (obj.get("box"), obj.get("orientation")) == labels):
+            raise ValueError(f"not an object labelled {labels}")
     except ValueError as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
-    if not isinstance(obj, dict):
-        raise PipelineError(EXIT_UNREADABLE,
-                            f"cannot read region file {path}: not an object")
     return obj
 
 
@@ -598,7 +598,7 @@ def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
                      combos, handoff: dict) -> int:
     regions = {}
     for (box, orient), path in zip(combos, _pick_region_files(paths, combos)):
-        region = _read_region(path, handoff.pop(path, None))
+        region = _read_region(path, (box.id, orient), handoff.pop(path, None))
         if region is not None:
             regions[(box.id, orient)] = region
 
@@ -672,8 +672,8 @@ def _all_feasible_empty(paths: RunPaths, combos) -> bool:
     # reads the empty marker only: decoding a region to learn that it is
     # not empty would rebuild every obstacle polytope
     files = [paths.region("feasible", box.id, orient) for box, orient in combos]
-    return all(_region_object(f, _read_region_bytes(f)).get("empty")
-               for f in files)
+    return all(_region_object(f, _read_region_bytes(f), (box.id, orient))
+               .get("empty") for f, (box, orient) in zip(files, combos))
 
 
 # ---------------------------------------------------------------------------

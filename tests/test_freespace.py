@@ -353,10 +353,21 @@ def l_prism_mesh():
 
 
 @pytest.mark.parametrize("sampler", ["lattice", "grid"])
-def test_mesh_soundness_matches_point_in_mesh_on_l_prism(sampler):
+def test_mesh_soundness_matches_point_in_mesh_on_l_prism(sampler,
+                                                        monkeypatch):
     # centers from the hull's bounding box, so corners land in the cut-away
     # square and outside the walls; on the 50 mm grid they also land exactly
-    # on triangle planes and edges, which takes the exact fallback
+    # on triangle planes and edges, which takes the exact fallback, and
+    # segments from the seed through triangle edges, which take a fresh
+    # parity anchor
+    anchors = []
+    real_anchor = freespace._fresh_anchor
+
+    def counted_anchor(trunk, depth):
+        anchors.append(real_anchor(trunk, depth))
+        return anchors[-1]
+
+    monkeypatch.setattr(freespace, "_fresh_anchor", counted_anchor)
     trunk = l_prism_mesh()
     box = BoxType("S", (100, 100, 100), 1)
     if sampler == "lattice":
@@ -378,6 +389,7 @@ def test_mesh_soundness_matches_point_in_mesh_on_l_prism(sampler):
     assert 0 < stats["violations"] == int((~ok).sum()) < len(centers)
     if sampler == "grid":
         assert stats["exact_fallbacks"] > 0
+        assert anchors and all(a != trunk.seed for a in anchors)
 
 
 def test_convex_soundness_flags_missing_obstacle():
@@ -614,37 +626,34 @@ def test_bulk_draws_equal_numpys_stream(seed):
     for n in (1, 2, 16383, 16384, 16385, 200000):
         expect = np.random.default_rng(seed).integers(
             0, freespace._LATTICE, (n, 3), dtype=np.int64)
-        got = freespace._Pcg64(seed).bounded(3 * n, freespace._LATTICE)
+        got, = freespace._draws(seed, [3 * n], freespace._LATTICE_BITS)
         assert got.dtype == np.int64
         assert (got.reshape(n, 3) == expect).all(), n
 
 
 @pytest.mark.parametrize("seed", [0, 1000, 1001, 1040, 2 ** 32, 2 ** 64 + 3])
-def test_scalar_draws_equal_numpys_stream(seed):
-    # the anchor range, one that rejects a quarter of its 32-bit draws, the
-    # full 32-bit range and a one-integer range (no draw), interleaved; then
-    # bulk and scalar draws in turn on one stream
-    ours = freespace._Pcg64(seed)
-    numpys = np.random.default_rng(seed)
-    ranges = [(-64, 65), (0, 3 * 2 ** 30), (-64, 65), (0, 2 ** 32), (7, 8)]
-    for i in range(1100):
-        low, high = ranges[i % len(ranges)]
-        assert ours.integers(low, high) == numpys.integers(low, high)
-    for n in (5, 1, 8192 * 2 + 3, 4, 2):
-        got = ours.bounded(n, 2 ** 20)
-        assert (got == numpys.integers(0, 2 ** 20, n, dtype=np.int64)).all()
-        assert ours.integers(-64, 65) == numpys.integers(-64, 65)
+def test_consecutive_draws_equal_one_numpy_generator(seed):
+    # odd counts leave a 32-bit half over, which the next count draws
+    # first; counts span one and several lane widths, and 0 draws nothing.
+    # 7 bits is the anchor range, 20 the lattice's
+    counts = [5, 1, 3, 2 * 8192 + 3, 0, 4, 2, 6 * 8192 + 1, 7]
+    for bits in (1, 7, 20, 32):
+        numpys = np.random.default_rng(seed)
+        got = list(freespace._draws(seed, counts, bits))
+        assert [len(g) for g in got] == counts
+        for n, ours in zip(counts, got):
+            expect = numpys.integers(0, 2 ** bits, n, dtype=np.int64)
+            assert ours.dtype == np.int64 and (ours == expect).all(), (bits, n)
 
 
 def test_stream_refuses_what_numpy_refuses():
     with pytest.raises(ValueError):
         np.random.default_rng(-1)
     with pytest.raises(ValueError):
-        freespace._Pcg64(-1)
-    rng = freespace._Pcg64(1)
-    for span in (1, 3, 2 ** 20 + 1, 2 ** 33):
+        next(freespace._draws(-1, [10], 20))
+    for bits in (0, 33):  # ranges of one integer and of 2**33
         with pytest.raises(ValueError):
-            rng.bounded(10, span)
+            next(freespace._draws(1, [10], bits))
 
 
 def test_sampler_checks_its_overflow_bound_before_drawing(monkeypatch):
@@ -653,10 +662,10 @@ def test_sampler_checks_its_overflow_bound_before_drawing(monkeypatch):
     far = 1 << 41
     hull = box_polytope((0, 0, far), (1, 1, far + 1))
 
-    def no_draws(seed):
+    def no_draws(seed, counts, bits):
         raise AssertionError("drew samples for a box that cannot be sampled")
 
-    monkeypatch.setattr(freespace, "_Pcg64", no_draws)
+    monkeypatch.setattr(freespace, "_draws", no_draws)
     with pytest.raises(GeometryError,
                        match="lattice numerators would overflow int64"):
         sample_lattice_points(hull.bbox(), 10, seed=1)

@@ -486,11 +486,21 @@ def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
 @pytest.mark.parametrize("key,value", [
     ("seed", -1), ("samples", 0), ("samples", -1), ("samples", 1.5),
     ("seed", 1.5), ("samples", True), ("seed", "7"),
+    ("volume_mm3", "nan"), ("volume_mm3", "1e400"), ("volume_mm3", -5.0),
+    ("volume_mm3", True), ("volume_mm3", float("nan")),
+    ("volume_mm3", float("inf")), ("volume_mm3", 10 ** 400),
+    ("volume_stderr_mm3", -1.0), ("volume_stderr_mm3", "0"),
+    ("volume_stderr_mm3", None),
 ], ids=["seed-negative", "samples-zero", "samples-negative",
-        "samples-fraction", "seed-fraction", "samples-bool", "seed-string"])
+        "samples-fraction", "seed-fraction", "samples-bool", "seed-string",
+        "volume-nan-string", "volume-huge-string", "volume-negative",
+        "volume-bool", "volume-nan", "volume-infinity", "volume-huge-int",
+        "stderr-negative", "stderr-string", "stderr-null"])
 def test_hand_edited_sample_fields_are_exit_10(tmp_path, capsys, key, value):
-    # the stored sample count must be an int >= 1 and the seed an int >= 0;
-    # the simplify stage re-samples with them
+    # the stored sample count must be an int >= 1, the seed an int >= 0,
+    # and the volume and its standard error finite numbers >= 0; the
+    # simplify stage re-samples with the first two and reports its volume
+    # ratio against the stored volume
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
     argv = ["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
             "--out", str(tmp_path / "out"), "--orientations", "xyz",
@@ -503,6 +513,39 @@ def test_hand_edited_sample_fields_are_exit_10(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "cannot read region file" in err and f"stored {key}" in err
+
+
+@pytest.mark.parametrize("source,target", [("xyz", "yxz"), ("yxz", "xyz")],
+                         ids=["region-over-empty", "empty-over-region"])
+def test_region_file_of_another_orientation_is_exit_10(tmp_path, capsys,
+                                                       source, target):
+    # box T is 600 mm long and the shell only 250 mm deep in y, so its yxz
+    # region files are empty markers; a region file copied over another
+    # (box, orientation)'s, an empty marker included, is refused
+    rows = [{"n": [sign * int(i == axis) for i in range(3)], "d": d}
+            for axis, size in enumerate((700, 250, 300))
+            for sign, d in ((-1, 0), (1, size))]
+    trunk = write_json(tmp_path / "shell.json", {"shell": {"halfspaces": rows}})
+    catalog = write_json(tmp_path / "catalog.json",
+                         [{"id": "T", "dims_mm": [600, 200, 100],
+                           "max_count": 1}])
+    argv = ["--trunk", trunk, "--catalog", catalog, "--out",
+            str(tmp_path / "out"), "--mc-samples", "400"]
+    assert main(argv + ["--orientations", "xyz,yxz", "--stages",
+                        "freespace,describe,simplify"]) == EXIT_OK
+    regions = tmp_path / "out" / "regions"
+    assert json.loads((regions / "simplified_T_yxz.json").read_text()) == {
+        "box": "T", "orientation": "yxz", "empty": True}
+    shutil.copyfile(regions / f"simplified_T_{source}.json",
+                    regions / f"simplified_T_{target}.json")
+    capsys.readouterr()
+    assert main(argv + ["--orientations", target,
+                        "--stages", "enumerate"]) == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"simplified_T_{target}.json" in err
+    assert f"not an object labelled ('T', '{target}')" in err
+    assert not (tmp_path / "out" / "packing.json").exists()
 
 
 def test_smallest_stored_sample_fields_are_read(tmp_path):

@@ -3,13 +3,16 @@
 Every top-level import of a module must be used in that module or listed
 in its ``__all__`` (a re-export); ``from __future__`` imports are exempt.
 Every top-level private name (one leading underscore) that a module
-defines must be read somewhere in the package.  No module holds an
-``assert`` or a ``global`` statement.  No module names numpy's random
-module, and a region build imports neither it nor OpenSSL's hashing.
+defines must be read somewhere in the package, and every private name a
+docstring cites in double backquotes must be one the package defines.  No
+module holds an ``assert`` or a ``global`` statement.  No module names
+numpy's random module, and a region build imports neither it nor OpenSSL's
+hashing.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,11 +53,11 @@ def unused_imports(source: str) -> list:
             if name not in read]
 
 
-def _private_definitions(tree):
-    """Top-level functions, classes and assigned names of a module that
-    start with one underscore."""
+def _defined_names(body):
+    """The functions, classes and assigned names that a module or class
+    body defines."""
     names = []
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names.append(node.name)
@@ -63,7 +66,14 @@ def _private_definitions(tree):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def _private_definitions(tree):
+    """Top-level functions, classes and assigned names of a module that
+    start with one underscore."""
+    return [n for n in _defined_names(tree.body)
+            if n.startswith("_") and not n.startswith("__")]
 
 
 def unread_private_names(sources: dict) -> list:
@@ -122,6 +132,52 @@ def test_checker_flags_only_unread_private_names():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+_CITED = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def stale_citations(sources: dict) -> list:
+    """``module: name`` for each private name (one leading underscore) that
+    a docstring of ``sources`` (module name -> source text) cites inside
+    double backquotes, as in ``_cut`` or ``Point3._h``, and that no module
+    defines at top level, in a class body or as an assigned attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = set()
+    for tree in trees.values():
+        defined.update(_defined_names(tree.body))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ClassDef):
+                defined.update(_defined_names(n.body))
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                defined.add(n.attr)
+    stale = []
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+                for span in re.findall(r"``(.+?)``",
+                                       ast.get_docstring(n) or "", re.S):
+                    stale += [f"{module}: {name}"
+                              for name in _CITED.findall(span)
+                              if name not in defined]
+    return stale
+
+
+def test_checker_flags_only_stale_citations():
+    sources = {"a": ('"""``_gone``, ``_kept(x)``, ``Box._h``, ``__init__``."""\n'
+                     "_kept = 1\n"
+                     "class Box:\n"
+                     "    def f(self):\n"
+                     '        """``_in_class``, ``_local`` and ``x_y``."""\n'
+                     "        self._h = _local = 2\n"
+                     "    _in_class = 3\n")}
+    assert stale_citations(sources) == ["a: _gone", "a: _local"]
+
+
+def test_docstrings_cite_only_defined_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert stale_citations(sources) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
