@@ -1100,18 +1100,22 @@ def region_from_dict(obj: dict):
     and each distinct set of normals bounds-checked once; a repeat becomes
     its own polytope ``o<i>`` sharing the first one's lists, so a bad
     obstacle is still reported at its first index.  A stored sample count
-    must be an int of at least 1, a seed an int of at least 0, and a volume
-    and its standard error finite numbers of at least 0; anything else
-    raises ValueError."""
+    must be an int of at least 1, a seed an int of at least 0, a volume
+    and its standard error finite numbers of at least 0, and a stored
+    ``fattened`` flag a bool (absent, it is false); anything else raises
+    ValueError."""
     if obj.get("empty"):
         return None
+    fattened = obj.get("fattened", False)
+    if type(fattened) is not bool:
+        raise ValueError(f"stored fattened must be a bool, not {fattened!r}")
     memo = {}
     hull = _polytope_from_halfspaces(
         obj["hull"], f"{obj['box']}:{obj['orientation']}:hull", memo)
     obstacles = [_polytope_from_halfspaces(o, f"o{i}", memo)
                  for i, o in enumerate(obj["obstacles"])]
     region = Region(obj["box"], obj["orientation"], hull, obstacles,
-                    bool(obj.get("fattened", False)))
+                    fattened)
     if "volume_mm3" in obj:
         region.volume_mm3, region.volume_stderr_mm3 = (
             float(_stored(obj, key, 0, (int, float)))

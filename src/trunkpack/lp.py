@@ -144,12 +144,18 @@ class Pattern(NamedTuple):
     order.  It is what a pattern LP's rows stand for, and what a search
     node carries without an LP.  The pattern steps ``with_box``,
     ``with_bb`` and ``with_bo`` check what they add; ``add_step`` reads
-    the checked step off the pattern into an LP's rows."""
+    the checked step off the pattern into an LP's rows.  ``bb_pairs``
+    holds the (i, j), i < j, of every box-box constraint and ``bo_pairs``
+    the (box, obstacle id) of every box-obstacle constraint: the steps grow
+    them, check duplicates against them, and the conflict test skips
+    them."""
 
     regions: tuple = ()
     extents: tuple = ()
     bb: tuple = ()
     bo: tuple = ()
+    bb_pairs: frozenset = frozenset()
+    bo_pairs: frozenset = frozenset()
 
     def with_box(self, regions: dict, box, orientation: str) -> "Pattern":
         """The pattern with one more box, in its region for (box id,
@@ -160,7 +166,7 @@ class Pattern(NamedTuple):
         return Pattern(self.regions + (regions[key],),
                        self.extents + (oriented_extents(box.dims_mm,
                                                         orientation),),
-                       self.bb, self.bo)
+                       self.bb, self.bo, self.bb_pairs, self.bo_pairs)
 
     def with_bb(self, constraint: Tuple[int, int, int, int]) -> "Pattern":
         """The pattern with one more box-box order (i, j, axis, order)."""
@@ -170,12 +176,11 @@ class Pattern(NamedTuple):
                 or axis not in (0, 1, 2) or order not in (-1, 1):
             raise InvalidConstraintReference(f"bad box-box constraint "
                                              f"{(i, j, axis, order)}")
-        for (a, b, _, _) in self.bb:
-            if a in (i, j) and b in (i, j):
-                raise InvalidConstraintReference(
-                    f"duplicate box-box pair {(min(i, j), max(i, j))}")
+        pair = (min(i, j), max(i, j))
+        if pair in self.bb_pairs:
+            raise InvalidConstraintReference(f"duplicate box-box pair {pair}")
         return Pattern(self.regions, self.extents, self.bb + (constraint,),
-                       self.bo)
+                       self.bo, self.bb_pairs | {pair}, self.bo_pairs)
 
     def tied(self, i: int) -> bool:
         """Whether box i has the (box id, orientation) of box i - 1.  Then
@@ -208,11 +213,13 @@ class Pattern(NamedTuple):
                                                   obstacle_id).halfspaces):
             raise InvalidConstraintReference(
                 f"obstacle {obstacle_id} has no facet {facet_idx}")
-        if any((a, o) == (i, obstacle_id) for (a, o, _) in self.bo):
+        pair = (i, obstacle_id)
+        if pair in self.bo_pairs:
             raise InvalidConstraintReference(
-                f"duplicate box-obstacle pair {(i, obstacle_id)}")
+                f"duplicate box-obstacle pair {pair}")
         return Pattern(self.regions, self.extents, self.bb,
-                       self.bo + (constraint,))
+                       self.bo + (constraint,), self.bb_pairs,
+                       self.bo_pairs | {pair})
 
 
 @dataclass

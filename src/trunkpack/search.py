@@ -13,10 +13,12 @@ the pattern plus a set of disjunction choices: box-box order constraints
 (which axis separates a pair, and in which order) and box-obstacle
 constraints (which obstacle facet a center must stay outside of), as an
 ``lp.Pattern`` without LP arrays: the one record of what the node places
-and constrains.  A node differs from the node it was made from by one step
+and constrains, with the set of its constrained (box, box) and (box,
+obstacle) pairs.  A node differs from the node it was made from by one step
 (one box with its tie, one box-box order or one box-obstacle facet),
 checked once when the node is made, and builds its state from its parent's
-by that step alone.
+by that step alone: the step adds its pair to the parent's sets and its
+order edge, if any, to the parent's edge lists, and shares the rest.
 
 Every node asks one question: can its pattern be realized, and where?  The
 answer is the node LP's canonical point (see ``trunkpack.lp``): the largest
@@ -25,13 +27,14 @@ from any start, so the tree does not depend on how it is computed.  On
 axis-aligned rows (box-box orders, ties, hull and obstacle facets normal
 to an axis) the node splits per axis into difference constraints, and its
 order chains (``order_chains_feasible``), kept at slack 0 and at
-``DELTA_MM``, decide and answer it exactly:
+``DELTA_MM`` with each box's outgoing order and tie edges per axis, decide
+and answer it exactly:
 
 * chains that fail at slack 0 (an overrun or a cycle) rule the node out,
   together with its subtree, whose nodes keep the constraints;
 * a node whose rows are all axis-aligned and whose chains hold at
   ``DELTA_MM`` is answered by them: each center its earliest position, the
-  exact rational rounded to a float;
+  exact rational rounded to a float, kept as Python floats;
 * one whose chains fail there is answered by Newton steps on its longest
   paths (``_exact_answer``), which find the largest slack s* < ``DELTA_MM``.
 
@@ -42,7 +45,7 @@ tableau when the parent was answered by an LP, else assembled whole from
 the node's placements and constraints (``lp.build_lp``) and solved cold.
 A feasible answer either certifies an intersection-free packing or exposes
 a conflict to branch on, which ``detect_intersections`` reads off the
-pattern's boxes and constraints:
+pattern's boxes, skipping its constrained pairs:
 
 * an overlapping box pair branches into 6 children (3 axes x 2 orders);
 * a center strictly inside an obstacle branches into one child per facet.
@@ -71,8 +74,6 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from trunkpack.catalog import ORIENTATIONS, oriented_extents
 from trunkpack.lp import (DELTA_MM, NumericalFailure, Pattern, add_step,
@@ -204,9 +205,9 @@ def _float_facets(poly) -> list:
     return poly._float_facets
 
 
-def detect_intersections(pattern: Pattern, centers: np.ndarray):
+def detect_intersections(pattern: Pattern, centers: Sequence):
     """Find the pattern's box-box overlaps and centers strictly inside
-    obstacles, with ``centers`` an n x 3 array, one row per box.
+    obstacles, with ``centers`` one [x, y, z] list of floats per box.
 
     Returns (bb_conflicts, bo_conflicts), sorted by decreasing measure with
     index ties broken ascending.  A box pair conflicts when the boxes
@@ -216,15 +217,12 @@ def detect_intersections(pattern: Pattern, centers: np.ndarray):
     penetration depth (distance to the nearest facet plane).  The two kinds
     are never compared against each other.  bb entries are (volume, i, j);
     bo entries are (depth, i, obstacle).  Pairs a constraint of the
-    pattern already separates are ignored.
+    pattern already separates (``Pattern.bb_pairs`` and ``bo_pairs``) are
+    ignored.
     """
     extents = pattern.extents
     n = len(extents)
-    skip_bb = {(min(i, j), max(i, j)) for (i, j, _, _) in pattern.bb}
-    skip_bo = {(i, oid) for (i, oid, _) in pattern.bo}
-    # Python floats: the same IEEE arithmetic, without a numpy scalar per
-    # operation
-    centers = centers.tolist()
+    skip_bb, skip_bo = pattern.bb_pairs, pattern.bo_pairs
     bb = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -265,52 +263,47 @@ def detect_intersections(pattern: Pattern, centers: np.ndarray):
 # the slacks the chains are kept at, in doubled coordinates (the unit is
 # half a millimetre, so every gap is an integer): none, and DELTA_MM (1 mm)
 _SLACKS = (0, round(2 * DELTA_MM))
-# the chains of no box at one slack: (positions, upper bounds) per axis
-_NO_BOX = (((), (), ()), ((), (), ()))
+# the chains of no box at one slack: (positions, upper bounds, edges) per
+# axis
+_NO_BOX = (((), (), ()),) * 3
 
 
 def _with_box(chain, lo, hi, w):
     """The chains at one slack with one more box, unconstrained: at the
     lower corner of its hull's bounding box on every axis, bounded by the
-    upper corner."""
-    positions, uppers = chain
+    upper corner, with no edge out of it."""
+    positions, uppers, edges = chain
     return (tuple(p + ((2 * v, w),) for p, v in zip(positions, lo)),
-            tuple(u + ((2 * v, w),) for u, v in zip(uppers, hi)))
+            tuple(u + ((2 * v, w),) for u, v in zip(uppers, hi)),
+            tuple(e + ((),) for e in edges))
 
 
-def _successors(pattern: Pattern, axis, slack) -> dict:
-    """Each box's later boxes on ``axis`` at one slack, with the weight of
-    the edge to each: for an order constraint of the pattern the half-extent
-    sum plus the slack, for a tie (x only, ``Pattern.tied``) 0."""
-    succ = {}
-    for (a, b, a_axis, a_order) in pattern.bb:
-        if a_axis == axis:
-            u, v = (a, b) if a_order == 1 else (b, a)
-            succ.setdefault(u, []).append(
-                (v, pattern.extents[u][axis] + pattern.extents[v][axis]
-                 + slack))
-    if axis == 0:
-        for v in range(1, len(pattern.regions)):
-            if pattern.tied(v):
-                succ.setdefault(v - 1, []).append((v, 0))
-    return succ
+def _with_edge(chain, axis, u, v, weight):
+    """The chains at one slack with the edge u -> v of that weight added on
+    ``axis``: every other box's edges are the parent's tuples, shared."""
+    positions, uppers, edges = chain
+    out = list(edges[axis])
+    out[u] += ((v, weight),)
+    return positions, uppers, edges[:axis] + (tuple(out),) + edges[axis + 1:]
 
 
-def _raise(chain, succ, axis, box, num, den, stop=-1):
+def _raise(chain, axis, box, num, den, stop=-1):
     """The chains at one slack with ``box`` raised to at least num / den on
     ``axis``, or None when that makes them infeasible.
 
-    ``succ`` holds the edges already in the chains on that axis at that
-    slack (``_successors``).  Each raised box raises its successors in
+    The chains carry, per axis, each box's edges to its later boxes: for
+    an order constraint the half-extent sum plus the slack, for a tie (x
+    only, ``Pattern.tied``) 0.  Each raised box raises its successors in
     turn, by the edge's weight (incremental longest paths; Ramalingam &
     Reps, J. Algorithms 21, 1996).  Every raised position is
     checked against its box's upper bound, and a raise that reaches
     ``stop`` fails: for a new order constraint, its earlier box, which the
     raise of its later box reaches again exactly when the new constraint
     closes a cycle."""
-    positions, uppers = chain
+    positions, uppers, edges = chain
     moved = list(positions[axis])
     upper = uppers[axis]
+    succ = edges[axis]
     work = [(box, num, den)]
     while work:
         u, num, den = work.pop()
@@ -321,15 +314,16 @@ def _raise(chain, succ, axis, box, num, den, stop=-1):
         if u == stop or num * hi_den > hi_num * den:
             return None
         moved[u] = (num, den)
-        for v, weight in succ.get(u, ()):
+        for v, weight in succ[u]:
             work.append((v, num + weight * den, den))
-    return positions[:axis] + (tuple(moved),) + positions[axis + 1:], uppers
+    return (positions[:axis] + (tuple(moved),) + positions[axis + 1:], uppers,
+            edges)
 
 
 def _cap(chain, axis, box, num, den):
     """The chains at one slack with ``box``'s upper bound on ``axis``
     lowered to num / den, or None when its position lies beyond it."""
-    positions, uppers = chain
+    positions, uppers, edges = chain
     hi_num, hi_den = uppers[axis][box]
     if num * hi_den >= hi_num * den:
         return chain
@@ -338,7 +332,8 @@ def _cap(chain, axis, box, num, den):
         return None
     capped = list(uppers[axis])
     capped[box] = (num, den)
-    return positions, uppers[:axis] + (tuple(capped),) + uppers[axis + 1:]
+    return (positions, uppers[:axis] + (tuple(capped),) + uppers[axis + 1:],
+            edges)
 
 
 def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
@@ -348,15 +343,17 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
     whether every row is axis-aligned.  Returns (pattern, chains,
     aligned).
 
-    A box adds its hull's bounding box, and a box tied to the box before it
-    (``Pattern.tied``) is raised to that box's x; it has no successors yet,
-    so nothing else moves.  A box-box order raises its later box to the
-    earlier one's position plus the gap and the slack; only that axis
-    moves, and the raise follows the order and tie edges on it.  A facet on
-    one axis, a * c_k >= d + slack * |a|, raises the box's lower bound
-    (a > 0) or lowers its upper bound (a < 0) on that axis.  A slanted
-    facet or hull row is left out, so the chains stay a relaxation of the
-    node's rows."""
+    A box adds its hull's bounding box and no edge out of it, and a box
+    tied to the box before it (``Pattern.tied``) adds the weight-0 edge
+    from that box on x and is raised to that box's x; it has no successors
+    yet, so nothing else moves.  A box-box order raises its later box to
+    the earlier one's position plus the gap and the slack; only that axis
+    moves, the raise follows the order and tie edges on it, and the order
+    then adds its own edge.  A facet on one axis,
+    a * c_k >= d + slack * |a|, raises the box's lower bound (a > 0) or
+    lowers its upper bound (a < 0) on that axis, and adds no edge.  A
+    slanted facet or hull row is left out, so the chains stay a relaxation
+    of the node's rows."""
     if step == "box":
         new = pattern.with_box(regions, *item)
         hull = new.regions[-1].hull
@@ -364,7 +361,8 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
         chains = tuple(c and _with_box(c, lo, hi, w) for c in chains)
         last = len(new.regions) - 1
         if new.tied(last):
-            chains = tuple(c and _raise(c, {}, 0, last, *c[0][0][last - 1])
+            chains = tuple(c and _raise(_with_edge(c, 0, last - 1, last, 0),
+                                        0, last, *c[0][0][last - 1])
                            for c in chains)
         return (new, chains,
                 aligned and all(h.axis() for h in hull.halfspaces))
@@ -377,8 +375,10 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
         for chain, slack in zip(chains, _SLACKS):
             if chain is not None:
                 num, den = chain[0][axis][first]
-                chain = _raise(chain, _successors(pattern, axis, slack), axis,
-                               second, num + (gap + slack) * den, den, first)
+                chain = _raise(chain, axis, second,
+                               num + (gap + slack) * den, den, first)
+                chain = chain and _with_edge(chain, axis, first, second,
+                                             gap + slack)
             at.append(chain)
         return new, tuple(at), aligned
     new = pattern.with_bo(item)
@@ -391,9 +391,8 @@ def _extend(pattern: Pattern, chains, aligned: bool, regions, step, item):
     for chain, slack in zip(chains, _SLACKS):
         if chain is not None:
             num = 2 * h.d + slack * abs(a)
-            chain = (_raise(chain, _successors(new, axis, slack), axis, i,
-                            num, a)
-                     if a > 0 else _cap(chain, axis, i, -num, -a))
+            chain = (_raise(chain, axis, i, num, a) if a > 0
+                     else _cap(chain, axis, i, -num, -a))
         at.append(chain)
     return new, tuple(at), aligned
 
@@ -517,8 +516,11 @@ class PartialPattern(NamedTuple):
     and is warm-started from it, and otherwise is assembled whole and
     solved cold.  ``chains`` are the node's order chains at slack 0
     and at DELTA_MM (see ``order_chains_feasible``), each None when it
-    rules the node out at that slack.  ``aligned`` tells whether every row
-    of the node is axis-aligned, so that its chains answer it."""
+    rules the node out at that slack, else (positions, upper bounds,
+    edges) per axis: the edges are each box's outgoing order and tie edges
+    at that slack, a tuple per box shared with the parent unless the
+    node's step added to it.  ``aligned`` tells whether every row of the
+    node is axis-aligned, so that its chains answer it."""
 
     indices: tuple
     volume: int
@@ -588,32 +590,33 @@ def _node_lp(node: PartialPattern, candidates: Sequence[Candidate],
 
 def _answer(node: PartialPattern, candidates: Sequence[Candidate],
             regions: Dict[tuple, object], stats: SearchStats):
-    """The node's canonical answer, (centers, outcome): centers an n x 3
-    array, None when the node is infeasible; outcome the node's LP outcome,
-    None when no LP answered it.
+    """The node's canonical answer, (centers, outcome): centers one
+    [x, y, z] list of Python floats per box, None when the node is
+    infeasible; outcome the node's LP outcome, None when no LP answered it.
 
     The slack-0 chains rule a node out exactly.  A node whose rows are all
-    axis-aligned is answered from its chains: at DELTA_MM when they hold
-    there, each center the exact num / (2 den) rounded to a float, else by
-    ``_exact_answer``.  A node with a slanted row is answered by its LP,
-    whose NumericalFailure propagates."""
+    axis-aligned is answered from its chains, with no array: at DELTA_MM
+    when they hold there, each center the exact num / (2 den) rounded to a
+    float, else by ``_exact_answer``.  A node with a slanted row is
+    answered by its LP, whose NumericalFailure propagates, and its
+    assignment converted to lists once."""
     at_zero, at_delta = node.chains
     if at_zero is None:
         return None, None
     if node.aligned:
         if at_delta is not None:
-            flat = [num / (2 * den) for box in zip(*at_delta[0])
-                    for num, den in box]
-        else:
-            flat = _exact_answer(node.pattern)[1]
-        return np.array(flat).reshape(-1, 3), None
+            return [[num / (2 * den) for num, den in box]
+                    for box in zip(*at_delta[0])], None
+        flat = _exact_answer(node.pattern)[1]
+        return [flat[k:k + 3] for k in range(0, len(flat), 3)], None
     lp = _node_lp(node, candidates, regions)
     stats.lp_calls += 1
     outcome = solve(lp, node.parent)
     stats.pivots += outcome.pivots
     if not outcome.feasible:
         return None, None
-    return outcome.assignment[:3 * len(node.indices)].reshape(-1, 3), outcome
+    return (outcome.assignment[:3 * len(node.indices)].reshape(-1, 3)
+            .tolist(), outcome)
 
 
 def _child(node: PartialPattern, outcome, step: str, item,
@@ -703,7 +706,7 @@ def enumerate_patterns(regions: Dict[tuple, object], catalog: Sequence,
                 best_volume = node.volume
                 best_placements = [
                     Placement(candidates[k].box, candidates[k].orientation,
-                              tuple(map(float, centers[i])))
+                              tuple(centers[i]))
                     for i, k in enumerate(node.indices)]
 
         stack.extend(_child(node, outcome, "box", k, candidates, regions)

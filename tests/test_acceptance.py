@@ -639,9 +639,9 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
     """Every node of the three criterion-09 searches is answered from its
     order chains, without an LP, and the answer is the LP's: the verdict is
     that of ``solve(build_lp(...))`` on the node's pattern, and a feasible
-    node's centers are that LP's assignment bit for bit, at slack
-    DELTA_MM.  On every fourth node of at most 3 boxes the verdict is also
-    Fourier-Motzkin's on the node's exact rows."""
+    node's centers, Python floats with no array, are that LP's assignment
+    bit for bit, at slack DELTA_MM.  On every fourth node of at most 3
+    boxes the verdict is also Fourier-Motzkin's on the node's exact rows."""
     real_answer = search_mod._answer
     seen = collections.Counter()
 
@@ -651,6 +651,9 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
         seen["nodes"] += 1
         feasible = centers is not None
         seen["feasible"] += feasible
+        # an axis-aligned node's answer is Python floats, no array
+        assert not feasible or all(type(v) is float
+                                   for center in centers for v in center)
         if seen["nodes"] % sample == 0:
             placements = [(candidates[k].box, candidates[k].orientation)
                           for k in node.indices]
@@ -660,7 +663,7 @@ def test_criterion_09_node_lps_equal_cold_assembly(monkeypatch):
             seen["lp"] += 1
             if feasible:
                 assert lp.assignment[:-1].tobytes() \
-                    == centers.ravel().tobytes(), pattern
+                    == np.array(centers).tobytes(), pattern
                 assert lp.value == DELTA_MM
         # a feasible node's chains hold at DELTA_MM: no Newton step
         seen["newton"] += feasible and node.chains[1] is None

@@ -18,6 +18,7 @@ import collections
 import fractions
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from trunkpack.geometry import (Halfspace, axis_aligned_box, convex_hull,
                                 fm_feasible)
 from trunkpack.lp import (DELTA_MM, FEAS_TOL, InvalidConstraintReference,
                           LinearProgram, LpOutcome, NumericalFailure,
-                          UnknownRegion, add_step, build_lp, extend_lp,
-                          maximize_direction, solve)
+                          Pattern, UnknownRegion, add_step, build_lp,
+                          extend_lp, maximize_direction, solve)
 
 F = fractions.Fraction
 
@@ -270,6 +271,21 @@ def test_build_lp_reference_validation():
     with pytest.raises(InvalidConstraintReference):
         build_lp([(box, "zyx")], {("A", "zyx"): region},
                  bo_constraints=[(0, "o0", 99)])
+    # a pair constrained twice, in either order: box-box pairs are
+    # unordered, box-obstacle pairs keyed by (box, obstacle id)
+    two = [(box, "zyx"), (box, "zyx")]
+    for again in ((0, 1, 2, -1), (1, 0, 0, 1), (1, 0, 2, -1)):
+        with pytest.raises(InvalidConstraintReference,
+                           match=re.escape("duplicate box-box pair (0, 1)")):
+            build_lp(two, regions, bb_constraints=[(0, 1, 0, 1), again])
+    for again in ((0, "o0", 0), (0, "o0", 3)):
+        with pytest.raises(InvalidConstraintReference, match=re.escape(
+                "duplicate box-obstacle pair (0, 'o0')")):
+            build_lp([(box, "zyx")], {("A", "zyx"): region},
+                     bo_constraints=[(0, "o0", 0), again])
+    pattern = Pattern().with_box(regions, box, "zyx").with_box(
+        regions, box, "zyx").with_bb((1, 0, 2, -1))
+    assert pattern.bb_pairs == {(0, 1)} and pattern.bo_pairs == frozenset()
 
 
 def test_random_infeasible_agrees_with_exact_elimination():

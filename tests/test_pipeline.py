@@ -339,6 +339,29 @@ def test_pipeline_import_leaves_the_process_pool_out():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("workers,orientations", [(1, "xyz"),
+                                                   (2, "xyz,yxz")],
+                         ids=["one-worker", "two-workers"])
+def test_cli_run_is_clean_under_dev_mode(tmp_path, workers, orientations):
+    # the command line, run whole on a 2-cell mesh cube with box T, with
+    # every warning an error: an unclosed file, a ResourceWarning or a
+    # deprecation on the CLI path fails it
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    trunk = write_json(tmp_path / "cube.json", subdivided_cube_mesh_obj(700, 2))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m",
+         "trunkpack.pipeline", "--trunk", trunk,
+         "--catalog", make_box_t_catalog(tmp_path),
+         "--out", str(tmp_path / "out"), "--orientations", orientations,
+         "--workers", str(workers), "--mc-samples", "400"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert load_packing(tmp_path / "out")["volume_mm3"] \
+        == TEST_BOX_VOLUME_MM3
+
+
 # ---------------------------------------------------------------------------
 # regions handed from stage to stage in memory
 
@@ -513,6 +536,29 @@ def test_hand_edited_sample_fields_are_exit_10(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "cannot read region file" in err and f"stored {key}" in err
+
+
+@pytest.mark.parametrize("value", ["false", 1], ids=["string", "int"])
+def test_hand_edited_fattened_flag_is_exit_10(tmp_path, capsys, value):
+    # a stored fattened flag must be a JSON bool: "false" is not read as
+    # true, nor 1 as true; the simplify stage refuses the file and writes
+    # no simplified region
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    argv = ["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+            "--out", str(tmp_path / "out"), "--orientations", "xyz",
+            "--mc-samples", "400"]
+    assert main(argv + ["--stages", "freespace,describe"]) == EXIT_OK
+    regions = tmp_path / "out" / "regions"
+    target = regions / "feasible_T_xyz.json"
+    stored = json.loads(target.read_text())
+    assert stored["fattened"] is False
+    write_json(target, dict(stored, fattened=value))
+    capsys.readouterr()
+    assert main(argv + ["--stages", "simplify"]) == EXIT_UNREADABLE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read region file" in err and "stored fattened" in err
+    assert not (regions / "simplified_T_xyz.json").exists()
 
 
 @pytest.mark.parametrize("source,target", [("xyz", "yxz"), ("yxz", "xyz")],

@@ -444,9 +444,9 @@ def test_detect_intersections_measures_and_order():
                  "K")
     regions = {("K", "zyx"): reg}
     placed = [(box, "zyx")] * 3
-    centers = np.array([[50.0, 50.0, 50.0],   # inside obstacle
-                        [52.0, 50.0, 50.0],   # inside obstacle, overlaps 0
-                        [10.0, 10.0, 10.0]])  # clear
+    centers = [[50.0, 50.0, 50.0],   # inside obstacle
+               [52.0, 50.0, 50.0],   # inside obstacle, overlaps 0
+               [10.0, 10.0, 10.0]]   # clear
     bb, bo = detect_intersections(_pattern_of(placed, regions, (), ()),
                                   centers)
     assert [(i, j) for _, i, j in bb] == [(0, 1)]
@@ -467,7 +467,7 @@ def test_unit_boxes_half_apart_overlap_half():
     hull = axis_aligned_box((0, 0, 0), (10, 10, 10), id="hull")
     regions = {("U", "zyx"): region(hull, [], "U")}
     pattern = _pattern_of([(unit, "zyx")] * 2, regions, (), ())
-    centers = np.array([[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]])
+    centers = [[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]]
     bb, _ = detect_intersections(pattern, centers)
     assert bb[0][0] == pytest.approx(0.5)
 
@@ -741,7 +741,7 @@ def test_norms_of_huge_coefficients_do_not_overflow():
     regions = {("K", "zyx"): region(hull, [obstacle], "K")}
 
     _, bo = detect_intersections(_pattern_of([(box, "zyx")], regions, (), ()),
-                                 np.array([[500.0, 500.0, 500.0]]))
+                                 [[500.0, 500.0, 500.0]])
     assert [(i, o.id) for (_, i, o) in bo] == [(0, "o0")]
     assert bo[0][0] == pytest.approx(100.0)
 
@@ -773,6 +773,11 @@ def _facet(obstacle, normal):
     """The index of the obstacle's facet with that normal."""
     return next(f for f, h in enumerate(obstacle.halfspaces)
                 if h.normal == normal)
+
+
+def _flat(centers):
+    """A node's answer, one [x, y, z] list per box, as one list."""
+    return [v for center in centers for v in center]
 
 
 def _pattern_of(placements, regions, bb, bo):
@@ -841,7 +846,7 @@ def _check_slack_below_delta(regions, placements, bb, bo, slack, centers):
                                      pattern, None, chains, aligned)
     got, outcome = search_mod._answer(node, None, regions,
                                       search_mod.SearchStats())
-    assert outcome is None and got.ravel().tolist() == centers
+    assert outcome is None and _flat(got) == centers
 
 
 def test_largest_slack_below_delta_is_exact():
@@ -1093,7 +1098,6 @@ def _reference_detect_intersections(extents, box_regions, centers,
     cached, on each box's extents and region: each facet's norm recomputed
     from its integers per call."""
     n = len(extents)
-    centers = centers.tolist()
     bb = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -1204,6 +1208,83 @@ def test_detect_intersections_matches_the_per_call_norms(monkeypatch):
     assert calls["bo"] >= 10 and calls["bb"] >= 1000 and calls["free"] >= 10
 
 
+def _successors(pattern, axis, slack) -> dict:
+    """Each box's later boxes on ``axis`` at one slack, rebuilt from every
+    constraint of the pattern, with the weight of the edge to each (doubled
+    coordinates): for an order constraint the half-extent sum plus the
+    slack, for a tie (x only, ``Pattern.tied``) 0.  The reference for the
+    edges the search's chains carry from node to node."""
+    succ = {}
+    for (a, b, a_axis, a_order) in pattern.bb:
+        if a_axis == axis:
+            u, v = (a, b) if a_order == 1 else (b, a)
+            succ.setdefault(u, []).append(
+                (v, pattern.extents[u][axis] + pattern.extents[v][axis]
+                 + slack))
+    if axis == 0:
+        for v in range(1, len(pattern.regions)):
+            if pattern.tied(v):
+                succ.setdefault(v - 1, []).append((v, 0))
+    return succ
+
+
+def test_carried_edges_and_pairs_match_a_rebuild(monkeypatch):
+    """Every node of criterion 09's searches and of the slanted-hull search:
+    at both slacks, each live chain's carried edges are the ones rebuilt
+    from the node's pattern (``_successors``), as a multiset per box and
+    axis, and the pattern's pair sets are the pairs of its constraints.
+    A child shares its parent's edge tuples, all but the one its order
+    step adds to."""
+    real_child = search_mod._child
+    seen = collections.Counter()
+
+    def checked_child(parent, *args):
+        node = real_child(parent, *args)
+        pattern = node.pattern
+        assert pattern.bb_pairs == {(min(i, j), max(i, j))
+                                    for (i, j, _, _) in pattern.bb}
+        assert pattern.bo_pairs == {(i, oid) for (i, oid, _) in pattern.bo}
+        assert len(pattern.bb_pairs) == len(pattern.bb)
+        assert len(pattern.bo_pairs) == len(pattern.bo)
+        n = len(pattern.regions)
+        for chain, before, slack in zip(node.chains, parent.chains,
+                                        search_mod._SLACKS):
+            if chain is None:
+                seen["dead chains"] += 1
+                continue
+            edges = chain[2]
+            assert len(edges) == 3
+            for axis in range(3):
+                succ = _successors(pattern, axis, slack)
+                assert len(edges[axis]) == n
+                for u in range(n):
+                    assert collections.Counter(edges[axis][u]) \
+                        == collections.Counter(succ.get(u, ()))
+                    seen["edges"] += len(edges[axis][u])
+            # the parent's tuples, shared, but for the one the step grew
+            grown = [(axis, u) for axis in range(3)
+                     for u in range(len(before[2][axis]))
+                     if edges[axis][u] is not before[2][axis][u]]
+            assert len(grown) <= 1
+            seen["grown"] += len(grown)
+        seen["nodes"] += 1
+        seen["bo pairs"] += len(pattern.bo_pairs)
+        return node
+
+    monkeypatch.setattr(search_mod, "_child", checked_child)
+    cases = _criterion_09_searches()
+    box, regions = _slanted_instance()
+    cases.append((regions, box, False))
+    nodes = 0
+    for regions, box, prune in cases:
+        result = enumerate_patterns(regions, [box],
+                                    config=SearchConfig(prune_enabled=prune))
+        nodes += result.stats.nodes
+    assert seen["nodes"] == nodes == 3063 + 5196 + 110 + 804
+    assert min(seen["dead chains"], seen["edges"], seen["grown"],
+               seen["bo pairs"]) > 0, seen
+
+
 def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
     # 2-5 boxes, each in its own hull with half-millimetre corners, random
     # orders and random facets of two axis-aligned obstacles; in every other
@@ -1269,7 +1350,7 @@ def test_exact_answers_match_the_lp_on_random_axis_aligned_patterns():
                                          None, chains, aligned)
         got, _ = search_mod._answer(node, None, regions,
                                     search_mod.SearchStats())
-        assert got.ravel().tolist() == centers
+        assert _flat(got) == centers
     # a non-dyadic s* is test_largest_slack_below_delta_is_exact's case
     assert min(seen["infeasible"], seen["delta"], seen["below"]) >= 20, seen
 
@@ -1313,7 +1394,7 @@ def test_a_tie_raises_the_boxes_after_it_in_the_delta_chains(monkeypatch):
                   + [("box", p) for p in placements[1:]]):
         chains, centers = _folded_answer(regions, steps)
         assert chains[1] is not None
-        assert centers.ravel().tolist() == want
+        assert _flat(centers) == want
     out = solve(build_lp(placements, regions, (), bo))
     assert out.value == DELTA_MM and out.assignment[:-1].tolist() == want
     assert fm_feasible(*_exact_rows(_pattern_of(placements, regions, (),
@@ -1322,7 +1403,7 @@ def test_a_tie_raises_the_boxes_after_it_in_the_delta_chains(monkeypatch):
     _untied(monkeypatch)
     _, centers = _folded_answer(regions, [("box", p) for p in placements]
                                 + [("bo", bo[0])])
-    assert centers[:, 0].tolist() == [31.0, 10.0, 10.0]
+    assert [x for x, _, _ in centers] == [31.0, 10.0, 10.0]
 
 
 def test_a_tie_below_delta_is_answered_exactly(monkeypatch):
@@ -1448,7 +1529,7 @@ def test_each_packing_of_the_j_cubes_repeats_less(monkeypatch):
     def counted(pattern, centers):
         bb, bo = real(pattern, centers)
         if len(pattern.regions) == 5 and not bb and not bo:
-            placed = tuple(map(tuple, centers.tolist()))
+            placed = tuple(map(tuple, centers))
             seen["nodes"] += 1
             seen["labelled"].add(placed)
             seen["sets"].add(tuple(sorted(placed)))
