@@ -19,36 +19,33 @@ Each of the first three stages is one entry of ``_REGION_STAGES``: the
 region kind it reads (none: the trunk), the kind it writes, its per-region
 logs, its report and the formatter of each report file, the message a
 geometric failure in it is reported under (exit 11), and its work per
-(box, orientation).  One pool task (``_region_task``) reads an entry's
-input and renders its outputs, one runner (``_stage_regions``) writes
-them, and ``stage_outputs`` and the enumeration's choice of region files
-are derived from the same entries, so what a stage writes is declared
-once.
+(box, orientation).  ``stage_outputs`` and the enumeration's choice of
+region files are derived from the same entries, so what a stage writes is
+declared once.
 
 A stage is skipped when every one of its output files already exists, so a
 run is resumable: deleting any suffix of the artifacts and re-running
 recomputes only the missing stages; a rerun that only adds an OBJ export
-writes it from the placements stored in packing.json.  Region files are
-canonical JSON and byte-identical across runs and worker counts.  The
-region stages fan the (box, orientation) pairs out over a process pool; the
-enumeration stage is one sequential search.
-
-A run without a process pool hands each region it writes on to the stage
-that reads it, in memory: each stage's Region is the one
-``region_from_dict`` decodes from its file (obstacles ``o<i>`` in order),
-so the run keeps it with the bytes it wrote, and ``_read_region`` takes
-that Region while the file still holds those bytes.  A file the run did
-not write, or one changed since, is decoded.  Pool tasks return no Region,
-which would pass through the parent process, so their files are decoded
-where they are read.
+writes it from the placements stored in packing.json.  No stage writes
+another stage's files, so a run lists the region stages it needs before
+any runs.  One task per (box, orientation) (``_region_task``) runs them in
+order, inline or on a process pool, writing each stage's region file and
+logs; each stage's Region, the one ``region_from_dict`` decodes from its
+file, is handed to the next stage in memory and dropped once that stage
+has it.  A stage whose input stage did not run in the task decodes the
+input file.  One runner (``_stage_regions``) then writes each stage's
+report from the tasks' rows, in task order, so region files and reports
+are byte-identical across runs and worker counts.  The enumeration stage
+decodes the region files it reads and runs one sequential search.
 
 Exit codes: 0 success, 10 unreadable input file (a trunk, a catalog, or a
 region file that is missing, does not decode or is labelled with another
 (box, orientation) than the run reads it for), 11 malformed trunk model (or
 one too large for the describe stage's exact sampling lattice, which holds
 coordinates up to about 2^30 mm, or any geometric failure in a region
-stage), 12 no feasible placement for any (box, orientation) pair, 13 timed
-out before finding any packing (an empty packing.json is still written).
+stage), 12 no feasible placement for any (box, orientation) pair (decided
+once the region stages have run, from the feasible files), 13 timed out
+before finding any packing (an empty packing.json is still written).
 """
 
 from __future__ import annotations
@@ -151,6 +148,8 @@ class RunConfig:
                              f"{STAGES}")
         self.stages = stages
         if self.orientations is not None:
+            if not self.orientations:
+                raise ValueError("at least one orientation must be selected")
             bad = [o for o in self.orientations if o not in ORIENTATIONS]
             if bad:
                 raise ValueError(f"unknown orientations {bad}")
@@ -313,27 +312,49 @@ def _simplify(region, box: BoxType, orientation: str, config: RunConfig):
 
 
 def _region_task(args):
-    """(stage name, box, orientation, input, handed, run config) ->
-    (region file text, log texts, report row or None, region).  The input
-    is the trunk for a stage that reads no region file, else the path of
-    its input region file, read with ``_read_region``; an
-    empty input region gives an empty one, empty logs and no row."""
-    name, box, orientation, source, handed, config = args
-    stage = _REGION_STAGES[name]
-    if stage.reads is not None:
-        source = _read_region(source, (box.id, orientation), handed)
-    if source is None:
-        region, logs, row = None, [() for _ in stage.logs], None
-    else:
-        region, logs, row = stage.work(source, box, orientation, config)
-    return (region_json(region, box.id, orientation),
-            [format_log(entries) for entries in logs], row, region)
-
-
-def _pool_task(args):
-    """``_region_task`` in a pool worker, less the region it would pickle
-    back through the parent process."""
-    return _region_task(args)[:3]
+    """(stage names, box, orientation, run paths, run config) -> one report
+    row (or None) per stage.  Runs the named region stages in order for one
+    (box, orientation), each writing its region file and logs.  The stage
+    that reads no region file loads the trunk, which is dropped once that
+    stage has run.  A stage takes the Region the stage before it made here,
+    the one ``region_from_dict`` decodes from its file (obstacles ``o<i>``
+    in order), and decodes its input file when that stage did not run
+    here.  A region holding a flat polytope is not handed on, so its reader
+    decodes the file and refuses it.  An empty input region gives an empty
+    one, empty logs and no row; a GeometryError is exit 11."""
+    names, box, orientation, paths, config = args
+    labels = (box.id, orientation)
+    rows = []
+    made = None  # (kind, Region or None) of the last region handed on
+    for name in names:
+        stage = _REGION_STAGES[name]
+        if stage.reads is None:
+            source = _load_trunk_checked(config)
+        elif made is not None and made[0] == stage.reads:
+            source = made[1]
+        else:
+            source = _read_region(paths.region(stage.reads, *labels), labels)
+        made = None  # so the input is dropped once the stage has run
+        try:
+            if source is None:
+                region, logs, row = None, [() for _ in stage.logs], None
+            else:
+                region, logs, row = stage.work(source, box, orientation,
+                                               config)
+        except GeometryError as exc:
+            raise PipelineError(EXIT_MALFORMED, stage.failure.format(
+                trunk=config.trunk) + f": {exc}")
+        del source
+        _write_atomic(paths.region(stage.writes, *labels),
+                      region_json(region, *labels))
+        for kind, entries in zip(stage.logs, logs):
+            _write_atomic(paths.log(kind, *labels), format_log(entries))
+        rows.append(row)
+        if region is None or not any(
+                p.degenerate for p in (region.hull, *region.obstacles)):
+            made = (stage.writes, region)
+        del region
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -485,74 +506,35 @@ def _combos(config: RunConfig, catalog: Sequence[BoxType]) -> list:
             for orient in distinct_orientations(box, config.orientations)]
 
 
-def _stage_regions(name: str, config: RunConfig, paths: RunPaths,
-                   combos, handoff: dict) -> None:
-    """Run one region stage over the (box, orientation) pairs and write
-    every file its table entry names; a GeometryError is exit 11.  The
-    tasks run inline, one at a time, each taking its input's entry out of
-    ``handoff`` as it starts (so it is released once the task has run) and
-    recording the region file it writes there (see ``_hand_off``), or on a
-    process pool, whose tasks return no region: nothing is handed on.
-    Results come in task order either way, so the files are identical."""
-    stage = _REGION_STAGES[name]
-    trunk = _load_trunk_checked(config) if stage.reads is None else None
-
-    def tasks():
-        for box, orient in combos:
-            if stage.reads is None:
-                yield name, box, orient, trunk, None, config
-            else:
-                path = paths.region(stage.reads, box.id, orient)
-                yield name, box, orient, path, handoff.pop(path, None), config
-
+def _stage_regions(names: Sequence[str], config: RunConfig, paths: RunPaths,
+                   combos) -> None:
+    """Run the named region stages, one ``_region_task`` per (box,
+    orientation), inline or on a process pool, then write each stage's
+    report from the tasks' rows.  Rows come in task order either way, so
+    the files are identical."""
+    tasks = ((names, box, orient, paths, config) for box, orient in combos)
     workers = min(config.workers, len(combos))
-    try:
-        if workers > 1:
-            # imported here, so that a run with one worker does not pay
-            # for importing the pool module
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_pool_task, tasks()))
-        else:
-            results = [_region_task(task) for task in tasks()]
-    except GeometryError as exc:
-        raise PipelineError(EXIT_MALFORMED, stage.failure.format(
-            trunk=config.trunk) + f": {exc}")
-    rows = []
-    for (box, orient), (text, logs, row, *region) in zip(combos, results):
-        path = paths.region(stage.writes, box.id, orient)
-        _write_atomic(path, text)
-        if region:
-            _hand_off(handoff, path, text, *region)
-        for kind, log in zip(stage.logs, logs):
-            _write_atomic(paths.log(kind, box.id, orient), log)
-        if row is not None:
-            rows.append(row)
-    for ext, format_rows in stage.formats.items():
-        _write_atomic(paths.report(stage.report, ext), format_rows(rows))
+    if workers > 1:
+        # imported here, so that a run with one worker does not pay for
+        # importing the pool module
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_region_task, tasks))
+    else:
+        results = list(map(_region_task, tasks))
+    for i, name in enumerate(names):
+        stage = _REGION_STAGES[name]
+        rows = [r[i] for r in results if r[i] is not None]
+        for ext, format_rows in stage.formats.items():
+            _write_atomic(paths.report(stage.report, ext), format_rows(rows))
 
 
-def _hand_off(handoff: dict, path: Path, text: str, region) -> None:
-    """Record the region file just written at ``path``: its bytes and the
-    stage's Region, the one ``region_from_dict`` decodes from them.  The
-    bytes themselves, not a digest, are kept: they are exact, and far
-    smaller than the Region.  A region holding a flat polytope is not
-    recorded, so its reader decodes the file and reports it."""
-    if region is None or not any(
-            p.degenerate for p in (region.hull, *region.obstacles)):
-        handoff[path] = (text.encode("utf-8"), region)
-
-
-def _read_region(path: Path, labels: tuple, handed: Optional[tuple] = None):
+def _read_region(path: Path, labels: tuple):
     """Decode the region file of ``labels`` (box id, orientation): a Region,
-    or None for an empty marker.  ``handed`` is the run's (bytes, Region)
-    record of the file as it wrote it: while the file still holds those
-    bytes, the recorded Region is the decode.  Any failure is exit 10."""
-    data = _read_region_bytes(path)
-    if handed is not None and handed[0] == data:
-        return handed[1]
+    or None for an empty marker.  Any failure is exit 10."""
     try:
-        return region_from_dict(_region_object(path, data, labels))
+        return region_from_dict(
+            _region_object(path, _read_region_bytes(path), labels))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise PipelineError(EXIT_UNREADABLE,
                             f"cannot read region file {path}: {exc}")
@@ -595,10 +577,10 @@ def _pick_region_files(paths: RunPaths, combos) -> list:
 
 
 def _stage_enumerate(config: RunConfig, paths: RunPaths, catalog,
-                     combos, handoff: dict) -> int:
+                     combos) -> int:
     regions = {}
     for (box, orient), path in zip(combos, _pick_region_files(paths, combos)):
-        region = _read_region(path, (box.id, orient), handoff.pop(path, None))
+        region = _read_region(path, (box.id, orient))
         if region is not None:
             regions[(box.id, orient)] = region
 
@@ -692,22 +674,24 @@ def run(config: RunConfig) -> int:
     if obj and (obj.is_dir() or not os.access(obj.parent, os.W_OK)):
         print(f"cannot write --export-obj {obj}", file=sys.stderr)
         return 2
-    handoff = {}  # region file -> (bytes, Region): see _hand_off
     try:
         catalog = _load_catalog_checked(config)
         combos = _combos(config, catalog)
-        for name in config.stages:
-            if name == "enumerate":  # always the last stage
-                if _enumerate_cached(config, paths, catalog):
-                    return EXIT_OK
-                return _stage_enumerate(config, paths, catalog, combos,
-                                        handoff)
-            if not all(f.exists() for f in stage_outputs(name, paths, combos)):
-                _stage_regions(name, config, paths, combos, handoff)
-            if name == "describe" and _all_feasible_empty(paths, combos):
-                print("no feasible placements for any (box, orientation) "
-                      "pair", file=sys.stderr)
-                return EXIT_EMPTY
+        # no stage writes another stage's files, so which ones run can be
+        # decided before any does
+        needed = [name for name in config.stages if name in _REGION_STAGES
+                  and not all(f.exists()
+                              for f in stage_outputs(name, paths, combos))]
+        if needed:
+            _stage_regions(needed, config, paths, combos)
+        if "describe" in config.stages and _all_feasible_empty(paths, combos):
+            print("no feasible placements for any (box, orientation) pair",
+                  file=sys.stderr)
+            return EXIT_EMPTY
+        if "enumerate" in config.stages:
+            if _enumerate_cached(config, paths, catalog):
+                return EXIT_OK
+            return _stage_enumerate(config, paths, catalog, combos)
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code

@@ -18,6 +18,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -381,16 +382,18 @@ def l_prism_mesh_obj():
     return {"triangles": tris, "seed": [100, 100, 100]}
 
 
-def _record_hand_offs(monkeypatch):
-    """path -> the (bytes, Region) record the run keeps of each region file
-    it writes (None when it keeps none)."""
+def _record_written_regions(monkeypatch):
+    """(box id, orientation) -> [(file text, Region or None)] of every
+    region file the run writes for it, in the order written (raw, feasible,
+    simplified for a run of all region stages)."""
     recorded = {}
 
-    def recording(handoff, path, text, region, _real=pipeline._hand_off):
-        _real(handoff, path, text, region)
-        recorded[path] = handoff.get(path)
+    def recording(region, box_id, orientation, _real=pipeline.region_json):
+        text = _real(region, box_id, orientation)
+        recorded.setdefault((box_id, orientation), []).append((text, region))
+        return text
 
-    monkeypatch.setattr(pipeline, "_hand_off", recording)
+    monkeypatch.setattr(pipeline, "region_json", recording)
     return recorded
 
 
@@ -428,7 +431,9 @@ def _region_fields(region):
 def test_handed_off_regions_equal_their_decoded_files(tmp_path, monkeypatch,
                                                       trunk_obj, dims,
                                                       orientations):
-    recorded = _record_hand_offs(monkeypatch)
+    # each Region a stage writes, and hands on to the next stage, is the
+    # one its file decodes to
+    recorded = _record_written_regions(monkeypatch)
     trunk = write_json(tmp_path / "trunk.json", trunk_obj)
     catalog = write_json(tmp_path / "catalog.json",
                          [{"id": "T", "dims_mm": dims, "max_count": 2}])
@@ -437,12 +442,17 @@ def test_handed_off_regions_equal_their_decoded_files(tmp_path, monkeypatch,
                  "--orientations", orientations,
                  "--mc-samples", "400"]) == EXIT_OK
     files = sorted((out / "regions").iterdir())
-    assert len(files) == 9 and set(recorded) == set(files)
-    for path in files:
-        data, region = recorded[path]
-        assert data == path.read_bytes()
-        assert _region_fields(region) == _region_fields(
-            freespace.region_from_dict(json.loads(data)))
+    assert len(files) == 9
+    assert sorted(recorded) == [("T", o) for o in sorted(orientations.split(","))]
+    for (box_id, orient), written in recorded.items():
+        assert len(written) == 3
+        for kind, (text, region) in zip(("raw", "feasible", "simplified"),
+                                        written):
+            data = (out / "regions" / f"{kind}_{box_id}_{orient}.json"
+                    ).read_bytes()
+            assert data == text.encode("utf-8")
+            assert _region_fields(region) == _region_fields(
+                freespace.region_from_dict(json.loads(data)))
     regions = {p.name: json.loads(p.read_bytes()) for p in files}
     if trunk_obj["seed"] == [100, 100, 100]:
         assert regions["raw_T_zxy.json"].get("empty")
@@ -451,33 +461,6 @@ def test_handed_off_regions_equal_their_decoded_files(tmp_path, monkeypatch,
     else:
         assert any(read_log(out / "logs" / f"merge_T_{o}.jsonl")
                    for o in orientations.split(","))
-
-
-def test_region_file_rewritten_after_its_write_is_decoded(tmp_path,
-                                                          monkeypatch):
-    # the feasible file is rewritten between the describe stage's write and
-    # the simplify stage's read: simplify decodes the new bytes
-    target = tmp_path / "out" / "regions" / "feasible_T_xyz.json"
-    real = pipeline._hand_off
-
-    def rewriting(handoff, path, text, region):
-        real(handoff, path, text, region)
-        if path == target:
-            obj = json.loads(text)
-            obj["volume_mm3"] *= 2
-            write_json(path, obj)
-
-    monkeypatch.setattr(pipeline, "_hand_off", rewriting)
-    decoded = _count_decodes(monkeypatch)
-    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
-    assert main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
-                 "--out", str(tmp_path / "out"), "--orientations", "xyz,yxz",
-                 "--mc-samples", "400"]) == EXIT_OK
-    assert len(decoded) == 1
-    assert decoded[0].volume_mm3 == json.loads(target.read_text())["volume_mm3"]
-    rows = (tmp_path / "out" / "reports" / "simplify.csv").read_text()
-    ratios = {r.split(",")[1]: r.split(",")[2] for r in rows.splitlines()[1:3]}
-    assert ratios == {"xyz": "50.0", "yxz": "100.0"}
 
 
 def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
@@ -495,7 +478,6 @@ def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
         return region
 
     monkeypatch.setattr(pipeline, "describe_region", with_flat_obstacle)
-    recorded = _record_hand_offs(monkeypatch)
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
     rc = main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
                "--out", str(tmp_path / "out"), "--orientations", "xyz",
@@ -503,7 +485,40 @@ def test_flat_polytope_in_a_written_region_is_exit_10(tmp_path, monkeypatch,
     assert rc == EXIT_UNREADABLE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "feasible_T_xyz.json" in err
-    assert recorded[tmp_path / "out" / "regions" / "feasible_T_xyz.json"] is None
+    regions = tmp_path / "out" / "regions"
+    assert (regions / "feasible_T_xyz.json").exists()
+    assert not (regions / "simplified_T_xyz.json").exists()
+
+
+def test_describe_holds_no_other_pairs_raw_region(tmp_path, monkeypatch):
+    # a run with one worker takes each (box, orientation) through its
+    # region stages before the next, and drops each Region once the next
+    # stage has it: while describe works on one pair, the raw Region of
+    # every other pair is gone
+    made = []
+    real_raw, real_describe = (pipeline.raw_feasible_region,
+                               pipeline.describe_region)
+
+    def recorded_raw(*args):
+        region = real_raw(*args)
+        made.append(weakref.ref(region))
+        return region
+
+    alive_others = []
+
+    def checked_describe(raw, **kw):
+        alive_others.append(sum(ref() is not None and ref() is not raw
+                                for ref in made))
+        return real_describe(raw, **kw)
+
+    monkeypatch.setattr(pipeline, "raw_feasible_region", recorded_raw)
+    monkeypatch.setattr(pipeline, "describe_region", checked_describe)
+    trunk = write_json(tmp_path / "cube.json", subdivided_cube_mesh_obj(700, 2))
+    assert main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
+                 "--out", str(tmp_path / "out"),
+                 "--orientations", "xyz,yxz,zxy", "--mc-samples", "400",
+                 "--workers", "1"]) == EXIT_OK
+    assert len(made) == 3 and alive_others == [0, 0, 0]
 
 
 @pytest.mark.parametrize("key,value", [
@@ -606,15 +621,20 @@ def test_smallest_stored_sample_fields_are_read(tmp_path):
     assert main(argv + ["--stages", "simplify"]) == EXIT_OK
 
 
-def test_full_run_decodes_no_region_file(tmp_path, monkeypatch):
+def test_full_run_decodes_only_the_files_the_enumeration_reads(tmp_path,
+                                                               monkeypatch):
     decoded = _count_decodes(monkeypatch)
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
     catalog = make_box_t_catalog(tmp_path)
     out = tmp_path / "out"
     assert main(["--trunk", trunk, "--catalog", catalog, "--out", str(out),
                  "--mc-samples", "400"]) == EXIT_OK
-    assert decoded == []
+    assert [_region_fields(r) for r in decoded] == [
+        _region_fields(freespace.region_from_dict(json.loads(
+            (out / "regions" / f"simplified_T_{o}.json").read_bytes())))
+        for o in ORIENTATIONS]
     # a later run has nothing in memory: it decodes what it reads, once
+    del decoded[:]
     for path in (out / "regions").glob("simplified_*.json"):
         path.unlink()
     assert main(["--trunk", trunk, "--catalog", catalog, "--out", str(out),
@@ -622,18 +642,57 @@ def test_full_run_decodes_no_region_file(tmp_path, monkeypatch):
     assert len(decoded) == len(ORIENTATIONS)
 
 
-def test_pool_tasks_hand_no_region_to_the_parent(tmp_path, monkeypatch):
-    # with a pool, every Region stays in the worker that made it: the
-    # parent records no hand-off, and the enumeration decodes each file
-    recorded = _record_hand_offs(monkeypatch)
+def test_inline_and_pooled_runs_decode_the_same_files_in_the_parent(
+        tmp_path, monkeypatch):
+    # pool workers are separate processes, so the parent sees only its own
+    # decodes: the enumeration's, the same with and without a pool
     decoded = _count_decodes(monkeypatch)
     trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
-    out = tmp_path / "out"
-    assert main(["--trunk", trunk, "--catalog", make_box_t_catalog(tmp_path),
-                 "--out", str(out), "--orientations", "xyz,yxz",
-                 "--mc-samples", "400", "--workers", "2"]) == EXIT_OK
-    assert recorded == {} and len(decoded) == 2
-    assert len(list((out / "regions").iterdir())) == 6
+    catalog = make_box_t_catalog(tmp_path)
+    fields = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["--trunk", trunk, "--catalog", catalog,
+                     "--out", str(out), "--orientations", "xyz,yxz",
+                     "--mc-samples", "400", "--workers", workers]) == EXIT_OK
+        fields[workers] = [_region_fields(r) for r in decoded]
+        del decoded[:]
+        assert len(list((out / "regions").iterdir())) == 6
+    assert len(fields["1"]) == 2 and fields["1"] == fields["2"]
+    assert artifact_digest(tmp_path / "w1") == artifact_digest(tmp_path / "w2")
+
+
+def test_resume_decodes_the_kept_input_of_a_stage_that_runs(tmp_path,
+                                                             monkeypatch):
+    # with the raw and simplified files deleted and the feasible ones kept,
+    # a rerun runs freespace and simplify but not describe: simplify decodes
+    # each kept feasible file once, and every rewritten file is the one a
+    # clean run writes
+    trunk = write_json(tmp_path / "cube.json", cube_mesh_obj(700))
+    catalog = make_box_t_catalog(tmp_path)
+
+    def argv(out):
+        return ["--trunk", trunk, "--catalog", catalog, "--out", str(out),
+                "--orientations", "xyz,yxz", "--mc-samples", "400"]
+
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    assert main(argv(out)) == EXIT_OK
+    assert main(argv(clean)) == EXIT_OK
+    regions = out / "regions"
+    kept = {p: p.stat().st_mtime_ns for p in regions.glob("feasible_*.json")}
+    for pattern in ("raw_*.json", "simplified_*.json"):
+        for path in regions.glob(pattern):
+            path.unlink()
+    decoded = _count_decodes(monkeypatch)
+    assert main(argv(out)) == EXIT_OK
+    assert {p: p.stat().st_mtime_ns for p in kept} == kept
+    rerun, fresh = artifact_map(out), artifact_map(clean)
+    del rerun["packing.json"], fresh["packing.json"]
+    assert rerun == fresh
+    assert [_region_fields(r) for r in decoded] == [
+        _region_fields(freespace.region_from_dict(json.loads(
+            (regions / f"feasible_T_{o}.json").read_bytes())))
+        for o in ORIENTATIONS if o in ("xyz", "yxz")]
 
 
 def test_exit_code_unreadable_input(tmp_path):
@@ -918,14 +977,14 @@ def test_discard_filter_disagreement_is_exit_11(tmp_path, monkeypatch,
                                             (convex_cube_obj(50), EXIT_EMPTY)],
                          ids=["mesh-cube", "empty-cube"])
 def test_written_files_are_the_promised_files(tmp_path, trunk_obj, code):
-    # the empty cube stops after describe; the simplify stage run on its
-    # own then writes empty regions, empty logs and reports without rows
+    # the empty cube exits 12 once the region stages have run: its
+    # simplify stage writes empty regions, empty logs and reports without
+    # rows
     catalog = make_box_t_catalog(tmp_path)
     argv = ["--trunk", write_json(tmp_path / "trunk.json", trunk_obj),
             "--catalog", catalog, "--orientations", "xyz,yxz",
             "--mc-samples", "300", "--out", str(tmp_path / "out")]
     assert main(argv) == code
-    assert main(argv + ["--stages", "simplify"]) == EXIT_OK
 
     config = pipeline.config_from_args(pipeline.build_arg_parser()
                                        .parse_args(argv))
@@ -1093,7 +1152,8 @@ def test_cli_rejects_bad_usage(tmp_path, capsys):
             ("--time-limit", "nan"), ("--merge-rel", "-1"),
             ("--merge-abs", "-1"), ("--drop-growth", "-1"),
             ("--merge-rel", "nan"), ("--merge-abs", "inf"),
-            ("--drop-growth", "nan"), ("--drop-growth", "inf")]]
+            ("--drop-growth", "nan"), ("--drop-growth", "inf"),
+            ("--orientations", ""), ("--orientations", " , ")]]
                       + [([], a_file)]):
         assert main(["--trunk", trunk, "--catalog", catalog, *args,
                      "--out", str(out)]) == 2
@@ -1157,6 +1217,8 @@ def test_runconfig_validation():
         RunConfig(workers=0)
     with pytest.raises(ValueError):
         RunConfig(orientations=("zyx", "abc"))
+    with pytest.raises(ValueError):
+        RunConfig(orientations=())
     with pytest.raises(ValueError):
         RunConfig(trunk_format="step")
     with pytest.raises(ValueError):
